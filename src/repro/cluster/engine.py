@@ -31,7 +31,6 @@ knowable), never retroactively.
 
 from __future__ import annotations
 
-import heapq
 import logging
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -46,12 +45,12 @@ from ..faults.plan import (
     ClusterFaultConfig,
     ClusterFaultPlan,
 )
-from ..lint.simsan import get_sanitizer
 from ..obs import CLUSTER_TRACK, get_registry, get_tracer
 from ..obs.causal import get_collector
 from ..obs.digest import DigestRecorder
 from ..serve.admission import AdmissionConfig, AdmissionController
 from ..serve.degrade import DegradationLadder
+from ..serve.kernel import EventKernel, arrival_times
 from ..serve.node import ServiceNodeCore
 from ..serve.request import Request
 from ..serve.router import MERGE_ENTRY_BYTES
@@ -196,11 +195,7 @@ class ClusterSimulator:
         :class:`~repro.errors.SimulationError` when conservation breaks or
         work is left behind.
         """
-        times = np.asarray(arrivals, dtype=np.float64)
-        if times.size == 0:
-            raise WorkloadError("no arrivals to serve")
-        if np.any(np.diff(times) < 0):
-            raise WorkloadError("arrival times must be non-decreasing")
+        times = arrival_times(arrivals)
         num_requests = int(times.size)
         if keys is None:
             keys = zipf_keys(
@@ -235,8 +230,9 @@ class ClusterSimulator:
         parked_time = 0.0
         last_completion = float(times[0])
 
-        heap: List[Tuple[float, int, int, int]] = []
-        seq = 0
+        kernel = EventKernel("cluster")
+        push = kernel.push
+        pop = kernel.pop
         next_task_id = 0
         next_batch_id = 0
 
@@ -249,25 +245,19 @@ class ClusterSimulator:
             in (EDGE_NODE_UP, EDGE_NODE_DOWN, EDGE_PARTITION_HEAL, EDGE_PARTITION_START)
         ]
         for index, edge in enumerate(edges):
-            heapq.heappush(heap, (float(edge[0]), _KIND_EDGE, seq, index))
-            seq += 1
+            push(float(edge[0]), _KIND_EDGE, index)
         # Autoscaler evaluations, one per interval across the arrival span.
         if config.autoscale and len(sns) > 1:
             evaluations = int(float(times[-1]) / config.autoscale_interval)
             for step in range(1, evaluations + 1):
-                heapq.heappush(
-                    heap, (step * config.autoscale_interval, _KIND_SCALE, seq, 0)
-                )
-                seq += 1
+                push(step * config.autoscale_interval, _KIND_SCALE, 0)
         # Arrivals enter the heap one at a time (they are sorted), keeping
         # the heap at working-set size rather than run size.
-        heapq.heappush(heap, (float(times[0]), _KIND_ARRIVAL, seq, 0))
-        seq += 1
+        push(float(times[0]), _KIND_ARRIVAL, 0)
 
         registry = get_registry()
         tracer = get_tracer()
         recorder = self.digest_recorder
-        sanitizer = get_sanitizer()
         collector = get_collector()
 
         def reachable(rack_a: int, rack_b: int) -> bool:
@@ -277,7 +267,7 @@ class ClusterSimulator:
             return pair not in severed
 
         def start_on(node: DataNode, task: ShardTask, now: float) -> None:
-            nonlocal seq, running_tasks
+            nonlocal running_tasks
             start = now if now > task.ready_at else task.ready_at
             slow = self.fault_plan.slowdown(
                 node.index, start
@@ -291,8 +281,7 @@ class ClusterSimulator:
             node.start(task, end)
             live[task.task_id] = task
             running_tasks += 1
-            heapq.heappush(heap, (end, _KIND_TASK, seq, task.task_id))
-            seq += 1
+            push(end, _KIND_TASK, task.task_id)
 
         def route_task(task: ShardTask, now: float) -> bool:
             """Place ``task`` on a replica; False when parked."""
@@ -453,7 +442,7 @@ class ClusterSimulator:
             parked[:] = still_parked
 
         def dispatch(sn: ServiceNode, now: float) -> None:
-            nonlocal seq, next_task_id, next_batch_id
+            nonlocal next_task_id, next_batch_id
             pressure = sn.core.pressure(
                 sn.outstanding_requests, self._pressure_fallback
             )
@@ -533,10 +522,8 @@ class ClusterSimulator:
                 raise SimulationError("no active service node to route to")
             return best
 
-        while heap:
-            now, kind, order, payload = heapq.heappop(heap)
-            if sanitizer.enabled:
-                sanitizer.observe_pop("cluster", now, key=(now, kind, order))
+        while kernel:
+            now, kind, _seq, payload = pop()
             if recorder is not None:
                 recorder.tick(
                     now,
@@ -550,7 +537,7 @@ class ClusterSimulator:
                     parked=len(parked),
                     batches=counters.batches,
                     active=self._active_count,
-                    seq=seq,
+                    seq=kernel.seq,
                 )
             if kind == _KIND_TASK:
                 task = live.pop(payload, None)
@@ -576,10 +563,7 @@ class ClusterSimulator:
                 state.remaining -= 1
                 if state.remaining == 0:
                     merge_end = state.last_result_at + state.merge_cost
-                    heapq.heappush(
-                        heap, (merge_end, _KIND_MERGE, seq, state.batch_id)
-                    )
-                    seq += 1
+                    push(merge_end, _KIND_MERGE, state.batch_id)
             elif kind == _KIND_MERGE:
                 state = batches.pop(payload)
                 sn = sns[state.service_node]
@@ -625,16 +609,7 @@ class ClusterSimulator:
                 sn.arrived += 1
                 if sn.cache.lookup(int(keys[payload]), now):
                     sn.cache_hits += 1
-                    heapq.heappush(
-                        heap,
-                        (
-                            now + config.cache_hit_time,
-                            _KIND_CACHE,
-                            seq,
-                            payload,
-                        ),
-                    )
-                    seq += 1
+                    push(now + config.cache_hit_time, _KIND_CACHE, payload)
                 else:
                     request = Request(
                         request_id=payload,
@@ -660,28 +635,10 @@ class ClusterSimulator:
                         self.autoscaler.observe(now, True)
                     else:
                         owner[payload] = sn.index
-                        heapq.heappush(
-                            heap,
-                            (
-                                sn.core.close_time(request),
-                                _KIND_DEADLINE,
-                                seq,
-                                payload,
-                            ),
-                        )
-                        seq += 1
+                        push(sn.core.close_time(request), _KIND_DEADLINE, payload)
                         drain(sn, now)
                 if payload + 1 < num_requests:
-                    heapq.heappush(
-                        heap,
-                        (
-                            float(times[payload + 1]),
-                            _KIND_ARRIVAL,
-                            seq,
-                            payload + 1,
-                        ),
-                    )
-                    seq += 1
+                    push(float(times[payload + 1]), _KIND_ARRIVAL, payload + 1)
             elif kind == _KIND_EDGE:
                 _edge_time, edge_kind, edge_payload = edges[payload]
                 if edge_kind == EDGE_NODE_DOWN:
@@ -773,7 +730,7 @@ class ClusterSimulator:
                 parked=0,
                 batches=counters.batches,
                 active=self._active_count,
-                seq=seq,
+                seq=kernel.seq,
             )
         report = ClusterReport(
             config={

@@ -25,20 +25,17 @@ load at which the configured cluster saturates (the bench's 1x point).
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import ConfigurationError, SimulationError, WorkloadError
-from ..lint.simsan import get_sanitizer
 from ..obs import SERVE_TRACK, get_registry, get_tracer
 from ..obs.causal import get_collector
 from ..obs.digest import DigestRecorder
 from .admission import AdmissionConfig, AdmissionController
 from .degrade import DegradationLadder
+from .kernel import EventKernel, arrival_times
 from .node import ServiceNodeCore
 from .request import (
     BatchRecord,
@@ -126,11 +123,7 @@ class ServingSimulator:
         :class:`~repro.errors.SimulationError` if the conservation invariant
         (admitted + shed == arrived) breaks or work is left behind.
         """
-        times = np.asarray(arrivals, dtype=np.float64)
-        if times.size == 0:
-            raise WorkloadError("no arrivals to serve")
-        if np.any(np.diff(times) < 0):
-            raise WorkloadError("arrival times must be non-decreasing")
+        times = arrival_times(arrivals)
         if tenants is not None and len(tenants) != times.size:
             raise WorkloadError("tenants must align with arrivals")
         if priorities is not None and len(priorities) != times.size:
@@ -141,18 +134,17 @@ class ServingSimulator:
         completed: List[CompletedRequest] = []
         shed: List[ShedRequest] = []
         batches: List[BatchRecord] = []
-        heap: List[Tuple[float, int, int, int]] = []
-        seq = 0
+        kernel = EventKernel("serve")
+        push = kernel.push
+        pop = kernel.pop
         for index in range(int(times.size)):
-            heapq.heappush(heap, (float(times[index]), _KIND_ARRIVAL, seq, index))
-            seq += 1
+            push(float(times[index]), _KIND_ARRIVAL, index)
 
         registry = get_registry()
         tracer = get_tracer()
         collector = get_collector()
 
         def dispatch(now: float) -> None:
-            nonlocal seq
             replica = self.router.route()
             if replica is None:
                 raise SimulationError("dispatch with no replica capacity")
@@ -171,15 +163,14 @@ class ServingSimulator:
             )
             completion = now + duration
             self.router.acquire(replica, len(batch))
-            inflight[seq] = _InflightBatch(
+            inflight[kernel.seq] = _InflightBatch(
                 replica=replica,
                 requests=tuple(batch),
                 dispatch_time=now,
                 completion=completion,
                 degrade_level=level,
             )
-            heapq.heappush(heap, (completion, _KIND_COMPLETION, seq, seq))
-            seq += 1
+            push(completion, _KIND_COMPLETION, kernel.seq)
             if registry.enabled:
                 registry.counter(
                     "serve_batches_total", "batches dispatched by the serving layer"
@@ -224,14 +215,9 @@ class ServingSimulator:
                 dispatch(now)
 
         recorder = self.digest_recorder
-        sanitizer = get_sanitizer()
 
-        while heap:
-            now, kind, order, payload = heapq.heappop(heap)
-            if sanitizer.enabled:
-                # The heap tuple IS the tie-breaking contract: (time, kind,
-                # seq) must strictly increase across pops.
-                sanitizer.observe_pop("serve", now, key=(now, kind, order))
+        while kernel:
+            now, kind, _seq, payload = pop()
             if recorder is not None:
                 recorder.tick(
                     now,
@@ -243,7 +229,7 @@ class ServingSimulator:
                     shed=len(shed),
                     batches=len(batches),
                     degrade_level=self.ladder.level,
-                    seq=seq,
+                    seq=kernel.seq,
                 )
             if kind == _KIND_COMPLETION:
                 batch_state = inflight.pop(payload)
@@ -305,16 +291,7 @@ class ServingSimulator:
                             f"shed/{reason}", sim_time=now, track=SERVE_TRACK
                         )
                     continue
-                heapq.heappush(
-                    heap,
-                    (
-                        core.close_time(request),
-                        _KIND_DEADLINE,
-                        seq,
-                        request.request_id,
-                    ),
-                )
-                seq += 1
+                push(core.close_time(request), _KIND_DEADLINE, request.request_id)
                 drain(now)
 
         if core.depth != 0 or core.waiting or inflight:
@@ -346,7 +323,7 @@ class ServingSimulator:
                 shed=len(shed),
                 batches=len(batches),
                 degrade_level=self.ladder.level,
-                seq=seq,
+                seq=kernel.seq,
             )
         report = ServingReport(
             slo=self.slo,

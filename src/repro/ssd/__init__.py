@@ -9,7 +9,6 @@ model, and a ping-pong data buffer.
 Public entry point: :class:`repro.ssd.device.SSDDevice`.
 """
 
-from .events import EventQueue, Simulator
 from .geometry import FlashGeometry, LogicalAddress, PhysicalAddress
 from .nand import NandTiming, Die, FlashOperation
 from .channel import Channel
@@ -24,8 +23,6 @@ from .queues import NvmeFrontEnd, QueuePair, IoKind, Arbitration
 from .device import SSDDevice, TileAccessResult
 
 __all__ = [
-    "EventQueue",
-    "Simulator",
     "FlashGeometry",
     "LogicalAddress",
     "PhysicalAddress",

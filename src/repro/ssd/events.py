@@ -1,105 +1,18 @@
-"""A small discrete-event simulation (DES) engine.
+"""Serially-reusable resources for the flash timing model.
 
 The flash subsystem is modeled as resources (channel buses, dies) that are
-busy for known durations.  The engine is deliberately minimal: a time-ordered
-event queue, a simulator that drains it, and a :class:`Resource` that
-serializes work.  Events are plain callbacks; there is no coroutine magic so
-the control flow stays debuggable.
-
-Determinism: events scheduled for the same timestamp fire in insertion order
-(the queue breaks ties with a monotonically increasing sequence number), so a
-simulation is reproducible run-to-run.
+busy for known durations.  A :class:`Resource` hands out reservation
+intervals instead of firing callbacks, so callers compute their own command
+timelines directly.  The serving and fleet loops order their events on
+:class:`repro.serve.kernel.EventKernel`.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Tuple
 
 from ..errors import SimulationError
-from ..lint.simsan import get_sanitizer
-
-EventCallback = Callable[[], None]
-
-
-class EventQueue:
-    """Time-ordered queue of ``(time, seq, callback)`` events."""
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, EventCallback]] = []
-        self._counter = itertools.count()
-
-    def push(self, time: float, callback: EventCallback) -> None:
-        if not math.isfinite(time):
-            raise SimulationError(f"cannot schedule event at non-finite time {time}")
-        if time < 0:
-            raise SimulationError(f"cannot schedule event at negative time {time}")
-        heapq.heappush(self._heap, (time, next(self._counter), callback))
-
-    def pop(self) -> Tuple[float, EventCallback]:
-        time, _seq, callback = heapq.heappop(self._heap)
-        return time, callback
-
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-
-class Simulator:
-    """Drives an :class:`EventQueue` and owns the simulation clock."""
-
-    def __init__(self) -> None:
-        self.queue = EventQueue()
-        self.now = 0.0
-        self._events_processed = 0
-
-    def schedule(self, delay: float, callback: EventCallback) -> None:
-        """Run ``callback`` ``delay`` seconds from the current time."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.queue.push(self.now + delay, callback)
-
-    def schedule_at(self, time: float, callback: EventCallback) -> None:
-        """Run ``callback`` at absolute simulation time ``time``."""
-        if time < self.now:
-            raise SimulationError(f"cannot schedule in the past: {time} < {self.now}")
-        self.queue.push(time, callback)
-
-    def run(self, until: Optional[float] = None, max_events: int = 100_000_000) -> float:
-        """Drain the queue; returns the final simulation time.
-
-        ``until`` stops the clock at a given time even if events remain;
-        ``max_events`` guards against runaway event loops.
-        """
-        sanitizer = get_sanitizer()
-        while self.queue:
-            next_time = self.queue.peek_time()
-            assert next_time is not None
-            if until is not None and next_time > until:
-                self.now = until
-                return self.now
-            time, callback = self.queue.pop()
-            if sanitizer.enabled:
-                sanitizer.observe_pop("events", time)
-            if time < self.now:
-                raise SimulationError(f"time went backwards: {time} < {self.now}")
-            self.now = time
-            callback()
-            self._events_processed += 1
-            if self._events_processed > max_events:
-                raise SimulationError(f"exceeded {max_events} events; likely a loop")
-        return self.now
-
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
 
 
 class Resource:

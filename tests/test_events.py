@@ -1,118 +1,84 @@
-"""Tests for the discrete-event engine (repro.ssd.events)."""
+"""Tests for the event kernel (repro.serve.kernel) and flash resources."""
+
+import math
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.ssd.events import EventQueue, Resource, Simulator
+from repro.serve.kernel import EventKernel
+from repro.ssd.events import Resource
+
+
+def _drain(kernel):
+    events = []
+    while kernel:
+        events.append(kernel.pop())
+    return events
 
 
 class TestEventQueue:
+    """The kernel's ``(time, kind, seq)`` ordering contract."""
+
     def test_orders_by_time(self):
-        q = EventQueue()
-        order = []
-        q.push(2.0, lambda: order.append("b"))
-        q.push(1.0, lambda: order.append("a"))
-        q.push(3.0, lambda: order.append("c"))
-        while q:
-            _, cb = q.pop()
-            cb()
-        assert order == ["a", "b", "c"]
+        kernel = EventKernel("test")
+        for time, name in ((2.0, "b"), (1.0, "a"), (3.0, "c")):
+            kernel.push(time, 0, name)
+        assert [event[3] for event in _drain(kernel)] == ["a", "b", "c"]
 
     def test_ties_fire_in_insertion_order(self):
-        q = EventQueue()
-        order = []
+        kernel = EventKernel("test")
         for name in "abc":
-            q.push(1.0, lambda n=name: order.append(n))
-        while q:
-            q.pop()[1]()
-        assert order == ["a", "b", "c"]
+            kernel.push(1.0, 0, name)
+        assert [event[3] for event in _drain(kernel)] == ["a", "b", "c"]
 
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(5.0, lambda: None)
-        assert q.peek_time() == 5.0
+    def test_ties_break_by_kind_before_insertion_order(self):
+        kernel = EventKernel("test")
+        kernel.push(1.0, 2, "late-kind")
+        kernel.push(1.0, 0, "first")
+        kernel.push(1.0, 1, "middle")
+        kernel.push(1.0, 0, "second")
+        assert [event[3] for event in _drain(kernel)] == [
+            "first", "second", "middle", "late-kind"
+        ]
+
+    def test_pop_returns_the_full_key(self):
+        kernel = EventKernel("test")
+        kernel.push(0.5, 3, "payload")
+        assert kernel.pop() == (0.5, 3, 0, "payload")
+
+    def test_bool_and_seq(self):
+        kernel = EventKernel("test")
+        assert not kernel
+        assert kernel.seq == 0
+        assert kernel.push(1.0, 0, None) == 0
+        assert kernel.push(2.0, 0, None) == 1
+        assert kernel and kernel.seq == 2
+        _drain(kernel)
+        # seq counts pushes, not events still queued.
+        assert not kernel and kernel.seq == 2
+
+    def test_events_can_schedule_events(self):
+        kernel = EventKernel("test")
+        kernel.push(1.0, 0, "first")
+        seen = []
+        while kernel:
+            time, _kind, _seq, payload = kernel.pop()
+            seen.append((time, payload))
+            if payload == "first":
+                kernel.push(time + 1.0, 0, "second")
+        assert seen == [(1.0, "first"), (2.0, "second")]
 
     def test_rejects_negative_time(self):
         with pytest.raises(SimulationError):
-            EventQueue().push(-1.0, lambda: None)
+            EventKernel("test").push(-1.0, 0, None)
 
-    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_time(self, bad):
+        kernel = EventKernel("test")
         with pytest.raises(SimulationError, match="non-finite"):
-            EventQueue().push(bad, lambda: None)
-
-    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
-    def test_simulator_rejects_non_finite_schedule(self, bad):
-        # NaN slips past the `delay < 0` guard (every comparison with NaN is
-        # False); the queue-level finiteness check must still catch it.
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule(bad, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.schedule_at(bad, lambda: None)
-
-    def test_len(self):
-        q = EventQueue()
-        q.push(1.0, lambda: None)
-        q.push(2.0, lambda: None)
-        assert len(q) == 2
-
-
-class TestSimulator:
-    def test_clock_advances(self):
-        sim = Simulator()
-        sim.schedule(1.5, lambda: None)
-        assert sim.run() == 1.5
-        assert sim.now == 1.5
-
-    def test_events_can_schedule_events(self):
-        sim = Simulator()
-        seen = []
-
-        def first():
-            seen.append(sim.now)
-            sim.schedule(1.0, lambda: seen.append(sim.now))
-
-        sim.schedule(1.0, first)
-        sim.run()
-        assert seen == [1.0, 2.0]
-
-    def test_run_until_stops_early(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(1))
-        sim.schedule(10.0, lambda: fired.append(10))
-        sim.run(until=5.0)
-        assert fired == [1]
-        assert sim.now == 5.0
-
-    def test_rejects_negative_delay(self):
-        with pytest.raises(SimulationError):
-            Simulator().schedule(-0.1, lambda: None)
-
-    def test_rejects_scheduling_in_past(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: sim.schedule_at(0.5, lambda: None))
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_max_events_guard(self):
-        sim = Simulator()
-
-        def loop():
-            sim.schedule(0.0, loop)
-
-        sim.schedule(0.0, loop)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=100)
-
-    def test_events_processed_counter(self):
-        sim = Simulator()
-        for i in range(5):
-            sim.schedule(float(i), lambda: None)
-        sim.run()
-        assert sim.events_processed == 5
+            kernel.push(bad, 0, None)
+        # A rejected push neither queues an event nor consumes a seq.
+        assert not kernel and kernel.seq == 0
 
 
 class TestResource:

@@ -24,7 +24,7 @@ from repro.lint.simsan import (
     set_sanitizer,
 )
 from repro.obs.tracing import Tracer
-from repro.ssd.events import Simulator
+from repro.serve.kernel import EventKernel
 
 
 @pytest.fixture(autouse=True)
@@ -180,18 +180,14 @@ class TestSpanContext:
 
 class TestDeterminism:
     def _run_sim(self):
-        simulator = Simulator()
-        order = []
-
-        def make(tag):
-            def cb():
-                order.append((tag, simulator.now))
-
-            return cb
-
+        kernel = EventKernel("events")
         for i in range(50):
-            simulator.schedule(0.001 * (50 - i), make(i))
-        final = simulator.run()
+            kernel.push(0.001 * (50 - i), 0, i)
+        order = []
+        final = 0.0
+        while kernel:
+            final, _kind, _seq, tag = kernel.pop()
+            order.append((tag, final))
         return order, final
 
     def test_event_sim_identical_with_sanitizer(self):
@@ -208,6 +204,20 @@ class TestDeterminism:
             self._run_sim()
         assert sanitizer.pops_observed == 50
         assert sanitizer._last_time["events"] == pytest.approx(0.05)
+
+    def test_pushes_during_pops_keep_keys_strictly_increasing(self):
+        with installed(SimSanitizer(strict=True)) as sanitizer:
+            kernel = EventKernel("events")
+            for i in range(10):
+                kernel.push(0.001 * i, 1, i)
+            while kernel:
+                time, kind, _seq, payload = kernel.pop()
+                if kind == 1:
+                    # Same instant, later kind: the fresh seq keeps the
+                    # popped key sequence strictly increasing.
+                    kernel.push(time, 2, payload)
+        assert sanitizer.pops_observed == 20
+        assert sanitizer.violations == []
 
 
 class TestCliIntegration:
