@@ -16,8 +16,10 @@ deadlines, and finally arrivals.
 Failover protocol: a node crash cancels its running and queued tasks; each
 is **redispatched** to a surviving reachable replica (new transfer, new
 execution) or **parked** when no replica is routable, then **unparked** by
-the next recovery edge.  Every decision lands on the failover timeline in
-event order — the determinism tests compare that timeline byte-for-byte
+the next recovery edge.  A cancelled task's completion event stays in the
+heap; a task remembers the seq of its one live completion event, and any
+other completion popped for it is skipped.  Every decision lands on the
+failover timeline in event order — the determinism tests compare that timeline byte-for-byte
 across runs.
 
 Work stealing: a data node that drains its queue pulls a queued task for a
@@ -281,7 +283,7 @@ class ClusterSimulator:
             node.start(task, end)
             live[task.task_id] = task
             running_tasks += 1
-            push(end, _KIND_TASK, task.task_id)
+            task.end_seq = push(end, _KIND_TASK, task.task_id)
 
         def route_task(task: ShardTask, now: float) -> bool:
             """Place ``task`` on a replica; False when parked."""
@@ -523,7 +525,7 @@ class ClusterSimulator:
             return best
 
         while kernel:
-            now, kind, _seq, payload = pop()
+            now, kind, seq, payload = pop()
             if recorder is not None:
                 recorder.tick(
                     now,
@@ -540,9 +542,12 @@ class ClusterSimulator:
                     seq=kernel.seq,
                 )
             if kind == _KIND_TASK:
-                task = live.pop(payload, None)
-                if task is None:
-                    continue  # cancelled by a crash edge
+                task = live.get(payload)
+                if task is None or task.end_seq != seq:
+                    # Cancelled by a crash edge, or a crashed node's stale
+                    # completion for a task since restarted elsewhere.
+                    continue
+                del live[payload]
                 node = dns[task.node]
                 node.finish(task.task_id, now - task.started_at)
                 running_tasks -= 1

@@ -49,6 +49,7 @@ class ShardTask:
     started_at: float = -1.0  # slot-occupancy start (-1 = not started)
     end: float = -1.0  # slot-release time once started (-1 = not started)
     stolen: bool = False
+    end_seq: int = -1  # kernel seq of the live completion event
 
 
 @dataclass

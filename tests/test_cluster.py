@@ -23,6 +23,7 @@ from repro.cluster import (
     shard_outage_seconds,
     zipf_keys,
 )
+from repro.cluster.nodes import DataNode
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.faults import ClusterFaultConfig, ClusterFaultPlan
 from repro.lint.simsan import SimSanitizer, installed
@@ -421,6 +422,34 @@ class TestFailover:
         np.testing.assert_array_equal(
             baseline.latencies, sanitized.latencies
         )
+
+    def test_redispatched_task_never_finishes_early(self, monkeypatch):
+        # A crash leaves the dead node's completion event in the heap; when
+        # the task has restarted elsewhere before that event pops, it must
+        # not finish the task at the dead node's end time.
+        finishes = []
+        finish = DataNode.finish
+
+        def recording_finish(node, task_id, exec_spent):
+            task = node.running[task_id]
+            finishes.append((task_id, exec_spent, task.exec_time))
+            return finish(node, task_id, exec_spent)
+
+        monkeypatch.setattr(DataNode, "finish", recording_finish)
+        fault = ClusterFaultConfig(
+            seed=3, node_crashes=2, partitions=1, slow_nodes=2,
+            crash_duration=0.02, partition_duration=0.01, slow_duration=0.03,
+            horizon=0.06,
+        )
+        report = run_fleet(0.8, seed=3, fault_config=fault, num_requests=6000)
+        assert report.redispatches > 0
+        assert len(finishes) == report.tasks_done
+        early = [
+            (task_id, spent, exec_time)
+            for task_id, spent, exec_time in finishes
+            if spent < exec_time * (1.0 - 1e-9)
+        ]
+        assert early == []
 
     def test_unreachable_everything_parks_then_recovers(self):
         # One shard, all replicas on one node: crashing it must park work,
