@@ -19,12 +19,9 @@ from conftest import RESULTS_DIR, run_once
 
 from repro.analysis.reporting import render_table
 from repro.cluster import ClusterConfig, build_cluster, cluster_saturating_rate
-from repro.core.batching import BatchingAnalyzer
 from repro.faults import ClusterFaultConfig
-from repro.serve import AffineServiceModel
-from repro.workloads.benchmarks import get_benchmark
+from repro.serve import calibrate_service_model
 from repro.workloads.streams import poisson_arrivals
-from repro.workloads.traces import CandidateTraceGenerator, LabelHotnessModel
 
 SLO_S = 0.05
 RATE_MULTIPLIERS = (0.5, 1.0, 2.0)
@@ -41,18 +38,6 @@ CONFIG = ClusterConfig(
     slots_per_node=2,
     slo=SLO_S,
 )
-
-
-def _calibrated_service():
-    """Affine service model fitted to a real batch sweep (shared knee)."""
-    spec = get_benchmark("GNMT-E32K")
-    hotness = LabelHotnessModel(num_labels=spec.num_labels, run_length=1, seed=3)
-    generator = CandidateTraceGenerator(
-        hotness, candidate_ratio=0.10, query_noise=0.05
-    )
-    analyzer = BatchingAnalyzer(spec, generator, sample_tiles=4)
-    points = analyzer.sweep((1, 2, 4, 8, 16, 32))
-    return AffineServiceModel.from_batch_points(points)
 
 
 def _fault_config(axis, span):
@@ -103,7 +88,7 @@ def _run_point(service, capacity, multiplier, axis):
 
 def test_cluster_fleet_sweep(benchmark, record_table):
     def sweep():
-        service = _calibrated_service()
+        service, _generator = calibrate_service_model("GNMT-E32K", seed=3)
         capacity = cluster_saturating_rate(service, CONFIG)
         rows = [
             _run_point(service, capacity, multiplier, axis)

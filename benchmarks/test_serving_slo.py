@@ -16,35 +16,20 @@ import json
 from conftest import RESULTS_DIR, run_once
 
 from repro.analysis.reporting import render_table
-from repro.core.batching import BatchingAnalyzer
 from repro.serve import (
-    AffineServiceModel,
     ServingConfig,
     build_serving_stack,
+    calibrate_service_model,
     saturating_rate,
     shard_hot_degrees,
 )
-from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.streams import poisson_arrivals
-from repro.workloads.traces import CandidateTraceGenerator, LabelHotnessModel
 
 SLO_S = 0.02
 SHARD_COUNTS = (2, 4)
 RATE_MULTIPLIERS = (0.5, 1.0, 2.0, 4.0)
 DURATION_S = 0.25
 SEED = 0
-
-
-def _calibrated_service():
-    """Affine service model fitted to a real batch sweep (shared knee)."""
-    spec = get_benchmark("GNMT-E32K")
-    hotness = LabelHotnessModel(num_labels=spec.num_labels, run_length=1, seed=3)
-    generator = CandidateTraceGenerator(
-        hotness, candidate_ratio=0.10, query_noise=0.05
-    )
-    analyzer = BatchingAnalyzer(spec, generator, sample_tiles=4)
-    points = analyzer.sweep((1, 2, 4, 8, 16, 32))
-    return AffineServiceModel.from_batch_points(points), generator
 
 
 def _run_point(service, generator, shards, multiplier):
@@ -76,7 +61,7 @@ def _run_point(service, generator, shards, multiplier):
 
 def test_serving_slo_sweep(benchmark, record_table):
     def sweep():
-        service, generator = _calibrated_service()
+        service, generator = calibrate_service_model("GNMT-E32K", seed=3)
         rows = [
             _run_point(service, generator, shards, multiplier)
             for shards in SHARD_COUNTS

@@ -178,21 +178,13 @@ def _calibrated_service(
     params: Params, seed: int
 ) -> Tuple["AffineServiceModel", "CandidateTraceGenerator"]:
     """Affine service model fitted to a real batch sweep (shared knee)."""
-    from ..core.batching import BatchingAnalyzer
-    from ..serve import AffineServiceModel
-    from ..workloads.benchmarks import get_benchmark
-    from ..workloads.traces import CandidateTraceGenerator, LabelHotnessModel
+    from ..serve import calibrate_service_model
 
-    spec = get_benchmark(_str_param(params, "benchmark", "GNMT-E32K"))
-    hotness = LabelHotnessModel(num_labels=spec.num_labels, run_length=1, seed=seed)
-    generator = CandidateTraceGenerator(
-        hotness, candidate_ratio=0.10, query_noise=0.05
+    return calibrate_service_model(
+        _str_param(params, "benchmark", "GNMT-E32K"),
+        seed,
+        sample_tiles=_int_param(params, "sample_tiles", 4),
     )
-    analyzer = BatchingAnalyzer(
-        spec, generator, sample_tiles=_int_param(params, "sample_tiles", 4)
-    )
-    points = analyzer.sweep((1, 2, 4, 8, 16, 32))
-    return AffineServiceModel.from_batch_points(points), generator
 
 
 def run_serve_cell(

@@ -404,32 +404,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     from .analysis.reporting import format_seconds, render_table
-    from .core.batching import BatchingAnalyzer
     from .serve import (
-        AffineServiceModel,
         ServingConfig,
         build_serving_stack,
+        calibrate_service_model,
         saturating_rate,
         shard_hot_degrees,
     )
-    from .workloads.benchmarks import get_benchmark
     from .workloads.streams import poisson_arrivals
-    from .workloads.traces import CandidateTraceGenerator, LabelHotnessModel
 
-    spec = get_benchmark(args.benchmark)
     slo = args.slo_ms / 1000.0
-
-    # Calibrate the affine service model from a real batch sweep so the
-    # serving layer and the batching ablation agree on the roofline knee.
-    hotness = LabelHotnessModel(
-        num_labels=spec.num_labels, run_length=1, seed=args.seed
+    service, generator = calibrate_service_model(
+        args.benchmark, args.seed, sample_tiles=args.tiles
     )
-    generator = CandidateTraceGenerator(
-        hotness, candidate_ratio=0.10, query_noise=0.05
-    )
-    analyzer = BatchingAnalyzer(spec, generator, sample_tiles=args.tiles)
-    points = analyzer.sweep((1, 2, 4, 8, 16, 32))
-    service = AffineServiceModel.from_batch_points(points)
 
     config = ServingConfig(
         slo=slo, shards=args.shards, replicas=args.replicas
@@ -561,26 +548,15 @@ def _build_cluster_from_args(args: argparse.Namespace, recorder=None):
     Returns ``(simulator, arrivals, rate, capacity, service, fault_config)``.
     """
     from .cluster import ClusterConfig, build_cluster, cluster_saturating_rate
-    from .core.batching import BatchingAnalyzer
     from .faults import ClusterFaultConfig
-    from .serve import AffineServiceModel, shard_hot_degrees
-    from .workloads.benchmarks import get_benchmark
+    from .serve import calibrate_service_model, shard_hot_degrees
     from .workloads.streams import poisson_arrivals
-    from .workloads.traces import CandidateTraceGenerator, LabelHotnessModel
 
-    spec = get_benchmark(args.benchmark)
-
-    # Same calibration path as ``serve``: fit the affine service model from
-    # a real batch sweep so fleet timing rests on measured tile costs.
-    hotness = LabelHotnessModel(
-        num_labels=spec.num_labels, run_length=1, seed=args.seed
+    # Same calibration path as ``serve``, so fleet timing rests on measured
+    # tile costs.
+    service, generator = calibrate_service_model(
+        args.benchmark, args.seed, sample_tiles=args.tiles
     )
-    generator = CandidateTraceGenerator(
-        hotness, candidate_ratio=0.10, query_noise=0.05
-    )
-    analyzer = BatchingAnalyzer(spec, generator, sample_tiles=args.tiles)
-    points = analyzer.sweep((1, 2, 4, 8, 16, 32))
-    service = AffineServiceModel.from_batch_points(points)
 
     config = ClusterConfig(
         data_nodes=args.nodes,

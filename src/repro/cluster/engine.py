@@ -19,8 +19,8 @@ execution) or **parked** when no replica is routable, then **unparked** by
 the next recovery edge.  A cancelled task's completion event stays in the
 heap; a task remembers the seq of its one live completion event, and any
 other completion popped for it is skipped.  Every decision lands on the
-failover timeline in event order — the determinism tests compare that timeline byte-for-byte
-across runs.
+failover timeline in event order — the determinism tests compare that
+timeline byte-for-byte across runs.
 
 Work stealing: a data node that drains its queue pulls a queued task for a
 shard it replicates from the most-backlogged node, paying the re-transfer.

@@ -25,6 +25,7 @@ import numpy as np
 
 from ..errors import SimulationError, WorkloadError
 from ..faults.plan import ClusterFaultPlan
+from ..obs.metrics import sample_percentile
 from .placement import Placement
 
 #: Sentinel latency for requests that never completed (shed); percentile
@@ -128,15 +129,12 @@ class ClusterReport:
         return self.latencies[mask]
 
     def percentile(self, q: float) -> float:
-        samples = self._samples()
-        if samples.size == 0:
-            raise WorkloadError(
-                "cluster report has no completed requests; "
-                "percentiles are undefined (everything was shed?)"
-            )
-        if not 0.0 <= q <= 100.0:
-            raise WorkloadError(f"percentile must be in [0, 100], got {q}")
-        return float(np.percentile(samples, q))
+        return sample_percentile(
+            self._samples(),
+            q,
+            "cluster report has no completed requests; "
+            "percentiles are undefined (everything was shed?)",
+        )
 
     @property
     def p50(self) -> float:

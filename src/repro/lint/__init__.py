@@ -1,8 +1,8 @@
 """reprolint — simulator-aware static analysis for the ECSSD reproduction.
 
-The discrete-event simulator's value rests on bit-for-bit determinism
-(``repro.ssd.events`` promises insertion-order tie-breaking and run-to-run
-reproducibility).  This package mechanically enforces the bug classes that
+The discrete-event simulator's value rests on bit-for-bit determinism (the
+event kernel, :mod:`repro.serve.kernel`, pops events in strictly increasing
+``(time, kind, seq)`` order, so runs reproduce exactly).  This package mechanically enforces the bug classes that
 quietly break that promise: wall-clock reads, unseeded RNG, float-equality on
 simulated time, unit-less duration literals, late-binding closures in
 scheduled callbacks, hash-ordered set iteration, and blanket exception

@@ -191,9 +191,9 @@ class NoWallClock(Rule):
     severity = Severity.ERROR
     description = "forbid wall-clock reads in simulation-path packages"
     rationale = (
-        "simulated time must come from Simulator.now; wall-clock reads make "
-        "timings vary run to run (repro.obs measures real time by design and "
-        "is exempt)"
+        "simulated time must come from the event kernel's pop time; "
+        "wall-clock reads make timings vary run to run (repro.obs measures "
+        "real time by design and is exempt)"
     )
     packages = SIM_PACKAGES
     exempt_packages = WALL_CLOCK_EXEMPT
@@ -232,7 +232,7 @@ class NoWallClock(Rule):
                             context,
                             node,
                             f"importing wall-clock source {candidate}; "
-                            "simulation code must use Simulator.now",
+                            "simulation code must use simulated time",
                         )
                 continue
             if dotted in self.BANNED:
@@ -240,7 +240,7 @@ class NoWallClock(Rule):
                     context,
                     node,
                     f"wall-clock read {dotted} in a simulation path; "
-                    "use Simulator.now (repro.obs is the telemetry exemption)",
+                    "use simulated time (repro.obs is the telemetry exemption)",
                 )
 
 

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ObservabilityError, SimulationError
+from .metrics import sample_quantiles
 from .tracing import SpanRecord
 
 # ---------------------------------------------------------------------------
@@ -689,9 +690,7 @@ class installed:
 
 
 def _quantile_block(values: np.ndarray) -> Dict[str, float]:
-    block = {
-        label: float(np.percentile(values, q)) for label, q in _QUANTILES
-    }
+    block = sample_quantiles(values, _QUANTILES)
     block["mean_s"] = float(values.mean())
     block["max_s"] = float(values.max())
     return block

@@ -9,6 +9,9 @@ exporter in :mod:`repro.obs.export` is a straight serialization:
 * :class:`Histogram` — fixed-bucket streaming distributions with p50/p95/p99
   summaries interpolated from the bucket counts (per-tile latency).
 
+Reports that keep every raw sample (serving, fleet, attribution) use the
+exact :func:`sample_percentile` / :func:`sample_quantiles` instead.
+
 Every instrument supports labels (``counter.inc(1, channel=3)``), and
 re-requesting a name from a registry returns the existing instrument, so hot
 paths can look instruments up on every call without growing state.
@@ -25,7 +28,17 @@ import math
 import threading
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError
+import numpy as np
+
+from ..errors import ConfigurationError, WorkloadError
+
+#: The tail summary latency reports carry, as ``(label, percentile)`` pairs.
+SUMMARY_QUANTILES: Tuple[Tuple[str, float], ...] = (
+    ("p50", 50.0),
+    ("p95", 95.0),
+    ("p99", 99.0),
+    ("p99.9", 99.9),
+)
 
 # Label sets are stored as sorted tuples so lookup is hashable + order-free.
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -189,6 +202,29 @@ def percentile_from_state(
     return state.max
 
 
+def sample_percentile(samples: np.ndarray, q: float, empty: str) -> float:
+    """The exact ``q``-th percentile (0-100) of raw ``samples``.
+
+    numpy's linear interpolation between order statistics, not the bucket
+    estimate of :meth:`Histogram.percentile`.  Raises
+    :class:`~repro.errors.WorkloadError` with message ``empty`` when there
+    are no samples, and when ``q`` is out of range.
+    """
+    if len(samples) == 0:
+        raise WorkloadError(empty)
+    if not 0.0 <= q <= 100.0:
+        raise WorkloadError(f"percentile must be in [0, 100], got {q}")
+    return float(np.percentile(samples, q))
+
+
+def sample_quantiles(
+    samples: np.ndarray,
+    quantiles: Sequence[Tuple[str, float]] = SUMMARY_QUANTILES,
+) -> Dict[str, float]:
+    """Exact percentiles of non-empty ``samples``, keyed by label."""
+    return {label: float(np.percentile(samples, q)) for label, q in quantiles}
+
+
 class Histogram(_Instrument):
     """Fixed-bucket streaming histogram with interpolated percentiles.
 
@@ -244,12 +280,9 @@ class Histogram(_Instrument):
         return percentile_from_state(self.buckets, state, p, name=self.name)
 
     def quantiles(self, **labels: object) -> Dict[str, float]:
-        """The p50/p95/p99 summary the ISSUE-level analyses read."""
+        """The :data:`SUMMARY_QUANTILES` tail summary, bucket-interpolated."""
         return {
-            "p50": self.percentile(50.0, **labels),
-            "p95": self.percentile(95.0, **labels),
-            "p99": self.percentile(99.0, **labels),
-            "p99.9": self.percentile(99.9, **labels),
+            name: self.percentile(q, **labels) for name, q in SUMMARY_QUANTILES
         }
 
     def quantiles_or_none(self, **labels: object) -> Optional[Dict[str, float]]:

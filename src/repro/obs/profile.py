@@ -47,6 +47,7 @@ from typing import (
 )
 
 from ..errors import WorkloadError
+from .metrics import sample_quantiles
 from .tracing import (
     CLUSTER_TRACK,
     FLASH_TRACK_PREFIX,
@@ -863,12 +864,7 @@ def profile_fleet_trace(
         window_end=window_end,
         batches=len(fleet),
         requests=requests,
-        duration_quantiles={
-            "p50": float(np.percentile(durations, 50.0)),
-            "p95": float(np.percentile(durations, 95.0)),
-            "p99": float(np.percentile(durations, 99.0)),
-            "p99.9": float(np.percentile(durations, 99.9)),
-        },
+        duration_quantiles=sample_quantiles(durations),
         nodes=nodes,
         levels=levels,
         slowest=slowest,

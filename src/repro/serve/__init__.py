@@ -20,6 +20,8 @@ lifecycle:
   label-sharded device groups, weighted by the §5.3 hot-degree predictor;
 * :mod:`repro.serve.degrade` — the graceful-degradation ladder (shrink
   candidate budget and top-k before shedding);
+* :mod:`repro.serve.kernel` — the ``(time, kind, seq)`` event heap the
+  serving and fleet loops share;
 * :mod:`repro.serve.driver` — the event loop, stack builder, and the
   ``repro serve`` CLI's engine.
 
@@ -57,7 +59,7 @@ from .router import (
     build_replicas,
     shard_hot_degrees,
 )
-from .scheduler import AffineServiceModel, DeadlineBatcher
+from .scheduler import AffineServiceModel, DeadlineBatcher, calibrate_service_model
 
 __all__ = [
     "AdmissionConfig",
@@ -87,4 +89,5 @@ __all__ = [
     "shard_hot_degrees",
     "AffineServiceModel",
     "DeadlineBatcher",
+    "calibrate_service_model",
 ]

@@ -20,6 +20,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from ..errors import WorkloadError
+from ..obs.metrics import sample_percentile
 
 #: Shed reasons recorded on :class:`ShedRequest` (machine-readable).
 SHED_TOKEN_BUCKET = "token_bucket"
@@ -139,14 +140,12 @@ class ServingReport:
 
     def percentile(self, q: float) -> float:
         """Latency percentile ``q`` (0-100) over admitted requests."""
-        if not self.completed:
-            raise WorkloadError(
-                "serving report has no completed requests; "
-                "percentiles are undefined (everything was shed?)"
-            )
-        if not 0.0 <= q <= 100.0:
-            raise WorkloadError(f"percentile must be in [0, 100], got {q}")
-        return float(np.percentile(self.latencies(), q))
+        return sample_percentile(
+            self.latencies(),
+            q,
+            "serving report has no completed requests; "
+            "percentiles are undefined (everything was shed?)",
+        )
 
     @property
     def p50(self) -> float:

@@ -22,10 +22,12 @@ degradation and sharding) and fixed work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from ..core.batching import BatchPoint, optimal_batch
+from ..core.batching import BatchingAnalyzer, BatchPoint, optimal_batch
 from ..errors import ConfigurationError
+from ..workloads.benchmarks import get_benchmark
+from ..workloads.traces import CandidateTraceGenerator, LabelHotnessModel
 from .queues import RequestQueue
 from .request import Request
 
@@ -134,6 +136,26 @@ class AffineServiceModel:
             knee=knee,
             candidate_fraction=candidate_fraction,
         )
+
+
+def calibrate_service_model(
+    benchmark: str, seed: int, sample_tiles: int = 4
+) -> Tuple[AffineServiceModel, CandidateTraceGenerator]:
+    """Fit the service model to a real batch sweep of ``benchmark``.
+
+    The sweep runs batch sizes 1-32 over a seeded candidate trace (10%
+    candidates, 5% query noise), so every serving and fleet run shares the
+    roofline knee of the batching ablation.  Returns the model and the trace
+    generator, whose hot-label skew sizes the shards.
+    """
+    spec = get_benchmark(benchmark)
+    hotness = LabelHotnessModel(num_labels=spec.num_labels, run_length=1, seed=seed)
+    generator = CandidateTraceGenerator(
+        hotness, candidate_ratio=0.10, query_noise=0.05
+    )
+    analyzer = BatchingAnalyzer(spec, generator, sample_tiles=sample_tiles)
+    points = analyzer.sweep((1, 2, 4, 8, 16, 32))
+    return AffineServiceModel.from_batch_points(points), generator
 
 
 class DeadlineBatcher:

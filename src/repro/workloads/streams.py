@@ -23,6 +23,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..errors import WorkloadError
+from ..obs.metrics import sample_percentile
 
 
 def poisson_arrivals(rate: float, num_queries: int, seed: int = 0) -> np.ndarray:
@@ -109,13 +110,11 @@ class ServiceReport:
         return float(self.latencies().mean())
 
     def percentile(self, q: float) -> float:
-        if not self.samples:
-            raise WorkloadError(
-                "service report is empty; latency percentiles are undefined"
-            )
-        if not 0.0 <= q <= 100.0:
-            raise WorkloadError(f"percentile must be in [0, 100], got {q}")
-        return float(np.percentile(self.latencies(), q))
+        return sample_percentile(
+            self.latencies(),
+            q,
+            "service report is empty; latency percentiles are undefined",
+        )
 
     @property
     def throughput(self) -> float:
