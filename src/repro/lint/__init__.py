@@ -2,8 +2,8 @@
 
 The discrete-event simulator's value rests on bit-for-bit determinism (the
 event kernel, :mod:`repro.serve.kernel`, pops events in strictly increasing
-``(time, kind, seq)`` order, so runs reproduce exactly).  This package mechanically enforces the bug classes that
-quietly break that promise: wall-clock reads, unseeded RNG, float-equality on
+``(time, kind, seq)`` order, so runs reproduce exactly).  This package
+mechanically enforces the bug classes that quietly break that promise: wall-clock reads, unseeded RNG, float-equality on
 simulated time, unit-less duration literals, late-binding closures in
 scheduled callbacks, hash-ordered set iteration, and blanket exception
 handlers.  See DESIGN.md's "Determinism contract" for the rule-by-rule
