@@ -3,11 +3,11 @@
 The discrete-event simulator's value rests on bit-for-bit determinism (the
 event kernel, :mod:`repro.serve.kernel`, pops events in strictly increasing
 ``(time, kind, seq)`` order, so runs reproduce exactly).  This package
-mechanically enforces the bug classes that quietly break that promise: wall-clock reads, unseeded RNG, float-equality on
-simulated time, unit-less duration literals, late-binding closures in
-scheduled callbacks, hash-ordered set iteration, and blanket exception
-handlers.  See DESIGN.md's "Determinism contract" for the rule-by-rule
-rationale.
+mechanically enforces the bug classes that quietly break that promise:
+wall-clock reads, unseeded RNG, float-equality on simulated time, unit-less
+duration literals, late-binding closures in scheduled callbacks, hash-ordered
+set iteration, and blanket exception handlers.  See DESIGN.md's "Determinism
+contract" for the rule-by-rule rationale.
 
 Beyond the per-file rules, ``--deep`` runs whole-program passes over one
 shared project graph (:mod:`repro.lint.project`): interprocedural seed
