@@ -80,6 +80,21 @@ class TestEventQueue:
         # A rejected push neither queues an event nor consumes a seq.
         assert not kernel and kernel.seq == 0
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_simulator_rejects_non_finite_schedule(self, bad):
+        # A loop schedules follow-ups mid-run either relative to the popped
+        # time (``now + delay``) or at an absolute time.  NaN slips past a
+        # ``delay < 0`` guard (every comparison with NaN is False), so the
+        # kernel's finiteness check must catch both forms.
+        kernel = EventKernel("test")
+        kernel.push(1.0, 0, "first")
+        now = kernel.pop()[0]
+        with pytest.raises(SimulationError):
+            kernel.push(now + bad, 0, None)
+        with pytest.raises(SimulationError):
+            kernel.push(bad, 0, None)
+        assert not kernel and kernel.seq == 1
+
 
 class TestResource:
     def test_immediate_acquire(self):
