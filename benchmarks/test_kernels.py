@@ -15,6 +15,8 @@ from repro.core.pipeline import PipelineFeatures, TilePipelineModel, TileWorkloa
 from repro.layout.learned import HotnessPredictor, LearnedInterleaving
 from repro.layout.placement import build_placement
 from repro.screening.model import ApproximateScreeningModel
+from repro.screening.quantization import Int4Quantizer
+from repro.screening.screener import Int4Screener
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.workloads.synthetic import make_workload
 
@@ -36,6 +38,16 @@ def test_screening_inference_throughput(benchmark, model, workload):
     batch = workload.features[32:40]
     stats = benchmark(model.infer, batch)
     assert stats.candidate_ratio < 0.2
+
+
+def test_int4_screener_scores(benchmark):
+    """INT4 scores of an 8-query, 64-dim batch against 4096 labels (§2.1)."""
+    rng = np.random.default_rng(3)
+    weights = rng.normal(size=(4096, 64)).astype(np.float32)
+    screener = Int4Screener(Int4Quantizer().quantize(weights))
+    features = rng.normal(size=(8, 64)).astype(np.float32)
+    scores = benchmark(screener.scores, features)
+    assert scores.shape == (8, 4096)
 
 
 def test_prealign_throughput(benchmark):

@@ -155,6 +155,17 @@ class ECSSD:
             raise ProtocolError("int4_screen must run before cfp32_classify")
         if self._cfp32_inputs is None:
             raise ProtocolError("cfp32_input_send must run before cfp32_classify")
+        deployment = self.device.deployment
+        assert self._int4_inputs is not None and deployment is not None
+        batch = len(self._int4_inputs)
+        if len(self._cfp32_inputs) != batch:
+            raise ProtocolError(
+                f"{len(self._cfp32_inputs)} CFP32 vectors sent for an INT4 batch "
+                f"of {batch}"
+            )
+        hidden_dim = deployment.hidden_dim
+        if any(len(vector) != hidden_dim for vector in self._cfp32_inputs):
+            raise ProtocolError(f"CFP32 vectors must have length {hidden_dim}")
         return self._result
 
     # --- introspection -----------------------------------------------------------------

@@ -346,7 +346,10 @@ class ECSSDevice:
         assert self.deployment is not None
         tile_vectors = self.deployment.tile_vectors
         num_labels = self.deployment.num_labels
-        union = np.unique(np.concatenate([np.asarray(c) for c in candidates_per_query]))
+        in_union = np.zeros(num_labels, dtype=bool)
+        for c in candidates_per_query:
+            in_union[c] = True
+        union = np.flatnonzero(in_union)
         per_query_total = sum(len(c) for c in candidates_per_query)
         tiles: List[TileWorkload] = []
         int4_tile_bytes = tile_vectors * ((self.deployment.shrunk_dim + 1) // 2)

@@ -117,10 +117,10 @@ class WeightPlacement:
         channels = self.channel_of[candidates]
         if self.vectors_per_page:
             pages = self.slot_of[candidates] // self.vectors_per_page
-            keys = channels.astype(np.int64) * (2**40) + pages
-            unique_keys = np.unique(keys)
-            unique_channels = (unique_keys // (2**40)).astype(np.int64)
-            np.add.at(counts, unique_channels, 1)
+            keys = np.sort(channels.astype(np.int64) * (2**40) + pages)
+            first = np.ones(keys.size, dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            np.add.at(counts, keys[first] // (2**40), 1)
         else:
             np.add.at(counts, channels, self.pages_per_vector)
         return counts

@@ -47,14 +47,20 @@ class ScreenResult:
 class Int4Screener:
     """Screens feature batches against a quantized (L, K) weight matrix.
 
-    Scores are computed in integer arithmetic exactly as a MAC array would
-    (int32 accumulate of int8×int8 products) then dequantized with the row
-    and feature scales so thresholds live in the original score space.
+    Scores are the exact integer dot products a MAC array would accumulate,
+    then dequantized with the row and feature scales so thresholds live in
+    the original score space.  The products run as a float64 BLAS matmul,
+    which is still exact: feature codes lie in [-7, 7] and weight codes are
+    int8 (|code| <= 128), so every partial sum is an integer of magnitude
+    <= 896·K < 2**53, which float64 holds exactly in any summation order.
+    The float64 -> float32 cast therefore rounds the same integer an int32
+    accumulator would.
     """
 
     def __init__(self, weights: QuantizedMatrix) -> None:
         self.weights = weights
         self._quantizer = Int4Quantizer()
+        self._codes_t = weights.codes.astype(np.float64).T
 
     @property
     def num_labels(self) -> int:
@@ -72,7 +78,7 @@ class Int4Screener:
                 f"feature dim {features.shape[1]} != screener dim {self.shrunk_dim}"
             )
         fq = self._quantizer.quantize(features)
-        int_scores = fq.codes.astype(np.int32) @ self.weights.codes.astype(np.int32).T
+        int_scores = fq.codes.astype(np.float64) @ self._codes_t
         return (
             int_scores.astype(np.float32)
             * fq.scales[:, None]
@@ -97,15 +103,21 @@ class Int4Screener:
         if threshold is None:
             applied = np.full(batch, -np.inf, dtype=np.float32)
         else:
-            applied = np.broadcast_to(
-                np.asarray(threshold, dtype=np.float32), (batch,)
-            ).copy()
+            applied = np.asarray(threshold, dtype=np.float32)
+            try:
+                applied = np.broadcast_to(applied, (batch,)).copy()
+            except ValueError:
+                raise WorkloadError(
+                    f"{applied.size} thresholds for {batch} queries"
+                ) from None
+        rows, cols = np.nonzero(scores >= applied[:, None])
+        bounds = np.searchsorted(rows, np.arange(batch + 1))
         candidates: List[np.ndarray] = []
-        for row, cutoff in zip(scores, applied):
-            selected = np.flatnonzero(row >= cutoff)
+        for i in range(batch):
+            selected = cols[bounds[i]:bounds[i + 1]]
             if len(selected) < min_candidates:
-                selected = np.argsort(row)[-min_candidates:]
-            candidates.append(np.sort(selected).astype(np.int64))
+                selected = np.sort(np.argsort(scores[i])[-min_candidates:])
+            candidates.append(selected)
         return ScreenResult(scores=scores, candidates=candidates, threshold=applied)
 
     def screen_top_ratio(

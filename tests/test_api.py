@@ -91,6 +91,23 @@ class TestWorkflowOrder:
         with pytest.raises(ProtocolError):
             device.cfp32_input_send([])
 
+    def test_cfp32_batch_must_match_int4_batch(self, device, workload):
+        device.weight_deploy(workload.weights, train_features=workload.features[:32])
+        device.cfp32_input_send(device.pre_align(workload.features[40:43]))
+        device.int4_input_send(workload.features[32:40])
+        device.int4_screen()
+        with pytest.raises(ProtocolError, match="3 CFP32 vectors .* batch of 8"):
+            device.cfp32_classify()
+
+    def test_cfp32_vector_width_must_match_model(self, device, workload):
+        device.weight_deploy(workload.weights, train_features=workload.features[:32])
+        features = workload.features[32:40]
+        device.cfp32_input_send(device.pre_align(features[:, :17]))
+        device.int4_input_send(features)
+        device.int4_screen()
+        with pytest.raises(ProtocolError, match="length 128"):
+            device.cfp32_classify()
+
 
 class TestSemantics:
     def test_results_match_direct_model(self, device, workload):

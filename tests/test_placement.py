@@ -113,6 +113,31 @@ class TestPagesPerChannel:
         touched = set(pl.channel_of[candidates].tolist())
         assert set(np.flatnonzero(counts).tolist()) <= touched
 
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_counts_equal_unique_key_reference(self, seed):
+        """Sort-and-mask page dedup matches the np.unique formulation,
+        repeated candidates included."""
+        rng = np.random.default_rng(seed)
+        num_vectors = int(rng.integers(1, 300))
+        channels = int(rng.integers(1, 9))
+        vector_bytes = int(rng.choice([512, 1024, 2048, 4096, 6000]))
+        pl = build_placement(
+            UniformInterleaving(), num_vectors, channels, vector_bytes, 4096
+        )
+        candidates = rng.integers(0, num_vectors, size=int(rng.integers(1, 400)))
+        expected = np.zeros(channels, dtype=np.int64)
+        chans = pl.channel_of[candidates]
+        if pl.vectors_per_page:
+            pages = pl.slot_of[candidates] // pl.vectors_per_page
+            keys = np.unique(chans.astype(np.int64) * (2**40) + pages)
+            np.add.at(expected, (keys // (2**40)).astype(np.int64), 1)
+        else:
+            np.add.at(expected, chans, pl.pages_per_vector)
+        counts = pl.pages_per_channel(candidates)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, expected)
+
 
 class TestFetchPageLists:
     def test_lists_match_counts(self):

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import WorkloadError
-from repro.screening.quantization import Int4Quantizer
+from repro.screening.quantization import Int4Quantizer, QuantizedMatrix
 from repro.screening.screener import Int4Screener
 
 
@@ -12,6 +13,41 @@ def make_screener(num_labels=100, dim=16, seed=0):
     rng = np.random.default_rng(seed)
     weights = rng.normal(size=(num_labels, dim)).astype(np.float32)
     return Int4Screener(Int4Quantizer().quantize(weights)), weights
+
+
+def random_case(seed):
+    """Screener over full-range int8 codes plus a feature batch, K in 1..512."""
+    rng = np.random.default_rng(seed)
+    num_labels = int(rng.integers(1, 65))
+    dim = int(rng.integers(1, 513))
+    batch = int(rng.integers(1, 17))
+    codes = rng.integers(-128, 128, size=(num_labels, dim), dtype=np.int8)
+    scales = rng.lognormal(-3, 2, size=num_labels).astype(np.float32)
+    screener = Int4Screener(QuantizedMatrix(codes=codes, scales=scales))
+    magnitude = float(rng.lognormal(0, 3))
+    features = (rng.normal(size=(batch, dim)) * magnitude).astype(np.float32)
+    return screener, features, rng
+
+
+def reference_scores(screener, features):
+    """Integer-matmul scores: the kernel the BLAS path must reproduce exactly."""
+    fq = Int4Quantizer().quantize(features)
+    weights = screener.weights
+    int_scores = fq.codes.astype(np.int64) @ weights.codes.astype(np.int64).T
+    return (
+        int_scores.astype(np.float32) * fq.scales[:, None] * weights.scales[None, :]
+    )
+
+
+def reference_candidates(scores, applied, min_candidates):
+    """Per-row flatnonzero/fallback loop the one-pass extraction replaces."""
+    candidates = []
+    for row, cutoff in zip(scores, applied):
+        selected = np.flatnonzero(row >= cutoff)
+        if len(selected) < min_candidates:
+            selected = np.argsort(row)[-min_candidates:]
+        candidates.append(np.sort(selected).astype(np.int64))
+    return candidates
 
 
 class TestScores:
@@ -46,6 +82,29 @@ class TestScores:
         fq = Int4Quantizer().quantize(features)
         manual = fq.dequantize() @ screener.weights.dequantize().T
         np.testing.assert_allclose(screener.scores(features), manual, rtol=1e-5)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_scores_equal_integer_matmul(self, seed):
+        screener, features, _ = random_case(seed)
+        scores = screener.scores(features)
+        expected = reference_scores(screener, features)
+        assert scores.dtype == expected.dtype == np.float32
+        np.testing.assert_array_equal(scores, expected)
+
+    def test_scores_exact_at_largest_partial_sums(self):
+        """Extreme codes everywhere: sums of 896 per term stay exact."""
+        dim = 512
+        codes = np.full((3, dim), -128, dtype=np.int8)
+        codes[1] = 127
+        screener = Int4Screener(
+            QuantizedMatrix(codes=codes, scales=np.ones(3, dtype=np.float32))
+        )
+        features = np.full((2, dim), 7.0, dtype=np.float32)  # codes ±7, scale 1
+        features[1, ::2] = -7.0
+        scores = screener.scores(features)
+        np.testing.assert_array_equal(scores, reference_scores(screener, features))
+        assert scores[0, 0] == -7 * 128 * dim
 
 
 class TestScreen:
@@ -86,6 +145,43 @@ class TestScreen:
         result = screener.screen(features, threshold=0.0)
         for selected in result.candidates:
             assert (np.diff(selected) > 0).all()
+
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.sampled_from(["none", "scalar", "per-query", "huge"]),
+        st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_candidates_equal_per_row_loop(self, seed, kind, min_candidates):
+        screener, features, rng = random_case(seed)
+        scores = screener.scores(features)
+        batch = len(features)
+        threshold = {
+            "none": None,
+            "scalar": float(np.quantile(scores, rng.uniform())),
+            "per-query": np.quantile(scores, rng.uniform(size=batch), axis=1)
+            .diagonal()
+            .astype(np.float32),
+            "huge": 1e30,
+        }[kind]
+        result = screener.screen(features, threshold, min_candidates=min_candidates)
+        if threshold is None:
+            applied = np.full(batch, -np.inf, dtype=np.float32)
+        else:
+            applied = np.broadcast_to(
+                np.asarray(threshold, dtype=np.float32), (batch,)
+            )
+        np.testing.assert_array_equal(result.threshold, applied)
+        expected = reference_candidates(scores, applied, min_candidates)
+        assert len(result.candidates) == len(expected)
+        for got, want in zip(result.candidates, expected):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_threshold_length_mismatch_rejected(self):
+        screener, _ = make_screener()
+        with pytest.raises(WorkloadError, match="3 thresholds for 4 queries"):
+            screener.screen(np.ones((4, 16), dtype=np.float32), threshold=np.zeros(3))
 
     def test_candidate_counts(self):
         screener, _ = make_screener()
