@@ -10,13 +10,14 @@ import pytest
 
 from repro.cfp32.format import prealign
 from repro.cfp32.mac import AlignmentFreeMac
-from repro.config import FlashConfig
+from repro.config import ECSSDConfig, FlashConfig
 from repro.core.pipeline import PipelineFeatures, TilePipelineModel, TileWorkload
 from repro.layout.learned import HotnessPredictor, LearnedInterleaving
 from repro.layout.placement import build_placement
 from repro.screening.model import ApproximateScreeningModel
 from repro.screening.quantization import Int4Quantizer
 from repro.screening.screener import Int4Screener
+from repro.ssd.device import SSDDevice
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.workloads.synthetic import make_workload
 
@@ -83,6 +84,39 @@ def test_ftl_write_throughput(benchmark):
 
     ftl = benchmark(churn)
     assert ftl.mapped_pages == 97
+
+
+def test_ftl_lookup_throughput(benchmark):
+    """10k logical-to-physical lookups on a filled small device."""
+    ftl = FlashTranslationLayer(FlashConfig(
+        channels=2, packages_per_channel=1, dies_per_package=1,
+        planes_per_die=1, blocks_per_plane=32, pages_per_block=32,
+    ))
+    for lpa in range(ftl.user_pages):
+        ftl.write(lpa)
+    lpas = [(i * 7919) % ftl.user_pages for i in range(10_000)]
+
+    def lookups():
+        return [ftl.lookup(lpa) for lpa in lpas]
+
+    addresses = benchmark(lookups)
+    assert len(addresses) == 10_000
+
+
+def test_fetch_pages_throughput(benchmark):
+    """4,096 page reads spread over 8 channels through ``fetch_pages``."""
+    device = SSDDevice(ECSSDConfig(flash=FlashConfig(
+        channels=8, packages_per_channel=1, dies_per_package=2,
+        planes_per_die=1, blocks_per_plane=64, pages_per_block=16,
+    )))
+    per_channel = device.geometry.pages_per_channel
+    addresses = [
+        device.geometry.to_physical((i % 8) * per_channel + (i * 7919) % per_channel)
+        for i in range(4096)
+    ]
+    result = benchmark(device.fetch_pages, addresses, 0.0)
+    assert result.total_pages == 4096
+    assert result.pages_per_channel == [512] * 8
 
 
 def test_learned_placement_build(benchmark):

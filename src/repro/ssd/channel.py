@@ -43,6 +43,8 @@ class Channel:
             Die(index=index * config.dies_per_channel + d, timing=timing)
             for d in range(config.dies_per_channel)
         ]
+        self.page_size = config.page_size
+        self.page_transfer_time = config.page_transfer_time
         self.pages_transferred = 0
         self.bytes_transferred = 0
         self.last_op_phases = OpPhases(0.0, 0.0, 0.0)
@@ -68,7 +70,7 @@ class Channel:
             transfer=bus_end - _bus_start,
         )
         self.pages_transferred += 1
-        self.bytes_transferred += self.config.page_size
+        self.bytes_transferred += self.page_size
         return _sense_start, bus_end
 
     def program_page(self, now: float, die_index: int) -> Tuple[float, float]:
@@ -82,7 +84,7 @@ class Channel:
             transfer=bus_end - _bus_start,
         )
         self.pages_transferred += 1
-        self.bytes_transferred += self.config.page_size
+        self.bytes_transferred += self.page_size
         return _bus_start, end
 
     def erase_block(self, now: float, die_index: int) -> Tuple[float, float]:
@@ -105,10 +107,6 @@ class Channel:
             die.block_until(time)
 
     # --- accounting -----------------------------------------------------------
-    @property
-    def page_transfer_time(self) -> float:
-        return self.config.page_transfer_time
-
     @property
     def free_at(self) -> float:
         """Earliest time the whole channel (bus and all dies) is idle."""

@@ -39,7 +39,10 @@ class FlashCommand:
     When constructed with a ``geometry``, every address field is validated
     against the device fan-out immediately (raising
     :class:`~repro.errors.AddressError` naming the offending field) instead
-    of first failing deep inside :meth:`FlashController.submit`.  The
+    of first failing deep inside :meth:`FlashController.submit`.  Such a
+    command is validated once, at construction: the command and its address
+    are frozen, so :meth:`FlashController.submit` re-checks only commands
+    built without a geometry (or with another controller's geometry).  The
     geometry rides along for validation only: it does not participate in
     equality or repr.
     """
@@ -92,6 +95,7 @@ class FlashController:
         self.geometry = geometry
         self.command_overhead = command_overhead
         self.commands_issued = 0
+        self._dies_per_package = geometry.config.dies_per_package
 
     def submit(self, now: float, commands: Iterable[FlashCommand]) -> BatchResult:
         """Issue ``commands`` starting at ``now``; returns batch timing."""
@@ -113,8 +117,10 @@ class FlashController:
         issue_time = now
         count = 0
         failed: List[PhysicalAddress] = []
+        geometry = self.geometry
         for command in commands:
-            self.geometry.check(command.address)
+            if command.geometry is not geometry:
+                geometry.check(command.address)
             self._check_channel(command.address)
             die_index = self._local_die(command.address)
             issue_time += self.command_overhead
@@ -202,8 +208,7 @@ class FlashController:
             )
 
     def _local_die(self, address: PhysicalAddress) -> int:
-        cfg = self.geometry.config
-        return address.package * cfg.dies_per_package + address.die
+        return address.package * self._dies_per_package + address.die
 
 
 def route_commands(

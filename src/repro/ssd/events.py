@@ -14,6 +14,8 @@ from typing import Tuple
 
 from ..errors import SimulationError
 
+_INF = math.inf
+
 
 class Resource:
     """A serially-reusable resource (a bus, a die) with FIFO acquisition.
@@ -32,9 +34,17 @@ class Resource:
         self.acquisitions = 0
 
     def acquire(self, now: float, duration: float) -> Tuple[float, float]:
-        """Reserve the resource for ``duration`` seconds at or after ``now``."""
-        if duration < 0:
-            raise SimulationError(f"negative duration {duration} on {self.name}")
+        """Reserve the resource for ``duration`` seconds at or after ``now``.
+
+        A negative or non-finite ``duration``, or a non-finite ``now``,
+        raises :class:`SimulationError` and leaves the resource untouched.
+        """
+        if not (0.0 <= duration < _INF and -_INF < now < _INF):
+            if duration < 0:
+                raise SimulationError(f"negative duration {duration} on {self.name}")
+            raise SimulationError(
+                f"non-finite acquire (now={now}, duration={duration}) on {self.name}"
+            )
         start = max(now, self.free_at)
         end = start + duration
         self.free_at = end

@@ -43,15 +43,25 @@ PlaneKey = Tuple[int, int, int, int]
 
 
 class BlockState:
-    """Bookkeeping for one physical block (valid bitmap + wear)."""
+    """Bookkeeping for one physical block (valid bitmap + wear).
 
-    __slots__ = ("block", "pages_per_block", "write_pointer", "valid", "erase_count")
+    ``base`` is the flat physical index of the block's page 0, so page *p*
+    of the block is flat ``base + p``.  ``valid_count`` tracks the number of
+    set bits in ``valid``: every 0<->1 transition of a bit updates it.
+    """
 
-    def __init__(self, block: int, pages_per_block: int) -> None:
+    __slots__ = (
+        "block", "pages_per_block", "base", "write_pointer", "valid",
+        "valid_count", "erase_count",
+    )
+
+    def __init__(self, block: int, pages_per_block: int, base: int) -> None:
         self.block = block
         self.pages_per_block = pages_per_block
+        self.base = base
         self.write_pointer = 0
         self.valid = bytearray(pages_per_block)
+        self.valid_count = 0
         self.erase_count = 0
 
     @property
@@ -60,11 +70,12 @@ class BlockState:
 
     @property
     def valid_pages(self) -> int:
-        return sum(self.valid)
+        return self.valid_count
 
     def erase(self) -> None:
         self.write_pointer = 0
         self.valid = bytearray(self.pages_per_block)
+        self.valid_count = 0
         self.erase_count += 1
 
 
@@ -116,6 +127,8 @@ class FlashTranslationLayer:
         self.geometry = FlashGeometry(config)
         self.gc_threshold = gc_threshold
         self.op_ratio = op_ratio
+        self._planes_per_package = config.dies_per_package * config.planes_per_die
+        self._planes_per_channel = config.packages_per_channel * self._planes_per_package
 
         self._l2p: Dict[int, int] = {}
         self._p2l: Dict[int, int] = {}
@@ -166,8 +179,8 @@ class FlashTranslationLayer:
         old = self._l2p.pop(logical_page, None)
         if old is not None:
             self._invalidate(old)
-        address = self._allocate(channel, logical_page)
-        flat = self.geometry.to_flat(address)
+        plane_key, block, page = self._allocate(channel, logical_page)
+        flat = block.base + page
         self._l2p[logical_page] = flat
         self._p2l[flat] = logical_page
         self.pages_written += 1
@@ -176,7 +189,7 @@ class FlashTranslationLayer:
             registry.counter(
                 "ftl_pages_written_total", "pages programmed through the FTL"
             ).inc(channel=channel)
-        return address
+        return PhysicalAddress(*plane_key, block.block, page)
 
     def lookup(self, logical_page: int) -> PhysicalAddress:
         """Translate a logical page to its current physical address."""
@@ -199,32 +212,29 @@ class FlashTranslationLayer:
         return len(self._l2p)
 
     # --- allocation --------------------------------------------------------------
-    def _allocate(self, channel: int, logical_page: int) -> PhysicalAddress:
+    def _allocate(
+        self, channel: int, logical_page: int
+    ) -> Tuple[PlaneKey, BlockState, int]:
+        """Program the next page of the plane's active block.
+
+        Returns ``(plane_key, block, page)``; the page's flat index is
+        ``block.base + page``.
+        """
         plane_key = self._pick_plane(channel, logical_page)
         block = self._active_block(plane_key)
         page = block.write_pointer
         block.write_pointer += 1
         block.valid[page] = 1
-        if block.is_full:
-            self._plane(plane_key).active = None
-        return PhysicalAddress(
-            channel=plane_key[0],
-            package=plane_key[1],
-            die=plane_key[2],
-            plane=plane_key[3],
-            block=block.block,
-            page=page,
-        )
+        block.valid_count += 1
+        if block.write_pointer >= block.pages_per_block:
+            self._planes[plane_key].active = None
+        return plane_key, block, page
 
     def _pick_plane(self, channel: int, logical_page: int) -> PlaneKey:
         """Round-robin planes within the channel by logical page number."""
-        cfg = self.config
-        planes_per_channel = (
-            cfg.packages_per_channel * cfg.dies_per_package * cfg.planes_per_die
-        )
-        idx = logical_page % planes_per_channel
-        package, rest = divmod(idx, cfg.dies_per_package * cfg.planes_per_die)
-        die, plane = divmod(rest, cfg.planes_per_die)
+        idx = logical_page % self._planes_per_channel
+        package, rest = divmod(idx, self._planes_per_package)
+        die, plane = divmod(rest, self.config.planes_per_die)
         return (channel, package, die, plane)
 
     def _plane(self, plane_key: PlaneKey) -> _PlaneState:
@@ -265,7 +275,8 @@ class FlashTranslationLayer:
         _wear, block_index = heapq.heappop(state.free_heap)
         block = state.blocks.get(block_index)
         if block is None:
-            block = BlockState(block_index, self.config.pages_per_block)
+            base = self.geometry.to_flat(PhysicalAddress(*plane_key, block_index, 0))
+            block = BlockState(block_index, self.config.pages_per_block, base)
             state.blocks[block_index] = block
         return block
 
@@ -292,23 +303,15 @@ class FlashTranslationLayer:
         self, plane_key: PlaneKey, state: _PlaneState, victim: BlockState
     ) -> None:
         relocated = 0
+        base = victim.base
         for page_index in range(victim.pages_per_block):
             if not victim.valid[page_index]:
                 continue
-            flat = self.geometry.to_flat(
-                PhysicalAddress(
-                    plane_key[0],
-                    plane_key[1],
-                    plane_key[2],
-                    plane_key[3],
-                    victim.block,
-                    page_index,
-                )
-            )
-            logical_page = self._p2l.pop(flat)
+            logical_page = self._p2l.pop(base + page_index)
             victim.valid[page_index] = 0
-            new_address = self._allocate(plane_key[0], logical_page)
-            new_flat = self.geometry.to_flat(new_address)
+            victim.valid_count -= 1
+            _plane_key, block, page = self._allocate(plane_key[0], logical_page)
+            new_flat = block.base + page
             self._l2p[logical_page] = new_flat
             self._p2l[new_flat] = logical_page
             relocated += 1
@@ -345,21 +348,33 @@ class FlashTranslationLayer:
         )
 
     def _pick_victim(self, plane_key: PlaneKey) -> Optional[BlockState]:
+        """The full block with the fewest valid pages, then the least wear.
+
+        Ties keep the first block in dict order, as ``min()`` would.  A
+        fully valid block is never a victim: collecting it reclaims nothing
+        and consumes exactly the space it frees, so GC would live-lock
+        shuffling pages at 100% utilization instead of letting the
+        allocator surface CapacityError.
+        """
         state = self._plane(plane_key)
-        candidates = [
-            block
-            for block in state.blocks.values()
-            if block.is_full
-            and block is not state.active
-            and block.valid_pages < block.pages_per_block
-        ]
-        # A fully valid block is never a victim: collecting it reclaims
-        # nothing and consumes exactly the space it frees, so GC would
-        # live-lock shuffling pages at 100% utilization instead of letting
-        # the allocator surface CapacityError.
-        if not candidates:
-            return None
-        return min(candidates, key=lambda block: (block.valid_pages, block.erase_count))
+        active = state.active
+        best: Optional[BlockState] = None
+        best_valid = best_wear = 0
+        for block in state.blocks.values():
+            valid = block.valid_count
+            if (
+                block.write_pointer < block.pages_per_block
+                or block is active
+                or valid >= block.pages_per_block
+            ):
+                continue
+            if (
+                best is None
+                or valid < best_valid
+                or (valid == best_valid and block.erase_count < best_wear)
+            ):
+                best, best_valid, best_wear = block, valid, block.erase_count
+        return best
 
     # --- reliability hooks (scrub/refresh, wear lookup) -------------------------------
     def block_erase_count(self, address: PhysicalAddress) -> int:
@@ -442,8 +457,8 @@ class FlashTranslationLayer:
         return min(counts), max(counts), sum(counts) / len(counts)
 
     def _invalidate(self, flat: int) -> None:
-        address = self.geometry.to_physical(flat)
-        plane_key = (address.channel, address.package, address.die, address.plane)
-        block = self._plane(plane_key).blocks[address.block]
-        block.valid[address.page] = 0
+        plane_key, block_index, page = self.geometry.split(flat)
+        block = self._plane(plane_key).blocks[block_index]
+        block.valid[page] = 0
+        block.valid_count -= 1
         self._p2l.pop(flat, None)

@@ -162,5 +162,19 @@ class TestCommandConstructionValidation:
         bad = FlashCommand(
             CommandKind.READ, PhysicalAddress(0, 0, 0, 0, 99, 0)
         )
-        with pytest.raises(AddressError):
+        with pytest.raises(AddressError) as excinfo:
             ctrl.submit(0.0, [bad])
+        assert str(excinfo.value) == f"block=99 exceeds fan-out 4 in {bad.address!r}"
+
+    def test_command_from_another_geometry_validated_at_submit(self):
+        ctrl = make_controller()
+        larger = FlashGeometry(FlashConfig(
+            channels=2, packages_per_channel=2, dies_per_package=2,
+            planes_per_die=1, blocks_per_plane=64, pages_per_block=8,
+        ))
+        foreign = FlashCommand(
+            CommandKind.READ, PhysicalAddress(0, 0, 0, 0, 9, 0), larger
+        )
+        with pytest.raises(AddressError):
+            ctrl.submit(0.0, [foreign])
+        assert ctrl.commands_issued == 0

@@ -1,5 +1,7 @@
 """Tests for the assembled SSD device (repro.ssd.device)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,77 @@ class TestHousekeeping:
         utils = dev.channel_bus_utilizations(t)
         assert len(utils) == 4
         assert all(0 <= u <= 1 for u in utils)
+
+
+class TestBitIdentityPin:
+    """SSD-mode timing and GC bookkeeping, pinned bit-for-bit.
+
+    Replays seeded mixed write/read bursts on the perfbench ``ssd-mixed``
+    geometry (8 channels x 2 dies x 64 blocks x 16 pages) after filling 80%
+    of every channel's user pages.  Any change to simulated timing,
+    allocation order or GC victim choice moves the expected values.
+    """
+
+    BURSTS = 1500
+    EXPECTED_DIGEST = (
+        "09e34a37c613a157de8e8a2eeed0f5183cc7624bf2acff4142fce62363761e03"
+    )
+    EXPECTED_CLOCK = "0x1.f5d65330636c5p+2"
+    EXPECTED_GC_EVENTS = 530
+    EXPECTED_RELOCATED = 4696
+    EXPECTED_ERASES = 530
+
+    def replay(self):
+        flash = FlashConfig(
+            channels=8,
+            packages_per_channel=1,
+            dies_per_package=2,
+            planes_per_die=1,
+            blocks_per_plane=64,
+            pages_per_block=16,
+        )
+        device = SSDDevice(ECSSDConfig(flash=flash))
+        per_channel = device.ftl.user_pages_per_channel
+        filled = int(per_channel * 0.8)
+        lpas = [
+            lpa
+            for c in range(flash.channels)
+            for lpa in range(c * per_channel, c * per_channel + filled)
+        ]
+        for lo in range(0, len(lpas), 64):
+            device.host_write(lpas[lo: lo + 64])
+        rng = np.random.default_rng(20231017)
+        writes = rng.random(self.BURSTS) < 0.3
+        sizes = rng.integers(4, 29, size=self.BURSTS)
+        picks = rng.integers(0, len(lpas), size=int(sizes.sum())).tolist()
+        digest = hashlib.sha256()
+        cursor = 0
+        for write, size in zip(writes.tolist(), sizes.tolist()):
+            burst = [lpas[p] for p in picks[cursor: cursor + size]]
+            cursor += size
+            finish = (device.host_write if write else device.host_read)(burst)
+            digest.update(finish.hex().encode())
+        return device, digest.hexdigest()
+
+    def test_replay_is_bit_identical(self):
+        device, digest = self.replay()
+        ftl = device.ftl
+        flash = device.config.flash
+        erases = sum(
+            ftl.block_erase_count(PhysicalAddress(channel, 0, die, 0, block, 0))
+            for channel in range(flash.channels)
+            for die in range(flash.dies_per_package)
+            for block in range(flash.blocks_per_plane)
+        )
+        assert len(ftl.gc_events) > 0
+        observed = (
+            digest, device.clock.hex(), len(ftl.gc_events),
+            ftl.pages_relocated, erases,
+        )
+        assert observed == (
+            self.EXPECTED_DIGEST,
+            self.EXPECTED_CLOCK,
+            self.EXPECTED_GC_EVENTS,
+            self.EXPECTED_RELOCATED,
+            self.EXPECTED_ERASES,
+        )

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.serve.kernel import EventKernel
 from repro.ssd.events import Resource
+from repro.ssd.nand import Die, FlashOperation, NandTiming
 
 
 def _drain(kernel):
@@ -136,8 +137,36 @@ class TestResource:
         assert start == end == 1.0
 
     def test_negative_duration_rejected(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="negative duration -1.0"):
             Resource().acquire(0.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "now, duration",
+        [
+            (0.0, math.nan),
+            (0.0, math.inf),
+            (0.0, -math.inf),
+            (math.nan, 1.0),
+            (math.inf, 1.0),
+            (-math.inf, 1.0),
+            (math.nan, math.nan),
+        ],
+    )
+    def test_non_finite_rejected_without_side_effects(self, now, duration):
+        r = Resource()
+        r.acquire(0.0, 2.0)
+        with pytest.raises(SimulationError):
+            r.acquire(now, duration)
+        assert (r.free_at, r.busy_time, r.acquisitions) == (2.0, 2.0, 1)
+        # The next acquisition sees the untouched state.
+        assert r.acquire(1.0, 1.0) == (2.0, 3.0)
+
+    @pytest.mark.parametrize("extra", [math.nan, math.inf])
+    def test_die_rejects_non_finite_extra_occupation(self, extra):
+        die = Die(0, NandTiming(read=1.0, program=2.0, erase=3.0))
+        with pytest.raises(SimulationError):
+            die.execute(0.0, FlashOperation.READ, extra)
+        assert (die.free_at, die.busy_time, die.reads) == (0.0, 0.0, 0)
 
     def test_reset(self):
         r = Resource()

@@ -165,6 +165,53 @@ class TestPropertyBased:
             flats.add(flat)
         assert ftl.mapped_pages == len(live)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["write", "write", "write", "trim", "refresh"]),
+                st.integers(min_value=0, max_value=40),
+            ),
+            min_size=150,
+            max_size=300,
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_bookkeeping_survives_gc_and_refresh(self, ops):
+        """Interleaved writes, trims and refreshes keep every ledger exact.
+
+        LPAs 0..28 cover all of channel 0's user space and 29..40 part of
+        channel 1's, so the write share of any drawn sequence forces GC.
+        """
+        ftl = FlashTranslationLayer(tiny_config(), gc_threshold=2)
+        for kind, lpa in ops:
+            if kind == "write":
+                ftl.write(lpa)
+            elif kind == "trim":
+                ftl.trim(lpa)
+            else:
+                refreshable = ftl.iter_refreshable_blocks()
+                if refreshable:
+                    ftl.refresh_block(*refreshable[lpa % len(refreshable)])
+            assert_bookkeeping(ftl)
+        assert ftl.gc_events
+
+
+def assert_bookkeeping(ftl: FlashTranslationLayer) -> None:
+    """Valid counts, valid bits and the two maps all agree."""
+    total_valid = 0
+    for state in ftl._planes.values():
+        for block in state.blocks.values():
+            assert block.valid_count == sum(block.valid)
+            total_valid += block.valid_count
+    assert len(ftl._l2p) == len(ftl._p2l)
+    for lpa, flat in ftl._l2p.items():
+        assert ftl._p2l[flat] == lpa
+    for flat in ftl._p2l:
+        addr = ftl.geometry.to_physical(flat)
+        plane_key = (addr.channel, addr.package, addr.die, addr.plane)
+        assert ftl._planes[plane_key].blocks[addr.block].valid[addr.page]
+    assert total_valid == ftl.mapped_pages
+
 
 class TestCapacityExhaustion:
     """The exhausted-plane error carries enough state to diagnose it."""

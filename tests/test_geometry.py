@@ -33,6 +33,22 @@ class TestAddresses:
         with pytest.raises(AddressError):
             PhysicalAddress(0, 0, 0, 0, -1, 0)
 
+    @pytest.mark.parametrize(
+        "index, name",
+        list(enumerate(("channel", "package", "die", "plane", "block", "page"))),
+    )
+    def test_physical_negative_message_names_first_field(self, index, name):
+        fields = [0] * 6
+        fields[index] = -1
+        fields[5] = -2 if index < 5 else -1  # a later negative field too
+        with pytest.raises(AddressError) as excinfo:
+            PhysicalAddress(*fields)
+        assert str(excinfo.value) == (
+            f"negative {name} in PhysicalAddress(channel={fields[0]},"
+            f" package={fields[1]}, die={fields[2]}, plane={fields[3]},"
+            f" block={fields[4]}, page={fields[5]})"
+        )
+
     def test_addresses_are_ordered(self):
         assert LogicalAddress(1) < LogicalAddress(2)
         assert PhysicalAddress(0, 0, 0, 0, 0, 1) < PhysicalAddress(0, 0, 0, 0, 0, 2)
@@ -63,6 +79,41 @@ class TestConversions:
     def test_to_flat_checks_fanout(self, geometry):
         with pytest.raises(AddressError):
             geometry.to_flat(PhysicalAddress(99, 0, 0, 0, 0, 0))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((4, 0, 0, 0, 0, 0), "channel=4 exceeds fan-out 4"),
+            ((0, 2, 0, 0, 0, 0), "package=2 exceeds fan-out 2"),
+            ((0, 0, 2, 0, 0, 0), "die=2 exceeds fan-out 2"),
+            ((0, 0, 0, 2, 0, 0), "plane=2 exceeds fan-out 2"),
+            ((0, 0, 0, 0, 8, 0), "block=8 exceeds fan-out 8"),
+            ((0, 0, 0, 0, 0, 16), "page=16 exceeds fan-out 16"),
+            ((0, 0, 0, 0, 99, 99), "block=99 exceeds fan-out 8"),
+        ],
+    )
+    def test_check_names_first_offending_field(self, geometry, fields, message):
+        addr = PhysicalAddress(*fields)
+        with pytest.raises(AddressError) as excinfo:
+            geometry.check(addr)
+        assert str(excinfo.value) == f"{message} in {addr!r}"
+
+    def test_split_matches_to_physical(self, geometry):
+        for flat in range(0, geometry.total_pages, 7):
+            addr = geometry.to_physical(flat)
+            assert geometry.split(flat) == (
+                (addr.channel, addr.package, addr.die, addr.plane),
+                addr.block,
+                addr.page,
+            )
+
+    def test_split_out_of_range_rejected(self, geometry):
+        for flat in (-1, geometry.total_pages):
+            with pytest.raises(AddressError) as excinfo:
+                geometry.split(flat)
+            assert str(excinfo.value) == (
+                f"flat page {flat} outside [0, {geometry.total_pages})"
+            )
 
     @given(st.integers(min_value=0, max_value=4 * 2 * 2 * 2 * 8 * 16 - 1))
     @settings(max_examples=200)
