@@ -2,7 +2,7 @@
 
 DESIGN.md calls out the design choices these quantify: the component
 campaign run through ``repro.ablate`` (the Fig. 8 axes, importance-ranked
-and perf-diff gated as ``BENCH_ablation.json``), the hot-degree predictor
+and exact-gated in CI as ``BENCH_ablation.json``), the hot-degree predictor
 quality and fine-tuning budget, channel scaling, query-distribution drift,
 channel scheduling policy, and per-query energy.
 """
@@ -21,7 +21,7 @@ def test_ablation_component_campaign(benchmark, record_table):
     Replaces the old hand-rolled interleaving sweep: the campaign runs the
     champion plus every single-component ablation, scores each component's
     importance against the champion, and emits the ranked report both as
-    ``BENCH_ablation.json`` (perf-diff gated in CI) and as markdown.
+    ``BENCH_ablation.json`` (exact-gated in CI) and as markdown.
     """
     spec = components_campaign()
     result = run_once(benchmark, lambda: run_campaign(spec, workers=1))

@@ -6,7 +6,7 @@ nodes) with the causal collector installed, and records the stage-bucketed
 attribution: per-stage p99 contribution, tail shares above the p99
 threshold, fault-class populations, and the exemplar count the store
 retained.  The numbers are pure sim-clock quantities — byte-identical for
-a given seed — so the CI perf gate can diff them like any other bench.
+a given seed — so the CI perf gate requires an exact match.
 
 Results land in ``benchmarks/results/BENCH_attribution.json`` and
 ``benchmarks/results/tail_attribution.txt`` (rendered tables).

@@ -9,11 +9,12 @@ and — the placement layer's whole point — rack-spread replicas keep the
 analytic shard outage at zero even while crashes force live failovers.
 
 Results land in ``benchmarks/results/BENCH_cluster.json`` (machine-readable
-trajectory, diffed against its checked-in baseline by the CI perf gate) and
+trajectory, which the CI perf gate requires to match exactly) and
 ``benchmarks/results/cluster_fleet.txt`` (rendered table).
 """
 
 import json
+import statistics
 
 from conftest import RESULTS_DIR, run_once
 
@@ -28,6 +29,8 @@ RATE_MULTIPLIERS = (0.5, 1.0, 2.0)
 FAULT_AXES = ("none", "faulted")
 NUM_REQUESTS = 20_000
 SEED = 7
+#: Seeds whose mean faulted-axis shedding must rise with load (see the test).
+ENSEMBLE_SEEDS = range(1, 11)
 
 CONFIG = ClusterConfig(
     data_nodes=8,
@@ -40,12 +43,12 @@ CONFIG = ClusterConfig(
 )
 
 
-def _fault_config(axis, span):
+def _fault_config(axis, span, seed):
     """Fault campaign sized to the arrival span (or disabled)."""
     if axis == "none":
         return ClusterFaultConfig.disabled()
     return ClusterFaultConfig(
-        seed=SEED,
+        seed=seed,
         node_crashes=2,
         crash_duration=0.25 * span,
         partitions=1,
@@ -56,12 +59,12 @@ def _fault_config(axis, span):
     )
 
 
-def _run_point(service, capacity, multiplier, axis):
+def _run_point(service, capacity, multiplier, axis, seed=SEED):
     rate = multiplier * capacity
-    arrivals = poisson_arrivals(rate, NUM_REQUESTS, seed=SEED)
-    fault_config = _fault_config(axis, float(arrivals[-1]))
+    arrivals = poisson_arrivals(rate, NUM_REQUESTS, seed=seed)
+    fault_config = _fault_config(axis, float(arrivals[-1]), seed)
     simulator = build_cluster(
-        service, CONFIG, seed=SEED, fault_config=fault_config
+        service, CONFIG, seed=seed, fault_config=fault_config
     )
     report = simulator.run(arrivals)
     return {
@@ -95,9 +98,9 @@ def test_cluster_fleet_sweep(benchmark, record_table):
             for axis in FAULT_AXES
             for multiplier in RATE_MULTIPLIERS
         ]
-        return service, rows
+        return service, capacity, rows
 
-    service, rows = run_once(benchmark, sweep)
+    service, capacity, rows = run_once(benchmark, sweep)
 
     payload = {
         "benchmark": "GNMT-E32K",
@@ -155,27 +158,38 @@ def test_cluster_fleet_sweep(benchmark, record_table):
     )
 
     for axis in FAULT_AXES:
-        points = {
-            r["rate_multiplier"]: r for r in rows if r["faults"] == axis
-        }
-        # Shedding is monotone in offered load and absent below saturation.
-        sheds = [points[m]["shed_rate"] for m in RATE_MULTIPLIERS]
-        assert all(a <= b + 1e-12 for a, b in zip(sheds, sheds[1:]))
-        assert points[0.5]["shed_rate"] == 0.0
+        points = [r for r in rows if r["faults"] == axis]
         # Rack-spread placement holds: no crash schedule takes every replica
         # of any shard down at once.
-        assert all(
-            p["failover_downtime_s"] == 0.0 for p in points.values()
-        )
+        assert all(p["failover_downtime_s"] == 0.0 for p in points)
         # Work stealing is live at every point.
-        assert all(p["steals"] > 0 for p in points.values())
+        assert all(p["steals"] > 0 for p in points)
     clean = [r for r in rows if r["faults"] == "none"]
     faulted = [r for r in rows if r["faults"] == "faulted"]
-    # Without faults the admitted tail stays inside the SLO at every load,
+    # Without faults, shedding is monotone in offered load and absent below
+    # saturation, and the admitted tail stays inside the SLO at every load,
     # 2x overload included.
+    sheds = [r["shed_rate"] for r in clean]
+    assert all(a <= b + 1e-12 for a, b in zip(sheds, sheds[1:]))
+    assert clean[0]["shed_rate"] == 0.0
     assert all(r["p99_ms"] <= SLO_S * 1e3 for r in clean)
     # Under crashes, a partition, and 3x slow-node brownouts, requests
     # already in flight can overrun the SLO — but attainment stays high
     # and the failover machinery is demonstrably exercised.
     assert all(r["slo_attainment"] >= 0.95 for r in faulted)
     assert sum(r["redispatches"] + r["parked_events"] for r in faulted) > 0
+    # One seed's crash windows land at different request indices at each
+    # load, so its faulted shedding need not rise with load (seed 7 sheds
+    # 0 / 0.55% / 0 at 0.5x / 1.0x / 2.0x) and can be nonzero at 0.5x.  The
+    # mean over a fixed seed ensemble does rise.  It is computed here and
+    # not written to BENCH_cluster.json, which records seed 7 only.
+    mean_sheds = [
+        statistics.fmean(
+            _run_point(service, capacity, multiplier, "faulted", seed)[
+                "shed_rate"
+            ]
+            for seed in ENSEMBLE_SEEDS
+        )
+        for multiplier in RATE_MULTIPLIERS
+    ]
+    assert all(a <= b + 1e-12 for a, b in zip(mean_sheds, mean_sheds[1:]))

@@ -1,6 +1,7 @@
 """Tests for the perf-regression differ (repro.obs.perfdiff)."""
 
 import json
+import math
 
 import pytest
 
@@ -111,6 +112,16 @@ class TestClassification:
         report = diff_metrics({"shed_rate": 0.0}, {"shed_rate": 0.5})
         assert not report.ok  # any growth from zero is a huge rel delta
 
+    def test_nan_candidate_is_regression(self):
+        report = diff_metrics({"p99_ms": 1.0}, {"p99_ms": math.nan})
+        assert [e.key for e in report.regressions] == ["p99_ms"]
+        assert report.exit_code == 1
+        assert "+nan%" in report.render()
+
+    def test_nan_candidate_passes_exempt_band_or_nan_baseline(self):
+        assert diff_metrics({"seed": 1.0}, {"seed": math.nan}).ok
+        assert diff_metrics({"p99_ms": math.nan}, {"p99_ms": math.nan}).ok
+
     def test_extra_tolerance_overrides_default(self):
         candidate = json.loads(json.dumps(BASE))
         candidate["trajectory"][0]["p99_ms"] *= 1.2
@@ -142,6 +153,15 @@ class TestToleranceSpec:
             Tolerance("*", -0.1)
         with pytest.raises(ConfigurationError):
             Tolerance("*", 0.1, "sideways")
+
+    def test_nan_band_is_rejected(self):
+        # A NaN band would pass every delta, e.g. a 100x p99 rise.
+        with pytest.raises(ConfigurationError):
+            parse_tolerance_spec("*p99*=nan:higher_is_worse")
+        with pytest.raises(ConfigurationError):
+            Tolerance("*", math.nan)
+        with pytest.raises(ConfigurationError):
+            diff_metrics({"x": 1.0}, {"x": 1.0}, default_rel_tol=math.nan)
 
 
 class TestFiles:
