@@ -6,9 +6,9 @@ is canonical (sorted keys, indent 2, trailing newline) so a parallel run
 and a serial run of the same spec write byte-identical files — the
 determinism contract the engine's tests pin.
 
-The JSON form doubles as a perf-diff subject: ``BENCH_ablation.json`` in
-``benchmarks/results/`` is this document, and CI diffs it against its
-checked-in baseline through ``repro perf-diff`` like every other bench.
+``BENCH_ablation.json`` in ``benchmarks/results/`` is this document.  It
+holds only simulated fields, so CI regenerates it and requires it to match
+the checked-in file byte for byte (``git diff --exit-code``).
 """
 
 from __future__ import annotations

@@ -90,11 +90,14 @@ class HotLabelCache:
         """Record a freshly merged result for ``key`` (evicting LRU)."""
         if self.capacity == 0:
             return
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = now
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+            entries[key] = now
+            return
+        entries[key] = now
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
 
     @property
     def hit_rate(self) -> float:

@@ -17,7 +17,7 @@ never disagree about whether a crawl covered a given instant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import ConfigurationError
 from ..faults import hash_uniform
@@ -78,15 +78,30 @@ class CrawlerSchedule:
         self.seed = seed
         self.enabled = enabled
         self.crawlers = crawlers
+        # node -> (period, phase, active window, factor) per crawler with a
+        # nonzero duty, the exact operands :meth:`CrawlerKind.active` computes.
+        self._windows: Dict[int, List[Tuple[float, float, float, float]]] = {}
 
     def slowdown(self, node: int, time: float) -> float:
         """Foreground slowdown multiplier on ``node`` at ``time`` (>= 1)."""
         if not self.enabled:
             return 1.0
+        windows = self._windows.get(node)
+        if windows is None:
+            windows = self._windows[node] = [
+                (
+                    crawler.period,
+                    hash_uniform(node, self.seed, salt=crawler.salt) * crawler.period,
+                    crawler.duty * crawler.period,
+                    crawler.factor,
+                )
+                for crawler in self.crawlers
+                if crawler.duty > 0.0
+            ]
         factor = 1.0
-        for crawler in self.crawlers:
-            if crawler.active(node, self.seed, time):
-                factor *= crawler.factor
+        for period, phase, window, crawl_factor in windows:
+            if (time + phase) % period < window:
+                factor *= crawl_factor
         return factor
 
     def mean_overhead(self) -> float:

@@ -11,7 +11,9 @@ on a single event heap with seven event kinds, ordered
 ``(time, kind, sequence)`` so ties resolve identically on every run:
 fault-plan edges first (a node must change state before work lands on it),
 then autoscaler evaluations, task completions, merges, cache hits, batch
-deadlines, and finally arrivals.
+deadlines, and finally arrivals.  Each replay is one :class:`FleetRun`: it
+owns every piece of per-run state (nodes, caches, autoscaler, queues,
+counters) and has one handler per event kind, so runs never share state.
 
 Failover protocol: a node crash cancels its running and queued tasks; each
 is **redispatched** to a surviving reachable replica (new transfer, new
@@ -63,6 +65,7 @@ from .crawlers import CrawlerSchedule
 from .nodes import BatchState, DataNode, FleetCounters, ServiceNode, ShardTask
 from .placement import Placement, place_replicas
 from .report import (
+    LATENCY_UNSET,
     ClusterReport,
     FailoverEvent,
     build_latency_array,
@@ -72,7 +75,8 @@ from .topology import REQUEST_BYTES, ClusterConfig
 
 logger = logging.getLogger(__name__)
 
-# Event kinds, in tie-break order at equal timestamps.
+# Event kinds, in tie-break order at equal timestamps; each indexes its
+# handler in FleetRun.run.
 _KIND_EDGE = 0
 _KIND_SCALE = 1
 _KIND_TASK = 2
@@ -80,7 +84,6 @@ _KIND_MERGE = 3
 _KIND_CACHE = 4
 _KIND_DEADLINE = 5
 _KIND_ARRIVAL = 6
-
 
 class ClusterSimulator:
     """Drives the whole fleet over one arrival stream (see module docstring)."""
@@ -111,8 +114,8 @@ class ClusterSimulator:
         worst = self.worst_task_time(service.knee)
         merge = self.merge_time(service.knee, 1.0)
         worst_batch = worst + merge
-        close_margin = worst_batch * config.close_margin_factor
-        if close_margin >= config.slo:
+        self.close_margin = worst_batch * config.close_margin_factor
+        if self.close_margin >= config.slo:
             raise ConfigurationError(
                 f"SLO {config.slo:.6f}s cannot fit one knee batch "
                 f"({worst_batch:.6f}s through the slowest shard); add data "
@@ -121,33 +124,14 @@ class ClusterSimulator:
         drain_parallelism = max(
             1, config.total_slots // (config.shards * config.service_nodes)
         )
-        self.service_nodes: List[ServiceNode] = []
-        for index in range(config.service_nodes):
-            admission = AdmissionController(
-                AdmissionConfig.for_slo(
-                    slo=config.slo,
-                    worst_batch_time=worst_batch,
-                    knee=service.knee,
-                    replicas=drain_parallelism,
-                    safety=config.safety,
-                )
-            )
-            batcher = DeadlineBatcher(service, close_margin=close_margin)
-            core = ServiceNodeCore(admission, batcher, DegradationLadder())
-            cache = HotLabelCache(config.cache_capacity, config.cache_ttl)
-            self.service_nodes.append(
-                ServiceNode(index, config.service_rack(index), core, cache)
-            )
-        self.data_nodes: List[DataNode] = [
-            DataNode(index, config.node_rack(index), config.slots_per_node)
-            for index in range(config.data_nodes)
-        ]
-        self.autoscaler = Autoscaler(
+        self.admission_config = AdmissionConfig.for_slo(
             slo=config.slo,
-            min_nodes=config.autoscale_min,
-            max_nodes=config.service_nodes,
+            worst_batch_time=worst_batch,
+            knee=service.knee,
+            replicas=drain_parallelism,
+            safety=config.safety,
         )
-        self._pressure_fallback = max(
+        self.pressure_fallback = max(
             1, service.knee * max(1, config.total_slots // config.shards) * 4
         )
 
@@ -195,7 +179,8 @@ class ClusterSimulator:
         by default they are drawn from the seeded Zipf stream
         (:func:`~repro.cluster.cache.zipf_keys`).  Raises
         :class:`~repro.errors.SimulationError` when conservation breaks or
-        work is left behind.
+        work is left behind.  Every call starts from fresh nodes, so
+        repeated runs on one simulator give equal reports.
         """
         times = arrival_times(arrivals)
         num_requests = int(times.size)
@@ -208,502 +193,510 @@ class ClusterSimulator:
             )
         if keys.shape[0] != num_requests:
             raise WorkloadError("cache keys must align with arrivals")
+        return FleetRun(self, times, keys).run()
 
-        config = self.config
-        link = config.interconnect
-        sns = self.service_nodes
-        dns = self.data_nodes
 
-        latencies = build_latency_array(num_requests)
-        counters = FleetCounters()
-        shed_by_reason: Dict[str, int] = {}
-        timeline: List[FailoverEvent] = []
-        owner: Dict[int, int] = {}  # queued request id -> service node
-        live: Dict[int, ShardTask] = {}  # started task id -> task
-        batches: Dict[int, BatchState] = {}
-        parked: List[ShardTask] = []
-        parked_since: Dict[int, float] = {}
-        severed: Set[Tuple[int, int]] = set()
-        active = [True] * len(sns)
-        self._active_count = len(sns)
-        peak_active = self._active_count
-        alive_slots = sum(dn.slots for dn in dns)
-        running_tasks = 0
-        parked_time = 0.0
-        last_completion = float(times[0])
+class FleetRun:
+    """One replay of an arrival stream: per-run state and per-kind handlers.
 
-        kernel = EventKernel("cluster")
-        push = kernel.push
-        pop = kernel.pop
-        next_task_id = 0
-        next_batch_id = 0
+    Calls into the cache, autoscaler, crawler, interconnect, data-node and
+    service-core classes are looked up on those classes at call time, never
+    bound when the simulator is built, so a wrapper installed on a class
+    after the simulator was built still sees every call.
+    """
 
+    def __init__(
+        self, sim: ClusterSimulator, times: np.ndarray, keys: np.ndarray
+    ) -> None:
+        config = sim.config
+        self.sim = sim
+        self.config = config
+        self.times: List[float] = times.tolist()
+        self.keys: List[int] = keys.tolist()
+        self.num_requests = len(self.times)
+        self.slo = config.slo
+        self.close_margin = sim.close_margin
+        self.hit_time = config.cache_hit_time
+        self.eager = config.eager_when_idle
+
+        self.sns = [
+            ServiceNode(index, config.service_rack(index), ServiceNodeCore(
+                AdmissionController(sim.admission_config),
+                DeadlineBatcher(sim.service, close_margin=sim.close_margin),
+                DegradationLadder(),
+            ), HotLabelCache(config.cache_capacity, config.cache_ttl))
+            for index in range(config.service_nodes)
+        ]
+        self.dns = [
+            DataNode(index, config.node_rack(index), config.slots_per_node)
+            for index in range(config.data_nodes)
+        ]
+        self.autoscaler = Autoscaler(
+            slo=config.slo, min_nodes=config.autoscale_min, max_nodes=config.service_nodes
+        )
+        self.active: List[ServiceNode] = list(self.sns)  # in index order
+        self.peak_active = len(self.active)
+        placement = sim.placement
+        self.replicas = [
+            [self.dns[node] for node in sorted(placement.nodes_for(shard))]
+            for shard in range(config.shards)
+        ]
+        self.shard_sets = [
+            frozenset(placement.shards_on(node)) for node in range(config.data_nodes)
+        ]
+        self.sn_racks = [sn.rack for sn in self.sns]
+        self.crawlers = sim.crawlers
+        self.fault_plan = sim.fault_plan
+        self.link = config.interconnect
+        self.stealing = config.steal_policy != "none"
+        self.steal_newest = config.steal_policy == "newest"
+
+        self.latencies = [LATENCY_UNSET] * self.num_requests
+        self.counters = FleetCounters()
+        self.shed_by_reason: Dict[str, int] = {}
+        self.timeline: List[FailoverEvent] = []
+        self.owner: Dict[int, ServiceNode] = {}  # queued request id -> node
+        self.live: Dict[int, ShardTask] = {}  # started task id -> task
+        self.batches: Dict[int, BatchState] = {}
+        self.parked: List[ShardTask] = []
+        self.parked_since: Dict[int, float] = {}
+        self.severed: Set[Tuple[int, int]] = set()
+        self.alive_slots = sum(dn.slots for dn in self.dns)
+        self.running_tasks = 0
+        self.parked_time = 0.0
+        self.last_completion = self.times[0]
+        self.next_task_id = 0
+        self.next_batch_id = 0
+        # (size, candidate scale, top-k scale) -> (merge cost, result bytes,
+        # per-shard exec times)
+        self.batch_costs: Dict[Tuple[int, float, float], Tuple[float, int, List[float]]] = {}
+
+        self.registry = get_registry()
+        self.metered = self.registry.enabled
+        self.tracer = get_tracer()
+        self.collector = get_collector()
+        self.causal = self.collector.enabled
+        self.recorder = sim.digest_recorder
+
+        self.kernel = EventKernel("cluster")
+        push = self.push = self.kernel.push
         # Fault-plan state edges (crash + partition; brownouts are queried
         # point-in-time at task start instead).
-        edges: List[Tuple[float, int, object]] = [
-            edge
-            for edge in self.fault_plan.edges()
-            if edge[1]
-            in (EDGE_NODE_UP, EDGE_NODE_DOWN, EDGE_PARTITION_HEAL, EDGE_PARTITION_START)
+        self.edges: List[Tuple[float, int, object]] = [
+            edge for edge in sim.fault_plan.edges() if edge[1] in
+            (EDGE_NODE_UP, EDGE_NODE_DOWN, EDGE_PARTITION_HEAL, EDGE_PARTITION_START)
         ]
-        for index, edge in enumerate(edges):
+        for index, edge in enumerate(self.edges):
             push(float(edge[0]), _KIND_EDGE, index)
         # Autoscaler evaluations, one per interval across the arrival span.
-        if config.autoscale and len(sns) > 1:
-            evaluations = int(float(times[-1]) / config.autoscale_interval)
+        if config.autoscale and len(self.sns) > 1:
+            evaluations = int(self.times[-1] / config.autoscale_interval)
             for step in range(1, evaluations + 1):
                 push(step * config.autoscale_interval, _KIND_SCALE, 0)
         # Arrivals enter the heap one at a time (they are sorted), keeping
         # the heap at working-set size rather than run size.
-        push(float(times[0]), _KIND_ARRIVAL, 0)
+        push(self.times[0], _KIND_ARRIVAL, 0)
 
-        registry = get_registry()
-        tracer = get_tracer()
-        recorder = self.digest_recorder
-        collector = get_collector()
-
-        def reachable(rack_a: int, rack_b: int) -> bool:
-            if rack_a == rack_b or not severed:
-                return True
-            pair = (rack_a, rack_b) if rack_a <= rack_b else (rack_b, rack_a)
-            return pair not in severed
-
-        def start_on(node: DataNode, task: ShardTask, now: float) -> None:
-            nonlocal running_tasks
-            start = now if now > task.ready_at else task.ready_at
-            slow = self.fault_plan.slowdown(
-                node.index, start
-            ) * self.crawlers.slowdown(node.index, start)
-            end = start + task.exec_time * slow
-            task.started_at = start
-            if collector.enabled:
-                collector.on_task_start(
-                    task.task_id, start, end, task.exec_time
-                )
-            node.start(task, end)
-            live[task.task_id] = task
-            running_tasks += 1
-            task.end_seq = push(end, _KIND_TASK, task.task_id)
-
-        def route_task(task: ShardTask, now: float) -> bool:
-            """Place ``task`` on a replica; False when parked."""
-            sn_rack = sns[task.service_node].rack
-            best_node: Optional[DataNode] = None
-            best_key = (0, 0)
-            for node_index in self.placement.nodes_for(task.shard):
-                node = dns[node_index]
-                if not node.alive or not reachable(sn_rack, node.rack):
-                    continue
-                key = (node.outstanding, node.index)
-                if best_node is None or key < best_key:
-                    best_key = key
-                    best_node = node
-            if best_node is None:
-                parked.append(task)
-                parked_since[task.task_id] = now
-                counters.parked += 1
-                timeline.append(
-                    FailoverEvent(
-                        time=now,
-                        action="park",
-                        shard=task.shard,
-                        task_id=task.task_id,
-                        from_node=task.node,
-                        to_node=-1,
-                    )
-                )
-                if collector.enabled:
-                    collector.on_task_park(
-                        task.task_id, task.batch_id, task.shard
-                    )
-                return False
-            cross = sn_rack != best_node.rack
-            task.ready_at = now + link.transfer_time(task.bytes_out, cross)
-            task.node = best_node.index
-            if collector.enabled:
-                collector.on_task_route(
-                    task.task_id,
-                    task.batch_id,
-                    task.shard,
-                    task.exec_time,
-                    now,
-                    task.ready_at,
-                    task.node,
-                )
-            if best_node.has_free_slot() and not best_node.pending:
-                start_on(best_node, task, task.ready_at)
-            else:
-                best_node.pending.append(task)
-            return True
-
-        steal_policy = self.config.steal_policy
-
-        def try_steal(node: DataNode, now: float) -> None:
-            """Pull one queued task for a shard ``node`` replicates.
-
-            ``config.steal_policy`` picks which end of the victim's FIFO to
-            scan: ``newest`` (tail first — the victim keeps its oldest,
-            soonest-to-run work), ``oldest`` (head first — FIFO fairness at
-            the cost of re-shipping the request that waited longest), or
-            ``none`` (stealing disabled; idle slots stay idle).
-            """
-            if steal_policy == "none":
-                return
-            if not node.alive or not node.has_free_slot() or node.pending:
-                return
-            my_shards = set(self.placement.shards_on(node.index))
-            if not my_shards:
-                return
-            victims = sorted(
-                (v for v in dns if v is not node and v.pending),
-                key=lambda v: (-len(v.pending), v.index),
-            )
-            for victim in victims:
-                if steal_policy == "newest":
-                    positions = range(len(victim.pending) - 1, -1, -1)
-                else:
-                    positions = range(len(victim.pending))
-                for position in positions:
-                    task = victim.pending[position]
-                    if task.shard not in my_shards:
-                        continue
-                    if not reachable(sns[task.service_node].rack, node.rack):
-                        continue
-                    del victim.pending[position]
-                    task.stolen = True
-                    node.steals += 1
-                    counters.steals += 1
-                    cross = sns[task.service_node].rack != node.rack
-                    task.ready_at = now + link.transfer_time(
-                        task.bytes_out, cross
-                    )
-                    task.node = node.index
-                    if collector.enabled:
-                        collector.on_task_route(
-                            task.task_id,
-                            task.batch_id,
-                            task.shard,
-                            task.exec_time,
-                            now,
-                            task.ready_at,
-                            task.node,
-                        )
-                        collector.on_task_steal(task.task_id)
-                    start_on(node, task, task.ready_at)
-                    return
-
-        def failover_task(task: ShardTask, now: float, from_node: int) -> None:
-            task.node = from_node
-            if route_task(task, now):
-                if collector.enabled:
-                    collector.on_task_redispatch(task.task_id)
-                counters.redispatches += 1
-                timeline.append(
-                    FailoverEvent(
-                        time=now,
-                        action="redispatch",
-                        shard=task.shard,
-                        task_id=task.task_id,
-                        from_node=from_node,
-                        to_node=task.node,
-                    )
-                )
-                if registry.enabled:
-                    registry.counter(
-                        "cluster_failovers_total",
-                        "tasks redispatched or parked after a fault",
-                    ).inc(action="redispatch")
-
-        def retry_parked(now: float) -> None:
-            nonlocal parked_time
-            still_parked: List[ShardTask] = []
-            for task in sorted(parked, key=lambda t: t.task_id):
-                from_node = task.node
-                task.node = -1
-                sn_rack = sns[task.service_node].rack
-                routable = any(
-                    dns[n].alive and reachable(sn_rack, dns[n].rack)
-                    for n in self.placement.nodes_for(task.shard)
-                )
-                if not routable:
-                    task.node = from_node
-                    still_parked.append(task)
-                    continue
-                route_task(task, now)
-                parked_time += now - parked_since.pop(task.task_id)
-                timeline.append(
-                    FailoverEvent(
-                        time=now,
-                        action="unpark",
-                        shard=task.shard,
-                        task_id=task.task_id,
-                        from_node=from_node,
-                        to_node=task.node,
-                    )
-                )
-            parked[:] = still_parked
-
-        def dispatch(sn: ServiceNode, now: float) -> None:
-            nonlocal next_task_id, next_batch_id
-            pressure = sn.core.pressure(
-                sn.outstanding_requests, self._pressure_fallback
-            )
-            level = sn.core.dispatch_level(pressure)
-            batch = sn.core.form_batch()
-            if not batch:
-                raise SimulationError("dispatch from an empty queue")
-            size = len(batch)
-            for request in batch:
-                owner.pop(request.request_id, None)
-            sn.outstanding_requests += size
-            candidate_scale = sn.core.ladder.candidate_scale
-            top_k_scale = sn.core.ladder.top_k_scale
-            state = BatchState(
-                batch_id=next_batch_id,
-                service_node=sn.index,
-                size=size,
-                request_ids=tuple(r.request_id for r in batch),
-                level=level,
-                dispatch_time=now,
-                remaining=config.shards,
-            )
-            state.merge_cost = self.merge_time(size, top_k_scale)
-            batches[next_batch_id] = state
-            if collector.enabled:
-                collector.on_dispatch(
-                    next_batch_id,
-                    sn.index,
-                    now,
-                    level,
-                    state.request_ids,
-                    tuple(float(times[r]) for r in state.request_ids),
-                )
-            counters.batches += 1
-            if registry.enabled:
-                registry.counter(
-                    "cluster_batches_total", "batches dispatched by the fleet"
-                ).inc(service_node=sn.index, level=level)
-            bytes_back = self.result_bytes(size, top_k_scale)
-            for shard in range(config.shards):
-                task = ShardTask(
-                    task_id=next_task_id,
-                    batch_id=next_batch_id,
-                    shard=shard,
-                    size=size,
-                    service_node=sn.index,
-                    exec_time=self.shard_exec_time(shard, size, candidate_scale),
-                    bytes_out=size * REQUEST_BYTES,
-                    bytes_back=bytes_back,
-                )
-                next_task_id += 1
-                route_task(task, now)
-            next_batch_id += 1
-
-        def fleet_has_idle_capacity() -> bool:
-            return running_tasks < alive_slots
-
-        def drain(sn: ServiceNode, now: float) -> None:
-            while sn.core.depth > 0:
-                must = sn.core.should_close(now)
-                eager = config.eager_when_idle and fleet_has_idle_capacity()
-                if not (must or eager):
-                    break
-                dispatch(sn, now)
-
-        def pick_service_node() -> ServiceNode:
-            best: Optional[ServiceNode] = None
-            best_key = (0, 0)
-            for sn in sns:
-                if not active[sn.index]:
-                    continue
-                key = (sn.core.pending(sn.outstanding_requests), sn.index)
-                if best is None or key < best_key:
-                    best_key = key
-                    best = sn
-            if best is None:
-                raise SimulationError("no active service node to route to")
-            return best
-
-        while kernel:
-            now, kind, seq, payload = pop()
-            if recorder is not None:
+    def run(self) -> ClusterReport:
+        handlers = (  # indexed by event kind
+            self.on_edge, self.on_scale, self.on_task, self.on_merge,
+            self.on_cache, self.on_deadline, self.on_arrival,
+        )
+        kernel = self.kernel
+        recorder = self.recorder
+        if recorder is None:
+            for now, kind, seq, payload in kernel:
+                handlers[kind](now, seq, payload)
+        else:
+            counters = self.counters
+            for now, kind, seq, payload in kernel:
                 recorder.tick(
-                    now,
-                    kind=kind,
-                    completed=counters.completed,
-                    shed=counters.shed,
-                    cache_hits=counters.cache_hits,
-                    tasks_done=counters.tasks_done,
-                    steals=counters.steals,
-                    running=running_tasks,
-                    parked=len(parked),
-                    batches=counters.batches,
-                    active=self._active_count,
-                    seq=kernel.seq,
+                    now, kind=kind, completed=counters.completed, shed=counters.shed,
+                    cache_hits=counters.cache_hits, tasks_done=counters.tasks_done,
+                    steals=counters.steals, running=self.running_tasks,
+                    parked=len(self.parked), batches=counters.batches,
+                    active=len(self.active), seq=kernel.seq,
                 )
-            if kind == _KIND_TASK:
-                task = live.get(payload)
-                if task is None or task.end_seq != seq:
-                    # Cancelled by a crash edge, or a crashed node's stale
-                    # completion for a task since restarted elsewhere.
-                    continue
-                del live[payload]
-                node = dns[task.node]
-                node.finish(task.task_id, now - task.started_at)
-                running_tasks -= 1
-                counters.tasks_done += 1
-                if node.pending:
-                    while node.has_free_slot() and node.pending:
-                        start_on(node, node.pending.popleft(), now)
-                else:
-                    try_steal(node, now)
-                state = batches[task.batch_id]
-                sn_rack = sns[state.service_node].rack
-                cross = node.rack != sn_rack
-                result_at = now + link.transfer_time(task.bytes_back, cross)
-                if collector.enabled:
-                    collector.on_task_finish(task.task_id, now, result_at)
-                if result_at > state.last_result_at:
-                    state.last_result_at = result_at
-                state.remaining -= 1
-                if state.remaining == 0:
-                    merge_end = state.last_result_at + state.merge_cost
-                    push(merge_end, _KIND_MERGE, state.batch_id)
-            elif kind == _KIND_MERGE:
-                state = batches.pop(payload)
-                sn = sns[state.service_node]
-                sn.outstanding_requests -= state.size
-                for rid in state.request_ids:
-                    latency = now - float(times[rid])
-                    latencies[rid] = latency
-                    self.autoscaler.observe(now, latency > config.slo)
-                    sn.cache.insert(int(keys[rid]), now)
-                counters.completed += state.size
-                last_completion = now if now > last_completion else last_completion
-                if tracer.enabled:
-                    tracer.add_span(
-                        f"batch{state.batch_id}",
-                        state.dispatch_time,
-                        now,
-                        track=CLUSTER_TRACK,
-                        attrs={
-                            "size": state.size,
-                            "level": state.level,
-                            "service_node": state.service_node,
-                        },
-                    )
-                if collector.enabled:
-                    collector.on_merge(state.batch_id, now)
-                drain(sn, now)
-            elif kind == _KIND_CACHE:
-                latency = now - float(times[payload])
-                latencies[payload] = latency
-                counters.completed += 1
-                counters.cache_hits += 1
-                if collector.enabled:
-                    collector.on_cache_hit(payload, float(times[payload]), now)
-                self.autoscaler.observe(now, latency > config.slo)
-                last_completion = now if now > last_completion else last_completion
-            elif kind == _KIND_DEADLINE:
-                sn_index = owner.get(payload)
-                if sn_index is not None and sns[sn_index].core.is_waiting(payload):
-                    drain(sns[sn_index], now)
-            elif kind == _KIND_ARRIVAL:
-                arrival_time = float(times[payload])
-                sn = pick_service_node()
-                sn.arrived += 1
-                if sn.cache.lookup(int(keys[payload]), now):
-                    sn.cache_hits += 1
-                    push(now + config.cache_hit_time, _KIND_CACHE, payload)
-                else:
-                    request = Request(
-                        request_id=payload,
-                        arrival=arrival_time,
-                        deadline=arrival_time + config.slo,
-                    )
-                    reason = sn.core.offer(
-                        request, sn.outstanding_requests, now
-                    )
-                    if registry.enabled:
-                        registry.counter(
-                            "cluster_requests_total",
-                            "requests offered to the fleet",
-                        ).inc(outcome="shed" if reason else "admitted")
-                    if reason is not None:
-                        sn.shed += 1
-                        counters.shed += 1
-                        shed_by_reason[reason] = (
-                            shed_by_reason.get(reason, 0) + 1
-                        )
-                        if collector.enabled:
-                            collector.on_shed(reason)
-                        self.autoscaler.observe(now, True)
-                    else:
-                        owner[payload] = sn.index
-                        push(sn.core.close_time(request), _KIND_DEADLINE, payload)
-                        drain(sn, now)
-                if payload + 1 < num_requests:
-                    push(float(times[payload + 1]), _KIND_ARRIVAL, payload + 1)
-            elif kind == _KIND_EDGE:
-                _edge_time, edge_kind, edge_payload = edges[payload]
-                if edge_kind == EDGE_NODE_DOWN:
-                    down = dns[int(edge_payload)]
-                    if down.alive:
-                        down.alive = False
-                        alive_slots -= down.slots
-                        lost: List[ShardTask] = []
-                        for task_id in sorted(down.running):
-                            task = down.running[task_id]
-                            live.pop(task_id, None)
-                            running_tasks -= 1
-                            if task.started_at < now:
-                                down.busy_time += now - task.started_at
-                            lost.append(task)
-                        down.running.clear()
-                        lost.extend(down.pending)
-                        down.pending.clear()
-                        for task in lost:
-                            failover_task(task, now, down.index)
-                elif edge_kind == EDGE_NODE_UP:
-                    up = dns[int(edge_payload)]
-                    # Another crash window may still cover this instant
-                    # (overlapping windows share one node); stay down and
-                    # let that window's own up-edge revive the node.
-                    if not up.alive and self.fault_plan.node_alive(
-                        up.index, now
-                    ):
-                        up.alive = True
-                        alive_slots += up.slots
-                        retry_parked(now)
-                        try_steal(up, now)
-                elif edge_kind == EDGE_PARTITION_START:
-                    severed.add((edge_payload[0], edge_payload[1]))
-                elif edge_kind == EDGE_PARTITION_HEAL:
-                    pair = (edge_payload[0], edge_payload[1])
-                    # Another window on the same rack pair may still cover
-                    # this instant; its own heal edge lifts the severance.
-                    if self.fault_plan.reachable(pair[0], pair[1], now):
-                        severed.discard(pair)
-                        retry_parked(now)
-            else:  # _KIND_SCALE
-                target = self.autoscaler.decide(now, self._active_count)
-                if target > self._active_count:
-                    for sn in sns:
-                        if not active[sn.index]:
-                            active[sn.index] = True
-                            break
-                    self._active_count += 1
-                    counters.scale_ups += 1
-                elif target < self._active_count:
-                    for sn in reversed(sns):
-                        if active[sn.index]:
-                            active[sn.index] = False
-                            break
-                    self._active_count -= 1
-                    counters.scale_downs += 1
-                peak_active = max(peak_active, self._active_count)
+                handlers[kind](now, seq, payload)
+        return self.report()
 
-        for sn in sns:
+    # -- data-node side -------------------------------------------------------
+    def reachable(self, rack_a: int, rack_b: int) -> bool:
+        if rack_a == rack_b or not self.severed:
+            return True
+        pair = (rack_a, rack_b) if rack_a <= rack_b else (rack_b, rack_a)
+        return pair not in self.severed
+
+    def start_on(self, node: DataNode, task: ShardTask, now: float) -> None:
+        ready = task.ready_at
+        start = now if now > ready else ready
+        index = node.index
+        slow = self.crawlers.slowdown(index, start)
+        if index in self.fault_plan.slowed_nodes:
+            slow = self.fault_plan.slowdown(index, start) * slow
+        end = start + task.exec_time * slow
+        task.started_at = start
+        if self.causal:
+            self.collector.on_task_start(task.task_id, start, end, task.exec_time)
+        node.start(task, end)
+        self.live[task.task_id] = task
+        self.running_tasks += 1
+        task.end_seq = self.push(end, _KIND_TASK, task.task_id)
+
+    def ship(self, task: ShardTask, node: DataNode, now: float) -> None:
+        """Send ``task``'s request bytes from its service node to ``node``."""
+        cross = self.sn_racks[task.service_node] != node.rack
+        task.ready_at = now + self.link.transfer_time(task.bytes_out, cross)
+        task.node = node.index
+        if self.causal:
+            self.collector.on_task_route(
+                task.task_id, task.batch_id, task.shard, task.exec_time, now,
+                task.ready_at, task.node,
+            )
+
+    def route(self, task: ShardTask, now: float) -> bool:
+        """Place ``task`` on its least-loaded routable replica; False when parked."""
+        sn_rack = self.sn_racks[task.service_node]
+        severed = self.severed
+        best: Optional[DataNode] = None
+        best_load = 0
+        for node in self.replicas[task.shard]:  # index order: ties go low
+            if not node.alive or (severed and not self.reachable(sn_rack, node.rack)):
+                continue
+            load = len(node.running) + len(node.pending)
+            if best is None or load < best_load:
+                best = node
+                best_load = load
+        if best is None:
+            self.parked.append(task)
+            self.parked_since[task.task_id] = now
+            self.counters.parked += 1
+            self.log_failover(now, "park", task, task.node)
+            if self.causal:
+                self.collector.on_task_park(task.task_id, task.batch_id, task.shard)
+            return False
+        self.ship(task, best, now)
+        if len(best.running) < best.slots and not best.pending:
+            self.start_on(best, task, task.ready_at)
+        else:
+            best.pending.append(task)
+        return True
+
+    def steal(self, node: DataNode, now: float) -> None:
+        """Pull one queued task for a shard ``node`` replicates.
+
+        ``config.steal_policy`` picks which end of the victim's FIFO to
+        scan: ``newest`` (tail first — the victim keeps its oldest,
+        soonest-to-run work), ``oldest`` (head first — FIFO fairness at
+        the cost of re-shipping the request that waited longest), or
+        ``none`` (stealing disabled; idle slots stay idle).
+        """
+        if not self.stealing or not node.alive:
+            return
+        if len(node.running) >= node.slots or node.pending:
+            return
+        victims = [v for v in self.dns if v.pending and v is not node]
+        my_shards = self.shard_sets[node.index]
+        if not victims or not my_shards:
+            return
+        # Stable sort of an index-ordered list: ties stay in index order.
+        victims.sort(key=lambda v: -len(v.pending))
+        for victim in victims:
+            pending = victim.pending
+            if self.steal_newest:
+                positions = range(len(pending) - 1, -1, -1)
+            else:
+                positions = range(len(pending))
+            for position in positions:
+                task = pending[position]
+                if task.shard not in my_shards:
+                    continue
+                if not self.reachable(self.sn_racks[task.service_node], node.rack):
+                    continue
+                del pending[position]
+                task.stolen = True
+                node.steals += 1
+                self.counters.steals += 1
+                self.ship(task, node, now)
+                if self.causal:
+                    self.collector.on_task_steal(task.task_id)
+                self.start_on(node, task, task.ready_at)
+                return
+
+    def failover(self, task: ShardTask, now: float, from_node: int) -> None:
+        task.node = from_node
+        if self.route(task, now):
+            if self.causal:
+                self.collector.on_task_redispatch(task.task_id)
+            self.counters.redispatches += 1
+            self.log_failover(now, "redispatch", task, from_node)
+
+    def retry_parked(self, now: float) -> None:
+        still_parked: List[ShardTask] = []
+        for task in sorted(self.parked, key=lambda t: t.task_id):
+            from_node = task.node
+            task.node = -1
+            sn_rack = self.sn_racks[task.service_node]
+            if not any(
+                node.alive and self.reachable(sn_rack, node.rack)
+                for node in self.replicas[task.shard]
+            ):
+                task.node = from_node
+                still_parked.append(task)
+                continue
+            self.route(task, now)
+            self.parked_time += now - self.parked_since.pop(task.task_id)
+            self.log_failover(now, "unpark", task, from_node)
+        self.parked[:] = still_parked
+
+    def log_failover(
+        self, now: float, action: str, task: ShardTask, from_node: int
+    ) -> None:
+        """Append one failover decision to the timeline (and count it)."""
+        to_node = task.node if action != "park" else -1
+        self.timeline.append(
+            FailoverEvent(now, action, task.shard, task.task_id, from_node, to_node)
+        )
+        if self.metered and action != "unpark":
+            self.registry.counter(
+                "cluster_failovers_total", "tasks redispatched or parked after a fault"
+            ).inc(action=action)
+
+    # -- service-node side ----------------------------------------------------
+    def dispatch(self, sn: ServiceNode, now: float) -> None:
+        core = sn.core
+        pressure = core.pressure(sn.outstanding_requests, self.sim.pressure_fallback)
+        level = core.dispatch_level(pressure)
+        batch = core.form_batch()
+        if not batch:
+            raise SimulationError("dispatch from an empty queue")
+        size = len(batch)
+        request_ids = tuple([request.request_id for request in batch])
+        owner = self.owner
+        for rid in request_ids:
+            owner.pop(rid, None)
+        sn.outstanding_requests += size
+        candidate_scale = core.ladder.candidate_scale
+        top_k_scale = core.ladder.top_k_scale
+        cost_key = (size, candidate_scale, top_k_scale)
+        costs = self.batch_costs.get(cost_key)
+        if costs is None:
+            sim = self.sim
+            costs = self.batch_costs[cost_key] = (
+                sim.merge_time(size, top_k_scale),
+                sim.result_bytes(size, top_k_scale),
+                [
+                    sim.shard_exec_time(shard, size, candidate_scale)
+                    for shard in range(self.config.shards)
+                ],
+            )
+        merge_cost, bytes_back, exec_times = costs
+        batch_id = self.next_batch_id
+        self.next_batch_id = batch_id + 1
+        state = BatchState(  # positional: keyword calls cost twice as much
+            batch_id, sn.index, size, request_ids, level, now, len(exec_times),
+            merge_cost,
+        )
+        self.batches[batch_id] = state
+        if self.causal:
+            times = self.times
+            self.collector.on_dispatch(
+                batch_id, sn.index, now, level, request_ids,
+                tuple([times[rid] for rid in request_ids]),
+            )
+        self.counters.batches += 1
+        if self.metered:
+            self.registry.counter(
+                "cluster_batches_total", "batches dispatched by the fleet"
+            ).inc(service_node=sn.index, level=level)
+        bytes_out = size * REQUEST_BYTES
+        for shard, exec_time in enumerate(exec_times):
+            task = ShardTask(
+                self.next_task_id, batch_id, shard, size, sn.index, exec_time,
+                bytes_out, bytes_back,
+            )
+            self.next_task_id += 1
+            self.route(task, now)
+
+    def drain(self, sn: ServiceNode, now: float) -> None:
+        """Dispatch batches while one must close or the fleet has idle slots."""
+        queue = sn.core.queue
+        should_close = sn.core.batcher.should_close
+        while queue.depth > 0 and (
+            (self.eager and self.running_tasks < self.alive_slots)
+            or should_close(queue, now)
+        ):
+            self.dispatch(sn, now)
+
+    # -- event handlers, one per kind -----------------------------------------
+    def on_arrival(self, now: float, seq: int, rid: int) -> None:
+        active = self.active
+        sn = active[0]
+        fewest = sn.pending_requests
+        for other in active:  # first of the least pending, in index order
+            if other.pending_requests < fewest:
+                sn = other
+                fewest = other.pending_requests
+        if sn.cache.lookup(self.keys[rid], now):
+            self.push(now + self.hit_time, _KIND_CACHE, rid)
+        else:  # ``now`` is this request's arrival time
+            deadline = now + self.slo
+            reason = sn.core.offer(Request(rid, now, deadline), sn.outstanding_requests, now)
+            if self.metered:
+                self.registry.counter(
+                    "cluster_requests_total", "requests offered to the fleet"
+                ).inc(outcome="shed" if reason else "admitted")
+            if reason is None:
+                self.owner[rid] = sn
+                sn.pending_requests += 1
+                # The batcher's close time: the latest safe dispatch.
+                self.push(deadline - self.close_margin, _KIND_DEADLINE, rid)
+                self.drain(sn, now)
+            else:
+                self.counters.shed += 1
+                self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + 1
+                if self.causal:
+                    self.collector.on_shed(reason)
+                self.autoscaler.observe(now, True)
+        rid += 1
+        if rid < self.num_requests:
+            self.push(self.times[rid], _KIND_ARRIVAL, rid)
+
+    def on_deadline(self, now: float, seq: int, rid: int) -> None:
+        sn = self.owner.get(rid)  # None once the request rode a batch out
+        if sn is not None:
+            self.drain(sn, now)
+
+    def on_cache(self, now: float, seq: int, rid: int) -> None:
+        latency = now - self.times[rid]
+        self.latencies[rid] = latency
+        counters = self.counters
+        counters.completed += 1
+        counters.cache_hits += 1
+        if self.causal:
+            self.collector.on_cache_hit(rid, self.times[rid], now)
+        self.autoscaler.observe(now, latency > self.slo)
+        if now > self.last_completion:
+            self.last_completion = now
+
+    def on_task(self, now: float, seq: int, task_id: int) -> None:
+        task = self.live.get(task_id)
+        if task is None or task.end_seq != seq:
+            # Cancelled by a crash edge, or a crashed node's stale
+            # completion for a task since restarted elsewhere.
+            return
+        del self.live[task_id]
+        node = self.dns[task.node]
+        node.finish(task_id, now - task.started_at)
+        self.running_tasks -= 1
+        self.counters.tasks_done += 1
+        pending = node.pending
+        if pending:
+            while len(node.running) < node.slots and pending:
+                self.start_on(node, pending.popleft(), now)
+        else:
+            self.steal(node, now)
+        state = self.batches[task.batch_id]
+        cross = node.rack != self.sn_racks[state.service_node]
+        result_at = now + self.link.transfer_time(task.bytes_back, cross)
+        if self.causal:
+            self.collector.on_task_finish(task_id, now, result_at)
+        if result_at > state.last_result_at:
+            state.last_result_at = result_at
+        state.remaining -= 1
+        if state.remaining == 0:
+            self.push(
+                state.last_result_at + state.merge_cost, _KIND_MERGE, state.batch_id
+            )
+
+    def on_merge(self, now: float, seq: int, batch_id: int) -> None:
+        state = self.batches.pop(batch_id)
+        sn = self.sns[state.service_node]
+        sn.outstanding_requests -= state.size
+        sn.pending_requests -= state.size
+        times, keys, latencies = self.times, self.keys, self.latencies
+        observe, insert, slo = self.autoscaler.observe, sn.cache.insert, self.slo
+        for rid in state.request_ids:
+            latency = now - times[rid]
+            latencies[rid] = latency
+            observe(now, latency > slo)
+            insert(keys[rid], now)
+        self.counters.completed += state.size
+        if now > self.last_completion:
+            self.last_completion = now
+        if self.tracer.enabled:
+            self.tracer.add_span(
+                f"batch{state.batch_id}", state.dispatch_time, now, track=CLUSTER_TRACK,
+                attrs={
+                    "size": state.size, "level": state.level,
+                    "service_node": state.service_node,
+                },
+            )
+        if self.causal:
+            self.collector.on_merge(state.batch_id, now)
+        self.drain(sn, now)
+
+    def on_edge(self, now: float, seq: int, index: int) -> None:
+        _edge_time, edge_kind, payload = self.edges[index]
+        if edge_kind == EDGE_NODE_DOWN:
+            down = self.dns[int(payload)]
+            if not down.alive:
+                return
+            down.alive = False
+            self.alive_slots -= down.slots
+            lost: List[ShardTask] = []
+            for task_id in sorted(down.running):
+                task = down.running[task_id]
+                self.live.pop(task_id, None)
+                self.running_tasks -= 1
+                if task.started_at < now:
+                    down.busy_time += now - task.started_at
+                lost.append(task)
+            down.running.clear()
+            lost.extend(down.pending)
+            down.pending.clear()
+            for task in lost:
+                self.failover(task, now, down.index)
+        elif edge_kind == EDGE_NODE_UP:
+            up = self.dns[int(payload)]
+            # Another crash window may still cover this instant (overlapping
+            # windows share one node); stay down and let that window's own
+            # up-edge revive the node.
+            if not up.alive and self.fault_plan.node_alive(up.index, now):
+                up.alive = True
+                self.alive_slots += up.slots
+                self.retry_parked(now)
+                self.steal(up, now)
+        elif edge_kind == EDGE_PARTITION_START:
+            self.severed.add((payload[0], payload[1]))
+        elif edge_kind == EDGE_PARTITION_HEAL:
+            pair = (payload[0], payload[1])
+            # Another window on the same rack pair may still cover this
+            # instant; its own heal edge lifts the severance.
+            if self.fault_plan.reachable(pair[0], pair[1], now):
+                self.severed.discard(pair)
+                self.retry_parked(now)
+
+    def on_scale(self, now: float, seq: int, _payload: int) -> None:
+        active = len(self.active)
+        target = self.autoscaler.decide(now, active)
+        if target > active:
+            # Activate the lowest-index inactive node; every node below it is
+            # active, so its index is also its position in the active list.
+            sn = next(node for node in self.sns if node not in self.active)
+            self.active.insert(sn.index, sn)
+            self.counters.scale_ups += 1
+        elif target < active:
+            self.active.pop()  # release the highest-index active node
+            self.counters.scale_downs += 1
+        self.peak_active = max(self.peak_active, len(self.active))
+
+    # -- end of run -----------------------------------------------------------
+    def report(self) -> ClusterReport:
+        """Check conservation and leftovers, then build the run's report."""
+        counters = self.counters
+        num_requests = self.num_requests
+        for sn in self.sns:
             sn.core.verify_drained()
             sn.core.admission.verify_conservation()
             if sn.outstanding_requests != 0:
@@ -711,32 +704,28 @@ class ClusterSimulator:
                     f"service node {sn.index} ended with "
                     f"{sn.outstanding_requests} requests unmerged"
                 )
-        if live or batches or parked:
+        if self.live or self.batches or self.parked:
             raise SimulationError(
-                f"cluster run ended with work left behind: {len(live)} tasks "
-                f"running, {len(batches)} batches open, {len(parked)} parked"
+                f"cluster run ended with work left behind: {len(self.live)} "
+                f"tasks running, {len(self.batches)} batches open, "
+                f"{len(self.parked)} parked"
             )
         if counters.completed + counters.shed != num_requests:
             raise SimulationError(
                 f"fleet conservation violated: {counters.completed} completed "
                 f"+ {counters.shed} shed != {num_requests} arrived"
             )
-        makespan = last_completion - float(times[0])
-        if recorder is not None:
-            recorder.capture(
-                last_completion,
-                kind=-1,
-                completed=counters.completed,
-                shed=counters.shed,
-                cache_hits=counters.cache_hits,
-                tasks_done=counters.tasks_done,
-                steals=counters.steals,
-                running=0,
-                parked=0,
-                batches=counters.batches,
-                active=self._active_count,
-                seq=kernel.seq,
+        if self.recorder is not None:
+            self.recorder.capture(
+                self.last_completion, kind=-1, completed=counters.completed,
+                shed=counters.shed, cache_hits=counters.cache_hits,
+                tasks_done=counters.tasks_done, steals=counters.steals, running=0,
+                parked=0, batches=counters.batches, active=len(self.active),
+                seq=self.kernel.seq,
             )
+        latencies = build_latency_array(num_requests)
+        latencies[:] = self.latencies
+        config = self.config
         report = ClusterReport(
             config={
                 "data_nodes": config.data_nodes,
@@ -745,7 +734,7 @@ class ClusterSimulator:
                 "replicas": config.replicas,
                 "racks": config.racks,
                 "slots_per_node": config.slots_per_node,
-                "seed": self.seed,
+                "seed": self.sim.seed,
             },
             slo=config.slo,
             arrived=num_requests,
@@ -757,16 +746,16 @@ class ClusterSimulator:
             steals=counters.steals,
             redispatches=counters.redispatches,
             parked_events=counters.parked,
-            parked_time=parked_time,
+            parked_time=self.parked_time,
             batches=counters.batches,
             scale_ups=counters.scale_ups,
             scale_downs=counters.scale_downs,
-            peak_active_service_nodes=peak_active,
-            node_busy=[dn.busy_time for dn in dns],
-            makespan=makespan,
-            failover_timeline=timeline,
-            shard_outages=shard_outage_seconds(self.fault_plan, self.placement),
-            shed_by_reason=shed_by_reason,
+            peak_active_service_nodes=self.peak_active,
+            node_busy=[dn.busy_time for dn in self.dns],
+            makespan=self.last_completion - self.times[0],
+            failover_timeline=self.timeline,
+            shard_outages=shard_outage_seconds(self.fault_plan, self.sim.placement),
+            shed_by_reason=self.shed_by_reason,
         )
         logger.info(
             "fleet served %d/%d requests (%.1f%% shed, %.1f%% cached) across "

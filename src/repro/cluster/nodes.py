@@ -4,7 +4,8 @@ A **service node** is the stateless request plane: it owns one
 :class:`~repro.serve.node.ServiceNodeCore` (the exact admission /
 deadline-batching / degradation machinery the single-deployment driver
 uses) plus a :class:`~repro.cluster.cache.HotLabelCache`, and tracks its
-own in-flight request count so admission sees true pending depth.
+in-flight and pending request counts so admission and routing see true
+pending depth without recounting it.
 
 A **data node** is the storage plane: it wraps one ECSSD device's service
 model behind ``slots`` concurrent task slots (channel-level parallelism)
@@ -77,15 +78,8 @@ class ServiceNode:
         self.rack = rack
         self.core = core
         self.cache = cache
-        self.active = True
         self.outstanding_requests = 0  # dispatched, not yet merged
-        self.arrived = 0
-        self.shed = 0
-        self.cache_hits = 0
-
-    @property
-    def depth(self) -> int:
-        return self.core.depth
+        self.pending_requests = 0  # admitted, not yet merged (queued + outstanding)
 
 
 class DataNode:
@@ -104,17 +98,9 @@ class DataNode:
         self.tasks_done = 0
         self.steals = 0
 
-    @property
-    def outstanding(self) -> int:
-        """Tasks this node is responsible for (running + queued)."""
-        return len(self.running) + len(self.pending)
-
-    def has_free_slot(self) -> bool:
-        return len(self.running) < self.slots
-
     def start(self, task: ShardTask, end: float) -> None:
         """Occupy a slot with ``task`` until ``end``."""
-        if not self.has_free_slot():
+        if len(self.running) >= self.slots:
             raise SimulationError(
                 f"data node {self.index} has no free slot for task {task.task_id}"
             )

@@ -397,6 +397,9 @@ class ClusterFaultPlan:
             partitions, key=lambda w: (w.start, w.rack_a, w.rack_b)
         )
         self.slow_windows = sorted(slow_windows, key=lambda w: (w.start, w.node))
+        #: data nodes with at least one brownout window; every other node's
+        #: :meth:`slowdown` is 1.0 at all times
+        self.slowed_nodes = frozenset(w.node for w in self.slow_windows)
 
     @classmethod
     def build(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -70,6 +70,17 @@ class EventKernel:
 
     def __bool__(self) -> bool:
         return bool(self._heap)
+
+    def __iter__(self) -> Iterator[Event]:
+        """Pop events in key order until the heap is empty.
+
+        Each event goes through :attr:`pop`, so the sanitizer sees every one;
+        events pushed while iterating are popped in their turn.
+        """
+        heap = self._heap
+        pop = self.pop
+        while heap:
+            yield pop()
 
 
 def arrival_times(arrivals: Sequence[float]) -> np.ndarray:

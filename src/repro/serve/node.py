@@ -78,7 +78,7 @@ class ServiceNodeCore:
     # -- admission -----------------------------------------------------------
     def offer(self, request: Request, inflight: int, now: float) -> Optional[str]:
         """Admit ``request`` (enqueue, return ``None``) or return shed reason."""
-        reason = self.admission.decide(request, self.pending(inflight), now)
+        reason = self.admission.decide(request, self.queue.depth + inflight, now)
         if reason is None:
             self.queue.push(request)
             self.waiting[request.request_id] = request

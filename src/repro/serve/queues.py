@@ -5,7 +5,9 @@ request with the highest priority, breaking ties by arrival time and then by
 request id, so the drain order is a pure function of the admitted sequence —
 no hashing, no insertion-order accidents.  The scheduler only ever touches
 queue *heads*, which keeps per-tenant FIFO ordering intact while still
-letting a high-priority tenant overtake between batches.
+letting a high-priority tenant overtake between batches.  While only one
+tenant has ever queued, that order is plain FIFO, so the head is read and
+popped directly.
 """
 
 from __future__ import annotations
@@ -24,14 +26,13 @@ class RequestQueue:
         self._by_tenant: Dict[str, Deque[Request]] = {}
         #: tenants in first-seen order, so head scans are deterministic
         self._tenant_order: List[str] = []
-        self._depth = 0
-
-    @property
-    def depth(self) -> int:
-        return self._depth
+        #: the one tenant's FIFO while exactly one tenant has queued
+        self._only: Optional[Deque[Request]] = None
+        #: queued requests over every tenant
+        self.depth = 0
 
     def __len__(self) -> int:
-        return self._depth
+        return self.depth
 
     def depth_by_tenant(self) -> Dict[str, int]:
         return {t: len(q) for t, q in self._by_tenant.items() if q}
@@ -42,8 +43,9 @@ class RequestQueue:
             queue = deque()
             self._by_tenant[request.tenant] = queue
             self._tenant_order.append(request.tenant)
+            self._only = queue if len(self._tenant_order) == 1 else None
         queue.append(request)
-        self._depth += 1
+        self.depth += 1
 
     def _best_head(self) -> Optional[Tuple[int, float, int, str]]:
         """Service key of the next request: (-priority, arrival, id, tenant)."""
@@ -60,6 +62,9 @@ class RequestQueue:
 
     def peek(self) -> Optional[Request]:
         """The request :meth:`pop` would return, without removing it."""
+        only = self._only
+        if only is not None:
+            return only[0] if only else None
         best = self._best_head()
         if best is None:
             return None
@@ -80,18 +85,27 @@ class RequestQueue:
         return min(deadlines) if deadlines else None
 
     def pop(self) -> Request:
+        only = self._only
+        if only:
+            self.depth -= 1
+            return only.popleft()
         best = self._best_head()
         if best is None:
             raise SimulationError("pop from an empty request queue")
         request = self._by_tenant[best[3]].popleft()
-        self._depth -= 1
+        self.depth -= 1
         return request
 
     def pop_batch(self, limit: int) -> List[Request]:
         """Remove and return up to ``limit`` requests in service order."""
         if limit <= 0:
             raise SimulationError(f"batch limit must be positive, got {limit}")
+        only = self._only
+        if only is not None:
+            count = min(limit, self.depth)
+            self.depth -= count
+            return [only.popleft() for _ in range(count)]
         batch: List[Request] = []
-        while self._depth > 0 and len(batch) < limit:
+        while self.depth > 0 and len(batch) < limit:
             batch.append(self.pop())
         return batch

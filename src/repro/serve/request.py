@@ -15,7 +15,7 @@ models emit); the serving layer never reads wall time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, NamedTuple
 
 import numpy as np
 
@@ -27,26 +27,40 @@ SHED_TOKEN_BUCKET = "token_bucket"
 SHED_QUEUE_DEPTH = "queue_depth"
 
 
-@dataclass(frozen=True)
-class Request:
-    """One query's identity and timing contract.
-
-    ``deadline`` is absolute (``arrival + slo``); ``priority`` orders queue
-    service (higher first) without affecting admission.
-    """
-
+class _RequestFields(NamedTuple):
     request_id: int
     arrival: float
     deadline: float
     tenant: str = "default"
     priority: int = 0
 
-    def __post_init__(self) -> None:
-        if self.deadline < self.arrival:
+
+class Request(_RequestFields):
+    """One query's identity and timing contract.
+
+    ``deadline`` is absolute (``arrival + slo``); ``priority`` orders queue
+    service (higher first) without affecting admission.  An immutable tuple
+    (value ``==`` and ``hash``) rather than a frozen dataclass: the fleet
+    builds one per cache miss, and a tuple is about three times cheaper to
+    construct.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        request_id: int,
+        arrival: float,
+        deadline: float,
+        tenant: str = "default",
+        priority: int = 0,
+    ) -> "Request":
+        if deadline < arrival:
             raise WorkloadError(
-                f"request {self.request_id}: deadline {self.deadline} precedes "
-                f"arrival {self.arrival}"
+                f"request {request_id}: deadline {deadline} precedes "
+                f"arrival {arrival}"
             )
+        return tuple.__new__(cls, (request_id, arrival, deadline, tenant, priority))
 
     @property
     def slo(self) -> float:

@@ -172,10 +172,7 @@ class DeadlineBatcher:
             raise ConfigurationError("close_margin cannot be negative")
         self.service = service
         self.close_margin = close_margin
-
-    @property
-    def knee(self) -> int:
-        return self.service.knee
+        self.knee = service.knee
 
     def close_time(self, request: Request) -> float:
         """Latest dispatch time after which ``request`` would miss its SLO."""

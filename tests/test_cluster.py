@@ -1,10 +1,12 @@
 """Tests for the fleet-scale cluster simulator (repro.cluster)."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.cluster import (
     PLACEMENT_STRATEGIES,
     STEAL_POLICIES,
@@ -18,6 +20,7 @@ from repro.cluster import (
     build_cluster,
     build_latency_array,
     cluster_saturating_rate,
+    failover_timeline_digest,
     place_replicas,
     rack_of,
     shard_outage_seconds,
@@ -27,6 +30,7 @@ from repro.cluster.nodes import DataNode
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.faults import ClusterFaultConfig, ClusterFaultPlan
 from repro.lint.simsan import SimSanitizer, installed
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.runs import derive_run_id
 from repro.serve import AffineServiceModel
 from repro.workloads.streams import poisson_arrivals
@@ -313,6 +317,25 @@ class TestFleetRuns:
             second.to_dict(), sort_keys=True
         )
 
+    def test_repeated_runs_on_one_simulator_are_equal(self):
+        # Every run starts from fresh nodes, caches and autoscaler: a second
+        # run must not see the first run's cache entries or counters.
+        rate = 1.5 * cluster_saturating_rate(SERVICE, CONFIG)
+        arrivals = poisson_arrivals(rate, 3000, seed=5)
+        for keys, fault in (
+            (None, ClusterFaultConfig.disabled()),
+            (np.arange(3000, dtype=np.int64), FAULTED),
+        ):
+            simulator = build_cluster(SERVICE, CONFIG, seed=5, fault_config=fault)
+            first = simulator.run(arrivals, keys=keys)
+            second = simulator.run(arrivals, keys=keys)
+            np.testing.assert_array_equal(first.latencies, second.latencies)
+            assert first.failover_timeline == second.failover_timeline
+            assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
+                second.to_dict(), sort_keys=True
+            )
+        assert first.cache_hits == 0  # distinct keys never hit
+
     def test_cache_serves_hot_keys(self):
         report = run_fleet(0.8)
         assert report.cache_hits > 0
@@ -422,6 +445,20 @@ class TestFailover:
         np.testing.assert_array_equal(
             baseline.latencies, sanitized.latencies
         )
+
+    def test_failover_metric_counts_parks_and_redispatches(self):
+        registry = MetricsRegistry()
+        previous = obs.get_registry()
+        obs.set_registry(registry)
+        try:
+            report = TestBitIdentityPin().replay("park-failover")
+        finally:
+            obs.set_registry(previous)
+        failovers = registry.get("cluster_failovers_total")
+        assert report.parked_events > 0 and report.redispatches > 0
+        assert failovers.value(action="park") == report.parked_events
+        assert failovers.value(action="redispatch") == report.redispatches
+        assert failovers.total() == report.parked_events + report.redispatches
 
     def test_redispatched_task_never_finishes_early(self, monkeypatch):
         # A crash leaves the dead node's completion event in the heap; when
@@ -607,3 +644,108 @@ class TestPolicyAxes:
             for policy in STEAL_POLICIES
         }
         assert len(ids) == len(PLACEMENT_STRATEGIES) * len(STEAL_POLICIES)
+
+
+class TestBitIdentityPin:
+    """Fleet simulated outputs, pinned bit-for-bit.
+
+    Replays seeded Poisson streams through the perfbench fleet shape (8 data
+    nodes, 4 service nodes, 4 shards x 24 replicas over 2 racks, 2 slots per
+    node, 50 ms SLO) on the calibrated GNMT-E32K service model, plus one
+    small 4-node shape whose crashes and partitions park, unpark and
+    redispatch tasks.  The digest covers every latency's ``float.hex``, the
+    full failover timeline, per-node busy time, makespan, parked time and
+    the shed reasons; any change to event order or timing moves it.
+    """
+
+    SERVICE = AffineServiceModel(
+        base=0.0016113548959203984, per_query=7.736464102345414e-05, knee=16
+    )
+    # name -> (multiplier, faulted, seed, steal policy, requests, small shape)
+    CASES = {
+        "fleet-zipf": (0.9, False, 11, "newest", 10_000, False),
+        "fleet-faulted": (2.0, True, 11, "newest", 10_000, False),
+        "steal-oldest": (1.5, False, 11, "oldest", 10_000, False),
+        "park-failover": (0.8, True, 4, "newest", 4000, True),
+    }
+    # name -> (digest, failover_timeline_digest, (steals, redispatches,
+    #          parked_events, batches, cache_hits, shed), makespan hex)
+    EXPECTED = {
+        "fleet-zipf": (
+            "ecf0ccf73334f6391b0c9affcf64c38e76f5a6576e477dc2a90c56a48aeccc36",
+            (0, 0, 0), (1058, 0, 0, 779, 6681, 0), "0x1.724e4614babbap-2",
+        ),
+        "fleet-faulted": (
+            "a882d96da1ecde5733c7cb77d3966bafb27b22c5b7c42f25500247edb5385f53",
+            (61, 0, 0), (16, 61, 0, 359, 0, 4355), "0x1.87a042b9f1e75p-3",
+        ),
+        "steal-oldest": (
+            "dd2671538a40cc4172dc998a2226a87d9274d91f1ba38aa860375dcbb112c7db",
+            (0, 0, 0), (631, 0, 0, 455, 6599, 0), "0x1.c06011aa4710dp-3",
+        ),
+        "park-failover": (
+            "f8dc0913515df5498e7aaaf24f31601881b287276753f0d5181dacf8e475acab",
+            (180, 473, 473), (174, 180, 473, 331, 1908, 877), "0x1.b2d604cd4b4f5p-2",
+        ),
+    }
+
+    def replay(self, name):
+        multiplier, faulted, seed, policy, requests, small = self.CASES[name]
+        if small:
+            config = ClusterConfig(
+                data_nodes=4, service_nodes=2, shards=4, replicas=5, racks=2,
+                slots_per_node=2, slo=0.05, steal_policy=policy,
+            )
+        else:
+            config = ClusterConfig(
+                data_nodes=8, service_nodes=4, shards=4, replicas=24, racks=2,
+                slots_per_node=2, slo=0.05, steal_policy=policy,
+            )
+        rate = multiplier * cluster_saturating_rate(self.SERVICE, config)
+        arrivals = poisson_arrivals(rate, requests, seed=seed)
+        keys = None
+        fault = ClusterFaultConfig.disabled()
+        if faulted:
+            span = float(arrivals[-1])
+            crashes, partitions, crash_share = (3, 2, 0.15) if small else (2, 1, 0.25)
+            fault = ClusterFaultConfig(
+                seed=seed, node_crashes=crashes, crash_duration=crash_share * span,
+                partitions=partitions, partition_duration=0.10 * span,
+                slow_nodes=2, slow_duration=0.30 * span, horizon=0.80 * span,
+            )
+            if not small:
+                keys = np.arange(requests, dtype=np.int64)
+        simulator = build_cluster(self.SERVICE, config, seed=seed, fault_config=fault)
+        return simulator.run(arrivals, keys=keys)
+
+    @staticmethod
+    def digest(report):
+        sha = hashlib.sha256()
+        for latency in report.latencies.tolist():
+            sha.update(latency.hex().encode())
+        sha.update(repr(failover_timeline_digest(report.failover_timeline)).encode())
+        for e in report.failover_timeline:
+            sha.update(
+                f"{e.time.hex()}|{e.action}|{e.shard}|{e.task_id}|"
+                f"{e.from_node}|{e.to_node}".encode()
+            )
+        for busy in report.node_busy:
+            sha.update(busy.hex().encode())
+        sha.update(report.makespan.hex().encode())
+        sha.update(report.parked_time.hex().encode())
+        sha.update(repr(sorted(report.shed_by_reason.items())).encode())
+        return sha.hexdigest()
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_replay_is_bit_identical(self, name):
+        report = self.replay(name)
+        observed = (
+            self.digest(report),
+            failover_timeline_digest(report.failover_timeline),
+            (
+                report.steals, report.redispatches, report.parked_events,
+                report.batches, report.cache_hits, report.shed,
+            ),
+            report.makespan.hex(),
+        )
+        assert observed == self.EXPECTED[name]

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.errors import SimulationError
+from repro.lint.simsan import SimSanitizer, installed
 from repro.serve.kernel import EventKernel
 from repro.ssd.events import Resource
 from repro.ssd.nand import Die, FlashOperation, NandTiming
@@ -95,6 +96,42 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             kernel.push(bad, 0, None)
         assert not kernel and kernel.seq == 1
+
+
+class TestIteration:
+    """``for event in kernel`` pops through ``kernel.pop`` until empty."""
+
+    @staticmethod
+    def _filled():
+        kernel = EventKernel("test")
+        for index, (time, kind) in enumerate(
+            ((3.0, 1), (1.0, 2), (1.0, 0), (2.0, 5), (1.0, 0), (0.5, 6))
+        ):
+            kernel.push(time, kind, index)
+        return kernel
+
+    def test_yields_the_same_sequence_as_repeated_pop(self):
+        assert list(self._filled()) == _drain(self._filled())
+
+    def test_events_pushed_while_iterating_are_seen(self):
+        kernel = EventKernel("test")
+        kernel.push(1.0, 0, 0)
+        seen = []
+        for time, _kind, seq, payload in kernel:
+            seen.append((time, seq, payload))
+            if 0 <= payload < 3:
+                kernel.push(time + 0.5, 0, payload + 1)
+                kernel.push(time, 1, -1)  # same instant, later kind
+        assert [payload for _t, _s, payload in seen] == [0, -1, 1, -1, 2, -1, 3]
+        assert not kernel and kernel.seq == 7
+
+    def test_sanitizer_observes_every_event(self):
+        with installed(SimSanitizer(strict=True)) as sanitizer:
+            kernel = self._filled()
+            events = list(kernel)
+        assert len(events) == 6
+        assert sanitizer.pops_observed == len(events)
+        assert sanitizer.violations == []
 
 
 class TestResource:
