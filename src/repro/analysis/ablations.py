@@ -37,24 +37,23 @@ from ..baselines import (
     SMARTSSD_N,
 )
 from ..config import ECSSDConfig
-from ..core.ecssd import ECSSDevice
 from ..core.deployment import DeploymentModel, DeploymentTiming
 from ..core.pipeline import PipelineFeatures
-from ..errors import WorkloadError
 from ..layout.graded import GradedInterleaving
 from ..layout.learned import HotnessPredictor, LearnedInterleaving
 from ..layout.placement import WeightPlacement, build_placement
-from ..layout.sequential import SequentialStoring
+from ..layout.remapper import diff_placements, incremental_rebalance, remap_time
 from ..layout.uniform import UniformInterleaving
 from ..ssd.controller import CommandKind, FlashCommand, FlashController
 from ..ssd.channel import Channel
 from ..ssd.geometry import FlashGeometry, PhysicalAddress
 from ..ssd.scheduler import compare_policies
-from ..workloads.benchmarks import BenchmarkSpec, get_benchmark
-from ..workloads.drift import placement_balance_under_drift
+from ..workloads.benchmarks import get_benchmark
+from ..workloads.drift import drifted_generator, placement_balance_under_drift
 from ..workloads.traces import CandidateTraceGenerator, LabelHotnessModel
-from .energy import DEVICE_POWER_W, EnergyPoint, baseline_energy, ecssd_energy
-from .experiments import TRACE_PARAMS, _generator, _run_device
+from .energy import EnergyPoint, baseline_energy, ecssd_energy
+from .experiments import TRACE_PARAMS, _run_device
+from .metrics import weighted_utilization
 
 CHANNELS_DEFAULT = 8
 TILE_DEFAULT = 1024
@@ -72,20 +71,19 @@ def _tile_setup(
         run_length=int(TRACE_PARAMS["run_length"]),
         seed=seed,
     )
-    generator = CandidateTraceGenerator(
+    return CandidateTraceGenerator(
         hotness,
         candidate_ratio=candidate_ratio,
         query_noise=TRACE_PARAMS["query_noise"],
     )
-    return generator
 
 
 def _tile_predictor(
     generator: CandidateTraceGenerator,
     tile_index: int,
     tile_vectors: int,
-    fidelity: float,
-    train_queries: int,
+    fidelity: float = TRACE_PARAMS["predictor_fidelity"],
+    train_queries: int = int(TRACE_PARAMS["train_queries"]),
 ) -> HotnessPredictor:
     abs_sums = generator.predictor_abs_sums(tile_index, tile_vectors, fidelity=fidelity)
     predictor = HotnessPredictor(abs_sums)
@@ -97,16 +95,31 @@ def _tile_predictor(
     return predictor
 
 
-def _balance(
-    placement: WeightPlacement, generator, tile_index: int, tile_vectors: int, queries: int = 16
-) -> tuple:
-    trace = generator.tile_trace(tile_index, tile_vectors, num_queries=queries, seed=7)
-    total_pages, total_max = 0, 0
-    for candidates in trace.candidates:
-        counts = placement.pages_per_channel(candidates)
-        total_pages += int(counts.sum())
-        total_max += int(counts.max())
-    return total_pages, total_max
+def _learned_placement(
+    predictor: HotnessPredictor,
+    tile_vectors: int,
+    channels: int,
+    vector_bytes: int = 4096,
+) -> WeightPlacement:
+    """One tile laid out by learned (LPT) interleaving on 4 KiB pages."""
+    return build_placement(
+        LearnedInterleaving(predictor), tile_vectors, channels,
+        vector_bytes, 4096, tile_vectors=tile_vectors,
+    )
+
+
+def _tile_candidates(generator, tile_index: int, tile_vectors: int) -> list:
+    """The 16-query, seed-7 candidate sets every balance below is scored on."""
+    trace = generator.tile_trace(tile_index, tile_vectors, num_queries=16, seed=7)
+    return trace.candidates
+
+
+def _page_counts(placement: WeightPlacement, generator, tile_index: int,
+                 tile_vectors: int) -> list:
+    return [
+        placement.pages_per_channel(candidates)
+        for candidates in _tile_candidates(generator, tile_index, tile_vectors)
+    ]
 
 
 # --- interleaving variants ------------------------------------------------------
@@ -125,54 +138,30 @@ def interleaving_variants(
 ) -> List[VariantResult]:
     """Channel balance of all four strategies on identical tiles."""
     generator = _tile_setup(tile_vectors=tile_vectors, tiles=tiles)
-    strategies = ["sequential", "uniform", "graded", "learned"]
-    totals: Dict[str, List[int]] = {s: [0, 0] for s in strategies}
+    series: Dict[str, list] = {
+        s: [] for s in ("sequential", "uniform", "graded", "learned")
+    }
     for t in range(tiles):
-        predictor = _tile_predictor(
-            generator, t, tile_vectors,
-            fidelity=TRACE_PARAMS["predictor_fidelity"],
-            train_queries=int(TRACE_PARAMS["train_queries"]),
-        )
-        built = {
-            "sequential": None,  # whole tile on one channel
-            "uniform": UniformInterleaving(),
-            "graded": GradedInterleaving(predictor),
-            "learned": LearnedInterleaving(predictor),
-        }
-        for name, strategy in built.items():
-            if strategy is None:
-                # Sequential: tile entirely within one channel's slab.
-                counts_pages, counts_max = _sequential_balance(
-                    generator, t, tile_vectors, channels
-                )
-            else:
-                placement = build_placement(
-                    strategy, tile_vectors, channels, 4096, 4096,
-                    tile_vectors=tile_vectors,
-                )
-                counts_pages, counts_max = _balance(
-                    placement, generator, t, tile_vectors
-                )
-            totals[name][0] += counts_pages
-            totals[name][1] += counts_max
+        # Sequential: the whole tile sits in one channel's slab.
+        for candidates in _tile_candidates(generator, t, tile_vectors):
+            counts = np.zeros(channels, dtype=np.int64)
+            counts[0] = len(candidates)
+            series["sequential"].append(counts)
+        predictor = _tile_predictor(generator, t, tile_vectors)
+        for name, strategy in (
+            ("uniform", UniformInterleaving()),
+            ("graded", GradedInterleaving(predictor)),
+            ("learned", LearnedInterleaving(predictor)),
+        ):
+            placement = build_placement(
+                strategy, tile_vectors, channels, 4096, 4096,
+                tile_vectors=tile_vectors,
+            )
+            series[name] += _page_counts(placement, generator, t, tile_vectors)
     return [
-        VariantResult(
-            strategy=name,
-            balance=pages / (channels * peak) if peak else 1.0,
-        )
-        for name, (pages, peak) in totals.items()
+        VariantResult(strategy=name, balance=weighted_utilization(counts))
+        for name, counts in series.items()
     ]
-
-
-def _sequential_balance(generator, tile_index, tile_vectors, channels) -> tuple:
-    trace = generator.tile_trace(tile_index, tile_vectors, num_queries=16, seed=7)
-    total_pages = 0
-    total_max = 0
-    for candidates in trace.candidates:
-        pages = len(candidates)  # all on one channel
-        total_pages += pages
-        total_max += pages
-    return total_pages, total_max
 
 
 # --- predictor fidelity sweep ----------------------------------------------------
@@ -196,24 +185,19 @@ def predictor_fidelity_sweep(
     points: List[FidelityPoint] = []
     for fidelity in fidelities:
         for fine_tuned in (False, True):
-            pages_total, max_total = 0, 0
+            counts = []
             for t in range(tiles):
                 predictor = _tile_predictor(
                     generator, t, tile_vectors, fidelity=fidelity,
                     train_queries=int(TRACE_PARAMS["train_queries"]) if fine_tuned else 0,
                 )
-                placement = build_placement(
-                    LearnedInterleaving(predictor), tile_vectors, channels,
-                    4096, 4096, tile_vectors=tile_vectors,
-                )
-                pages, peak = _balance(placement, generator, t, tile_vectors)
-                pages_total += pages
-                max_total += peak
+                placement = _learned_placement(predictor, tile_vectors, channels)
+                counts += _page_counts(placement, generator, t, tile_vectors)
             points.append(
                 FidelityPoint(
                     fidelity=fidelity,
                     fine_tuned=fine_tuned,
-                    balance=pages_total / (channels * max_total),
+                    balance=weighted_utilization(counts),
                 )
             )
     return points
@@ -239,20 +223,15 @@ def training_queries_sweep(
     generator = _tile_setup(tile_vectors=tile_vectors, tiles=tiles)
     points: List[TrainingPoint] = []
     for count in counts:
-        pages_total, max_total = 0, 0
+        pages = []
         for t in range(tiles):
             predictor = _tile_predictor(
                 generator, t, tile_vectors, fidelity=fidelity, train_queries=count
             )
-            placement = build_placement(
-                LearnedInterleaving(predictor), tile_vectors, channels,
-                4096, 4096, tile_vectors=tile_vectors,
-            )
-            pages, peak = _balance(placement, generator, t, tile_vectors)
-            pages_total += pages
-            max_total += peak
+            placement = _learned_placement(predictor, tile_vectors, channels)
+            pages += _page_counts(placement, generator, t, tile_vectors)
         points.append(
-            TrainingPoint(train_queries=count, balance=pages_total / (channels * max_total))
+            TrainingPoint(train_queries=count, balance=weighted_utilization(pages))
         )
     return points
 
@@ -308,17 +287,8 @@ def drift_study(
     channels: int = CHANNELS_DEFAULT,
 ) -> List[DriftPoint]:
     """Stale vs re-tuned placement balance as query hotness drifts."""
-    from ..workloads.drift import drifted_generator
-
-    base = LabelHotnessModel(
-        num_labels=tile_vectors * 4,
-        zipf_exponent=TRACE_PARAMS["zipf_exponent"],
-        run_length=int(TRACE_PARAMS["run_length"]),
-        seed=3,
-    )
-    base_generator = CandidateTraceGenerator(
-        base, candidate_ratio=0.10, query_noise=TRACE_PARAMS["query_noise"]
-    )
+    base_generator = _tile_setup(tile_vectors=tile_vectors, tiles=4)
+    base = base_generator.hotness
     points: List[DriftPoint] = []
     for drift in drifts:
         drifted = drifted_generator(base, drift)
@@ -326,14 +296,9 @@ def drift_study(
         retuned_scores: List[float] = []
         for t in range(4):
             # Stale: placement tuned on the ORIGINAL distribution.
-            stale_predictor = _tile_predictor(
-                base_generator, t, tile_vectors,
-                fidelity=TRACE_PARAMS["predictor_fidelity"],
-                train_queries=int(TRACE_PARAMS["train_queries"]),
-            )
-            stale_placement = build_placement(
-                LearnedInterleaving(stale_predictor), tile_vectors, channels,
-                4096, 4096, tile_vectors=tile_vectors,
+            stale_placement = _learned_placement(
+                _tile_predictor(base_generator, t, tile_vectors),
+                tile_vectors, channels,
             )
             stale_scores.append(
                 placement_balance_under_drift(
@@ -341,14 +306,9 @@ def drift_study(
                 )
             )
             # Re-tuned: fine-tuned on the drifted distribution.
-            retuned_predictor = _tile_predictor(
-                drifted, t, tile_vectors,
-                fidelity=TRACE_PARAMS["predictor_fidelity"],
-                train_queries=int(TRACE_PARAMS["train_queries"]),
-            )
-            retuned_placement = build_placement(
-                LearnedInterleaving(retuned_predictor), tile_vectors, channels,
-                4096, 4096, tile_vectors=tile_vectors,
+            retuned_placement = _learned_placement(
+                _tile_predictor(drifted, t, tile_vectors),
+                tile_vectors, channels,
             )
             retuned_scores.append(
                 placement_balance_under_drift(
@@ -392,26 +352,7 @@ def remap_cost_study(
     imbalance by migrating only the few vectors needed — and achieves
     essentially the same channel balance.
     """
-    from ..layout.placement import WeightPlacement
-    from ..layout.remapper import diff_placements, incremental_rebalance, remap_time
-    from ..workloads.drift import drifted_generator
-
-    base = LabelHotnessModel(
-        num_labels=tile_vectors,
-        zipf_exponent=TRACE_PARAMS["zipf_exponent"],
-        run_length=int(TRACE_PARAMS["run_length"]),
-        seed=3,
-    )
-    base_generator = CandidateTraceGenerator(
-        base, candidate_ratio=0.10, query_noise=TRACE_PARAMS["query_noise"]
-    )
-
-    def predictor_for(generator):
-        return _tile_predictor(
-            generator, 0, tile_vectors,
-            fidelity=TRACE_PARAMS["predictor_fidelity"],
-            train_queries=int(TRACE_PARAMS["train_queries"]),
-        )
+    base_generator = _tile_setup(tile_vectors=tile_vectors, tiles=1)
 
     def placement_from_channels(channel_of) -> WeightPlacement:
         slot = np.zeros(tile_vectors, dtype=np.int64)
@@ -428,29 +369,20 @@ def remap_cost_study(
             strategy_name="incremental",
         )
 
-    stale = build_placement(
-        LearnedInterleaving(predictor_for(base_generator)), tile_vectors,
-        channels, vector_bytes, 4096, tile_vectors=tile_vectors,
+    stale = _learned_placement(
+        _tile_predictor(base_generator, 0, tile_vectors),
+        tile_vectors, channels, vector_bytes,
     )
     points: List[RemapCostPoint] = []
     for drift in drifts:
-        drifted = drifted_generator(base, drift)
-        new_predictor = predictor_for(drifted)
-        fresh = build_placement(
-            LearnedInterleaving(new_predictor), tile_vectors, channels,
-            vector_bytes, 4096, tile_vectors=tile_vectors,
-        )
+        drifted = drifted_generator(base_generator.hotness, drift)
+        new_predictor = _tile_predictor(drifted, 0, tile_vectors)
+        fresh = _learned_placement(new_predictor, tile_vectors, channels, vector_bytes)
         full_plan = diff_placements(stale, fresh)
         new_channels, inc_plan = incremental_rebalance(
             stale, new_predictor.scores, tolerance=0.05
         )
         inc_placement = placement_from_channels(new_channels)
-        trace = drifted.tile_trace(0, tile_vectors, num_queries=16, seed=7)
-        pages, peak = 0, 0
-        for candidates in trace.candidates:
-            counts = inc_placement.pages_per_channel(candidates)
-            pages += int(counts.sum())
-            peak += int(counts.max())
         points.append(
             RemapCostPoint(
                 drift=drift,
@@ -458,7 +390,9 @@ def remap_cost_study(
                 full_remap_seconds=remap_time(full_plan, vector_bytes),
                 incremental_moved_fraction=inc_plan.moved_fraction,
                 incremental_remap_seconds=remap_time(inc_plan, vector_bytes),
-                incremental_balance=pages / (channels * peak) if peak else 1.0,
+                incremental_balance=weighted_utilization(
+                    _page_counts(inc_placement, drifted, 0, tile_vectors)
+                ),
             )
         )
     return points

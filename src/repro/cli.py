@@ -44,8 +44,6 @@ import argparse
 import sys
 from typing import Dict, List, Optional
 
-import numpy as np
-
 
 def _cmd_benchmarks(_args: argparse.Namespace) -> int:
     from .analysis.reporting import render_table
@@ -116,6 +114,15 @@ def _register_run(
     return path
 
 
+def _digest_recorder(args: argparse.Namespace, label: str, **kwargs):
+    """A state-digest recorder when ``--run-dir`` registers the run, else None."""
+    if not args.run_dir:
+        return None
+    from .obs.digest import DigestRecorder
+
+    return DigestRecorder(label=label, **kwargs)
+
+
 def _replay_flash_commands(session, cap_per_channel: int = 48) -> int:
     """Replay the run's per-channel page loads through the event simulator.
 
@@ -168,28 +175,74 @@ def _finish_session(session, replay_flash: bool = True) -> None:
     session.uninstall()
 
 
-def _cmd_quickstart(args: argparse.Namespace) -> int:
-    from .analysis.reporting import format_seconds
+def _write_json(path: str, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON and report the path."""
+    import json
+
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
+
+
+def _screen_demo_queries(labels: int, seed: int):
+    """Deploy a synthetic model on a fresh ECSSD and INT4-screen 8 queries.
+
+    Returns ``(workload, device)``; the queries are ``workload.features[32:40]``
+    and the first 32 feature rows fine-tuned the layout.
+    """
     from .core.api import ECSSD
     from .workloads.synthetic import make_workload
 
+    workload = make_workload(
+        num_labels=labels, hidden_dim=256, num_queries=48, seed=seed
+    )
+    device = ECSSD()
+    device.ecssd_enable()
+    device.weight_deploy(workload.weights, train_features=workload.features[:32])
+    queries = workload.features[32:40]
+    device.int4_input_send(queries)
+    device.cfp32_input_send(device.pre_align(queries))
+    device.int4_screen()
+    return workload, device
+
+
+def _latency_rows(summary: dict, slo: float) -> List[List[str]]:
+    """p50/p95/p99/p99.9 table rows of a serve or cluster report summary."""
+    from .analysis.reporting import format_seconds
+
+    return [
+        [f"{label} latency",
+         "-" if summary[key] is None
+         else f"{format_seconds(summary[key])} (SLO {format_seconds(slo)})"]
+        for label, key in (
+            ("p50", "p50_s"), ("p95", "p95_s"), ("p99", "p99_s"),
+            ("p99.9", "p999_s"),
+        )
+    ]
+
+
+def _run_artifacts(args: argparse.Namespace, **extra: Optional[str]) -> dict:
+    """The summary/spans (plus ``extra``) files a serve/cluster run wrote."""
+    artifacts = {
+        "summary": args.out,
+        "spans": getattr(args, "jsonl_stream_out", None),
+        **extra,
+    }
+    return {name: path for name, path in artifacts.items() if path}
+
+
+def _cmd_quickstart(args: argparse.Namespace) -> int:
+    from .analysis.reporting import format_seconds
+
     session = _session_from_args(args)
     try:
-        workload = make_workload(
-            num_labels=args.labels, hidden_dim=256, num_queries=48, seed=args.seed
-        )
-        device = ECSSD()
-        device.ecssd_enable()
-        device.weight_deploy(workload.weights, train_features=workload.features[:32])
-        queries = workload.features[32:40]
-        device.int4_input_send(queries)
-        device.cfp32_input_send(device.pre_align(queries))
-        device.int4_screen()
+        workload, device = _screen_demo_queries(args.labels, args.seed)
         device.cfp32_classify()
         labels = device.get_results()
     finally:
         _finish_session(session)
-    exact = queries @ workload.weights.T
+    exact = workload.features[32:40] @ workload.weights.T
     agreement = float((labels[:, 0] == exact.argmax(axis=1)).mean())
     report = device.last_report
     print(f"labels (8 queries x top-5):\n{labels}")
@@ -221,18 +274,14 @@ def _cmd_trace_attribute(args: argparse.Namespace) -> int:
     )
     print(attribution.render())
     if args.out:
-        payload = {
+        _write_json(args.out, {
             "benchmark": args.benchmark,
             "seed": args.seed,
             "rate_qps": rate,
             "requests": args.requests,
             "fault_plan": args.fault_plan,
             "attribution": attribution.to_dict(),
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+        })
     if args.exemplar_out:
         exemplars = list(attribution.slowest) + list(attribution.sampled)
         if not exemplars:
@@ -267,21 +316,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if getattr(args, "trace_command", None) == "attribute":
         return _cmd_trace_attribute(args)
 
-    from .core.api import ECSSD
-    from .workloads.synthetic import make_workload
-
     args.trace_out = args.out
     session = _session_from_args(args)
     try:
-        workload = make_workload(
-            num_labels=args.labels, hidden_dim=256, num_queries=48, seed=args.seed
-        )
-        device = ECSSD()
-        device.ecssd_enable()
-        device.weight_deploy(workload.weights, train_features=workload.features[:32])
-        device.int4_input_send(workload.features[32:40])
-        device.cfp32_input_send(device.pre_align(workload.features[32:40]))
-        device.int4_screen()
+        _screen_demo_queries(args.labels, args.seed)
         spans = len(session.tracer.spans)
         tracks = session.tracer.tracks()
     finally:
@@ -401,8 +439,6 @@ def _cmd_validate(_args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Replay an arrival stream through the deterministic serving layer."""
-    import json
-
     from .analysis.reporting import format_seconds, render_table
     from .serve import (
         ServingConfig,
@@ -411,8 +447,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         saturating_rate,
         shard_hot_degrees,
     )
+    from .errors import WorkloadError
     from .workloads.streams import poisson_arrivals
 
+    if not 0.0 < args.duration < float("inf"):
+        raise WorkloadError(
+            f"--duration must be positive and finite, got {args.duration!r}"
+        )
     slo = args.slo_ms / 1000.0
     service, generator = calibrate_service_model(
         args.benchmark, args.seed, sample_tiles=args.tiles
@@ -422,11 +463,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slo=slo, shards=args.shards, replicas=args.replicas
     )
     degrees = shard_hot_degrees(generator, args.shards, tile_size=512)
-    recorder = None
-    if args.run_dir:
-        from .obs.digest import DigestRecorder
-
-        recorder = DigestRecorder(interval=args.digest_interval, label="serve")
+    recorder = _digest_recorder(args, "serve", interval=args.digest_interval)
     simulator = build_serving_stack(
         service, config, hot_degrees=degrees, digest_recorder=recorder
     )
@@ -452,19 +489,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ["shed rate", f"{report.shed_rate:.1%}"],
         ["goodput", f"{report.goodput:,.0f} q/s within SLO"],
         ["SLO attainment", f"{report.slo_attainment:.1%} of admitted"],
+        *_latency_rows(summary, slo),
     ]
-    for label, key in (
-        ("p50", "p50_s"),
-        ("p95", "p95_s"),
-        ("p99", "p99_s"),
-        ("p99.9", "p999_s"),
-    ):
-        value = summary[key]
-        rows.append([
-            f"{label} latency",
-            "-" if value is None
-            else f"{format_seconds(value)} (SLO {format_seconds(slo)})",
-        ])
     rows.append(["batches", f"{len(report.batches)} "
                  f"(mean size {report.mean_batch_size:.1f}, "
                  f"knee {service.knee})"])
@@ -488,7 +514,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ))
 
     if args.out:
-        payload = {
+        _write_json(args.out, {
             "benchmark": args.benchmark,
             "seed": args.seed,
             "duration_s": args.duration,
@@ -502,18 +528,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "knee": service.knee,
             },
             "report": summary,
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+        })
     if args.run_dir:
-        artifacts = {}
-        if args.out:
-            artifacts["summary"] = args.out
-        stream_out = getattr(args, "jsonl_stream_out", None)
-        if stream_out:
-            artifacts["spans"] = stream_out
         _register_run(
             args.run_dir,
             label=f"serve/{args.benchmark}",
@@ -533,8 +549,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "num_queries": num_queries,
             },
             metrics=summary,
-            digests=recorder.entries if recorder is not None else None,
-            artifacts=artifacts,
+            digests=recorder.entries,
+            artifacts=_run_artifacts(args),
         )
     return _simsan_finish(sanitizer)
 
@@ -598,16 +614,10 @@ def _build_cluster_from_args(args: argparse.Namespace, recorder=None):
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """Simulate a fleet of service/data nodes under load and faults."""
-    import json
-
     from .analysis.reporting import format_seconds, render_table
 
     slo = args.slo_ms / 1000.0
-    recorder = None
-    if args.run_dir:
-        from .obs.digest import DigestRecorder
-
-        recorder = DigestRecorder(interval=args.digest_interval, label="cluster")
+    recorder = _digest_recorder(args, "cluster", interval=args.digest_interval)
     (
         simulator, arrivals, rate, capacity, service, fault_config
     ) = _build_cluster_from_args(args, recorder=recorder)
@@ -630,11 +640,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         _finish_session(session, replay_flash=False)
 
     if collector is not None:
-        attribution = collector.report()
-        with open(args.attribution_out, "w", encoding="utf-8") as fh:
-            json.dump(attribution.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.attribution_out}")
+        _write_json(args.attribution_out, collector.report().to_dict())
 
     summary = report.to_dict()
     rows = [
@@ -652,19 +658,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         ["cache hit rate", f"{report.cache_hit_rate:.2%}"],
         ["goodput", f"{report.goodput:,.0f} q/s within SLO"],
         ["SLO attainment", f"{report.slo_attainment:.2%} of completed"],
+        *_latency_rows(summary, slo),
     ]
-    for label, key in (
-        ("p50", "p50_s"),
-        ("p95", "p95_s"),
-        ("p99", "p99_s"),
-        ("p99.9", "p999_s"),
-    ):
-        value = summary[key]
-        rows.append([
-            f"{label} latency",
-            "-" if value is None
-            else f"{format_seconds(value)} (SLO {format_seconds(slo)})",
-        ])
     rows.append(["batches / shard tasks",
                  f"{report.batches} / {report.tasks_done}"])
     rows.append(["work stealing",
@@ -687,7 +682,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     ))
 
     if args.out:
-        payload = {
+        _write_json(args.out, {
             "benchmark": args.benchmark,
             "seed": args.seed,
             "rate_qps": rate,
@@ -703,20 +698,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             },
             "placement": simulator.placement.to_dict(),
             "report": summary,
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+        })
     if args.run_dir:
-        artifacts = {}
-        if args.out:
-            artifacts["summary"] = args.out
-        stream_out = getattr(args, "jsonl_stream_out", None)
-        if stream_out:
-            artifacts["spans"] = stream_out
-        if args.attribution_out:
-            artifacts["attribution"] = args.attribution_out
         _register_run(
             args.run_dir,
             label=f"cluster/{args.benchmark}",
@@ -742,26 +725,26 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 "num_queries": args.requests,
             },
             metrics=summary,
-            digests=recorder.entries if recorder is not None else None,
-            artifacts=artifacts,
+            digests=recorder.entries,
+            artifacts=_run_artifacts(args, attribution=args.attribution_out),
         )
     return _simsan_finish(sanitizer)
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     """Run the fault-injection matrix and print/write its report."""
-    import json
-
     from .analysis.reporting import format_seconds, render_table
+    from .errors import WorkloadError
     from .faults.harness import FAULT_CLASSES, run_fault_matrix
 
     classes = args.classes.split(",") if args.classes else list(FAULT_CLASSES)
-    scales = [float(s) for s in args.scales.split(",")]
-    recorder = None
-    if args.run_dir:
-        from .obs.digest import DigestRecorder
-
-        recorder = DigestRecorder(label="faults")
+    try:
+        scales = [float(s) for s in args.scales.split(",")]
+    except ValueError:
+        raise WorkloadError(
+            f"--scales must be comma-separated numbers, got {args.scales!r}"
+        ) from None
+    recorder = _digest_recorder(args, "faults")
     session = _session_from_args(args)
     try:
         with _simsan_context(args) as sanitizer:
@@ -808,10 +791,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
                 f"{format_seconds(tiles['p99.9'])}"
             )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+        _write_json(args.out, report.to_dict())
     if args.run_dir:
         _register_run(
             args.run_dir,
@@ -825,7 +805,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             },
             workload={"kind": "fault-matrix", "cells": len(classes) * len(scales)},
             metrics=report.to_dict(),
-            digests=recorder.entries if recorder is not None else None,
+            digests=recorder.entries,
             artifacts={"matrix": args.out} if args.out else None,
         )
     return _simsan_finish(sanitizer)
@@ -833,26 +813,19 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Instrumented inference + critical-path attribution over its trace."""
-    import json
-
     from . import obs
-    from .core.api import ECSSD
     from .obs.profile import profile_trace
-    from .workloads.synthetic import make_workload
 
     if getattr(args, "spans", None):
-        # Offline mode: profile a recorded span stream (e.g. the
-        # --jsonl-stream-out file of a serve/cluster run) instead of
-        # running a fresh instrumented inference.
+        # Offline mode: profile a recorded pipeline span stream (e.g. the
+        # --jsonl-stream-out file of a quickstart run) instead of running a
+        # fresh instrumented inference.
         from .obs.export import read_jsonl_spans
 
         report = profile_trace(read_jsonl_spans(args.spans), None)
         print(report.render())
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {args.out}")
+            _write_json(args.out, report.to_dict())
         return 0
 
     # Recorders live in memory; outputs (if any) flow through the usual
@@ -860,15 +833,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     # can read the session's registry.
     session = _session_from_args(args) or obs.configure(None)
     try:
-        workload = make_workload(
-            num_labels=args.labels, hidden_dim=256, num_queries=48, seed=args.seed
-        )
-        device = ECSSD()
-        device.ecssd_enable()
-        device.weight_deploy(workload.weights, train_features=workload.features[:32])
-        device.int4_input_send(workload.features[32:40])
-        device.cfp32_input_send(device.pre_align(workload.features[32:40]))
-        device.int4_screen()
+        _screen_demo_queries(args.labels, args.seed)
         if session.tracer.enabled:
             _replay_flash_commands(session)
         report = profile_trace(session.tracer.spans, session.registry)
@@ -876,10 +841,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         _finish_session(session, replay_flash=False)
     print(report.render())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+        _write_json(args.out, report.to_dict())
     if args.run_dir:
         _register_run(
             args.run_dir,
@@ -895,8 +857,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 def _cmd_perf_diff(args: argparse.Namespace) -> int:
     """Compare two metrics JSON files; exit nonzero on regression."""
-    import json
-
     from .obs.perfdiff import diff_files, parse_tolerance_spec, update_baseline
 
     extra = tuple(parse_tolerance_spec(spec) for spec in args.tolerance)
@@ -908,10 +868,7 @@ def _cmd_perf_diff(args: argparse.Namespace) -> int:
     )
     print(report.render(show_ok=args.show_ok))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}")
+        _write_json(args.out, report.to_dict())
     if args.update_baseline:
         manifest_path = update_baseline(
             args.baseline, args.candidate, run_dir=args.run_dir
@@ -1420,8 +1377,9 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--seed", type=int, default=42)
     profile.add_argument(
         "--spans", default=None, metavar="PATH",
-        help="profile a recorded span stream (a --jsonl-stream-out file "
-             "from serve/cluster) instead of running a fresh inference",
+        help="profile a recorded pipeline span stream (a --jsonl-stream-out "
+             "file of an instrumented inference) instead of running a fresh "
+             "one; for serve/cluster latency use `repro trace attribute`",
     )
     profile.add_argument(
         "--out", default=None,

@@ -21,7 +21,6 @@ from typing import Optional
 
 from ..config import ECSSDConfig
 from ..errors import ConfigurationError
-from ..units import gflops
 from ..workloads.benchmarks import BenchmarkSpec
 
 # Host-side pre-alignment throughput.  §4.2 measures 0.005 ms for a 1x1024

@@ -20,12 +20,11 @@ feature flag changes *timing*, never *predictions*.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..cfp32.circuits import MacDesign
 from ..config import ECSSDConfig
 from ..errors import ConfigurationError, WorkloadError
 from ..faults.injector import FAULT_TRACK, get_injector

@@ -27,7 +27,6 @@ import numpy as np
 from ..config import ECSSDConfig
 from ..errors import CapacityError, ConfigurationError
 from ..obs import CLUSTER_TRACK, get_registry, get_tracer
-from ..units import GiB
 
 logger = logging.getLogger(__name__)
 from ..workloads.benchmarks import BenchmarkSpec

@@ -30,7 +30,6 @@ import enum
 import heapq
 import logging
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import ast
 import enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from .findings import Finding
 from .project import DeepRule, FunctionInfo, ModuleInfo, ProjectGraph

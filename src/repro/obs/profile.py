@@ -43,18 +43,10 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from ..errors import WorkloadError
-from .metrics import sample_quantiles
-from .tracing import (
-    CLUSTER_TRACK,
-    FLASH_TRACK_PREFIX,
-    PIPELINE_TRACK,
-    SERVE_TRACK,
-    SpanRecord,
-)
+from .tracing import FLASH_TRACK_PREFIX, PIPELINE_TRACK, SpanRecord
 
 # Resource names used by the attribution model.  ``stall`` absorbs any part
 # of a window no recorded span covers (pipeline bubbles).
@@ -543,11 +535,13 @@ def _overhead_attribution(overhead_span: SpanRecord) -> Dict[str, float]:
 def profile_trace(
     spans: Sequence[SpanRecord],
     registry: Optional[Any] = None,
-) -> Union[ProfileReport, "FleetProfileReport"]:
+) -> ProfileReport:
     """Decompose a recorded run into the :class:`ProfileReport` analyses.
 
     Raises :class:`~repro.errors.WorkloadError` when the trace carries no
-    sim-clocked pipeline spans (nothing to attribute).
+    sim-clocked pipeline spans (nothing to attribute).  Fleet (serve/cluster)
+    runs record batch spans, not tiles; their latency attribution comes from
+    causal traces instead.
     """
     pipeline_spans = [
         s for s in spans
@@ -561,13 +555,10 @@ def profile_trace(
         if "/" not in s.name and s.name.startswith("tile")
     ]
     if not tile_spans:
-        # Fleet runs record batch spans on the cluster/serve tracks instead
-        # of pipeline tiles — profile those rather than coming back empty.
-        if any(s.track in (CLUSTER_TRACK, SERVE_TRACK) for s in spans):
-            return profile_fleet_trace(spans)
         raise WorkloadError(
-            "profile_trace needs sim-clocked pipeline tile spans; "
-            "run with tracing enabled first"
+            "profile_trace needs sim-clocked pipeline tile spans; run with "
+            "tracing enabled first (for a serve/cluster run's latency, use "
+            "`repro trace attribute` or `repro cluster --attribution-out`)"
         )
     starts = [s.sim_start for s in pipeline_spans if s.sim_start is not None]
     ends = [s.sim_end for s in pipeline_spans if s.sim_end is not None]
@@ -670,202 +661,4 @@ def profile_trace(
         resources=resources,
         channel_balance=channel_balance_from_spans(spans, registry),
         interference=transfer_interference(spans),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fleet (cluster/serve) span profiling
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FleetProfileReport:
-    """Critical-path view of a fleet run's batch spans.
-
-    Built from ``CLUSTER_TRACK`` (or ``SERVE_TRACK``) ``batchN`` spans — the
-    per-batch dispatch-to-merge windows the simulators record — rather than
-    pipeline tile spans, so ``repro profile`` has something to say about a
-    fleet run instead of raising.  ``slowest`` is the fleet's critical-batch
-    table: the batches that bound tail latency, longest first.
-    """
-
-    track: str
-    window_start: float
-    window_end: float
-    batches: int
-    requests: int
-    duration_quantiles: Dict[str, float]
-    nodes: List[Dict[str, object]]
-    levels: Dict[int, int]
-    slowest: List[Dict[str, object]]
-
-    @property
-    def end_to_end_s(self) -> float:
-        return self.window_end - self.window_start
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "track": self.track,
-            "window_start_s": self.window_start,
-            "window_end_s": self.window_end,
-            "end_to_end_s": self.end_to_end_s,
-            "batches": self.batches,
-            "requests": self.requests,
-            "duration_quantiles_s": dict(self.duration_quantiles),
-            "nodes": [dict(row) for row in self.nodes],
-            "levels": {str(k): v for k, v in sorted(self.levels.items())},
-            "slowest": [dict(row) for row in self.slowest],
-        }
-
-    def render(self) -> str:
-        from ..analysis.reporting import render_table
-
-        q = self.duration_quantiles
-        lines = [
-            f"fleet profile over {self.batches} batch spans "
-            f"({self.requests} requests, {self.end_to_end_s:.3f}s window, "
-            f"track '{self.track}')",
-            "batch duration p50/p95/p99/p99.9: "
-            f"{q['p50'] * 1e3:.3f} / {q['p95'] * 1e3:.3f} / "
-            f"{q['p99'] * 1e3:.3f} / {q['p99.9'] * 1e3:.3f} ms",
-        ]
-        node_rows = [
-            [
-                str(row["node"]),
-                str(row["batches"]),
-                str(row["requests"]),
-                f"{float(row['busy_s']) * 1e3:.3f}",
-                f"{float(row['utilization']) * 100:.1f}%",
-            ]
-            for row in self.nodes
-        ]
-        lines.append(render_table(
-            ["node", "batches", "requests", "busy ms", "util"], node_rows,
-        ))
-        slow_rows = [
-            [
-                str(row["name"]),
-                f"{float(row['duration_s']) * 1e3:.3f}",
-                str(row["size"]),
-                str(row["level"]),
-                str(row["node"]),
-            ]
-            for row in self.slowest
-        ]
-        lines.append(render_table(
-            ["critical batch", "duration ms", "size", "level", "node"],
-            slow_rows,
-        ))
-        return "\n".join(lines)
-
-
-def profile_fleet_trace(
-    spans: Sequence[SpanRecord], top_k: int = 8
-) -> FleetProfileReport:
-    """Aggregate a fleet run's batch spans into a critical-path table.
-
-    Accepts the span stream of a ``repro cluster`` (``CLUSTER_TRACK``) or
-    ``repro serve`` (``SERVE_TRACK``) run; raises
-    :class:`~repro.errors.WorkloadError` when neither track has sim-clocked
-    spans.
-    """
-    import numpy as np
-
-    track = CLUSTER_TRACK
-    fleet = [
-        s for s in spans
-        if s.track == CLUSTER_TRACK and s.kind == "span"
-        and s.sim_start is not None and s.sim_end is not None
-    ]
-    if not fleet:
-        track = SERVE_TRACK
-        fleet = [
-            s for s in spans
-            if s.track == SERVE_TRACK and s.kind == "span"
-            and s.sim_start is not None and s.sim_end is not None
-        ]
-    if not fleet:
-        raise WorkloadError(
-            "profile_fleet_trace needs sim-clocked cluster or serve batch "
-            "spans; run `repro cluster`/`repro serve` with tracing enabled"
-        )
-    window_start = min(s.sim_start for s in fleet if s.sim_start is not None)
-    window_end = max(s.sim_end for s in fleet if s.sim_end is not None)
-    window = window_end - window_start
-
-    def owner(span: SpanRecord) -> int:
-        for key in ("service_node", "replica"):
-            value = span.attrs.get(key)
-            if isinstance(value, int):
-                return value
-        return -1
-
-    durations = np.asarray(
-        [s.sim_end - s.sim_start for s in fleet
-         if s.sim_end is not None and s.sim_start is not None],
-        dtype=np.float64,
-    )
-    levels: Dict[int, int] = {}
-    requests = 0
-    by_node: Dict[int, List[SpanRecord]] = {}
-    for span in fleet:
-        size = span.attrs.get("size")
-        requests += size if isinstance(size, int) else 1
-        level = span.attrs.get("level")
-        if isinstance(level, int):
-            levels[level] = levels.get(level, 0) + 1
-        by_node.setdefault(owner(span), []).append(span)
-
-    nodes: List[Dict[str, object]] = []
-    for node in sorted(by_node):
-        rows = by_node[node]
-        busy = total_length(merge_intervals(
-            (s.sim_start, s.sim_end) for s in rows
-            if s.sim_start is not None and s.sim_end is not None
-        ))
-        node_requests = sum(
-            s.attrs.get("size") if isinstance(s.attrs.get("size"), int) else 1
-            for s in rows
-        )
-        nodes.append({
-            "node": node,
-            "batches": len(rows),
-            "requests": node_requests,
-            "busy_s": busy,
-            "utilization": busy / window if window > 0 else 0.0,
-        })
-
-    # The fleet's critical-batch table: longest spans first, name tie-break.
-    ranked = sorted(
-        fleet,
-        key=lambda s: (
-            -(s.sim_end - s.sim_start)
-            if s.sim_end is not None and s.sim_start is not None else 0.0,
-            s.name,
-        ),
-    )[:top_k]
-    slowest = [
-        {
-            "name": s.name,
-            "start_s": s.sim_start,
-            "duration_s": (
-                s.sim_end - s.sim_start
-                if s.sim_end is not None and s.sim_start is not None else 0.0
-            ),
-            "size": s.attrs.get("size", 1),
-            "level": s.attrs.get("level", 0),
-            "node": owner(s),
-        }
-        for s in ranked
-    ]
-    return FleetProfileReport(
-        track=track,
-        window_start=window_start,
-        window_end=window_end,
-        batches=len(fleet),
-        requests=requests,
-        duration_quantiles=sample_quantiles(durations),
-        nodes=nodes,
-        levels=levels,
-        slowest=slowest,
     )

@@ -11,7 +11,7 @@ model needs — candidate sets (for layout/channel simulation) and FLOP counts
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 

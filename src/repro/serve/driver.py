@@ -368,6 +368,14 @@ class ServingConfig:
             raise ConfigurationError("slo must be positive")
         if self.shards <= 0 or self.replicas <= 0:
             raise ConfigurationError("shards and replicas must be positive")
+        if self.pipeline_depth <= 0:
+            raise ConfigurationError("pipeline_depth must be positive")
+        if self.top_k <= 0:
+            raise ConfigurationError("top_k must be positive")
+        if not 0.0 < self.safety <= 1.0:
+            raise ConfigurationError("safety must be in (0, 1]")
+        if self.token_rate is not None and self.token_rate <= 0:
+            raise ConfigurationError("token_rate must be positive (or None)")
         if self.close_margin_factor < 1.0:
             raise ConfigurationError("close_margin_factor must be >= 1")
 

@@ -17,7 +17,7 @@ Two properties matter and are planted explicitly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cfp32.circuits import MacDesign
-from repro.config import ECSSDConfig
 from repro.core.accelerator import AcceleratorModel
 from repro.core.pipeline import (
     PipelineFeatures,

@@ -10,7 +10,7 @@ from repro.analysis.metrics import (
     weighted_utilization,
 )
 from repro.analysis.reporting import format_ratio, format_seconds, render_table
-from repro.analysis.roofline import RooflineModel, RooflinePoint
+from repro.analysis.roofline import RooflineModel
 from repro.errors import ConfigurationError, WorkloadError
 
 

@@ -1,6 +1,5 @@
 """Tests for the batching analyzer and the flash command trace."""
 
-import numpy as np
 import pytest
 
 from repro.core.batching import BatchingAnalyzer, BatchPoint, optimal_batch

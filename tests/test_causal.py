@@ -22,6 +22,7 @@ from repro.cluster import (
     build_cluster,
     cluster_saturating_rate,
 )
+from repro.errors import WorkloadError
 from repro.faults import ClusterFaultConfig
 from repro.lint.simsan import SimSanitizer
 from repro.lint.simsan import installed as simsan_installed
@@ -40,7 +41,7 @@ from repro.obs.causal import (
     trace_spans,
     trace_to_chrome,
 )
-from repro.obs.profile import FleetProfileReport, profile_trace
+from repro.obs.profile import profile_trace
 from repro.serve import (
     AffineServiceModel,
     ServingConfig,
@@ -348,7 +349,8 @@ class TestQuantileSurfaces:
 
 
 class TestFleetProfile:
-    def test_profile_trace_routes_cluster_spans(self):
+    def test_profile_trace_rejects_cluster_spans(self):
+        """Fleet latency has one report: causal attribution, not spans."""
         previous = obs.get_tracer()
         tracer = Tracer()
         obs.set_tracer(tracer)
@@ -356,15 +358,9 @@ class TestFleetProfile:
             run_fleet()
         finally:
             obs.set_tracer(previous)
-        report = profile_trace(tracer.spans, None)
-        assert isinstance(report, FleetProfileReport)
-        assert report.batches > 0
-        assert report.requests > 0
-        payload = report.to_dict()
-        assert payload["duration_quantiles_s"]["p99.9"] >= (
-            payload["duration_quantiles_s"]["p50"]
-        )
-        assert report.render()
+        assert any(s.track == obs.CLUSTER_TRACK for s in tracer.spans)
+        with pytest.raises(WorkloadError, match="trace attribute"):
+            profile_trace(tracer.spans, None)
 
 
 class TestAttributionReport:

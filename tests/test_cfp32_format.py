@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cfp32.format import (
-    BIAS,
     COMPENSATION_BITS,
     STORED_MANTISSA_BITS,
     CFP32Vector,

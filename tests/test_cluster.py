@@ -12,7 +12,6 @@ from repro.cluster import (
     STEAL_POLICIES,
     Autoscaler,
     ClusterConfig,
-    ClusterSimulator,
     CrawlerSchedule,
     HotLabelCache,
     Interconnect,

@@ -1,6 +1,5 @@
 """Tests for the energy model and the ablation drivers."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import ablations as A
@@ -11,7 +10,7 @@ from repro.analysis.energy import (
     ecssd_energy,
     efficiency_table,
 )
-from repro.baselines import CPU_N, SMARTSSD_AP
+from repro.baselines import CPU_N
 from repro.errors import ConfigurationError
 from repro.workloads.benchmarks import get_benchmark
 

@@ -36,8 +36,6 @@ from repro.layout.placement import WeightPlacement
 from repro.layout.remapper import evacuate_channels
 from repro.serve.degrade import DegradationLadder
 from repro.ssd.device import SSDDevice
-from repro.ssd.ftl import FlashTranslationLayer
-from repro.units import us
 
 
 def tiny_config(**overrides) -> ECSSDConfig:

@@ -7,11 +7,10 @@ run the full functional stack end to end.
 """
 
 import numpy as np
-import pytest
 
 from repro.config import ECSSDConfig
 from repro.core.ecssd import ECSSDevice
-from repro.core.pipeline import PipelineFeatures, TilePipelineModel, TileWorkload
+from repro.core.pipeline import PipelineFeatures, TilePipelineModel
 from repro.layout.placement import build_placement
 from repro.layout.uniform import UniformInterleaving
 from repro.ssd.device import SSDDevice

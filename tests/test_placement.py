@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, WorkloadError
-from repro.layout.placement import WeightPlacement, build_placement
+from repro.layout.placement import build_placement
 from repro.layout.sequential import SequentialStoring
 from repro.layout.uniform import UniformInterleaving
 

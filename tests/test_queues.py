@@ -7,9 +7,7 @@ from repro.errors import ProtocolError, SimulationError
 from repro.ssd.device import SSDDevice
 from repro.ssd.queues import (
     Arbitration,
-    Completion,
     IoKind,
-    IoRequest,
     NvmeFrontEnd,
     QueuePair,
 )

@@ -7,7 +7,6 @@ from repro.errors import WorkloadError
 from repro.screening.quantization import Int4Quantizer
 from repro.screening.sensitivity import (
     IntQuantizer,
-    SensitivityPoint,
     evaluate_point,
     knee_point,
     sensitivity_sweep,

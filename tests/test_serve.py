@@ -145,6 +145,16 @@ class TestAdmission:
             AdmissionConfig(max_pending=0)
         with pytest.raises(ConfigurationError):
             AdmissionConfig.for_slo(slo=0.0, worst_batch_time=1.0, knee=8)
+        # ServingConfig rejects what the router/admission would, at build.
+        for bad, message in (
+            ({"pipeline_depth": 0}, "pipeline_depth must be positive"),
+            ({"top_k": 0}, "top_k must be positive"),
+            ({"safety": 0.0}, r"safety must be in \(0, 1\]"),
+            ({"safety": 2.0}, r"safety must be in \(0, 1\]"),
+            ({"token_rate": -1.0}, "token_rate must be positive"),
+        ):
+            with pytest.raises(ConfigurationError, match=message):
+                ServingConfig(slo=0.02, **bad)
 
     def test_depth_gate_does_not_burn_tokens(self):
         controller = AdmissionController(

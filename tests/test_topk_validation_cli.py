@@ -1,5 +1,8 @@
 """Tests for streaming top-k, backend validation, and the CLI."""
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,6 +163,104 @@ class TestCli:
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
+
+    @pytest.mark.parametrize("duration", ["-1", "0", "nan", "inf"])
+    def test_serve_rejects_non_positive_duration(self, duration, capsys):
+        with pytest.raises(WorkloadError, match="--duration"):
+            main(["serve", "--duration", duration])
+        assert capsys.readouterr().out == ""
+
+    def test_faults_rejects_non_numeric_scale(self, capsys):
+        with pytest.raises(WorkloadError, match="--scales"):
+            main(["faults", "--scales", "1,x"])
+        assert capsys.readouterr().out == ""
+
+
+#: sha256 (first 16 hex digits) of each command's stdout and of every file it
+#: writes, with the temporary directory replaced by ``<tmp>``.  Run-manifest
+#: file names are the run ids, so the keys pin those as well.  The Chrome
+#: trace of plain ``repro trace`` is left out: its host-clock spans differ
+#: from run to run.
+CLI_OUTPUT_PINS = {
+    "serve": (
+        ["serve", "--duration", "0.05", "--seed", "3",
+         "--out", "{tmp}/serve.json", "--run-dir", "{tmp}/runs",
+         "--metrics-out", "{tmp}/serve.prom"],
+        {
+            "<stdout>": "9cbc74a5b245a4f7",
+            "runs/4ef7215430ae3103.json": "5bcdefe6b7b40c76",
+            "serve.json": "e14c9017ae26276e",
+            "serve.prom": "f7a52e4b8a8a6915",
+        },
+    ),
+    "cluster": (
+        ["cluster", "--requests", "2000", "--seed", "3",
+         "--fault-plan", "node-crash=1", "--out", "{tmp}/cluster.json",
+         "--attribution-out", "{tmp}/attribution.json",
+         "--run-dir", "{tmp}/runs"],
+        {
+            "<stdout>": "32c32a1c5bf3b6f6",
+            "attribution.json": "b59ab70010807082",
+            "cluster.json": "10100003bbb08ee0",
+            "runs/6d1ccafd1e9d512b.json": "540906e8e4ef198c",
+        },
+    ),
+    "faults": (
+        ["faults", "--labels", "256", "--queries", "2", "--scales", "1",
+         "--out", "{tmp}/faults.json", "--run-dir", "{tmp}/runs"],
+        {
+            "<stdout>": "e5d8f6153a8071c3",
+            "faults.json": "fa5740725d194a0d",
+            "runs/c1f22eae39bd266a.json": "b5b060252ccc35d4",
+        },
+    ),
+    "profile": (
+        ["profile", "--labels", "1024", "--out", "{tmp}/profile.json",
+         "--run-dir", "{tmp}/runs"],
+        {
+            "<stdout>": "e04171f09341c486",
+            "profile.json": "1eb94494392aaad7",
+            "runs/6c5f63accc74f455.json": "7be865459430cf58",
+        },
+    ),
+    "quickstart": (
+        ["quickstart", "--labels", "1024"],
+        {"<stdout>": "84c3caebe72e8f76"},
+    ),
+    "trace-attribute": (
+        ["trace", "attribute", "--requests", "800", "--seed", "3",
+         "--out", "{tmp}/attribution.json",
+         "--exemplar-out", "{tmp}/exemplar.json"],
+        {
+            "<stdout>": "87b127fae21c4e64",
+            "attribution.json": "43dc1376bbbf0489",
+            "exemplar.json": "2f545d5398dac402",
+        },
+    ),
+}
+
+
+class TestCliOutputPin:
+    """Every listed command's stdout and files stay byte-identical."""
+
+    @pytest.mark.parametrize("command", sorted(CLI_OUTPUT_PINS))
+    def test_outputs_byte_identical(self, command, tmp_path, capsys):
+        argv, expected = CLI_OUTPUT_PINS[command]
+        tmp = str(tmp_path)
+        assert main([arg.format(tmp=tmp) for arg in argv]) == 0
+
+        def digest(text):
+            normalised = text.replace(tmp, "<tmp>").encode()
+            return hashlib.sha256(normalised).hexdigest()[:16]
+
+        got = {"<stdout>": digest(capsys.readouterr().out)}
+        for root, _, files in os.walk(tmp):
+            for name in files:
+                path = os.path.join(root, name)
+                with open(path, encoding="utf-8") as fh:
+                    key = os.path.relpath(path, tmp).replace(os.sep, "/")
+                    got[key] = digest(fh.read())
+        assert got == expected
 
 
 class TestReportCommand:
