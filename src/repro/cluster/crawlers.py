@@ -70,13 +70,9 @@ class CrawlerSchedule:
     """Per-node deterministic background-crawl interference schedule."""
 
     def __init__(
-        self,
-        seed: int,
-        enabled: bool = True,
-        crawlers: Tuple[CrawlerKind, ...] = DEFAULT_CRAWLERS,
+        self, seed: int, crawlers: Tuple[CrawlerKind, ...] = DEFAULT_CRAWLERS
     ) -> None:
         self.seed = seed
-        self.enabled = enabled
         self.crawlers = crawlers
         # node -> (period, phase, active window, factor) per crawler with a
         # nonzero duty, the exact operands :meth:`CrawlerKind.active` computes.
@@ -84,8 +80,6 @@ class CrawlerSchedule:
 
     def slowdown(self, node: int, time: float) -> float:
         """Foreground slowdown multiplier on ``node`` at ``time`` (>= 1)."""
-        if not self.enabled:
-            return 1.0
         windows = self._windows.get(node)
         if windows is None:
             windows = self._windows[node] = [
@@ -106,8 +100,6 @@ class CrawlerSchedule:
 
     def mean_overhead(self) -> float:
         """Expected long-run slowdown (duty-weighted product of factors)."""
-        if not self.enabled:
-            return 1.0
         overhead = 1.0
         for crawler in self.crawlers:
             overhead *= 1.0 + crawler.duty * (crawler.factor - 1.0)

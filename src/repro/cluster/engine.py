@@ -57,8 +57,8 @@ from ..serve.degrade import DegradationLadder
 from ..serve.kernel import EventKernel, arrival_times
 from ..serve.node import ServiceNodeCore
 from ..serve.request import Request
-from ..serve.router import MERGE_ENTRY_BYTES
-from ..serve.scheduler import AffineServiceModel, DeadlineBatcher
+from ..serve.router import MERGE_ENTRY_BYTES, TOP_K
+from ..serve.scheduler import CLOSE_MARGIN_FACTOR, AffineServiceModel, DeadlineBatcher
 from .autoscale import Autoscaler
 from .cache import HotLabelCache, zipf_keys
 from .crawlers import CrawlerSchedule
@@ -114,7 +114,7 @@ class ClusterSimulator:
         worst = self.worst_task_time(service.knee)
         merge = self.merge_time(service.knee, 1.0)
         worst_batch = worst + merge
-        self.close_margin = worst_batch * config.close_margin_factor
+        self.close_margin = worst_batch * CLOSE_MARGIN_FACTOR
         if self.close_margin >= config.slo:
             raise ConfigurationError(
                 f"SLO {config.slo:.6f}s cannot fit one knee batch "
@@ -129,7 +129,6 @@ class ClusterSimulator:
             worst_batch_time=worst_batch,
             knee=service.knee,
             replicas=drain_parallelism,
-            safety=config.safety,
         )
         self.pressure_fallback = max(
             1, service.knee * max(1, config.total_slots // config.shards) * 4
@@ -148,12 +147,12 @@ class ClusterSimulator:
 
     def merge_time(self, size: int, top_k_scale: float) -> float:
         """§7.1 cross-shard top-k merge cost at the service node."""
-        effective_k = max(1, int(round(self.config.top_k * top_k_scale)))
+        effective_k = max(1, int(round(TOP_K * top_k_scale)))
         merge_bytes = size * effective_k * MERGE_ENTRY_BYTES * self.config.shards
         return merge_bytes / self.config.interconnect.bandwidth
 
     def result_bytes(self, size: int, top_k_scale: float) -> int:
-        effective_k = max(1, int(round(self.config.top_k * top_k_scale)))
+        effective_k = max(1, int(round(TOP_K * top_k_scale)))
         return size * effective_k * MERGE_ENTRY_BYTES
 
     def worst_task_time(self, size: int) -> float:
@@ -217,7 +216,6 @@ class FleetRun:
         self.slo = config.slo
         self.close_margin = sim.close_margin
         self.hit_time = config.cache_hit_time
-        self.eager = config.eager_when_idle
 
         self.sns = [
             ServiceNode(index, config.service_rack(index), ServiceNodeCore(
@@ -468,8 +466,6 @@ class FleetRun:
         pressure = core.pressure(sn.outstanding_requests, self.sim.pressure_fallback)
         level = core.dispatch_level(pressure)
         batch = core.form_batch()
-        if not batch:
-            raise SimulationError("dispatch from an empty queue")
         size = len(batch)
         request_ids = tuple([request.request_id for request in batch])
         owner = self.owner
@@ -522,9 +518,8 @@ class FleetRun:
         """Dispatch batches while one must close or the fleet has idle slots."""
         queue = sn.core.queue
         should_close = sn.core.batcher.should_close
-        while queue.depth > 0 and (
-            (self.eager and self.running_tasks < self.alive_slots)
-            or should_close(queue, now)
+        while queue and (
+            self.running_tasks < self.alive_slots or should_close(queue, now)
         ):
             self.dispatch(sn, now)
 
@@ -790,7 +785,7 @@ def build_cluster(
         nodes=config.data_nodes,
         racks=config.racks,
     )
-    crawlers = CrawlerSchedule(seed, enabled=config.crawlers_enabled)
+    crawlers = CrawlerSchedule(seed)
     return ClusterSimulator(
         service=service,
         config=config,
@@ -811,7 +806,7 @@ def cluster_saturating_rate(
     time; ``total_slots`` slots drain in parallel.  The bench's 1x point.
     """
     placement = place_replicas(config, [1.0] * config.shards)
-    crawlers = CrawlerSchedule(0, enabled=config.crawlers_enabled)
+    crawlers = CrawlerSchedule(0)
     plan = ClusterFaultPlan.build(
         ClusterFaultConfig.disabled(), nodes=config.data_nodes, racks=config.racks
     )

@@ -101,10 +101,6 @@ class ClusterConfig:
     racks: int = 2
     slots_per_node: int = 2
     slo: float = 0.020
-    top_k: int = 5
-    safety: float = 0.75
-    close_margin_factor: float = 1.05
-    eager_when_idle: bool = True
     # -- host-side hot-label result cache -----------------------------------
     cache_capacity: int = 4096
     cache_ttl: float = 0.25
@@ -115,8 +111,6 @@ class ClusterConfig:
     autoscale: bool = True
     autoscale_min: int = 1
     autoscale_interval: float = 0.05
-    # -- background crawlers -------------------------------------------------
-    crawlers_enabled: bool = True
     # -- sweepable fleet policies --------------------------------------------
     placement_strategy: str = "rack-spread"
     steal_policy: str = "newest"
@@ -138,12 +132,6 @@ class ClusterConfig:
             raise ConfigurationError("slots_per_node must be positive")
         if self.slo <= 0:
             raise ConfigurationError("slo must be positive")
-        if self.top_k <= 0:
-            raise ConfigurationError("top_k must be positive")
-        if not 0.0 < self.safety <= 1.0:
-            raise ConfigurationError("safety must be in (0, 1]")
-        if self.close_margin_factor < 1.0:
-            raise ConfigurationError("close_margin_factor must be >= 1")
         if self.cache_capacity < 0 or self.cache_groups <= 0:
             raise ConfigurationError(
                 "cache_capacity cannot be negative; cache_groups must be positive"

@@ -19,7 +19,7 @@ keeps them stable under any interleaving of reads.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
@@ -110,10 +110,6 @@ class FaultConfig:
     def disabled(cls) -> "FaultConfig":
         """The zero-overhead default: the subsystem is completely inert."""
         return cls(enabled=False)
-
-    def with_rber_scale(self, scale: float) -> "FaultConfig":
-        """A copy at a different point on the RBER sweep axis."""
-        return replace(self, rber_scale=scale)
 
 
 @dataclass(frozen=True)

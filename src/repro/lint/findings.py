@@ -9,7 +9,7 @@ after unrelated edits move it to a different line number.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict
 
 
@@ -72,6 +72,3 @@ class Finding:
             "code": self.code,
             "symbol": self.symbol,
         }
-
-    def with_path(self, path: str) -> "Finding":
-        return replace(self, path=path)

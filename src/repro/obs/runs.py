@@ -35,7 +35,6 @@ from ..errors import ObservabilityError
 from .digest import (
     DigestEntry,
     DivergenceReport,
-    canonical_json,
     diverge_digest_entries,
     state_digest,
 )
@@ -333,8 +332,3 @@ def diverge_runs(a: RunManifest, b: RunManifest) -> DivergenceReport:
     return diverge_digest_entries(
         a.digests, b.digests, run_a=a.run_id, run_b=b.run_id
     )
-
-
-def manifest_digest(manifest: RunManifest) -> str:
-    """Digest over the whole manifest document (artifact-of-artifacts)."""
-    return state_digest(json.loads(canonical_json(manifest.to_dict())))

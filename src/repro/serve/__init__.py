@@ -8,15 +8,13 @@ lifecycle:
 
 * :mod:`repro.serve.request` — request/shed/completion records and the
   :class:`ServingReport` (goodput, shed rate, p50/p95/p99 vs SLO);
-* :mod:`repro.serve.queues` — per-tenant FIFO/priority queues with a
-  deterministic service order;
 * :mod:`repro.serve.admission` — token-bucket + queue-depth admission with
   explicit shedding and the ``admitted + shed == arrived`` conservation
   invariant;
-* :mod:`repro.serve.scheduler` — SLO/deadline-aware batch formation that
-  never exceeds the roofline knee located by
+* :mod:`repro.serve.scheduler` — SLO/deadline-aware batch formation off
+  the head of a FIFO queue that never exceeds the roofline knee located by
   :func:`repro.core.batching.optimal_batch`;
-* :mod:`repro.serve.router` — least-outstanding routing over replicated,
+* :mod:`repro.serve.router` — idle-group routing over replicated,
   label-sharded device groups, weighted by the §5.3 hot-degree predictor;
 * :mod:`repro.serve.degrade` — the graceful-degradation ladder (shrink
   candidate budget and top-k before shedding);
@@ -42,7 +40,6 @@ from .driver import (
     saturating_rate,
 )
 from .node import ServiceNodeCore
-from .queues import RequestQueue
 from .request import (
     SHED_QUEUE_DEPTH,
     SHED_TOKEN_BUCKET,
@@ -74,7 +71,6 @@ __all__ = [
     "saturating_rate",
     "SERVE_TRACK",
     "ServiceNodeCore",
-    "RequestQueue",
     "Request",
     "ShedRequest",
     "CompletedRequest",

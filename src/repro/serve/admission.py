@@ -28,6 +28,9 @@ from typing import Dict, Optional
 from ..errors import ConfigurationError, SimulationError
 from .request import SHED_QUEUE_DEPTH, SHED_TOKEN_BUCKET, Request
 
+#: Share of the SLO the predicted latency of an admitted request may use.
+ADMISSION_SAFETY = 0.75
+
 
 @dataclass(frozen=True)
 class AdmissionConfig:
@@ -58,7 +61,6 @@ class AdmissionConfig:
         worst_batch_time: float,
         knee: int,
         replicas: int = 1,
-        safety: float = 0.75,
         token_rate: Optional[float] = None,
         token_burst: Optional[float] = None,
     ) -> "AdmissionConfig":
@@ -67,7 +69,8 @@ class AdmissionConfig:
         A request admitted behind ``depth`` others waits roughly
         ``depth / (knee * replicas)`` knee-batch service times before its own
         batch runs, so the largest safe backlog satisfies
-        ``(depth / (knee * replicas) + 1) * worst_batch_time <= slo * safety``.
+        ``(depth / (knee * replicas) + 1) * worst_batch_time <= slo * safety``
+        with ``safety`` = :data:`ADMISSION_SAFETY`.
         The limit never drops below one full batch per replica (the layer
         must be able to run at all).
         """
@@ -77,9 +80,7 @@ class AdmissionConfig:
             raise ConfigurationError("worst_batch_time must be positive")
         if knee <= 0 or replicas <= 0:
             raise ConfigurationError("knee and replicas must be positive")
-        if not 0.0 < safety <= 1.0:
-            raise ConfigurationError("safety must be in (0, 1]")
-        budget_batches = slo * safety / worst_batch_time - 1.0
+        budget_batches = slo * ADMISSION_SAFETY / worst_batch_time - 1.0
         depth = int(math.floor(budget_batches * knee * replicas))
         depth = max(depth, knee * replicas)
         burst = token_burst if token_burst is not None else float(depth)

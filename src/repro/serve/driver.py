@@ -10,11 +10,10 @@ deadlines, and arrivals — ordered by ``(time, kind, sequence)`` so ties
 resolve identically on every run.  Completions sort first (a freed replica
 can take work arriving at the same instant), then deadlines, then arrivals.
 
-Dispatch policy: a batch leaves the queue when the :class:`DeadlineBatcher`
-says it must (knee reached, or the head request's slack is gone) *or*, when
-``eager_when_idle`` is set, as soon as any replica group sits completely
-idle — the layer batches up to the roofline knee only under load, and stays
-work-conserving otherwise.  Before each dispatch the
+Dispatch policy: whenever a replica group sits idle, the head of the FIFO
+queue leaves as one batch of at most the roofline knee B* — the layer stays
+work-conserving, and batches grow toward the knee only while every group is
+busy.  Before each dispatch the
 :class:`~repro.serve.degrade.DegradationLadder` observes queue pressure and
 sets the fidelity level for that batch.
 
@@ -29,7 +28,7 @@ import logging
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError, SimulationError, WorkloadError
+from ..errors import ConfigurationError, SimulationError
 from ..obs import SERVE_TRACK, get_registry, get_tracer
 from ..obs.causal import get_collector
 from ..obs.digest import DigestRecorder
@@ -45,7 +44,7 @@ from .request import (
     ShedRequest,
 )
 from .router import ReplicaState, Router, build_replicas
-from .scheduler import AffineServiceModel, DeadlineBatcher
+from .scheduler import CLOSE_MARGIN_FACTOR, AffineServiceModel, DeadlineBatcher
 
 logger = logging.getLogger(__name__)
 
@@ -67,29 +66,28 @@ class _InflightBatch:
 
 
 class ServingSimulator:
-    """Drives admission, batching, routing, and degradation over arrivals."""
+    """Drives admission, batching, routing, and degradation over arrivals.
+
+    Every :meth:`run` builds fresh router, admission, and ladder state (the
+    ladder from ``ladder``'s steps and watermarks), so repeated runs on one
+    simulator give equal reports.  Raises
+    :class:`~repro.errors.ConfigurationError` when the SLO cannot fit even
+    one knee-sized batch on the slowest shard.
+    """
 
     def __init__(
         self,
         service: AffineServiceModel,
-        router: Router,
-        admission: AdmissionController,
-        batcher: DeadlineBatcher,
+        config: ServingConfig,
+        hot_degrees: List[float],
         ladder: DegradationLadder,
-        slo: float,
-        eager_when_idle: bool = True,
         fault_signal: Optional[Callable[[float], float]] = None,
         digest_recorder: Optional[DigestRecorder] = None,
     ) -> None:
-        if slo <= 0:
-            raise ConfigurationError("slo must be positive")
         self.service = service
-        self.router = router
-        self.admission = admission
-        self.batcher = batcher
+        self.config = config
+        self.hot_degrees = hot_degrees
         self.ladder = ladder
-        self.slo = slo
-        self.eager_when_idle = eager_when_idle
         # Device-reliability pressure source (sim time -> [0, 1]); usually
         # FaultInjector.fault_pressure.  None means a healthy device.
         self.fault_signal = fault_signal
@@ -97,39 +95,46 @@ class ServingSimulator:
         # loop's counter snapshot, so two same-seed runs can be checked for
         # state divergence after the fact (repro.obs.digest).
         self.digest_recorder = digest_recorder
+        worst = self.new_router().worst_batch_time(service.knee)
+        self.close_margin = worst * CLOSE_MARGIN_FACTOR
+        if self.close_margin >= config.slo:
+            raise ConfigurationError(
+                f"SLO {config.slo:.6f}s cannot fit one knee batch "
+                f"({worst:.6f}s on the slowest shard); add shards, shrink the "
+                f"knee, or relax the SLO"
+            )
+        self.admission_config = AdmissionConfig.for_slo(
+            slo=config.slo,
+            worst_batch_time=worst,
+            knee=service.knee,
+            replicas=config.replicas,
+            token_rate=config.token_rate,
+        )
+        self.pressure_fallback = service.knee * config.replicas * 4
 
-    # -- helpers -------------------------------------------------------------
-    def _pending(self, core: ServiceNodeCore) -> int:
-        return core.pending(self.router.inflight_requests)
+    def new_router(self) -> Router:
+        """A router over fresh, idle replica groups."""
+        return Router(build_replicas(self.config.replicas, self.hot_degrees), self.service)
 
-    def _pressure(self, core: ServiceNodeCore) -> float:
-        fallback = self.batcher.knee * len(self.router.replicas) * 4
-        return core.pressure(self.router.inflight_requests, fallback)
-
-    def _has_idle_replica(self) -> bool:
-        return any(r.outstanding_batches == 0 for r in self.router.replicas)
-
-    def run(
-        self,
-        arrivals: Sequence[float],
-        tenants: Optional[Sequence[str]] = None,
-        priorities: Optional[Sequence[int]] = None,
-    ) -> ServingReport:
+    def run(self, arrivals: Sequence[float]) -> ServingReport:
         """Replay ``arrivals`` (sorted timestamps, seconds) to completion.
 
-        ``tenants``/``priorities`` optionally label each arrival; defaults
-        are a single tenant at priority 0.  Returns the
-        :class:`~repro.serve.request.ServingReport`; raises
+        Returns the :class:`~repro.serve.request.ServingReport`; raises
         :class:`~repro.errors.SimulationError` if the conservation invariant
         (admitted + shed == arrived) breaks or work is left behind.
         """
         times = arrival_times(arrivals)
-        if tenants is not None and len(tenants) != times.size:
-            raise WorkloadError("tenants must align with arrivals")
-        if priorities is not None and len(priorities) != times.size:
-            raise WorkloadError("priorities must align with arrivals")
-
-        core = ServiceNodeCore(self.admission, self.batcher, self.ladder)
+        slo = self.config.slo
+        router = self.new_router()
+        ladder = DegradationLadder(
+            self.ladder.steps, self.ladder.high_watermark, self.ladder.low_watermark
+        )
+        core = ServiceNodeCore(
+            AdmissionController(self.admission_config),
+            DeadlineBatcher(self.service, close_margin=self.close_margin),
+            ladder,
+        )
+        queue = core.queue
         inflight: Dict[int, _InflightBatch] = {}
         completed: List[CompletedRequest] = []
         shed: List[ShedRequest] = []
@@ -145,24 +150,23 @@ class ServingSimulator:
         collector = get_collector()
 
         def dispatch(now: float) -> None:
-            replica = self.router.route()
+            replica = router.route()
             if replica is None:
                 raise SimulationError("dispatch with no replica capacity")
             fault_pressure = (
                 self.fault_signal(now) if self.fault_signal is not None else 0.0
             )
-            level = core.dispatch_level(self._pressure(core), fault_pressure)
+            pressure = core.pressure(router.inflight_requests, self.pressure_fallback)
+            level = core.dispatch_level(pressure, fault_pressure)
             batch = core.form_batch()
-            if not batch:
-                raise SimulationError("dispatch from an empty queue")
-            duration = self.router.batch_time_on(
+            duration = router.batch_time_on(
                 replica,
                 len(batch),
-                candidate_scale=self.ladder.candidate_scale,
-                top_k_scale=self.ladder.top_k_scale,
+                candidate_scale=ladder.candidate_scale,
+                top_k_scale=ladder.top_k_scale,
             )
             completion = now + duration
-            self.router.acquire(replica, len(batch))
+            router.acquire(replica, len(batch))
             inflight[kernel.seq] = _InflightBatch(
                 replica=replica,
                 requests=tuple(batch),
@@ -207,11 +211,7 @@ class ServingSimulator:
             )
 
         def drain(now: float) -> None:
-            while core.depth > 0 and self.router.has_capacity():
-                must = core.should_close(now)
-                eager = self.eager_when_idle and self._has_idle_replica()
-                if not (must or eager):
-                    break
+            while queue and router.has_capacity():
                 dispatch(now)
 
         recorder = self.digest_recorder
@@ -223,19 +223,17 @@ class ServingSimulator:
                     now,
                     kind=kind,
                     queue_depth=core.depth,
-                    waiting=len(core.waiting),
+                    waiting=core.depth,
                     inflight=len(inflight),
                     completed=len(completed),
                     shed=len(shed),
                     batches=len(batches),
-                    degrade_level=self.ladder.level,
+                    degrade_level=ladder.level,
                     seq=kernel.seq,
                 )
             if kind == _KIND_COMPLETION:
                 batch_state = inflight.pop(payload)
-                self.router.release(
-                    batch_state.replica, len(batch_state.requests)
-                )
+                router.release(batch_state.replica, len(batch_state.requests))
                 for request in batch_state.requests:
                     record = CompletedRequest(
                         request=request,
@@ -260,22 +258,14 @@ class ServingSimulator:
                         ).observe(record.latency, level=record.degrade_level)
                 drain(now)
             elif kind == _KIND_DEADLINE:
-                if core.is_waiting(payload):
+                # The queue holds a contiguous ascending run of request ids,
+                # so an id below the head's already rode a batch out.
+                if queue and payload >= queue[0].request_id:
                     drain(now)
             else:  # arrival
                 arrival_time = float(times[payload])
-                tenant = tenants[payload] if tenants is not None else "default"
-                priority = priorities[payload] if priorities is not None else 0
-                request = Request(
-                    request_id=payload,
-                    arrival=arrival_time,
-                    deadline=arrival_time + self.slo,
-                    tenant=tenant,
-                    priority=priority,
-                )
-                reason = core.offer(
-                    request, self.router.inflight_requests, now
-                )
+                request = Request(payload, arrival_time, arrival_time + slo)
+                reason = core.offer(request, router.inflight_requests, now)
                 if registry.enabled:
                     registry.counter(
                         "serve_requests_total", "requests offered to the serving layer"
@@ -294,12 +284,12 @@ class ServingSimulator:
                 push(core.close_time(request), _KIND_DEADLINE, request.request_id)
                 drain(now)
 
-        if core.depth != 0 or core.waiting or inflight:
+        if queue or inflight:
             raise SimulationError(
                 f"serving run ended with work left behind: "
                 f"{core.depth} queued, {len(inflight)} batches in flight"
             )
-        self.admission.verify_conservation()
+        core.admission.verify_conservation()
         if len(completed) + len(shed) != int(times.size):
             raise SimulationError(
                 f"request conservation violated at completion: "
@@ -322,11 +312,11 @@ class ServingSimulator:
                 completed=len(completed),
                 shed=len(shed),
                 batches=len(batches),
-                degrade_level=self.ladder.level,
+                degrade_level=ladder.level,
                 seq=kernel.seq,
             )
         report = ServingReport(
-            slo=self.slo,
+            slo=slo,
             arrived=int(times.size),
             completed=completed,
             shed=shed,
@@ -348,36 +338,21 @@ class ServingSimulator:
 class ServingConfig:
     """Shape of one serving stack, independent of the service model.
 
-    ``safety`` feeds :meth:`AdmissionConfig.for_slo`; ``close_margin_factor``
-    pads the worst-case knee batch time when computing each request's latest
-    safe dispatch; ``token_rate`` (requests/s) optionally enables the bucket.
+    ``token_rate`` (requests/s) optionally enables the admission bucket.
     """
 
     slo: float
     shards: int = 1
     replicas: int = 1
-    safety: float = 0.75
     token_rate: Optional[float] = None
-    pipeline_depth: int = 1
-    top_k: int = 5
-    eager_when_idle: bool = True
-    close_margin_factor: float = 1.05
 
     def __post_init__(self) -> None:
         if self.slo <= 0:
             raise ConfigurationError("slo must be positive")
         if self.shards <= 0 or self.replicas <= 0:
             raise ConfigurationError("shards and replicas must be positive")
-        if self.pipeline_depth <= 0:
-            raise ConfigurationError("pipeline_depth must be positive")
-        if self.top_k <= 0:
-            raise ConfigurationError("top_k must be positive")
-        if not 0.0 < self.safety <= 1.0:
-            raise ConfigurationError("safety must be in (0, 1]")
         if self.token_rate is not None and self.token_rate <= 0:
             raise ConfigurationError("token_rate must be positive (or None)")
-        if self.close_margin_factor < 1.0:
-            raise ConfigurationError("close_margin_factor must be >= 1")
 
 
 def build_serving_stack(
@@ -392,48 +367,19 @@ def build_serving_stack(
 
     ``hot_degrees`` (one per shard, mean ~1) comes from
     :func:`~repro.serve.router.shard_hot_degrees`; omitted means uniform
-    shards.  Raises :class:`~repro.errors.ConfigurationError` when the SLO
-    cannot fit even one knee-sized batch on the slowest shard.
+    shards.  ``ladder`` supplies the degradation steps and watermarks
+    (default :class:`~repro.serve.degrade.DegradationLadder`).
     """
     degrees = hot_degrees if hot_degrees is not None else [1.0] * config.shards
     if len(degrees) != config.shards:
         raise ConfigurationError(
             f"{len(degrees)} hot degrees for {config.shards} shards"
         )
-    replicas = build_replicas(config.replicas, degrees)
-    router = Router(
-        replicas,
-        service,
-        pipeline_depth=config.pipeline_depth,
-        top_k=config.top_k,
-    )
-    worst = router.worst_batch_time(service.knee)
-    close_margin = worst * config.close_margin_factor
-    if close_margin >= config.slo:
-        raise ConfigurationError(
-            f"SLO {config.slo:.6f}s cannot fit one knee batch "
-            f"({worst:.6f}s on the slowest shard); add shards, shrink the "
-            f"knee, or relax the SLO"
-        )
-    admission = AdmissionController(
-        AdmissionConfig.for_slo(
-            slo=config.slo,
-            worst_batch_time=worst,
-            knee=service.knee,
-            replicas=config.replicas * config.pipeline_depth,
-            safety=config.safety,
-            token_rate=config.token_rate,
-        )
-    )
-    batcher = DeadlineBatcher(service, close_margin=close_margin)
     return ServingSimulator(
-        service=service,
-        router=router,
-        admission=admission,
-        batcher=batcher,
-        ladder=ladder if ladder is not None else DegradationLadder(),
-        slo=config.slo,
-        eager_when_idle=config.eager_when_idle,
+        service,
+        config,
+        degrees,
+        ladder if ladder is not None else DegradationLadder(),
         fault_signal=fault_signal,
         digest_recorder=digest_recorder,
     )
@@ -443,15 +389,8 @@ def saturating_rate(service: AffineServiceModel, config: ServingConfig) -> float
     """Offered load (queries/s) at which the configured cluster saturates.
 
     One replica group drains knee-sized batches every worst-shard knee batch
-    time; R groups (x pipeline depth) drain in parallel.  The bench's "1x"
-    operating point.
+    time; R groups drain in parallel.  The bench's "1x" operating point.
     """
-    degrees = [1.0] * config.shards
-    router = Router(
-        build_replicas(config.replicas, degrees),
-        service,
-        pipeline_depth=config.pipeline_depth,
-        top_k=config.top_k,
-    )
+    router = Router(build_replicas(config.replicas, [1.0] * config.shards), service)
     worst = router.worst_batch_time(service.knee)
-    return config.replicas * config.pipeline_depth * service.knee / worst
+    return config.replicas * service.knee / worst

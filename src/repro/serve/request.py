@@ -2,7 +2,7 @@
 
 A query enters the serving layer as a :class:`Request` (arrive), is either
 admitted or shed (:class:`ShedRequest` with a machine-readable reason), waits
-in a tenant queue, rides a batch to a replica, and leaves as a
+in the FIFO queue, rides a batch to a replica, and leaves as a
 :class:`CompletedRequest` carrying its full timeline.  :class:`ServingReport`
 aggregates one run: goodput, shed rate, latency percentiles against the SLO,
 and the degradation levels the ladder visited — the quantities the
@@ -31,15 +31,12 @@ class _RequestFields(NamedTuple):
     request_id: int
     arrival: float
     deadline: float
-    tenant: str = "default"
-    priority: int = 0
 
 
 class Request(_RequestFields):
     """One query's identity and timing contract.
 
-    ``deadline`` is absolute (``arrival + slo``); ``priority`` orders queue
-    service (higher first) without affecting admission.  An immutable tuple
+    ``deadline`` is absolute (``arrival + slo``).  An immutable tuple
     (value ``==`` and ``hash``) rather than a frozen dataclass: the fleet
     builds one per cache miss, and a tuple is about three times cheaper to
     construct.
@@ -47,20 +44,13 @@ class Request(_RequestFields):
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        request_id: int,
-        arrival: float,
-        deadline: float,
-        tenant: str = "default",
-        priority: int = 0,
-    ) -> "Request":
+    def __new__(cls, request_id: int, arrival: float, deadline: float) -> "Request":
         if deadline < arrival:
             raise WorkloadError(
                 f"request {request_id}: deadline {deadline} precedes "
                 f"arrival {arrival}"
             )
-        return tuple.__new__(cls, (request_id, arrival, deadline, tenant, priority))
+        return tuple.__new__(cls, (request_id, arrival, deadline))
 
     @property
     def slo(self) -> float:

@@ -4,13 +4,13 @@ The scale-out model (§7.1, :mod:`repro.core.scaleout`) partitions the label
 space across S devices; every query must visit *all* shards of one replica
 group and completes at the slowest shard plus the host-side top-k merge.  A
 production deployment replicates that group R times for throughput.  The
-router therefore places whole batches onto replica *groups*:
+router therefore places whole batches onto replica *groups*, one batch per
+group at a time:
 
-* **least-outstanding, hotness-weighted** — among groups with a free
-  pipeline slot, pick the one minimizing ``(outstanding + 1) * speed``,
-  where ``speed`` is the group's worst-shard service-time multiplier derived
-  from per-shard hot degree (ties break to the lowest index, so placement is
-  deterministic);
+* **fastest idle group, hotness-weighted** — among idle groups, pick the one
+  minimizing ``speed``, the group's worst-shard service-time multiplier
+  derived from per-shard hot degree (ties break to the lowest index, so
+  placement is deterministic);
 * **per-shard hot degree** comes from the layout package's
   :class:`~repro.layout.learned.HotnessPredictor` (§5.3): the same
   sum-of-|INT4-code| signal that drives adaptive interleaving, aggregated
@@ -37,8 +37,14 @@ from .scheduler import AffineServiceModel
 #: Bytes per (label, score) result entry in the host merge (§7.1).
 MERGE_ENTRY_BYTES = 12
 
-#: Default host merge link, matching ScaleOutCluster's default.
-DEFAULT_MERGE_BANDWIDTH = gbps(10.0)
+#: Host merge link, matching ScaleOutCluster's default.
+MERGE_BANDWIDTH = gbps(10.0)
+
+#: Results per query at full fidelity (the top-k each shard returns).
+TOP_K = 5
+
+#: Tiles :func:`shard_hot_degrees` samples from each shard's label slice.
+TILES_PER_SHARD = 2
 
 
 @dataclass(frozen=True)
@@ -77,11 +83,10 @@ def shard_hot_degrees(
     generator: CandidateTraceGenerator,
     num_shards: int,
     tile_size: int,
-    tiles_per_shard: int = 2,
 ) -> List[float]:
     """Per-shard hot degree from the §5.3 predictor signal.
 
-    Samples ``tiles_per_shard`` tiles from each shard's contiguous slice of
+    Samples :data:`TILES_PER_SHARD` tiles from each shard's contiguous slice of
     the label space, feeds their |INT4-code| sums through one
     :class:`~repro.layout.learned.HotnessPredictor` (so scores are
     comparable across shards), and returns each shard's share of the total
@@ -89,18 +94,16 @@ def shard_hot_degrees(
     """
     if num_shards <= 0:
         raise ConfigurationError("num_shards must be positive")
-    if tile_size <= 0 or tiles_per_shard <= 0:
-        raise ConfigurationError("tile_size and tiles_per_shard must be positive")
+    if tile_size <= 0:
+        raise ConfigurationError("tile_size must be positive")
     per_tile = [
-        generator.predictor_abs_sums(
-            shard * tiles_per_shard + sample, tile_size
-        )
+        generator.predictor_abs_sums(shard * TILES_PER_SHARD + sample, tile_size)
         for shard in range(num_shards)
-        for sample in range(tiles_per_shard)
+        for sample in range(TILES_PER_SHARD)
     ]
     predictor = HotnessPredictor(np.concatenate(per_tile))
     scores = predictor.scores
-    span = tiles_per_shard * tile_size
+    span = TILES_PER_SHARD * tile_size
     masses = np.array(
         [scores[s * span : (s + 1) * span].sum() for s in range(num_shards)]
     )
@@ -130,54 +133,34 @@ def build_replicas(
 class Router:
     """Places batches on replica groups and prices their execution."""
 
-    def __init__(
-        self,
-        replicas: List[ReplicaState],
-        service: AffineServiceModel,
-        pipeline_depth: int = 1,
-        top_k: int = 5,
-        merge_bandwidth: float = DEFAULT_MERGE_BANDWIDTH,
-    ) -> None:
+    def __init__(self, replicas: List[ReplicaState], service: AffineServiceModel) -> None:
         if not replicas:
             raise ConfigurationError("router needs at least one replica")
-        if pipeline_depth <= 0:
-            raise ConfigurationError("pipeline_depth must be positive")
-        if top_k <= 0:
-            raise ConfigurationError("top_k must be positive")
-        if merge_bandwidth <= 0:
-            raise ConfigurationError("merge_bandwidth must be positive")
         self.replicas = replicas
         self.service = service
-        self.pipeline_depth = pipeline_depth
-        self.top_k = top_k
-        self.merge_bandwidth = merge_bandwidth
 
     @property
     def inflight_requests(self) -> int:
         return sum(r.outstanding_requests for r in self.replicas)
 
     def has_capacity(self) -> bool:
-        return any(
-            r.outstanding_batches < self.pipeline_depth for r in self.replicas
-        )
+        """Whether some replica group is idle."""
+        return any(r.outstanding_batches == 0 for r in self.replicas)
 
     def route(self) -> Optional[ReplicaState]:
-        """Least-outstanding replica group, weighted by shard heat.
+        """Fastest idle replica group, weighted by shard heat.
 
-        Returns ``None`` when every group's pipeline is full.  The key
-        ``((outstanding + 1) * speed_factor, index)`` sends work to the
-        group that would finish it soonest; the index tie-break keeps the
-        choice deterministic.
+        Returns ``None`` when every group is busy.  The key
+        ``(speed_factor, index)`` sends work to the idle group that would
+        finish it soonest; the index tie-break keeps the choice
+        deterministic.
         """
         best: Optional[Tuple[float, int]] = None
         chosen: Optional[ReplicaState] = None
         for replica in self.replicas:
-            if replica.outstanding_batches >= self.pipeline_depth:
+            if replica.outstanding_batches:
                 continue
-            key = (
-                (replica.outstanding_batches + 1) * replica.speed_factor,
-                replica.index,
-            )
+            key = (replica.speed_factor, replica.index)
             if best is None or key < best:
                 best = key
                 chosen = replica
@@ -186,9 +169,9 @@ class Router:
     def merge_time(self, batch: int, top_k_scale: float = 1.0) -> float:
         """§7.1 host merge: per-device top-k lists over the host link."""
         shards = len(self.replicas[0].shards)
-        effective_k = max(1, int(round(self.top_k * top_k_scale)))
+        effective_k = max(1, int(round(TOP_K * top_k_scale)))
         merge_bytes = batch * effective_k * MERGE_ENTRY_BYTES * shards
-        return merge_bytes / self.merge_bandwidth
+        return merge_bytes / MERGE_BANDWIDTH
 
     def batch_time_on(
         self,
@@ -215,11 +198,8 @@ class Router:
         )
 
     def acquire(self, replica: ReplicaState, batch: int) -> None:
-        if replica.outstanding_batches >= self.pipeline_depth:
-            raise SimulationError(
-                f"replica {replica.index} pipeline is full "
-                f"({replica.outstanding_batches}/{self.pipeline_depth})"
-            )
+        if replica.outstanding_batches:
+            raise SimulationError(f"replica {replica.index} is already busy")
         replica.outstanding_batches += 1
         replica.outstanding_requests += batch
 

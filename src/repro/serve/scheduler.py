@@ -22,14 +22,17 @@ degradation and sharding) and fixed work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Deque, List, Sequence, Tuple
 
 from ..core.batching import BatchingAnalyzer, BatchPoint, optimal_batch
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from ..workloads.benchmarks import get_benchmark
 from ..workloads.traces import CandidateTraceGenerator, LabelHotnessModel
-from .queues import RequestQueue
 from .request import Request
+
+#: Padding on the worst-case knee batch time that sets each request's latest
+#: safe dispatch (the serving and fleet loops both size ``close_margin`` so).
+CLOSE_MARGIN_FACTOR = 1.05
 
 
 @dataclass(frozen=True)
@@ -85,11 +88,6 @@ class AffineServiceModel:
     def knee_batch_time(self) -> float:
         """Full-fidelity service time of a knee-sized batch."""
         return self.batch_time(self.knee)
-
-    @property
-    def peak_throughput(self) -> float:
-        """Sustained queries/s of one replica running knee batches."""
-        return self.knee / self.knee_batch_time
 
     @classmethod
     def from_batch_points(
@@ -162,9 +160,10 @@ class DeadlineBatcher:
     """Closes batches at the knee or when the oldest request runs out of slack.
 
     ``close_margin`` is the service-time estimate subtracted from a request's
-    deadline to get its latest safe dispatch time; the driver sets it to the
-    *worst-case* (slowest shard, full fidelity) knee batch time so a
-    partial-batch dispatch still has a chance to finish inside the SLO.
+    deadline to get its latest safe dispatch time; the simulators set it to
+    the *worst-case* (slowest shard, full fidelity) knee batch time times
+    :data:`CLOSE_MARGIN_FACTOR`, so a partial-batch dispatch still has a
+    chance to finish inside the SLO.
     """
 
     def __init__(self, service: AffineServiceModel, close_margin: float) -> None:
@@ -178,20 +177,15 @@ class DeadlineBatcher:
         """Latest dispatch time after which ``request`` would miss its SLO."""
         return request.deadline - self.close_margin
 
-    def should_close(self, queue: RequestQueue, now: float) -> bool:
-        """True when a batch must leave the queue at ``now``."""
-        if queue.depth >= self.knee:
-            return True
-        head = queue.peek()
-        return head is not None and now >= self.close_time(head)
+    def should_close(self, queue: Deque[Request], now: float) -> bool:
+        """True when a batch must leave the FIFO ``queue`` at ``now``."""
+        return len(queue) >= self.knee or (
+            bool(queue) and now >= queue[0].deadline - self.close_margin
+        )
 
-    def next_close_time(self, queue: RequestQueue) -> Optional[float]:
-        """When the current head's slack expires (None on an empty queue)."""
-        head = queue.peek()
-        if head is None:
-            return None
-        return self.close_time(head)
-
-    def form_batch(self, queue: RequestQueue) -> List[Request]:
-        """Pop the next batch — never more than the knee B*."""
-        return queue.pop_batch(self.knee)
+    def form_batch(self, queue: Deque[Request]) -> List[Request]:
+        """Pop the next batch off the head of ``queue`` — never more than B*."""
+        if not queue:
+            raise SimulationError("dispatch from an empty queue")
+        popleft = queue.popleft
+        return [popleft() for _ in range(min(self.knee, len(queue)))]

@@ -188,11 +188,6 @@ class TestCrawlers:
         # Some window somewhere must actually be active.
         assert any(s > 1.0 for s in samples)
 
-    def test_disabled_is_free(self):
-        schedule = CrawlerSchedule(seed=5, enabled=False)
-        assert schedule.slowdown(0, 0.25) == 1.0
-        assert schedule.mean_overhead() == 1.0
-
     def test_mean_overhead_bounds(self):
         overhead = CrawlerSchedule(seed=0).mean_overhead()
         assert 1.0 < overhead < 1.2

@@ -1,7 +1,10 @@
 """Tests for the deterministic SLO-aware serving layer (repro.serve)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.core.batching import BatchPoint
@@ -10,13 +13,14 @@ from repro.obs import SERVE_TRACK
 from repro.serve import (
     AdmissionConfig,
     AdmissionController,
+    DEFAULT_LADDER_STEPS,
     AffineServiceModel,
     DeadlineBatcher,
     DegradationLadder,
     DegradeStep,
     Request,
-    RequestQueue,
     Router,
+    ServiceNodeCore,
     ServingConfig,
     ServingReport,
     TokenBucket,
@@ -72,46 +76,45 @@ class TestRequestTypes:
 
 
 class TestRequestQueue:
-    def _request(self, rid, arrival, tenant="default", priority=0):
-        return Request(
-            request_id=rid,
-            arrival=arrival,
-            deadline=arrival + 1.0,
-            tenant=tenant,
-            priority=priority,
+    """The service node's FIFO: admitted requests leave in arrival order."""
+
+    @staticmethod
+    def _core():
+        return ServiceNodeCore(
+            AdmissionController(AdmissionConfig()),
+            DeadlineBatcher(SERVICE, close_margin=0.005),
+            DegradationLadder(),
         )
 
-    def test_fifo_within_tenant(self):
-        queue = RequestQueue()
-        for rid in range(3):
-            queue.push(self._request(rid, float(rid)))
-        assert [queue.pop().request_id for _ in range(3)] == [0, 1, 2]
+    @staticmethod
+    def _offer(core, rids):
+        for rid in rids:
+            request = Request(request_id=rid, arrival=float(rid), deadline=rid + 1.0)
+            assert core.offer(request, inflight=0, now=float(rid)) is None
 
-    def test_priority_overtakes_between_tenants(self):
-        queue = RequestQueue()
-        queue.push(self._request(0, 0.0, tenant="a", priority=0))
-        queue.push(self._request(1, 1.0, tenant="b", priority=5))
-        assert queue.pop().request_id == 1
+    def test_fifo_within_tenant(self):
+        core = self._core()
+        self._offer(core, range(3))
+        assert [r.request_id for r in core.form_batch()] == [0, 1, 2]
 
     def test_pop_empty_raises(self):
-        with pytest.raises(SimulationError):
-            RequestQueue().pop()
+        with pytest.raises(SimulationError, match="empty queue"):
+            self._core().form_batch()
 
     def test_pop_batch_limit(self):
-        queue = RequestQueue()
-        for rid in range(5):
-            queue.push(self._request(rid, float(rid)))
-        batch = queue.pop_batch(3)
-        assert [r.request_id for r in batch] == [0, 1, 2]
-        assert queue.depth == 2
-        with pytest.raises(SimulationError):
-            queue.pop_batch(0)
+        core = self._core()
+        self._offer(core, range(SERVICE.knee + 2))
+        batch = core.form_batch()
+        assert [r.request_id for r in batch] == list(range(SERVICE.knee))
+        assert core.depth == 2
+        core.form_batch()
+        core.verify_drained()
 
     def test_peek_matches_pop(self):
-        queue = RequestQueue()
-        queue.push(self._request(7, 3.0))
-        assert queue.peek().request_id == 7
-        assert queue.depth == 1
+        core = self._core()
+        self._offer(core, (7, 8))
+        assert core.queue[0].request_id == 7
+        assert core.form_batch()[0].request_id == 7
 
 
 class TestAdmission:
@@ -147,10 +150,6 @@ class TestAdmission:
             AdmissionConfig.for_slo(slo=0.0, worst_batch_time=1.0, knee=8)
         # ServingConfig rejects what the router/admission would, at build.
         for bad, message in (
-            ({"pipeline_depth": 0}, "pipeline_depth must be positive"),
-            ({"top_k": 0}, "top_k must be positive"),
-            ({"safety": 0.0}, r"safety must be in \(0, 1\]"),
-            ({"safety": 2.0}, r"safety must be in \(0, 1\]"),
             ({"token_rate": -1.0}, "token_rate must be positive"),
         ):
             with pytest.raises(ConfigurationError, match=message):
@@ -217,7 +216,7 @@ class TestRouter:
         assert router.route().index == 1
 
     def test_route_none_when_pipelines_full(self):
-        router = Router(build_replicas(1, [1.0]), SERVICE, pipeline_depth=1)
+        router = Router(build_replicas(1, [1.0]), SERVICE)
         router.acquire(router.route(), 4)
         assert router.route() is None
         assert not router.has_capacity()
@@ -285,21 +284,25 @@ class TestScheduler:
 
     def test_form_batch_never_exceeds_knee(self):
         batcher = DeadlineBatcher(SERVICE, close_margin=0.005)
-        queue = RequestQueue()
-        for rid in range(SERVICE.knee * 3):
-            queue.push(
-                Request(request_id=rid, arrival=0.0, deadline=1.0)
-            )
-        assert len(batcher.form_batch(queue)) == SERVICE.knee
+        queue = deque(
+            Request(request_id=rid, arrival=0.0, deadline=1.0)
+            for rid in range(SERVICE.knee * 3)
+        )
+        batch = batcher.form_batch(queue)
+        assert [r.request_id for r in batch] == list(range(SERVICE.knee))
+        assert len(queue) == 2 * SERVICE.knee
 
     def test_should_close_on_knee_or_slack(self):
         batcher = DeadlineBatcher(SERVICE, close_margin=0.005)
-        queue = RequestQueue()
-        queue.push(Request(request_id=0, arrival=0.0, deadline=0.02))
+        queue = deque()
+        assert not batcher.should_close(queue, now=1.0)  # nothing to close
+        queue.append(Request(request_id=0, arrival=0.0, deadline=0.02))
         assert not batcher.should_close(queue, now=0.0)
         assert batcher.should_close(queue, now=0.015)  # slack exhausted
-        for rid in range(1, SERVICE.knee):
-            queue.push(Request(request_id=rid, arrival=0.0, deadline=0.02))
+        queue.extend(
+            Request(request_id=rid, arrival=0.0, deadline=0.02)
+            for rid in range(1, SERVICE.knee)
+        )
         assert batcher.should_close(queue, now=0.0)  # knee reached
 
 
@@ -360,27 +363,31 @@ class TestServingProperties:
         assert report.shed_by_reason().get("token_bucket", 0) > 0
         assert report.admitted + report.shed_count == report.arrived
 
-    def test_priority_tenant_overtakes_the_backlog(self):
-        # 40 simultaneous arrivals on 2 replica groups: batches 0 and 1 take
-        # the first 16 requests; the high-priority tenant's tail (ids 32-39)
-        # must jump the 16 queued low-priority requests into the next
-        # dispatch.  (Queues stay FIFO *within* a tenant, so the overtaking
-        # requests need their own tenant.)
-        config = ServingConfig(
-            slo=0.02, shards=2, replicas=2, eager_when_idle=False
+    @pytest.mark.parametrize(
+        "steps, high, low",
+        [(DEFAULT_LADDER_STEPS, 0.6, 0.25), (DEFAULT_LADDER_STEPS[:2], 0.3, 0.1)],
+        ids=["default-ladder", "custom-ladder"],
+    )
+    def test_run_is_reentrant(self, steps, high, low):
+        # Admission (token bucket, counters), ladder level and replica state
+        # are per run: a second run on one simulator equals the first and a
+        # freshly built stack's, and each run walks the given ladder.
+        service = AffineServiceModel(0.002, 0.0005, 8, 0.7)
+        config = ServingConfig(slo=0.02, shards=2, replicas=2, token_rate=3000.0)
+        arrivals = poisson_arrivals(
+            1.5 * saturating_rate(service, config), 3000, seed=1
         )
-        simulator = build_serving_stack(SERVICE, config)
-        arrivals = np.full(40, 0.0)
-        tenants = ["urgent" if i >= 32 else "batch" for i in range(40)]
-        priorities = [1 if i >= 32 else 0 for i in range(40)]
-        report = simulator.run(arrivals, tenants=tenants, priorities=priorities)
-        third = report.batches[2]
-        members = sorted(
-            c.request.request_id
-            for c in report.completed
-            if c.dispatch_time == third.start and c.replica == third.replica
-        )
-        assert members == list(range(32, 40))
+
+        def stack():
+            ladder = DegradationLadder(steps, high_watermark=high, low_watermark=low)
+            return build_serving_stack(service, config, ladder=ladder)
+
+        simulator = stack()
+        first = simulator.run(arrivals)
+        assert first.shed_count > 0
+        assert first.max_degrade_level == len(steps) - 1
+        assert simulator.run(arrivals) == first
+        assert stack().run(arrivals) == first
 
     def test_run_input_validation(self):
         simulator = build_serving_stack(SERVICE, CONFIG)
@@ -388,8 +395,6 @@ class TestServingProperties:
             simulator.run([])
         with pytest.raises(WorkloadError):
             simulator.run([1.0, 0.5])
-        with pytest.raises(WorkloadError):
-            simulator.run([0.0, 1.0], tenants=["a"])
 
     def test_slo_too_tight_for_knee_batch_raises(self):
         with pytest.raises(ConfigurationError, match="SLO"):
@@ -405,6 +410,52 @@ class TestServingProperties:
         one = saturating_rate(SERVICE, ServingConfig(slo=0.02, replicas=1))
         two = saturating_rate(SERVICE, ServingConfig(slo=0.02, replicas=2))
         assert two == pytest.approx(2.0 * one)
+
+
+def _batch_members(report):
+    """Request ids of each dispatched batch, in dispatch order."""
+    members = {}
+    for record in report.completed:
+        key = (record.dispatch_time, record.replica)
+        members.setdefault(key, []).append(record.request.request_id)
+    return [sorted(members[(b.start, b.replica)]) for b in report.batches]
+
+
+class TestServingRunProperties:
+    """Invariants of any serve run over any sorted arrival stream."""
+
+    @given(
+        arrivals=st.lists(
+            st.floats(min_value=0.0, max_value=0.2, allow_nan=False),
+            min_size=1,
+            max_size=300,
+        ).map(sorted),
+        slo=st.floats(min_value=0.005, max_value=0.05),
+        shards=st.integers(min_value=1, max_value=4),
+        replicas=st.integers(min_value=1, max_value=3),
+        token_rate=st.one_of(st.none(), st.floats(min_value=100.0, max_value=20000.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_conservation_fifo_batches_and_replay(
+        self, arrivals, slo, shards, replicas, token_rate
+    ):
+        config = ServingConfig(
+            slo=slo, shards=shards, replicas=replicas, token_rate=token_rate
+        )
+        simulator = build_serving_stack(SERVICE, config)
+        report = simulator.run(arrivals)
+        assert len(report.completed) + report.shed_count == report.arrived
+        assert report.arrived == len(arrivals)
+        # Batches are contiguous ascending runs of the admitted ids and leave
+        # in id order: concatenated in dispatch order, they are the admitted
+        # ids sorted.
+        shed_ids = {s.request.request_id for s in report.shed}
+        admitted = [rid for rid in range(len(arrivals)) if rid not in shed_ids]
+        members = _batch_members(report)
+        assert [len(m) for m in members] == [b.size for b in report.batches]
+        assert [rid for batch in members for rid in batch] == admitted
+        assert all(b.size <= SERVICE.knee for b in report.batches)
+        assert simulator.run(arrivals) == report
 
 
 class TestServeObservability:
