@@ -10,6 +10,7 @@ import pytest
 
 from repro.cfp32.format import prealign
 from repro.cfp32.mac import AlignmentFreeMac
+from repro.core.api import ECSSD
 from repro.config import ECSSDConfig, FlashConfig
 from repro.core.event_backend import EventBackedTiming
 from repro.core.pipeline import PipelineFeatures, TilePipelineModel, TileWorkload
@@ -48,6 +49,26 @@ def test_screening_inference_throughput(benchmark, model, workload):
     batch = workload.features[32:40]
     stats = benchmark(model.infer, batch)
     assert stats.candidate_ratio < 0.2
+
+
+def test_table1_call(benchmark, workload):
+    """One Table-1 call, ``pre_align`` to ``get_results``: 8 queries x 4096 labels."""
+    device = ECSSD()
+    device.ecssd_enable()
+    device.weight_deploy(
+        workload.weights, train_features=workload.features[:32], target_ratio=0.05
+    )
+    batch = workload.features[32:40]
+
+    def call():
+        device.cfp32_input_send(device.pre_align(batch))
+        device.int4_input_send(batch)
+        device.int4_screen()
+        device.cfp32_classify()
+        return device.get_results()
+
+    labels = benchmark(call)
+    assert labels.shape == (8, 5)
 
 
 def test_int4_screener_scores(benchmark):

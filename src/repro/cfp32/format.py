@@ -25,7 +25,6 @@ tensors never depend on subnormals); infinities/NaNs are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -36,26 +35,6 @@ MANTISSA_BITS = 23
 BIAS = 127
 # Total stored mantissa width: hidden one + 23 fraction + 7 compensation.
 STORED_MANTISSA_BITS = 1 + MANTISSA_BITS + COMPENSATION_BITS  # 31
-
-
-def _decompose(
-    values: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split float32 array into (sign, biased exponent, 24-bit mantissa).
-
-    Subnormals flush to zero.  Returns int32 arrays.
-    """
-    values = np.ascontiguousarray(values, dtype=np.float32)
-    if not np.isfinite(values).all():
-        raise FormatError("CFP32 cannot encode inf/NaN")
-    bits = values.view(np.int32)
-    sign = (bits >> 31) & 1
-    exponent = (bits >> 23) & 0xFF
-    fraction = bits & 0x7FFFFF
-    mantissa = np.where(exponent > 0, fraction | (1 << 23), 0)
-    exponent = np.where(exponent > 0, exponent, 0)
-    # Flush subnormals (exponent == 0, fraction != 0) to zero.
-    return sign.astype(np.int64), exponent.astype(np.int64), mantissa.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -94,33 +73,27 @@ def prealign(values: np.ndarray) -> CFP32Vector:
     values = np.atleast_1d(np.asarray(values, dtype=np.float32))
     if values.ndim != 1:
         raise FormatError("prealign expects a 1-D vector")
-    sign, exponent, mantissa = _decompose(values)
-    nonzero = mantissa != 0
-    if not nonzero.any():
-        return CFP32Vector(
-            shared_exponent=0,
-            mantissas=np.zeros(len(values), dtype=np.int64),
-            dropped_bits=np.zeros(len(values), dtype=np.int64),
-        )
-    e_max = int(exponent[nonzero].max())
-    offset = e_max - exponent
+    bits = np.ascontiguousarray(values).view(np.int32).astype(np.int64)
+    exponent = (bits >> 23) & 0xFF
+    # Zeros and subnormals have biased exponent 0, so they never raise E_max;
+    # an all-zero or empty vector gets E_max = 0.
+    e_max = int(exponent.max(initial=0))
+    if e_max == 0xFF:
+        raise FormatError("CFP32 cannot encode inf/NaN")
+    # Zeros and subnormals (exponent 0) flush to M = 0.
+    mantissa = ((bits & 0x7FFFFF) | (1 << 23)) * (exponent > 0)
     shifted_up = mantissa << COMPENSATION_BITS
-    # Shifts >= 63 would be UB on int64; values that far below E_max are 0.
-    safe_offset = np.minimum(offset, 62)
-    aligned = shifted_up >> safe_offset
-    aligned = np.where(nonzero, aligned, 0)
-    # Count dropped (nonzero) low bits: bits of shifted_up below the shift.
-    remainder = shifted_up - (aligned << safe_offset)
-    dropped = np.zeros(len(values), dtype=np.int64)
-    nz_rem = remainder > 0
-    if nz_rem.any():
-        # Number of significant bits in the remainder that were lost.
-        dropped[nz_rem] = np.floor(np.log2(remainder[nz_rem])).astype(np.int64) + 1
-    signed = np.where(sign == 1, -aligned, aligned)
+    # shifted_up < 2**31, so any shift of 31 or more leaves 0; clamping keeps
+    # far-below-E_max offsets (up to 254) within int64's defined shifts.
+    offset = np.minimum(e_max - exponent, 31)
+    aligned = shifted_up >> offset
+    # Bits shifted out: frexp's exponent of the remainder is its bit length
+    # (0 for no loss).  The remainder is below 2**31, so float64 holds it.
+    dropped = np.frexp(shifted_up - (aligned << offset))[1].astype(np.int64)
     return CFP32Vector(
         shared_exponent=e_max,
-        mantissas=signed.astype(np.int64),
-        dropped_bits=np.where(nonzero, dropped, 0),
+        mantissas=np.where(bits < 0, -aligned, aligned),
+        dropped_bits=dropped,
     )
 
 

@@ -75,8 +75,7 @@ class ECSSD:
         self._mode = _Mode.SSD
         self._int4_inputs = None
         self._cfp32_inputs = None
-        self._screen = None
-        self._result = None
+        self._drop_outputs()
 
     @property
     def mode(self) -> str:
@@ -117,6 +116,7 @@ class ECSSD:
         self._require_deployed()
         features = np.atleast_2d(np.asarray(features, dtype=np.float32))
         self._int4_inputs = features
+        self._drop_outputs()
 
     def cfp32_input_send(self, aligned: List[CFP32Vector]) -> None:
         """Send the pre-aligned full-precision input batch."""
@@ -124,6 +124,7 @@ class ECSSD:
         if not aligned:
             raise ProtocolError("cfp32_input_send needs at least one vector")
         self._cfp32_inputs = aligned
+        self._drop_outputs()
 
     def get_results(self) -> np.ndarray:
         """Fetch the final top-k label predictions (Get_results)."""
@@ -178,6 +179,12 @@ class ECSSD:
         if top_k < 1:
             raise ProtocolError("top_k must be >= 1")
         self._top_k = top_k
+
+    def _drop_outputs(self) -> None:
+        """Forget the last pass's outputs: they answer inputs no longer sent."""
+        self._screen = None
+        self._result = None
+        self._report = None
 
     def _require_accelerator_mode(self) -> None:
         if self._mode is not _Mode.ACCELERATOR:

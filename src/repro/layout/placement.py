@@ -109,21 +109,19 @@ class WeightPlacement:
         tile latency.
         """
         candidates = np.asarray(candidates, dtype=np.int64)
-        counts = np.zeros(self.num_channels, dtype=np.int64)
         if candidates.size == 0:
-            return counts
+            return np.zeros(self.num_channels, dtype=np.int64)
         if candidates.min() < 0 or candidates.max() >= self.num_vectors:
             raise WorkloadError("candidate index outside placement")
         channels = self.channel_of[candidates]
-        if self.vectors_per_page:
-            pages = self.slot_of[candidates] // self.vectors_per_page
-            keys = np.sort(channels.astype(np.int64) * (2**40) + pages)
-            first = np.ones(keys.size, dtype=bool)
-            first[1:] = keys[1:] != keys[:-1]
-            np.add.at(counts, keys[first] // (2**40), 1)
-        else:
-            np.add.at(counts, channels, self.pages_per_vector)
-        return counts
+        if not self.vectors_per_page:
+            counts = np.bincount(channels, minlength=self.num_channels)
+            return counts * self.pages_per_vector
+        pages = self.slot_of[candidates] // self.vectors_per_page
+        keys = np.sort(channels.astype(np.int64) * (2**40) + pages)
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        return np.bincount(keys[first] // (2**40), minlength=self.num_channels)
 
     def fetch_page_lists(self, candidates: np.ndarray) -> Dict[int, np.ndarray]:
         """Channel -> sorted channel-local page indices for a candidate set.

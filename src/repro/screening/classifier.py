@@ -81,7 +81,7 @@ class CandidateClassifier:
                 continue
             if selected.min() < 0 or selected.max() >= self.num_labels:
                 raise WorkloadError("candidate index outside label range")
-            scores = self.weights[selected] @ feature
+            scores = self.weights.take(selected, axis=0) @ feature
             flops += 2 * selected.size * self.hidden_dim
             k = min(top_k, selected.size)
             order = np.argsort(scores)[::-1][:k]

@@ -10,6 +10,7 @@ model needs — candidate sets (for layout/channel simulation) and FLOP counts
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -94,8 +95,15 @@ class ApproximateScreeningModel:
         return report
 
     def set_threshold(self, threshold: float) -> None:
-        """Directly install a threshold (the Filter_threshold API)."""
-        self.threshold = float(threshold)
+        """Directly install a threshold (the Filter_threshold API).
+
+        ``±inf`` are legal (keep everything / keep only each query's best);
+        NaN is rejected because no score compares against it.
+        """
+        threshold = float(threshold)
+        if math.isnan(threshold):
+            raise WorkloadError("screening threshold is NaN")
+        self.threshold = threshold
 
     # --- inference ----------------------------------------------------------------
     def infer(

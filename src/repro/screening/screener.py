@@ -49,18 +49,22 @@ class Int4Screener:
 
     Scores are the exact integer dot products a MAC array would accumulate,
     then dequantized with the row and feature scales so thresholds live in
-    the original score space.  The products run as a float64 BLAS matmul,
-    which is still exact: feature codes lie in [-7, 7] and weight codes are
-    int8 (|code| <= 128), so every partial sum is an integer of magnitude
-    <= 896·K < 2**53, which float64 holds exactly in any summation order.
-    The float64 -> float32 cast therefore rounds the same integer an int32
-    accumulator would.
+    the original score space.  The products run as a float32 BLAS matmul
+    over one contiguous (K, L) copy of the codes, which is still exact:
+    feature codes lie in [-7, 7] and weight codes are int8 (|code| <= 128),
+    so every partial sum is an integer of magnitude <= 896·K, and while
+    896·K < 2**24 float32 holds each one exactly in any summation order.
+    The scores therefore start from the same integer an int32 accumulator
+    would hold.  Above that bound (K > 18724) the matmul runs in float64,
+    exact while 896·K < 2**53, and the cast to float32 rounds that integer.
     """
 
     def __init__(self, weights: QuantizedMatrix) -> None:
         self.weights = weights
         self._quantizer = Int4Quantizer()
-        self._codes_t = weights.codes.astype(np.float64).T
+        exact_in_float32 = 896 * weights.shape[1] < 2**24
+        self._dtype = np.float32 if exact_in_float32 else np.float64
+        self._codes_t = np.ascontiguousarray(weights.codes.T, dtype=self._dtype)
 
     @property
     def num_labels(self) -> int:
@@ -78,9 +82,9 @@ class Int4Screener:
                 f"feature dim {features.shape[1]} != screener dim {self.shrunk_dim}"
             )
         fq = self._quantizer.quantize(features)
-        int_scores = fq.codes.astype(np.float64) @ self._codes_t
+        int_scores = fq.codes.astype(self._dtype) @ self._codes_t
         return (
-            int_scores.astype(np.float32)
+            int_scores.astype(np.float32, copy=False)
             * fq.scales[:, None]
             * self.weights.scales[None, :]
         )
@@ -110,8 +114,14 @@ class Int4Screener:
                 raise WorkloadError(
                     f"{applied.size} thresholds for {batch} queries"
                 ) from None
-        rows, cols = np.nonzero(scores >= applied[:, None])
-        bounds = np.searchsorted(rows, np.arange(batch + 1))
+            if np.isnan(applied).any():
+                raise WorkloadError("screening threshold is NaN")
+        # Flat (query, label) hits come sorted by query, so one searchsorted
+        # over the queries' flat starts splits them.
+        labels = self.num_labels
+        hits = np.flatnonzero(scores >= applied[:, None])
+        bounds = np.searchsorted(hits, np.arange(batch + 1) * labels)
+        cols = hits % labels
         candidates: List[np.ndarray] = []
         for i in range(batch):
             selected = cols[bounds[i]:bounds[i + 1]]

@@ -1,5 +1,7 @@
 """Tests for the CFP32 format and pre-alignment (repro.cfp32.format)."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,30 @@ from repro.cfp32.format import (
     prealign,
 )
 from repro.errors import FormatError
+
+
+def reference_prealign(values):
+    """Per-element pre-alignment from float32 bit fields, in Python ints."""
+    fields = []
+    for value in values.tolist():
+        (bits,) = struct.unpack("<I", struct.pack("<f", value))
+        sign, exponent, fraction = bits >> 31, (bits >> 23) & 0xFF, bits & 0x7FFFFF
+        if exponent == 0:  # zero or subnormal: flushes to M = 0
+            fields.append((sign, 0, 0))
+        else:
+            fields.append((sign, exponent, (fraction | 1 << 23) << COMPENSATION_BITS))
+    e_max = max((exponent for _, exponent, _ in fields), default=0)
+    mantissas, dropped = [], []
+    for sign, exponent, shifted in fields:
+        offset = e_max - exponent
+        aligned = shifted >> offset
+        dropped.append((shifted - (aligned << offset)).bit_length())
+        mantissas.append(-aligned if sign else aligned)
+    return e_max, mantissas, dropped
+
+
+float32s = st.floats(width=32, allow_nan=False, allow_infinity=False)
+special_float32s = st.sampled_from([0.0, -0.0, 1e-45, -1e-40, 1.1754942e-38, 3.4e38])
 
 
 class TestPrealign:
@@ -156,3 +182,21 @@ class TestPropertyBased:
         v = prealign(data)
         assert v.is_lossless().all()
         np.testing.assert_array_equal(decode(v), data.astype(np.float64))
+
+    @given(
+        st.one_of(
+            st.lists(float32s, max_size=48),
+            st.lists(st.one_of(float32s, special_float32s), max_size=48),
+            st.lists(st.sampled_from([0.0, -0.0]), max_size=8),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bit_field_reference(self, values):
+        """Empty, all-zero, -0.0, subnormal and wide-spread vectors alike."""
+        data = np.array(values, dtype=np.float32)
+        e_max, mantissas, dropped = reference_prealign(data)
+        v = prealign(data)
+        assert v.shared_exponent == e_max
+        assert v.mantissas.dtype == v.dropped_bits.dtype == np.int64
+        assert v.mantissas.tolist() == mantissas
+        assert v.dropped_bits.tolist() == dropped

@@ -9,6 +9,10 @@ from repro.screening.quantization import Int4Quantizer, QuantizedMatrix
 from repro.screening.screener import Int4Screener
 
 
+# Largest K whose worst-case partial sums (896·K) stay below 2**24.
+FLOAT32_MAX_DIM = 18724
+
+
 def make_screener(num_labels=100, dim=16, seed=0):
     rng = np.random.default_rng(seed)
     weights = rng.normal(size=(num_labels, dim)).astype(np.float32)
@@ -91,6 +95,51 @@ class TestScores:
         expected = reference_scores(screener, features)
         assert scores.dtype == expected.dtype == np.float32
         np.testing.assert_array_equal(scores, expected)
+
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.one_of(
+            st.integers(min_value=1, max_value=512),
+            st.sampled_from([FLOAT32_MAX_DIM - 1, FLOAT32_MAX_DIM]),
+            st.sampled_from([FLOAT32_MAX_DIM + 1, 2 * FLOAT32_MAX_DIM, 4 * FLOAT32_MAX_DIM]),
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scores_exact_on_both_sides_of_float32_bound(self, seed, dim):
+        """Extreme-heavy codes, K drawn below, at and above the 896·K < 2**24 bound."""
+        rng = np.random.default_rng(seed)
+        num_labels = int(rng.integers(1, 5))
+        codes = rng.integers(-128, 128, size=(num_labels, dim), dtype=np.int8)
+        extreme = rng.random(codes.shape) < 0.8
+        codes[extreme] = rng.choice(np.array([-128, 127], dtype=np.int8), int(extreme.sum()))
+        scales = rng.lognormal(-3, 2, size=num_labels).astype(np.float32)
+        screener = Int4Screener(QuantizedMatrix(codes=codes, scales=scales))
+        # Equal magnitudes quantize to codes of +-7.  Query 0 takes label 0's
+        # signs, so its partial sums only grow (to ~896·K, odd on the way).
+        features = rng.choice(np.array([-1.0, 1.0], dtype=np.float32), (2, dim))
+        features[0] = np.where(codes[0] < 0, -1.0, 1.0)
+        scores = screener.scores(features)
+        expected = reference_scores(screener, features)
+        assert scores.dtype == np.float32
+        np.testing.assert_array_equal(scores, expected)
+
+    def test_float64_path_above_float32_bound(self):
+        """At K = 18725 worst-case sums pass 2**24; scores stay exact."""
+        dim = FLOAT32_MAX_DIM + 1
+        rng = np.random.default_rng(7)
+        codes = np.full((2, dim), -128, dtype=np.int8)
+        codes[1] = rng.integers(-128, 128, size=dim, dtype=np.int8)
+        screener = Int4Screener(
+            QuantizedMatrix(codes=codes, scales=np.ones(2, dtype=np.float32))
+        )
+        assert screener._codes_t.dtype == np.float64
+        assert Int4Screener(
+            QuantizedMatrix(codes=codes[:, 1:], scales=np.ones(2, dtype=np.float32))
+        )._codes_t.dtype == np.float32
+        features = np.full((1, dim), -7.0, dtype=np.float32)  # codes -7, scale 1
+        scores = screener.scores(features)
+        np.testing.assert_array_equal(scores, reference_scores(screener, features))
+        assert scores[0, 0] == 896 * dim > 2**24
 
     def test_scores_exact_at_largest_partial_sums(self):
         """Extreme codes everywhere: sums of 896 per term stay exact."""
@@ -182,6 +231,21 @@ class TestScreen:
         screener, _ = make_screener()
         with pytest.raises(WorkloadError, match="3 thresholds for 4 queries"):
             screener.screen(np.ones((4, 16), dtype=np.float32), threshold=np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "threshold", [float("nan"), np.array([0.0, np.nan], dtype=np.float32)]
+    )
+    def test_nan_threshold_rejected(self, threshold):
+        screener, _ = make_screener()
+        with pytest.raises(WorkloadError, match="NaN"):
+            screener.screen(np.ones((2, 16), dtype=np.float32), threshold=threshold)
+
+    def test_infinite_thresholds_legal(self):
+        screener, _ = make_screener()
+        features = np.ones((2, 16), dtype=np.float32)
+        assert screener.screen(features, threshold=-np.inf).candidate_ratio() == 1.0
+        result = screener.screen(features, threshold=np.inf, min_candidates=2)
+        np.testing.assert_array_equal(result.candidate_counts(), [2, 2])
 
     def test_candidate_counts(self):
         screener, _ = make_screener()

@@ -50,6 +50,20 @@ class TestCalibration:
         stats = fresh.infer(workload.features[:4])
         assert stats.candidate_ratio == pytest.approx(1.0)
 
+    def test_nan_threshold_rejected(self, workload):
+        fresh = ApproximateScreeningModel(workload.weights, seed=1)
+        with pytest.raises(WorkloadError, match="NaN"):
+            fresh.set_threshold(float("nan"))
+        assert fresh.threshold is None
+
+    def test_infinite_thresholds_legal(self, workload):
+        fresh = ApproximateScreeningModel(workload.weights, seed=1)
+        fresh.set_threshold(float("-inf"))
+        assert fresh.infer(workload.features[:4]).candidate_ratio == 1.0
+        fresh.set_threshold(float("inf"))  # each query keeps only its best
+        counts = fresh.infer(workload.features[:4]).screen.candidate_counts()
+        np.testing.assert_array_equal(counts, [1, 1, 1, 1])
+
 
 class TestAccuracy:
     def test_no_top1_accuracy_drop(self, model, workload):
