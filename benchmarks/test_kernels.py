@@ -10,6 +10,7 @@ import pytest
 
 from repro.cfp32.format import prealign
 from repro.cfp32.mac import AlignmentFreeMac
+from repro.cluster import ClusterConfig, build_cluster, cluster_saturating_rate
 from repro.core.api import ECSSD
 from repro.config import ECSSDConfig, FlashConfig
 from repro.core.event_backend import EventBackedTiming
@@ -176,6 +177,29 @@ def test_serving_loop_throughput(benchmark):
     )
     report = benchmark(lambda: build_serving_stack(service, config).run(arrivals))
     assert report.shed_rate > 0  # past saturation, admission must shed
+
+
+def test_fleet_loop_throughput(benchmark):
+    """One 10k-request segment of the perfbench ``fleet-zipf`` fleet.
+
+    8 data nodes and 4 service nodes, 4 shards x 24 replicas over 2 racks,
+    2 slots per node, a 50 ms SLO, the calibrated GNMT-E32K service model,
+    Poisson arrivals at 0.9x saturation and seeded Zipf cache keys, replayed
+    by ``ClusterSimulator.run`` (each call on fresh nodes).
+    """
+    service = AffineServiceModel(
+        base=0.0016113548959203984, per_query=7.736464102345414e-05, knee=16
+    )
+    config = ClusterConfig(
+        data_nodes=8, service_nodes=4, shards=4, replicas=24, racks=2,
+        slots_per_node=2, slo=0.05,
+    )
+    arrivals = poisson_arrivals(
+        0.9 * cluster_saturating_rate(service, config), 10_000, seed=1
+    )
+    simulator = build_cluster(service, config, seed=1)
+    report = benchmark(simulator.run, arrivals)
+    assert report.completed == 10_000 and report.cache_hits > 0
 
 
 def test_learned_placement_build(benchmark):

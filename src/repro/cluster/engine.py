@@ -7,11 +7,13 @@ fleet::
            -> per-shard tasks to replica data nodes -> slots / FIFO / steal
            -> results return -> cross-shard top-k merge -> complete
 
-on a single event heap with seven event kinds, ordered
-``(time, kind, sequence)`` so ties resolve identically on every run:
-fault-plan edges first (a node must change state before work lands on it),
-then autoscaler evaluations, task completions, merges, cache hits, batch
-deadlines, and finally arrivals.  Each replay is one :class:`FleetRun`: it
+in one ``(time, kind, sequence)`` order, so ties resolve identically on
+every run: fault-plan edges first (a node must change state before work
+lands on it), then autoscaler evaluations, task completions, merges, cache
+hits, batch deadlines, and finally arrivals.  The first six kinds are
+events on one heap; arrivals come straight off the sorted arrival stream,
+merged in by :meth:`~repro.serve.kernel.EventKernel.run`, so they never
+enter the heap.  Each replay is one :class:`FleetRun`: it
 owns every piece of per-run state (nodes, caches, autoscaler, queues,
 counters) and has one handler per event kind, so runs never share state.
 
@@ -36,7 +38,7 @@ knowable), never retroactively.
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -75,8 +77,9 @@ from .topology import REQUEST_BYTES, ClusterConfig
 
 logger = logging.getLogger(__name__)
 
-# Event kinds, in tie-break order at equal timestamps; each indexes its
-# handler in FleetRun.run.
+# Event kinds, in tie-break order at equal timestamps; each heap kind
+# indexes its handler in FleetRun.run.  Arrivals are the kernel's cursor,
+# whose kind is the number of heap kinds.
 _KIND_EDGE = 0
 _KIND_SCALE = 1
 _KIND_TASK = 2
@@ -291,32 +294,40 @@ class FleetRun:
             evaluations = int(self.times[-1] / config.autoscale_interval)
             for step in range(1, evaluations + 1):
                 push(step * config.autoscale_interval, _KIND_SCALE, 0)
-        # Arrivals enter the heap one at a time (they are sorted), keeping
-        # the heap at working-set size rather than run size.
-        push(self.times[0], _KIND_ARRIVAL, 0)
 
     def run(self) -> ClusterReport:
-        handlers = (  # indexed by event kind
+        handlers: Tuple[Callable[..., None], ...] = (  # indexed by event kind
             self.on_edge, self.on_scale, self.on_task, self.on_merge,
-            self.on_cache, self.on_deadline, self.on_arrival,
+            self.on_cache, self.on_deadline,
         )
-        kernel = self.kernel
+        on_arrival: Callable[..., None] = self.on_arrival
         recorder = self.recorder
-        if recorder is None:
-            for now, kind, seq, payload in kernel:
-                handlers[kind](now, seq, payload)
-        else:
-            counters = self.counters
-            for now, kind, seq, payload in kernel:
-                recorder.tick(
-                    now, kind=kind, completed=counters.completed, shed=counters.shed,
-                    cache_hits=counters.cache_hits, tasks_done=counters.tasks_done,
-                    steals=counters.steals, running=self.running_tasks,
-                    parked=len(self.parked), batches=counters.batches,
-                    active=len(self.active), seq=kernel.seq,
-                )
-                handlers[kind](now, seq, payload)
+        if recorder is not None:
+            handlers = tuple(
+                self.ticked(recorder, kind, handler)
+                for kind, handler in enumerate(handlers)
+            )
+            on_arrival = self.ticked(recorder, _KIND_ARRIVAL, on_arrival)
+        self.kernel.run(handlers, on_arrival, self.times)
         return self.report()
+
+    def ticked(
+        self, recorder: DigestRecorder, kind: int, handler: Callable[..., None]
+    ) -> Callable[..., None]:
+        """``handler``, preceded by one digest tick of the run's counters."""
+        counters, kernel = self.counters, self.kernel
+
+        def tick_then_handle(now: float, *args: int) -> None:
+            recorder.tick(
+                now, kind=kind, completed=counters.completed, shed=counters.shed,
+                cache_hits=counters.cache_hits, tasks_done=counters.tasks_done,
+                steals=counters.steals, running=self.running_tasks,
+                parked=len(self.parked), batches=counters.batches,
+                active=len(self.active), seq=kernel.seq,
+            )
+            handler(now, *args)
+
+        return tick_then_handle
 
     # -- data-node side -------------------------------------------------------
     def reachable(self, rack_a: int, rack_b: int) -> bool:
@@ -524,7 +535,7 @@ class FleetRun:
             self.dispatch(sn, now)
 
     # -- event handlers, one per kind -----------------------------------------
-    def on_arrival(self, now: float, seq: int, rid: int) -> None:
+    def on_arrival(self, now: float, rid: int) -> None:
         active = self.active
         sn = active[0]
         fewest = sn.pending_requests
@@ -553,9 +564,6 @@ class FleetRun:
                 if self.causal:
                     self.collector.on_shed(reason)
                 self.autoscaler.observe(now, True)
-        rid += 1
-        if rid < self.num_requests:
-            self.push(self.times[rid], _KIND_ARRIVAL, rid)
 
     def on_deadline(self, now: float, seq: int, rid: int) -> None:
         sn = self.owner.get(rid)  # None once the request rode a batch out

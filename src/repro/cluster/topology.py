@@ -136,8 +136,13 @@ class ClusterConfig:
             raise ConfigurationError(
                 "cache_capacity cannot be negative; cache_groups must be positive"
             )
-        if self.cache_ttl < 0 or self.cache_hit_time < 0:
-            raise ConfigurationError("cache timings cannot be negative")
+        if self.cache_ttl < 0:
+            raise ConfigurationError("cache_ttl cannot be negative")
+        if not self.cache_hit_time > 0:
+            # A hit completes strictly after the arrival that scheduled it,
+            # or it would pop after that arrival at the same instant with
+            # an earlier kind and break the (time, kind, seq) order.
+            raise ConfigurationError("cache_hit_time must be positive")
         if self.cache_skew <= 0:
             raise ConfigurationError("cache_skew must be positive")
         if not 1 <= self.autoscale_min <= self.service_nodes:

@@ -29,9 +29,11 @@ from repro.cluster.nodes import DataNode
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.faults import ClusterFaultConfig, ClusterFaultPlan
 from repro.lint.simsan import SimSanitizer, installed
+from repro.obs.digest import DigestRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runs import derive_run_id
 from repro.serve import AffineServiceModel
+from repro.serve.kernel import EventKernel
 from repro.workloads.streams import poisson_arrivals
 
 #: Fast pure-Python service model: 0.5 ms base, 20 us/query, knee at 16.
@@ -95,6 +97,12 @@ class TestTopology:
             ClusterConfig(data_nodes=4, shards=4, replicas=3)
         with pytest.raises(ConfigurationError):
             ClusterConfig(data_nodes=4, service_nodes=2, autoscale_min=3)
+        # A zero-delay cache hit would pop after the arrival that scheduled
+        # it at the same instant, against the (time, kind, seq) order.
+        with pytest.raises(ConfigurationError, match="cache_hit_time"):
+            ClusterConfig(data_nodes=4, cache_hit_time=0.0)
+        with pytest.raises(ConfigurationError, match="cache_hit_time"):
+            ClusterConfig(data_nodes=4, cache_hit_time=float("nan"))
         config = ClusterConfig(data_nodes=4, slots_per_node=3)
         assert config.total_slots == 12
         with pytest.raises(ConfigurationError):
@@ -380,6 +388,36 @@ class TestFleetRuns:
             simulator.run(np.array([2.0, 1.0]))
         with pytest.raises(WorkloadError):
             simulator.run(np.array([0.0, 1.0]), keys=np.zeros(1, dtype=np.int64))
+
+    @pytest.mark.parametrize("arrivals", [
+        [0.0, float("nan"), 2.0],
+        [0.0, 1.0, float("nan"), 0.5],  # the NaN hides the unsorted tail
+        [0.0, 1.0, float("inf")],
+        [float("-inf"), 0.0],
+        [-0.5, 0.0, 1.0],
+    ])
+    def test_run_rejects_bad_arrival_times_before_any_event(self, arrivals, monkeypatch):
+        dispatched = []
+        monkeypatch.setattr(
+            EventKernel, "run", lambda *args: dispatched.append(args)
+        )
+        with pytest.raises(WorkloadError):
+            build_cluster(SERVICE, CONFIG).run(np.array(arrivals))
+        assert dispatched == []
+
+    def test_heap_never_holds_an_arrival(self, monkeypatch):
+        pushed_kinds = set()
+        push = EventKernel.push
+
+        def recording_push(kernel, time, kind, payload):
+            pushed_kinds.add(kind)
+            return push(kernel, time, kind, payload)
+
+        monkeypatch.setattr(EventKernel, "push", recording_push)
+        report = run_fleet(0.8, fault_config=FAULTED, num_requests=2000)
+        assert report.completed + report.shed == 2000
+        assert {0, 2, 3, 5} <= pushed_kinds  # edges, tasks, merges, deadlines
+        assert 6 not in pushed_kinds  # arrivals come off the kernel's cursor
 
     def test_hot_degrees_must_match_shards(self):
         with pytest.raises(ConfigurationError):
@@ -683,7 +721,17 @@ class TestBitIdentityPin:
         ),
     }
 
-    def replay(self, name):
+    # name -> (sha256 over every per-event digest, sanitizer pops observed)
+    EXPECTED_DIGESTS = {
+        "fleet-zipf": (
+            "d752d58008466b68dee74c7372232a43d577aa7407a7b7f6f53daf2e3ae1f95a", 23902,
+        ),
+        "fleet-faulted": (
+            "1c9021096ff6c12632662221e6a36ea7be43f27657f2666ff36b9267c986187d", 17453,
+        ),
+    }
+
+    def replay(self, name, digest_recorder=None):
         multiplier, faulted, seed, policy, requests, small = self.CASES[name]
         if small:
             config = ClusterConfig(
@@ -709,7 +757,10 @@ class TestBitIdentityPin:
             )
             if not small:
                 keys = np.arange(requests, dtype=np.int64)
-        simulator = build_cluster(self.SERVICE, config, seed=seed, fault_config=fault)
+        simulator = build_cluster(
+            self.SERVICE, config, seed=seed, fault_config=fault,
+            digest_recorder=digest_recorder,
+        )
         return simulator.run(arrivals, keys=keys)
 
     @staticmethod
@@ -743,3 +794,17 @@ class TestBitIdentityPin:
             report.makespan.hex(),
         )
         assert observed == self.EXPECTED[name]
+
+    @pytest.mark.parametrize("name", list(EXPECTED_DIGESTS))
+    def test_digests_and_sanitizer_pops_are_pinned(self, name):
+        # A digest per event captures ``seq=kernel.seq`` and the loop's
+        # counters at every tick, so it pins the event order and the seq
+        # numbering that run manifests store; the sanitizer sees every pop.
+        recorder = DigestRecorder(interval=1, label=name)
+        with installed(SimSanitizer()) as sanitizer:
+            self.replay(name, digest_recorder=recorder)
+        sha = hashlib.sha256()
+        for entry in recorder.entries:
+            sha.update(entry.digest.encode())
+        assert sanitizer.violations == []
+        assert (sha.hexdigest(), sanitizer.pops_observed) == self.EXPECTED_DIGESTS[name]

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.lint.simsan import SimSanitizer, installed
@@ -132,6 +133,119 @@ class TestIteration:
         assert len(events) == 6
         assert sanitizer.pops_observed == len(events)
         assert sanitizer.violations == []
+
+
+#: Arrival kind of the merge tests: one past the six heap kinds.
+_ARRIVAL = 6
+#: Time grid of the merge tests; a power of two, so sums of grid steps are
+#: exact and equal times really tie.
+_GRID = 0.25
+
+
+class _Script:
+    """Handlers that push events from a drawn plan, and log every dispatch.
+
+    The ``n``-th dispatch pushes ``plans[n]``: events of kinds 0-5 at
+    ``now + steps * _GRID``.  Each pushed payload is the running spawn count,
+    so two kernels that dispatch in one order push identical events.
+    """
+
+    def __init__(self, kernel, plans):
+        self.kernel = kernel
+        self.plans = plans
+        self.log = []
+        self.spawned = 0
+
+    def handle(self, now, kind, payload):
+        self.log.append((now, kind, payload, self.kernel.seq))
+        dispatched = len(self.log) - 1
+        if dispatched < len(self.plans):
+            for spawn_kind, steps in self.plans[dispatched]:
+                self.kernel.push(now + steps * _GRID, spawn_kind, self.spawned)
+                self.spawned += 1
+
+    def heap_handlers(self):
+        return tuple(
+            (lambda now, _seq, payload, kind=kind: self.handle(now, kind, payload))
+            for kind in range(_ARRIVAL)
+        )
+
+
+def _merged(times, plans):
+    kernel = EventKernel("test")
+    script = _Script(kernel, plans)
+    kernel.run(
+        script.heap_handlers(),
+        lambda now, index: script.handle(now, _ARRIVAL, ("arrival", index)),
+        times,
+    )
+    return script.log, kernel.seq
+
+
+def _on_heap(times, plans):
+    """The merge's reference: every arrival is a heap event of kind 6.
+
+    The first arrival is pushed up front and each next one as the handler
+    of the one before returns, so the heap holds at most one arrival.
+    """
+    kernel = EventKernel("test")
+    script = _Script(kernel, plans)
+    kernel.push(times[0], _ARRIVAL, 0)
+    while kernel:
+        now, kind, _seq, payload = kernel.pop()
+        if kind != _ARRIVAL:
+            script.handle(now, kind, payload)
+            continue
+        script.handle(now, kind, ("arrival", payload))
+        if payload + 1 < len(times):
+            kernel.push(times[payload + 1], _ARRIVAL, payload + 1)
+    return script.log, kernel.seq
+
+
+_arrival_grids = st.lists(st.integers(0, 12), min_size=1, max_size=25).map(sorted)
+_plans = st.lists(
+    st.lists(st.tuples(st.integers(0, _ARRIVAL - 1), st.integers(0, 3)), max_size=3),
+    max_size=40,
+)
+
+
+class TestArrivalMerge:
+    """``EventKernel.run``: sorted arrivals merged with the heap."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=_arrival_grids, plans=_plans)
+    def test_matches_arrivals_on_the_heap(self, grid, plans):
+        times = [step * _GRID for step in grid]
+        with installed(SimSanitizer(max_violations=10_000)) as merged_san:
+            merged = _merged(times, plans)
+        with installed(SimSanitizer(max_violations=10_000)) as reference_san:
+            reference = _on_heap(times, plans)
+        # Same (time, kind, payload) order, the same ``seq`` seen at every
+        # dispatch and at the end, and the sanitizer sees the same pops and
+        # flags the same number of tie-order breaches.
+        assert merged == reference
+        assert merged_san.pops_observed == reference_san.pops_observed
+        assert len(merged_san.violations) == len(reference_san.violations)
+
+    def test_events_at_an_arrival_time_go_first(self):
+        kernel = EventKernel("test")
+        kernel.push(1.0, 5, "deadline")
+        kernel.push(2.0, 0, "edge")
+        log = []
+        kernel.run(
+            tuple(
+                (lambda now, _seq, payload, kind=kind: log.append((now, kind, payload)))
+                for kind in range(_ARRIVAL)
+            ),
+            lambda now, index: log.append((now, _ARRIVAL, index)),
+            [0.5, 1.0, 1.0, 3.0],
+        )
+        assert log == [
+            (0.5, 6, 0), (1.0, 5, "deadline"), (1.0, 6, 1), (1.0, 6, 2),
+            (2.0, 0, "edge"), (3.0, 6, 3),
+        ]
+        # Two pushes plus four arrivals, as if each arrival had been pushed.
+        assert not kernel and kernel.seq == 6
 
 
 class TestResource:

@@ -29,6 +29,7 @@ from repro.serve import (
     saturating_rate,
     shard_hot_degrees,
 )
+from repro.serve.kernel import EventKernel
 from repro.workloads.streams import poisson_arrivals
 from repro.workloads.traces import CandidateTraceGenerator, LabelHotnessModel
 
@@ -395,6 +396,22 @@ class TestServingProperties:
             simulator.run([])
         with pytest.raises(WorkloadError):
             simulator.run([1.0, 0.5])
+
+    @pytest.mark.parametrize("arrivals", [
+        [0.0, float("nan"), 2.0],
+        [0.0, 1.0, float("nan"), 0.5],  # the NaN hides the unsorted tail
+        [0.0, float("inf")],
+        [float("-inf"), 0.0],
+        [-0.5, 0.0, 1.0],
+    ])
+    def test_run_rejects_bad_arrival_times_before_any_event(self, arrivals, monkeypatch):
+        pushed = []
+        monkeypatch.setattr(
+            EventKernel, "push", lambda kernel, *event: pushed.append(event)
+        )
+        with pytest.raises(WorkloadError):
+            build_serving_stack(SERVICE, CONFIG).run(arrivals)
+        assert pushed == []
 
     def test_slo_too_tight_for_knee_batch_raises(self):
         with pytest.raises(ConfigurationError, match="SLO"):
