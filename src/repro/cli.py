@@ -26,9 +26,6 @@ Gives the reproduction a front door that requires no Python:
 * ``python -m repro profile`` — run an instrumented inference and print the
   critical-path attribution report (per-resource time, channel balance,
   transfer interference); ``--out`` writes the JSON form;
-* ``python -m repro perf-diff`` — compare two bench/metrics JSON files under
-  per-metric tolerance bands; exits nonzero on regression
-  (``--update-baseline`` rewrites the checked-in baseline instead);
 * ``python -m repro runs`` — list, show, compare, and divergence-check the
   run manifests registered by ``serve``/``faults``/``profile --run-dir``;
 * ``python -m repro lint`` — run the reprolint determinism checks
@@ -63,26 +60,27 @@ def _cmd_benchmarks(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _session_from_args(args: argparse.Namespace):
-    """Build+install an observability session when any output flag is set."""
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    jsonl_out = getattr(args, "jsonl_out", None)
-    stream_out = getattr(args, "jsonl_stream_out", None)
-    if not (trace_out or metrics_out or jsonl_out or stream_out):
-        return None
-    from . import obs
+def _observability_config(args: argparse.Namespace):
+    """The telemetry config the output flags ask for (``None`` when unset)."""
     from .config import ObservabilityConfig
 
-    return obs.configure(
-        ObservabilityConfig(
-            trace_out=trace_out,
-            metrics_out=metrics_out,
-            jsonl_out=jsonl_out,
-            jsonl_stream_out=stream_out,
-            span_seed=getattr(args, "seed", 0) or 0,
-        )
-    )
+    outputs = {
+        dest: getattr(args, dest, None)
+        for dest in ("trace_out", "metrics_out", "jsonl_out", "jsonl_stream_out")
+    }
+    if not any(outputs.values()):
+        return None
+    return ObservabilityConfig(**outputs)
+
+
+def _session_from_args(args: argparse.Namespace):
+    """Build+install an observability session when any output flag is set."""
+    config = _observability_config(args)
+    if config is None:
+        return None
+    from . import obs
+
+    return obs.configure(config)
 
 
 def _register_run(
@@ -855,31 +853,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf_diff(args: argparse.Namespace) -> int:
-    """Compare two metrics JSON files; exit nonzero on regression."""
-    from .obs.perfdiff import diff_files, parse_tolerance_spec, update_baseline
-
-    extra = tuple(parse_tolerance_spec(spec) for spec in args.tolerance)
-    report = diff_files(
-        args.baseline,
-        args.candidate,
-        extra_tolerances=extra,
-        default_rel_tol=args.default_rel_tol,
-    )
-    print(report.render(show_ok=args.show_ok))
-    if args.out:
-        _write_json(args.out, report.to_dict())
-    if args.update_baseline:
-        manifest_path = update_baseline(
-            args.baseline, args.candidate, run_dir=args.run_dir
-        )
-        print(f"updated baseline {args.baseline} from {args.candidate}")
-        if manifest_path:
-            print(f"recorded baseline update -> {manifest_path}")
-        return 0
-    return report.exit_code
-
-
 def _coerce_override(value: str) -> object:
     """CLI ``--set key=value`` values: JSON when it parses, else a string."""
     import json
@@ -1215,8 +1188,31 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         "--jsonl-stream-out",
         default=None,
         help="stream finished spans incrementally to this JSONL file "
-             "(bounded memory: spans bypass the in-memory tracer)",
+             "(bounded memory: spans bypass the in-memory tracer, so "
+             "--trace-out and --jsonl-out cannot be combined with it)",
     )
+
+
+def _check_output_flags(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Reject telemetry flag combinations before any work runs.
+
+    Streamed spans bypass the tracer's in-memory list, so ``profile`` would
+    have nothing to attribute; the config rejects the other combinations.
+    """
+    from .errors import ConfigurationError
+
+    if args.command == "profile" and getattr(args, "jsonl_stream_out", None):
+        parser.error(
+            "--jsonl-stream-out cannot be used with profile: streamed spans "
+            "bypass the tracer the profile reads; stream a quickstart run and "
+            "pass the file to profile --spans"
+        )
+    try:
+        _observability_config(args)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1393,39 +1389,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability_flags(profile)
     _add_verbose(profile)
 
-    perf_diff = sub.add_parser(
-        "perf-diff",
-        help="compare two bench/metrics JSON files; exit nonzero on regression",
-    )
-    perf_diff.add_argument("baseline", help="baseline metrics JSON path")
-    perf_diff.add_argument("candidate", help="candidate metrics JSON path")
-    perf_diff.add_argument(
-        "--tolerance", action="append", default=[], metavar="PATTERN=REL[:DIR]",
-        help="extra tolerance band (first match wins; DIR is higher_is_worse, "
-             "lower_is_worse, or both)",
-    )
-    perf_diff.add_argument(
-        "--default-rel-tol", type=float, default=0.05,
-        help="band for metrics no tolerance pattern matches",
-    )
-    perf_diff.add_argument(
-        "--show-ok", action="store_true",
-        help="also print metrics that stayed within their bands",
-    )
-    perf_diff.add_argument(
-        "--out", default=None, help="write the diff report as JSON"
-    )
-    perf_diff.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline JSON in place from the candidate "
-             "(exit 0 regardless of the diff verdict)",
-    )
-    perf_diff.add_argument(
-        "--run-dir", default=None,
-        help="with --update-baseline: record the update as a run manifest",
-    )
-    _add_verbose(perf_diff)
-
     faults = sub.add_parser(
         "faults", help="sweep the fault-injection matrix (RBER x fault class)"
     )
@@ -1532,7 +1495,8 @@ def build_parser() -> argparse.ArgumentParser:
     runs_show.add_argument("run_id", help="run ID (unambiguous prefix ok)")
     runs_compare = runs_sub.add_parser(
         "compare",
-        help="perf-diff runs' summary metrics (first run is the baseline)",
+        help="diff runs' summary metrics under tolerance bands (first run "
+             "is the baseline)",
     )
     runs_compare.add_argument(
         "run_ids", nargs="+", metavar="RUN_ID",
@@ -1571,7 +1535,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     from .obs import configure_logging
 
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_output_flags(parser, args)
     verbosity = getattr(args, "verbose_global", 0) + getattr(args, "verbose", 0)
     configure_logging(verbosity)
     handlers = {
@@ -1586,7 +1552,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "faults": _cmd_faults,
         "ablate": _cmd_ablate,
         "profile": _cmd_profile,
-        "perf-diff": _cmd_perf_diff,
         "runs": _cmd_runs,
         "lint": _cmd_lint,
     }

@@ -1,15 +1,13 @@
 """Elastic service-node autoscaling driven by the SLO burn rate.
 
-The autoscaler reuses the exact paging rule the observability layer's
-health monitor applies after a run (:class:`~repro.obs.health.BurnRatePolicy`
-over an :class:`~repro.obs.health.SloObjective`): the error budget is
-``1 - target`` of requests allowed to go *bad* (miss the deadline or get
-shed), and the burn rate is the budget-normalized bad fraction over a
-rolling sim-time window.  Both the fast window (is it bad right now?) and
-the slow window (has it been bad long enough to matter?) must exceed the
-threshold to scale **up**; both must sit far below it (a quarter of the
-threshold — hysteresis) to scale **down**.  One step per evaluation, so the
-evaluation interval doubles as the cooldown.
+The error budget is ``1 - SLO_TARGET`` of requests allowed to go *bad*
+(miss the deadline or get shed), and the burn rate is the budget-normalized
+bad fraction over a rolling sim-time window (Google SRE multi-window
+paging).  Both the fast window (is it bad right now?) and the slow window
+(has it been bad long enough to matter?) must exceed the threshold to scale
+**up**; both must sit far below it (a quarter of the threshold —
+hysteresis) to scale **down**.  One step per evaluation, so the evaluation
+interval doubles as the cooldown.
 
 The controller is a pure function of the completion/shed stream it has
 observed — no wall clock, no RNG — so the active-node trajectory is
@@ -23,24 +21,26 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..errors import ConfigurationError
-from ..obs.health import BurnRatePolicy, SloObjective
 
-#: Scale-down hysteresis: both burn windows must sit below ``threshold *
-#: SCALE_DOWN_FRACTION`` before a node is released.
+#: Availability target: the fraction of requests that must meet the deadline.
+SLO_TARGET = 0.999
+#: The error budget, written as ``1 - target`` (not ``0.001``) because the
+#: two floats differ and the scale trajectory is pinned bit for bit.
+ERROR_BUDGET = 1.0 - SLO_TARGET
+#: Burn rate above which a node is added (1.0 = exactly on budget).
+BURN_THRESHOLD = 2.0
+#: The fast and slow burn windows, in multiples of the SLO.
+FAST_WINDOW_SLOS = 5
+SLOW_WINDOW_SLOS = 25
+#: Scale-down hysteresis: both burn windows must sit below ``BURN_THRESHOLD
+#: * SCALE_DOWN_FRACTION`` before a node is released.
 SCALE_DOWN_FRACTION = 0.25
 
 
 class Autoscaler:
     """Burn-rate-driven controller for the active service-node count."""
 
-    def __init__(
-        self,
-        slo: float,
-        min_nodes: int,
-        max_nodes: int,
-        objective: SloObjective = SloObjective(),
-        policy: BurnRatePolicy = BurnRatePolicy(),
-    ) -> None:
+    def __init__(self, slo: float, min_nodes: int, max_nodes: int) -> None:
         if slo <= 0:
             raise ConfigurationError("slo must be positive")
         if not 1 <= min_nodes <= max_nodes:
@@ -50,9 +50,8 @@ class Autoscaler:
             )
         self.min_nodes = min_nodes
         self.max_nodes = max_nodes
-        self.objective = objective
-        self.policy = policy
-        self.fast_window, self.slow_window = policy.resolve_windows(slo)
+        self.fast_window = FAST_WINDOW_SLOS * slo
+        self.slow_window = SLOW_WINDOW_SLOS * slo
         # (event sim time, was the outcome bad) — sheds and deadline misses
         # are both budget burn.  Append-only; the two head pointers walk
         # forward as windows expire, so nothing is ever re-scanned.
@@ -63,8 +62,6 @@ class Autoscaler:
         self._fast_bad = 0
         self._slow_total = 0
         self._slow_bad = 0
-        self.peak_burn_fast = 0.0
-        self.peak_burn_slow = 0.0
 
     def observe(self, time: float, bad: bool) -> None:
         """Record one request outcome (completion or shed) at ``time``."""
@@ -103,19 +100,16 @@ class Autoscaler:
     def _burn(self, bad: int, total: int) -> float:
         if total == 0:
             return 0.0
-        return (bad / total) / self.objective.budget
+        return (bad / total) / ERROR_BUDGET
 
     def decide(self, now: float, active: int) -> int:
         """The target active-node count after one evaluation at ``now``."""
         self._expire(now)
         fast = self._burn(self._fast_bad, self._fast_total)
         slow = self._burn(self._slow_bad, self._slow_total)
-        self.peak_burn_fast = max(self.peak_burn_fast, fast)
-        self.peak_burn_slow = max(self.peak_burn_slow, slow)
-        threshold = self.policy.threshold
-        if fast > threshold and slow > threshold:
+        if fast > BURN_THRESHOLD and slow > BURN_THRESHOLD:
             return min(active + 1, self.max_nodes)
-        down_bar = threshold * SCALE_DOWN_FRACTION
+        down_bar = BURN_THRESHOLD * SCALE_DOWN_FRACTION
         if fast < down_bar and slow < down_bar:
             return max(active - 1, self.min_nodes)
         return active

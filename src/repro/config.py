@@ -214,15 +214,8 @@ class ObservabilityConfig:
     verbosity: int = 0
     # Streaming telemetry (repro.obs.streaming): when jsonl_stream_out is
     # set, finished spans bypass the in-memory list and stream to this JSONL
-    # file; max_spans caps the in-memory tracer (ObservabilityError past the
-    # cap with no sink); span_reservoir/span_seed keep a deterministic sample
-    # of streamed spans; aggregate_window_s turns on windowed duration
-    # aggregation with O(windows) memory.
+    # file, so the span exports (trace_out, jsonl_out) would be empty.
     jsonl_stream_out: Optional[str] = None
-    max_spans: Optional[int] = None
-    span_reservoir: Optional[int] = None
-    span_seed: int = 0
-    aggregate_window_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.verbosity < 0:
@@ -231,12 +224,14 @@ class ObservabilityConfig:
             value = getattr(self, name)
             if value is not None and not str(value):
                 raise ConfigurationError(f"ObservabilityConfig.{name} is empty")
-        if self.max_spans is not None and self.max_spans < 1:
-            raise ConfigurationError("max_spans must be >= 1 when set")
-        if self.span_reservoir is not None and self.span_reservoir < 1:
-            raise ConfigurationError("span_reservoir must be >= 1 when set")
-        if self.aggregate_window_s is not None and self.aggregate_window_s <= 0:
-            raise ConfigurationError("aggregate_window_s must be positive")
+        for name in ("trace_out", "jsonl_out"):
+            if self.jsonl_stream_out is not None and getattr(self, name):
+                flag = "--" + name.replace("_", "-")
+                raise ConfigurationError(
+                    f"jsonl_stream_out (--jsonl-stream-out) cannot be combined "
+                    f"with {name} ({flag}): streamed spans bypass the "
+                    f"in-memory tracer that {name} exports"
+                )
 
 
 def default_config() -> ECSSDConfig:

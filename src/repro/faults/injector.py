@@ -8,7 +8,7 @@ bit-identical to a build without the subsystem.
 
 A live injector owns a :class:`~repro.faults.plan.FaultPlan` plus the
 :class:`~repro.faults.model.RberModel`/:class:`~repro.faults.model.EccModel`
-pair, and answers five questions for the stack:
+pair, and answers these questions for the stack:
 
 * *controller*: is this channel stuck offline right now?  does this command
   time out?  what ECC latency does this page read pay, and is it readable
@@ -16,7 +16,6 @@ pair, and answers five questions for the stack:
 * *core pipeline*: which labels are unreadable (weight pages the ladder
   cannot correct) or corrupted (DRAM flips in the 4-bit screener table)?
   what per-page latency surcharge does the analytic timing model owe?
-* *serving*: how much fault pressure should the degradation ladder see?
 
 Every answer is a deterministic function of (config, entity id, sim time):
 no RNG state is consumed at query time, so replay never depends on the
@@ -212,23 +211,6 @@ class FaultInjector:
         """Labels corrupted by DRAM bit flips in the 4-bit screener table."""
         return self.plan.flipped_labels(num_labels)
 
-    # --- serving -----------------------------------------------------------
-    def fault_pressure(self, now: float) -> float:
-        """Pressure in [0, 1] for the serving degradation ladder.
-
-        Offline channels contribute the dominant term (a down channel is
-        lost bandwidth *now*); the uncorrectable tail contributes a smooth
-        RBER-driven floor so heavy wear degrades quality before it causes
-        outages.
-        """
-        down = len(self.plan.offline_channels(now))
-        channel_term = min(1.0, down / 2.0)
-        rber = self.rber_model.rber(
-            self.config.mean_pe_cycles, self.config.deployment_age
-        )
-        tail_term = min(1.0, 10.0 * self.ecc_model.uncorrectable_fraction(rber))
-        return max(channel_term, tail_term)
-
     # --- reporting ---------------------------------------------------------
     def summary(self) -> Dict[str, object]:
         """JSON-safe conservation ledger for reports and chaos tests."""
@@ -277,9 +259,6 @@ class NullFaultInjector:
 
     def flipped_labels(self, num_labels: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
-
-    def fault_pressure(self, now: float) -> float:
-        return 0.0
 
     def summary(self) -> Dict[str, object]:
         return {"enabled": False}

@@ -197,11 +197,6 @@ class FaultPlan:
                 break
         return release
 
-    def offline_channels(self, time: float) -> List[int]:
-        """Channels stuck offline at ``time`` (sorted)."""
-        down = {w.channel for w in self.windows if w.covers(time)}
-        return sorted(down)
-
     # --- DRAM bit flips ----------------------------------------------------
     def flipped_labels(self, num_labels: int) -> np.ndarray:
         """Labels whose 4-bit screener row a DRAM flip corrupted (sorted)."""

@@ -70,8 +70,8 @@ def discover_sim_packages(root: Optional[Path] = None) -> Tuple[str, ...]:
     Top-level packages (``repro.ssd``, ``repro.serve``, ...) and top-level
     modules (``repro.config``, ``repro.cli``, ...) are one scope unit each;
     ``repro.obs`` is enumerated per submodule because its telemetry half is
-    exempt while its analysis half (profile/health/perfdiff/digest/runs/
-    streaming: sim-clock-only, seeded, pure functions of config+seed) lives
+    exempt while its analysis half (profile/perfdiff/digest/runs/causal:
+    sim-clock-only, seeded, pure functions of config+seed) lives
     under the same contract as the simulator proper.  Subtract
     :data:`EXCLUDED_PACKAGES` and sort, so the scope is deterministic and
     new modules are in scope by default.
@@ -102,7 +102,7 @@ SIM_PACKAGES: Tuple[str, ...] = discover_sim_packages()
 #: Modules allowed to read the wall clock (the span recorder and metrics
 #: registry measure real time by design) or that must talk about banned
 #: names (this linter).  Deliberately narrower than ``repro.obs``: the
-#: profiler/health/perf-diff analyses are sim-clock-only and stay in scope.
+#: profiler, differ and digest analyses are sim-clock-only and stay in scope.
 WALL_CLOCK_EXEMPT: Tuple[str, ...] = (
     "repro.obs.metrics",
     "repro.obs.tracing",

@@ -64,14 +64,6 @@ from .export import (
     write_jsonl,
     write_prometheus,
 )
-from .health import (
-    AlertEvent,
-    BurnRatePolicy,
-    HealthReport,
-    SloObjective,
-    burn_rate_series,
-    evaluate_serving_health,
-)
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -84,7 +76,6 @@ from .metrics import (
 from .perfdiff import (
     PerfDiffReport,
     Tolerance,
-    diff_files,
     diff_metrics,
     flatten_metrics,
 )
@@ -105,12 +96,7 @@ from .runs import (
     diverge_runs,
     file_digest,
 )
-from .streaming import (
-    JsonlSpanWriter,
-    SpanReservoir,
-    StreamingSpanSink,
-    WindowedAggregator,
-)
+from .streaming import JsonlSpanWriter
 from .tracing import (
     DIGEST_TRACK,
     CLUSTER_TRACK,
@@ -161,13 +147,6 @@ __all__ = [
     "ResourceProfile",
     "ChannelBalance",
     "InterferenceStats",
-    "evaluate_serving_health",
-    "burn_rate_series",
-    "HealthReport",
-    "AlertEvent",
-    "SloObjective",
-    "BurnRatePolicy",
-    "diff_files",
     "diff_metrics",
     "flatten_metrics",
     "PerfDiffReport",
@@ -199,9 +178,6 @@ __all__ = [
     "diverge_runs",
     "file_digest",
     "JsonlSpanWriter",
-    "SpanReservoir",
-    "StreamingSpanSink",
-    "WindowedAggregator",
     # causal tracing + tail attribution
     "AttributionReport",
     "CausalCollector",
@@ -286,27 +262,13 @@ class Observability:
         self.registry = registry or (
             MetricsRegistry() if metrics_on else NULL_REGISTRY
         )
-        max_spans = getattr(config, "max_spans", None)
-        self.tracer = tracer or (
-            Tracer(max_spans=max_spans) if tracing_on else NULL_TRACER
-        )
+        self.tracer = tracer or (Tracer() if tracing_on else NULL_TRACER)
         if isinstance(self.registry, MetricsRegistry):
             register_standard_metrics(self.registry)
-        self.sink: Optional[StreamingSpanSink] = None
+        self.sink: Optional[JsonlSpanWriter] = None
         stream_out = getattr(config, "jsonl_stream_out", None)
-        reservoir = getattr(config, "span_reservoir", None)
-        window_s = getattr(config, "aggregate_window_s", None)
-        if self.tracer.enabled and (
-            stream_out is not None
-            or reservoir is not None
-            or window_s is not None
-        ):
-            self.sink = StreamingSpanSink(
-                path=stream_out,
-                reservoir=reservoir,
-                seed=getattr(config, "span_seed", 0),
-                window_s=window_s,
-            )
+        if self.tracer.enabled and stream_out is not None:
+            self.sink = JsonlSpanWriter(stream_out)
             self.tracer.attach_sink(self.sink)
         self._previous = None
 
@@ -350,8 +312,7 @@ class Observability:
             written.append(jsonl_out)
         if self.sink is not None:
             self.sink.close()
-            if self.sink.path is not None:
-                written.append(self.sink.path)
+            written.append(self.sink.path)
         return written
 
     def __enter__(self) -> "Observability":

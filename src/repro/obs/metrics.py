@@ -147,26 +147,6 @@ class _HistogramState:
         self.min = min(self.min, value)
         self.max = max(self.max, value)
 
-    def merge(self, other: "_HistogramState") -> None:
-        """Fold another state (same bucket bounds) into this one.
-
-        Histograms over fixed buckets are mergeable exactly: counts add,
-        extrema combine, and the merged percentile interpolation is
-        identical to having observed both streams into one state.  This is
-        what lets :mod:`repro.obs.streaming` keep O(windows) memory while
-        reporting whole-run aggregates.
-        """
-        if len(other.bucket_counts) != len(self.bucket_counts):
-            raise ConfigurationError(
-                "cannot merge histogram states with different bucket counts"
-            )
-        for i, count in enumerate(other.bucket_counts):
-            self.bucket_counts[i] += count
-        self.count += other.count
-        self.sum += other.sum
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
 
 def bucket_index(buckets: Sequence[float], value: float) -> int:
     """Index of the first bucket containing ``value`` (``le`` semantics)."""

@@ -1,10 +1,9 @@
-"""Performance-regression differ for bench/metrics JSON artifacts.
+"""Performance-regression differ over flattened metric maps.
 
-``repro perf-diff baseline.json candidate.json`` compares two metric files
-(``benchmarks/results/BENCH_*.json``, ``repro serve --out`` payloads, or any
-JSON with numeric leaves), applies per-metric tolerance bands, and exits
-nonzero on regression — so the bench trajectories checked into
-``benchmarks/results/`` are *enforced*, not just recorded.
+Compares two sets of metrics under per-metric tolerance bands and flags
+regressions.  ``repro runs compare`` diffs registered runs' summaries with
+it, ``benchmarks/perf_ab.py`` gates perfbench medians with it, and
+:mod:`repro.ablate.importance` borrows its direction vocabulary.
 
 Mechanics:
 
@@ -24,9 +23,7 @@ a byte-identical :class:`PerfDiffReport`.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -124,16 +121,6 @@ def flatten_metrics(value: JsonValue, prefix: str = "") -> Dict[str, float]:
             out.update(flatten_metrics(item, path))
     # strings / nulls carry no perf signal
     return out
-
-
-def load_metrics_file(path: str) -> Dict[str, float]:
-    """Parse a JSON file and flatten it to numeric leaves."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
-    return flatten_metrics(document)
 
 
 @dataclass(frozen=True)
@@ -312,72 +299,3 @@ def parse_tolerance_spec(spec: str) -> Tolerance:
             f"tolerance value in {spec!r} is not a number"
         ) from exc
     return Tolerance(pattern, rel_tol, direction or BOTH)
-
-
-def diff_files(
-    baseline_path: str,
-    candidate_path: str,
-    extra_tolerances: Sequence[Tolerance] = (),
-    default_rel_tol: float = DEFAULT_REL_TOL,
-) -> PerfDiffReport:
-    """Load, flatten, and diff two JSON metric files.
-
-    ``extra_tolerances`` take precedence over the defaults (first match
-    wins), so CLI overrides can tighten or loosen any band.
-    """
-    tolerances = tuple(extra_tolerances) + DEFAULT_TOLERANCES
-    return diff_metrics(
-        load_metrics_file(baseline_path),
-        load_metrics_file(candidate_path),
-        tolerances=tolerances,
-        default_rel_tol=default_rel_tol,
-    )
-
-
-def update_baseline(
-    baseline_path: str,
-    candidate_path: str,
-    run_dir: Optional[str] = None,
-    seed: int = 0,
-) -> Optional[str]:
-    """Rewrite the checked-in baseline JSON with the candidate document.
-
-    The candidate is re-serialized (``indent=2, sort_keys=True``) so the
-    checked-in file stays canonically formatted regardless of how the bench
-    wrote it.  When ``run_dir`` is given, a run manifest recording the
-    update (old and new flattened metrics, content digest of the new
-    baseline) is registered there, so baseline bumps leave an audit trail
-    instead of a bare diff; returns the manifest path, else ``None``.
-    """
-    old_metrics = (
-        load_metrics_file(baseline_path)
-        if os.path.exists(baseline_path)
-        else {}
-    )
-    with open(candidate_path, "r", encoding="utf-8") as fh:
-        try:
-            document = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{candidate_path} is not valid JSON: {exc}"
-            ) from exc
-    with open(baseline_path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if run_dir is None:
-        return None
-    # Late import: repro.obs.runs imports this module.
-    from .runs import RunManifest, RunRegistry
-
-    manifest = RunManifest.build(
-        label="perf-baseline-update",
-        seed=seed,
-        config={"baseline": baseline_path, "candidate": candidate_path},
-        workload={"kind": "perf-diff-baseline-update"},
-        metrics={
-            "old": dict(old_metrics),
-            "new": flatten_metrics(document),
-        },
-    )
-    manifest.add_artifact("baseline", baseline_path)
-    return RunRegistry(run_dir).register(manifest)

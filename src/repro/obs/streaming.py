@@ -2,46 +2,23 @@
 
 The in-memory :class:`~repro.obs.tracing.Tracer` holds every span, which
 caps trace size far below the million-request serving runs the roadmap
-targets.  This module is the O(1)-per-span alternative: attach a
-:class:`StreamingSpanSink` to a tracer and every finished span flows
-through three optional bounded stages instead of a list —
-
-* :class:`JsonlSpanWriter` — incremental JSON-lines file output with
-  flush-on-threshold.  Line format is exactly the in-memory exporter's
-  (:func:`repro.obs.export.to_jsonl`), so a streamed file is byte-identical
-  to an after-the-fact export of the same spans;
-* :class:`SpanReservoir` — deterministic seeded reservoir sampling
-  (Algorithm R over an explicit ``default_rng((seed, salt))`` stream).  The
-  kept sample is a pure function of (seed, span order), and is returned in
-  arrival order, so sampled traces are stable run to run;
-* :class:`WindowedAggregator` — per-sim-time-window histogram aggregation
-  with fold-down: once more than ``max_windows`` windows are live, the
-  oldest folds into a cumulative state via exact histogram merge
-  (:meth:`repro.obs.metrics._HistogramState.merge`).  For a time-ordered
-  span stream the whole-run aggregate is byte-identical to the unbounded
-  computation, while memory stays O(windows), not O(events).
+targets.  Attach a :class:`JsonlSpanWriter` to a tracer
+(``ObservabilityConfig(jsonl_stream_out=...)``, ``--jsonl-stream-out`` on
+the CLI) and every finished span is written to a JSON-lines file instead of
+the list, so memory stays at one flush buffer however long the run.  Line
+format is exactly the in-memory exporter's (:func:`repro.obs.export.to_jsonl`),
+so a streamed file is byte-identical to an after-the-fact export of the same
+spans.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
-
-import numpy as np
+from typing import List, Optional, TextIO
 
 from ..errors import ConfigurationError, ObservabilityError
-from .metrics import (
-    DEFAULT_BUCKETS,
-    _HistogramState,
-    percentile_from_state,
-)
 from .tracing import SpanRecord
-
-#: Salt mixed into the reservoir's RNG stream so a shared scenario seed
-#: never correlates with workload-generation draws.
-_RESERVOIR_SALT = 0x5A11
 
 
 class JsonlSpanWriter:
@@ -94,222 +71,3 @@ class JsonlSpanWriter:
         self.flush()
         self._handle.close()
         self._handle = None
-
-
-class SpanReservoir:
-    """Seeded, order-stable reservoir sample of a span stream (Algorithm R).
-
-    Holds at most ``capacity`` spans.  Replacement draws come from an
-    explicit ``default_rng((seed, salt))`` stream, so for a given seed the
-    kept sample depends only on the order and length of the span stream —
-    two identical runs keep identical samples.  :meth:`sample` returns the
-    kept spans sorted by arrival index (order-stable).
-    """
-
-    def __init__(self, capacity: int, seed: int = 0) -> None:
-        if capacity < 1:
-            raise ConfigurationError("reservoir capacity must be >= 1")
-        self.capacity = capacity
-        self.seed = seed
-        self.offered = 0
-        self._rng = np.random.default_rng((seed, _RESERVOIR_SALT))
-        self._items: List[Tuple[int, SpanRecord]] = []
-
-    def offer(self, span: SpanRecord) -> None:
-        index = self.offered
-        self.offered += 1
-        if len(self._items) < self.capacity:
-            self._items.append((index, span))
-            return
-        slot = int(self._rng.integers(0, index + 1))
-        if slot < self.capacity:
-            self._items[slot] = (index, span)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def sample(self) -> List[SpanRecord]:
-        """Kept spans in arrival order."""
-        return [span for _, span in sorted(self._items, key=lambda kv: kv[0])]
-
-    def sample_indices(self) -> List[int]:
-        """Arrival indices of the kept spans (ascending)."""
-        return sorted(index for index, _ in self._items)
-
-
-class WindowedAggregator:
-    """Online per-window aggregation of span sim-durations, O(windows).
-
-    Observations land in the window ``floor(sim_time / window_s)``.  When
-    more than ``max_windows`` windows are live the oldest folds into a
-    cumulative merged state; :meth:`to_dict` merges (folded + live windows,
-    ascending) into the whole-run aggregate.  Because fold-down and the
-    final merge both combine windows in ascending index order, a bounded
-    aggregator's output is byte-identical to an unbounded one's for any
-    time-ordered stream — the equality the streaming tests pin.
-    """
-
-    def __init__(
-        self,
-        window_s: float,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-        max_windows: int = 64,
-    ) -> None:
-        if window_s <= 0:
-            raise ConfigurationError("window_s must be positive")
-        if max_windows < 1:
-            raise ConfigurationError("max_windows must be >= 1")
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or list(bounds) != sorted(set(bounds)):
-            raise ConfigurationError("buckets must be sorted and unique")
-        self.window_s = window_s
-        self.buckets = bounds
-        self.max_windows = max_windows
-        self.events = 0
-        self.windows_seen = 0
-        self._windows: Dict[int, _HistogramState] = {}
-        self._folded: Optional[_HistogramState] = None
-        self._folded_through = -1  # highest window index already folded
-
-    @property
-    def live_windows(self) -> int:
-        return len(self._windows)
-
-    def observe_span(self, span: SpanRecord) -> None:
-        """Fold one span's simulated duration in (instants are skipped)."""
-        if span.kind != "span":
-            return
-        if span.sim_start is None or span.sim_end is None:
-            return
-        self.observe(span.sim_start, span.sim_end - span.sim_start)
-
-    def observe(self, sim_time: float, value: float) -> None:
-        self.events += 1
-        index = int(math.floor(sim_time / self.window_s))
-        if index <= self._folded_through and self._folded is not None:
-            # Straggler older than the fold horizon: merge it directly so
-            # nothing is dropped (ordering vs the folded prefix is lost,
-            # which only matters to float-sum associativity).
-            straggler = _HistogramState(len(self.buckets))
-            straggler.observe(value, self.buckets)
-            self._folded.merge(straggler)
-            return
-        state = self._windows.get(index)
-        if state is None:
-            state = _HistogramState(len(self.buckets))
-            self._windows[index] = state
-            self.windows_seen += 1
-        state.observe(value, self.buckets)
-        while len(self._windows) > self.max_windows:
-            self._fold_oldest()
-
-    def _fold_oldest(self) -> None:
-        index = min(self._windows)
-        state = self._windows.pop(index)
-        if self._folded is None:
-            self._folded = state
-        else:
-            self._folded.merge(state)
-        self._folded_through = max(self._folded_through, index)
-
-    def merged(self) -> _HistogramState:
-        """One state covering everything observed (folded + live windows)."""
-        total = _HistogramState(len(self.buckets))
-        if self._folded is not None:
-            total.merge(self._folded)
-        for index in sorted(self._windows):
-            total.merge(self._windows[index])
-        return total
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe whole-run aggregate (stable under fold-down)."""
-        state = self.merged()
-        empty = state.count == 0
-        return {
-            "window_s": self.window_s,
-            "windows": self.windows_seen,
-            "events": self.events,
-            "count": state.count,
-            "sum": state.sum,
-            "min": None if empty else state.min,
-            "max": None if empty else state.max,
-            "p50": None if empty else percentile_from_state(
-                self.buckets, state, 50.0
-            ),
-            "p95": None if empty else percentile_from_state(
-                self.buckets, state, 95.0
-            ),
-            "p99": None if empty else percentile_from_state(
-                self.buckets, state, 99.0
-            ),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
-class StreamingSpanSink:
-    """The composite sink a :class:`~repro.obs.tracing.Tracer` streams to.
-
-    Wires any combination of the three stages: a JSONL file (``path``), a
-    seeded reservoir sample (``reservoir``), and windowed aggregation
-    (``window_s``).  All stages see every span; memory held is
-    O(flush buffer + reservoir + windows) regardless of run length.
-    """
-
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        flush_threshold: int = 512,
-        reservoir: Optional[int] = None,
-        seed: int = 0,
-        window_s: Optional[float] = None,
-        max_windows: int = 64,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        if path is None and reservoir is None and window_s is None:
-            raise ConfigurationError(
-                "StreamingSpanSink needs at least one stage: a JSONL path, "
-                "a reservoir size, or an aggregation window"
-            )
-        self.writer = (
-            JsonlSpanWriter(path, flush_threshold) if path is not None else None
-        )
-        self.reservoir = (
-            SpanReservoir(reservoir, seed=seed) if reservoir is not None else None
-        )
-        self.aggregator = (
-            WindowedAggregator(window_s, buckets=buckets, max_windows=max_windows)
-            if window_s is not None
-            else None
-        )
-        self.emitted = 0
-
-    @property
-    def path(self) -> Optional[str]:
-        return self.writer.path if self.writer is not None else None
-
-    def emit(self, span: SpanRecord) -> None:
-        self.emitted += 1
-        if self.writer is not None:
-            self.writer.write(span)
-        if self.reservoir is not None:
-            self.reservoir.offer(span)
-        if self.aggregator is not None:
-            self.aggregator.observe_span(span)
-
-    def sample(self) -> List[SpanRecord]:
-        """The reservoir's kept spans (empty when sampling is disabled)."""
-        return self.reservoir.sample() if self.reservoir is not None else []
-
-    def aggregate(self) -> Optional[Dict[str, object]]:
-        """The windowed aggregate (``None`` when aggregation is disabled)."""
-        return self.aggregator.to_dict() if self.aggregator is not None else None
-
-    def flush(self) -> None:
-        if self.writer is not None:
-            self.writer.flush()
-
-    def close(self) -> None:
-        if self.writer is not None:
-            self.writer.close()

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from ..errors import ConfigurationError, ObservabilityError
+from ..errors import ConfigurationError
 
 #: Track names used by the built-in instrumentation (one Chrome-trace "thread"
 #: per track).  Channel tracks are ``flash/ch<N>``.
@@ -138,26 +138,16 @@ class _OpenSpan:
 class Tracer:
     """Collects spans; the live implementation behind ``obs.get_tracer``.
 
-    Two retention modes:
-
-    * **in-memory** (default) — finished spans accumulate on :attr:`spans`;
-      ``max_spans`` optionally caps the list, raising
-      :class:`~repro.errors.ObservabilityError` instead of growing silently
-      (the guard for long serving runs that forgot to stream);
-    * **streaming** — :meth:`attach_sink` hands every finished span to a
-      sink (:class:`repro.obs.streaming.StreamingSpanSink`) instead of the
-      list, so memory stays bounded by the sink's reservoir/windows no
-      matter how many spans the run emits.
+    Finished spans accumulate on :attr:`spans`, unless :meth:`attach_sink`
+    streams them to a :class:`repro.obs.streaming.JsonlSpanWriter` instead,
+    so memory stays at one flush buffer however many spans the run emits.
     """
 
     enabled = True
 
-    def __init__(self, max_spans: Optional[int] = None) -> None:
-        if max_spans is not None and max_spans < 1:
-            raise ConfigurationError("max_spans must be >= 1 (or None)")
+    def __init__(self) -> None:
         self.spans: List[SpanRecord] = []
-        self.max_spans = max_spans
-        self.sink = None  # duck-typed: .emit(SpanRecord)
+        self.sink = None  # duck-typed: .write(SpanRecord)
         self._stack: List[SpanRecord] = []
         self._wall_origin = time.perf_counter()
 
@@ -179,16 +169,8 @@ class Tracer:
     def _record(self, record: SpanRecord) -> None:
         """The single retention path every finished span goes through."""
         if self.sink is not None:
-            self.sink.emit(record)
+            self.sink.write(record)
             return
-        if self.max_spans is not None and len(self.spans) >= self.max_spans:
-            raise ObservabilityError(
-                f"tracer exceeded max_spans={self.max_spans} with no "
-                "streaming sink attached; attach a "
-                "repro.obs.streaming.StreamingSpanSink (e.g. "
-                "ObservabilityConfig(jsonl_stream_out=...)) to hold memory "
-                "bounded, or raise max_spans"
-            )
         self.spans.append(record)
 
     def span(self, name: str, track: str = HOST_TRACK, **attrs: object) -> _OpenSpan:
@@ -327,7 +309,6 @@ class NullTracer:
     enabled = False
     spans: List[SpanRecord] = []
     sink = None
-    max_spans: Optional[int] = None
 
     def attach_sink(self, sink) -> None:
         pass

@@ -92,23 +92,15 @@ class DegradationLadder:
     def max_level(self) -> int:
         return len(self.steps) - 1
 
-    def update(self, pressure: float, fault_pressure: float = 0.0) -> int:
+    def update(self, pressure: float) -> int:
         """Advance the ladder one step for the observed pressure.
 
         ``pressure`` is pending work relative to the admission depth limit
-        (0 = idle, 1 = at the shed threshold).  ``fault_pressure`` is the
-        device-reliability signal from :mod:`repro.faults` (offline
-        channels, uncorrectable-read tail): a degraded device has less
-        bandwidth to give, so the ladder reacts to whichever signal is
-        worse.  Returns the level to run the *next* batch at.
+        (0 = idle, 1 = at the shed threshold).  Returns the level to run the
+        *next* batch at.
         """
         if pressure < 0:
             raise ConfigurationError(f"pressure cannot be negative: {pressure}")
-        if fault_pressure < 0:
-            raise ConfigurationError(
-                f"fault_pressure cannot be negative: {fault_pressure}"
-            )
-        pressure = max(pressure, fault_pressure)
         if pressure >= self.high_watermark and self.level < self.max_level:
             self.level += 1
             self.escalations += 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..obs import SERVE_TRACK, get_registry, get_tracer
@@ -81,16 +81,12 @@ class ServingSimulator:
         config: ServingConfig,
         hot_degrees: List[float],
         ladder: DegradationLadder,
-        fault_signal: Optional[Callable[[float], float]] = None,
         digest_recorder: Optional[DigestRecorder] = None,
     ) -> None:
         self.service = service
         self.config = config
         self.hot_degrees = hot_degrees
         self.ladder = ladder
-        # Device-reliability pressure source (sim time -> [0, 1]); usually
-        # FaultInjector.fault_pressure.  None means a healthy device.
-        self.fault_signal = fault_signal
         # Optional provenance hook: ticked once per event-heap pop with the
         # loop's counter snapshot, so two same-seed runs can be checked for
         # state divergence after the fact (repro.obs.digest).
@@ -153,11 +149,8 @@ class ServingSimulator:
             replica = router.route()
             if replica is None:
                 raise SimulationError("dispatch with no replica capacity")
-            fault_pressure = (
-                self.fault_signal(now) if self.fault_signal is not None else 0.0
-            )
             pressure = core.pressure(router.inflight_requests, self.pressure_fallback)
-            level = core.dispatch_level(pressure, fault_pressure)
+            level = core.dispatch_level(pressure)
             batch = core.form_batch()
             duration = router.batch_time_on(
                 replica,
@@ -360,7 +353,6 @@ def build_serving_stack(
     config: ServingConfig,
     hot_degrees: Optional[List[float]] = None,
     ladder: Optional[DegradationLadder] = None,
-    fault_signal: Optional[Callable[[float], float]] = None,
     digest_recorder: Optional[DigestRecorder] = None,
 ) -> ServingSimulator:
     """Assemble admission, batching, routing, and degradation into one stack.
@@ -380,7 +372,6 @@ def build_serving_stack(
         config,
         degrees,
         ladder if ladder is not None else DegradationLadder(),
-        fault_signal=fault_signal,
         digest_recorder=digest_recorder,
     )
 

@@ -80,9 +80,9 @@ class ServiceNodeCore:
         """Latest safe dispatch time for ``request`` (deadline batching)."""
         return self.batcher.close_time(request)
 
-    def dispatch_level(self, pressure: float, fault_pressure: float = 0.0) -> int:
+    def dispatch_level(self, pressure: float) -> int:
         """Advance the degradation ladder for the next dispatch."""
-        return self.ladder.update(pressure, fault_pressure)
+        return self.ladder.update(pressure)
 
     def form_batch(self) -> List[Request]:
         """Pop the next batch (≤ knee) off the queue head."""

@@ -34,7 +34,6 @@ from repro.faults import (
 from repro.faults.harness import FAULT_CLASSES, config_for_class, run_fault_matrix
 from repro.layout.placement import WeightPlacement
 from repro.layout.remapper import evacuate_channels
-from repro.serve.degrade import DegradationLadder
 from repro.ssd.device import SSDDevice
 
 
@@ -212,14 +211,6 @@ class TestInjector:
         assert all(b >= a for a, b in zip(surcharges, surcharges[1:]))
         assert surcharges[-1] > surcharges[0]
 
-    def test_fault_pressure_tracks_offline_windows(self):
-        config = aged_config(offline_windows=2, offline_duration=1e-3, seed=5)
-        injector = FaultInjector(config, channels=4)
-        window = injector.plan.windows[0]
-        inside = (window.start + window.end) / 2
-        assert injector.fault_pressure(inside) >= 0.5
-        assert 0.0 <= injector.fault_pressure(window.end + 1.0) <= 1.0
-
     def test_timeout_ordinals_bounded_rate(self):
         injector = FaultInjector(aged_config(timeout_rate=0.2, seed=1), channels=2)
         hits = sum(injector.next_command_times_out() for _ in range(2000))
@@ -257,7 +248,6 @@ class TestZeroOverheadWhenDisabled:
         assert NULL_INJECTOR.offline_release(0, 1.25) == 1.25
         assert not NULL_INJECTOR.next_command_times_out()
         assert NULL_INJECTOR.unreadable_labels(100).size == 0
-        assert NULL_INJECTOR.fault_pressure(0.0) == 0.0
 
     def test_zero_rber_injector_adds_no_latency(self):
         baseline = self._storm()
@@ -430,20 +420,6 @@ class TestEvacuation:
         b = evacuate_channels(placement, scores, [0, 2])
         np.testing.assert_array_equal(a[0], b[0])
         assert a[1].moves == b[1].moves
-
-
-class TestServingPressure:
-    def test_fault_pressure_escalates_ladder(self):
-        ladder = DegradationLadder()
-        assert ladder.update(0.0, fault_pressure=0.0) == 0
-        level = ladder.update(0.0, fault_pressure=1.0)
-        assert level == 1
-        assert ladder.update(0.0, fault_pressure=1.0) == 2
-
-    def test_negative_fault_pressure_rejected(self):
-        ladder = DegradationLadder()
-        with pytest.raises(ConfigurationError):
-            ladder.update(0.0, fault_pressure=-0.1)
 
 
 class TestFaultMatrix:

@@ -433,3 +433,35 @@ class TestCli:
         assert "ecssd_tile_latency_seconds_bucket" in metrics
         # globals restored: later runs are uninstrumented again
         assert not obs.get_tracer().enabled
+
+    @pytest.mark.parametrize("flag", ["--trace-out", "--jsonl-out"])
+    @pytest.mark.parametrize("command", [
+        ["serve", "--duration", "0.05", "--seed", "7"],
+        ["quickstart", "--labels", "512"],
+    ])
+    def test_stream_out_rejected_with_span_exports(
+        self, command, flag, tmp_path, capsys
+    ):
+        """Streamed spans bypass the tracer, so the other span export would
+        be empty: the CLI refuses the pair before any work runs."""
+        from repro.cli import main
+
+        stream = tmp_path / "s.jsonl"
+        other = tmp_path / "other.out"
+        with pytest.raises(SystemExit) as exc:
+            main(command + [flag, str(other), "--jsonl-stream-out", str(stream)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--jsonl-stream-out" in err and flag in err
+        assert not stream.exists() and not other.exists()
+
+    def test_profile_rejects_stream_out(self, tmp_path, capsys):
+        from repro.cli import main
+
+        stream = tmp_path / "p.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--labels", "512", "--jsonl-stream-out", str(stream)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--jsonl-stream-out" in err and "--spans" in err
+        assert not stream.exists()

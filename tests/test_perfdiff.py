@@ -11,10 +11,8 @@ from repro.obs.perfdiff import (
     HIGHER_IS_WORSE,
     LOWER_IS_WORSE,
     Tolerance,
-    diff_files,
     diff_metrics,
     flatten_metrics,
-    load_metrics_file,
     parse_tolerance_spec,
 )
 
@@ -26,12 +24,6 @@ BASE = {
         {"p99_ms": 8.0, "goodput_qps": 900.0},
     ],
 }
-
-
-def _write(tmp_path, name, payload):
-    path = tmp_path / name
-    path.write_text(json.dumps(payload))
-    return str(path)
 
 
 class TestFlatten:
@@ -134,6 +126,19 @@ class TestClassification:
         assert report.ok
 
 
+    def test_render_names_the_verdict(self):
+        regressed = json.loads(json.dumps(BASE))
+        regressed["trajectory"][0]["p99_ms"] *= 1.2
+        report = diff_metrics(
+            flatten_metrics(BASE), flatten_metrics(regressed)
+        )
+        text = report.render()
+        assert "REGRESSION" in text
+        payload = report.to_dict()
+        assert payload["ok"] is False
+        assert payload["regressions"]
+
+
 class TestToleranceSpec:
     def test_parse_full_spec(self):
         tolerance = parse_tolerance_spec("*p99*=0.25:higher_is_worse")
@@ -162,77 +167,6 @@ class TestToleranceSpec:
             Tolerance("*", math.nan)
         with pytest.raises(ConfigurationError):
             diff_metrics({"x": 1.0}, {"x": 1.0}, default_rel_tol=math.nan)
-
-
-class TestFiles:
-    def test_diff_files_round_trip(self, tmp_path):
-        baseline = _write(tmp_path, "base.json", BASE)
-        candidate = _write(tmp_path, "cand.json", BASE)
-        assert diff_files(baseline, candidate).exit_code == 0
-
-    def test_diff_files_extra_tolerances_win(self, tmp_path):
-        regressed = json.loads(json.dumps(BASE))
-        regressed["trajectory"][0]["p99_ms"] *= 1.2
-        baseline = _write(tmp_path, "base.json", BASE)
-        candidate = _write(tmp_path, "cand.json", regressed)
-        assert diff_files(baseline, candidate).exit_code == 1
-        report = diff_files(
-            baseline, candidate,
-            extra_tolerances=(Tolerance("*p99*", 0.5, HIGHER_IS_WORSE),),
-        )
-        assert report.exit_code == 0
-
-    def test_bad_json_raises_configuration_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ConfigurationError):
-            load_metrics_file(str(bad))
-
-    def test_render_names_the_verdict(self, tmp_path):
-        regressed = json.loads(json.dumps(BASE))
-        regressed["trajectory"][0]["p99_ms"] *= 1.2
-        report = diff_files(
-            _write(tmp_path, "a.json", BASE),
-            _write(tmp_path, "b.json", regressed),
-        )
-        text = report.render()
-        assert "REGRESSION" in text
-        payload = report.to_dict()
-        assert payload["ok"] is False
-        assert payload["regressions"]
-
-
-class TestCli:
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        from repro.cli import main
-
-        baseline = _write(tmp_path, "base.json", BASE)
-        identical = _write(tmp_path, "same.json", BASE)
-        regressed_payload = json.loads(json.dumps(BASE))
-        for point in regressed_payload["trajectory"]:
-            point["p99_ms"] *= 1.2
-        regressed = _write(tmp_path, "bad.json", regressed_payload)
-
-        assert main(["perf-diff", baseline, identical]) == 0
-        assert main(["perf-diff", baseline, regressed]) == 1
-        # A CLI tolerance override loosens the band back to passing.
-        assert main([
-            "perf-diff", baseline, regressed,
-            "--tolerance", "*p99*=0.5:higher_is_worse",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "perf-diff" in out
-
-    def test_cli_writes_report_json(self, tmp_path, capsys):
-        from repro.cli import main
-
-        baseline = _write(tmp_path, "base.json", BASE)
-        out_path = tmp_path / "diff.json"
-        assert main([
-            "perf-diff", baseline, baseline, "--out", str(out_path)
-        ]) == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["ok"] is True
 
     def test_lower_is_worse_direction_constant(self):
         # Direction names are part of the CLI contract; keep them stable.

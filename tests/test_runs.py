@@ -21,7 +21,6 @@ from repro.obs import (
     state_digest,
 )
 from repro.obs.digest import canonical_json
-from repro.obs.perfdiff import update_baseline
 from repro.serve import (
     AffineServiceModel,
     ServingConfig,
@@ -316,32 +315,6 @@ class TestFaultDigests:
         assert len(a.entries) == 1  # one capture per matrix cell
         assert not diverge_digest_entries(a.entries, b.entries).diverged
         assert diverge_digest_entries(a.entries, c.entries).diverged
-
-
-# --- perf-diff baseline update -----------------------------------------------------
-class TestUpdateBaseline:
-    def test_rewrites_baseline_and_records_manifest(self, tmp_path):
-        baseline = tmp_path / "BENCH.json"
-        candidate = tmp_path / "cand.json"
-        baseline.write_text('{"goodput_qps": 100}\n', encoding="utf-8")
-        candidate.write_text('{"goodput_qps":  90}\n', encoding="utf-8")
-        run_dir = str(tmp_path / "runs")
-        manifest_path = update_baseline(
-            str(baseline), str(candidate), run_dir=run_dir
-        )
-        assert json.loads(baseline.read_text()) == {"goodput_qps": 90}
-        manifest = RunManifest.load(manifest_path)
-        assert manifest.label == "perf-baseline-update"
-        assert manifest.metrics["old"]["goodput_qps"] == 100.0
-        assert manifest.metrics["new"]["goodput_qps"] == 90.0
-        assert "baseline" in manifest.artifacts
-
-    def test_no_run_dir_returns_none(self, tmp_path):
-        baseline = tmp_path / "b.json"
-        candidate = tmp_path / "c.json"
-        candidate.write_text("{}\n", encoding="utf-8")
-        assert update_baseline(str(baseline), str(candidate)) is None
-        assert baseline.exists()
 
 
 # --- CLI ---------------------------------------------------------------------------

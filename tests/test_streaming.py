@@ -1,4 +1,4 @@
-"""Tests for streaming telemetry (repro.obs.streaming) and the tracer cap."""
+"""Tests for streaming telemetry (repro.obs.streaming)."""
 
 import json
 
@@ -8,10 +8,7 @@ from repro import ObservabilityConfig, obs
 from repro.errors import ConfigurationError, ObservabilityError
 from repro.obs import (
     JsonlSpanWriter,
-    SpanReservoir,
-    StreamingSpanSink,
     Tracer,
-    WindowedAggregator,
     read_jsonl_spans,
     spans_to_chrome_events,
     to_chrome_trace,
@@ -66,7 +63,7 @@ class TestJsonlSpanWriter:
     def test_file_byte_identical_to_in_memory_export(self, tmp_path):
         path = str(tmp_path / "spans.jsonl")
         streamed = Tracer()
-        streamed.attach_sink(StreamingSpanSink(path=path, flush_threshold=3))
+        streamed.attach_sink(JsonlSpanWriter(path, flush_threshold=3))
         _spans(streamed, 11)
         streamed.sink.close()
 
@@ -80,147 +77,30 @@ class TestJsonlSpanWriter:
             JsonlSpanWriter(str(tmp_path / "s.jsonl"), flush_threshold=0)
 
 
-# --- reservoir ---------------------------------------------------------------------
-class TestSpanReservoir:
-    def test_keeps_everything_under_capacity(self):
-        tracer = Tracer()
-        _spans(tracer, 5)
-        reservoir = SpanReservoir(capacity=8, seed=1)
-        for span in tracer.spans:
-            reservoir.offer(span)
-        assert [s.name for s in reservoir.sample()] == [
-            f"op{i}" for i in range(5)
-        ]
-
-    def test_deterministic_and_order_stable(self):
-        def fill(seed):
-            tracer = Tracer()
-            _spans(tracer, 500)
-            reservoir = SpanReservoir(capacity=16, seed=seed)
-            for span in tracer.spans:
-                reservoir.offer(span)
-            return reservoir
-
-        a, b, c = fill(7), fill(7), fill(8)
-        assert a.sample_indices() == b.sample_indices()
-        assert [s.name for s in a.sample()] == [s.name for s in b.sample()]
-        assert a.sample_indices() != c.sample_indices()  # seed matters
-        assert a.sample_indices() == sorted(a.sample_indices())
-        assert len(a) == 16
-        assert a.offered == 500
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ConfigurationError):
-            SpanReservoir(capacity=0)
-
-
-# --- windowed aggregation ----------------------------------------------------------
-class TestWindowedAggregator:
-    def test_bounded_matches_unbounded_byte_identical(self):
-        tracer = Tracer()
-        _spans(tracer, 2_000, dt=0.003)
-        bounded = WindowedAggregator(window_s=0.01, max_windows=4)
-        unbounded = WindowedAggregator(window_s=0.01, max_windows=10**9)
-        for span in tracer.spans:
-            bounded.observe_span(span)
-            unbounded.observe_span(span)
-        assert bounded.live_windows <= 4
-        assert unbounded.live_windows > 4
-        assert bounded.to_json() == unbounded.to_json()
-
-    def test_straggler_behind_fold_horizon_still_counted(self):
-        aggregator = WindowedAggregator(window_s=1.0, max_windows=2)
-        for t in range(6):
-            aggregator.observe(float(t), 0.5)
-        aggregator.observe(0.1, 0.5)  # window 0 folded long ago
-        assert aggregator.merged().count == 7
-        assert aggregator.events == 7
-
-    def test_skips_instants_and_unclocked_spans(self):
-        tracer = Tracer()
-        tracer.instant("gc", sim_time=1.0)
-        with tracer.span("wall-only"):
-            pass
-        aggregator = WindowedAggregator(window_s=1.0)
-        for span in tracer.spans:
-            aggregator.observe_span(span)
-        assert aggregator.merged().count == 0
-        assert aggregator.to_dict()["p99"] is None
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            WindowedAggregator(window_s=0.0)
-        with pytest.raises(ConfigurationError):
-            WindowedAggregator(window_s=1.0, max_windows=0)
-        with pytest.raises(ConfigurationError):
-            WindowedAggregator(window_s=1.0, buckets=(2.0, 1.0))
-
-
-# --- composite sink + tracer cap ---------------------------------------------------
+# --- the tracer's streaming sink ---------------------------------------------------
 class TestStreamingSpanSink:
-    def test_requires_at_least_one_stage(self):
-        with pytest.raises(ConfigurationError):
-            StreamingSpanSink()
-
-    def test_all_stages_see_every_span(self, tmp_path):
-        path = str(tmp_path / "s.jsonl")
-        sink = StreamingSpanSink(
-            path=path, reservoir=4, seed=0, window_s=0.01
-        )
-        tracer = Tracer()
-        tracer.attach_sink(sink)
-        _spans(tracer, 50)
-        sink.close()
-        assert sink.emitted == 50
-        assert sink.reservoir.offered == 50
-        assert sink.aggregator.events == 50
-        assert len(read_jsonl_spans(path)) == 50
-        assert tracer.spans == []  # nothing retained in memory
-
-    def test_tracer_cap_raises_without_sink(self):
-        tracer = Tracer(max_spans=5)
-        _spans(tracer, 5)
-        with pytest.raises(ObservabilityError, match="max_spans=5"):
-            tracer.add_span("overflow", 0.0, 1.0)
-
-    def test_tracer_cap_inert_with_sink_attached(self):
-        tracer = Tracer(max_spans=5)
-        tracer.attach_sink(StreamingSpanSink(reservoir=2))
-        _spans(tracer, 100)
-        assert tracer.sink.emitted == 100
-        assert tracer.spans == []
-        detached = tracer.detach_sink()
-        assert detached.emitted == 100
-        assert tracer.sink is None
-
     def test_attach_none_rejected(self):
         with pytest.raises(ConfigurationError):
             Tracer().attach_sink(None)
 
     def test_config_wiring_and_flush(self, tmp_path):
         path = str(tmp_path / "stream.jsonl")
-        config = ObservabilityConfig(
-            jsonl_stream_out=path,
-            max_spans=3,
-            span_reservoir=8,
-            aggregate_window_s=0.01,
-        )
+        config = ObservabilityConfig(jsonl_stream_out=path)
         with obs.configure(config) as session:
             _spans(obs.get_tracer(), 40)
             written = session.flush()
         assert path in written
         assert len(read_jsonl_spans(path)) == 40
-        assert session.sink.emitted == 40
-        assert len(session.sink.sample()) == 8
-        assert session.sink.aggregate()["count"] == 40
+        assert session.sink.lines_written == 40
+        assert session.tracer.spans == []  # nothing retained in memory
 
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            ObservabilityConfig(max_spans=0)
-        with pytest.raises(ConfigurationError):
-            ObservabilityConfig(span_reservoir=0)
-        with pytest.raises(ConfigurationError):
-            ObservabilityConfig(aggregate_window_s=0.0)
+    def test_stream_excludes_the_in_memory_span_exports(self, tmp_path):
+        stream = str(tmp_path / "stream.jsonl")
+        for other in ("trace_out", "jsonl_out"):
+            with pytest.raises(ConfigurationError, match=other):
+                ObservabilityConfig(
+                    jsonl_stream_out=stream, **{other: str(tmp_path / "x")}
+                )
 
 
 # --- exporter round-trips ----------------------------------------------------------
@@ -230,19 +110,17 @@ class TestExporterRoundTrip:
         tracer = Tracer()
         _spans(tracer, 7)
         tracer.instant("checkpoint", sim_time=0.5, attrs={"tick": 3})
-        sink = StreamingSpanSink(path=path)
+        writer = JsonlSpanWriter(path)
         for span in tracer.spans:
-            sink.emit(span)
-        sink.close()
+            writer.write(span)
+        writer.close()
         assert read_jsonl_spans(path) == tracer.spans
 
     def test_chrome_trace_identical_via_stream(self, tmp_path):
         """Streamed spans re-export to the same Chrome trace document."""
         path = str(tmp_path / "s.jsonl")
         streamed = Tracer()
-        # Reservoir sampling deliberately NOT enabled for the file: the
-        # stream must be lossless for the re-export to match.
-        streamed.attach_sink(StreamingSpanSink(path=path, reservoir=None))
+        streamed.attach_sink(JsonlSpanWriter(path))
         _spans(streamed, 25)
         streamed.sink.close()
 
@@ -263,44 +141,34 @@ class TestBoundedServingRun:
         rate = 1.2 * saturating_rate(service, config)
         return build_serving_stack(service, config), rate
 
-    def test_100k_request_run_bounded_and_aggregate_identical(self, tmp_path):
-        """A 100k-request serve run streams under a hard span cap, and the
-        windowed aggregate is byte-identical to the unbounded in-memory path."""
+    def test_100k_request_run_streams_the_in_memory_trace(self, tmp_path):
+        """A 100k-request serve run streams every span to disk, keeps none
+        in memory, and the file re-exports to the same Chrome trace as the
+        in-memory run of the same arrivals."""
         num_requests = 100_000
         simulator, rate = self._simulator()
         arrivals = poisson_arrivals(rate, num_requests, seed=0)
 
-        # Streaming leg: tiny in-memory cap, bounded windows.
-        cap = 256
-        sink = StreamingSpanSink(
-            path=str(tmp_path / "spans.jsonl"),
-            reservoir=64,
-            seed=0,
-            window_s=0.05,
-            max_windows=8,
-        )
-        tracer = Tracer(max_spans=cap)
-        tracer.attach_sink(sink)
+        # Streaming leg: every span goes to the file, none to the list.
+        path = str(tmp_path / "spans.jsonl")
+        writer = JsonlSpanWriter(path)
+        tracer = Tracer()
+        tracer.attach_sink(writer)
         obs.set_tracer(tracer)
         report_streamed = simulator.run(arrivals)
-        sink.close()
+        writer.close()
 
         assert report_streamed.arrived == num_requests
-        # The cap would have tripped without the sink: far more spans flowed
-        # through than the tracer may hold, and none were retained.
-        assert sink.emitted > cap
         assert len(tracer.spans) == 0
-        assert sink.aggregator.live_windows <= 8
 
         # In-memory leg: same seeded run, unbounded retention.
         simulator2, _ = self._simulator()
         unbounded = Tracer()
         obs.set_tracer(unbounded)
         report_memory = simulator2.run(arrivals)
-        aggregator = WindowedAggregator(window_s=0.05, max_windows=10**9)
-        for span in unbounded.spans:
-            aggregator.observe_span(span)
 
-        assert len(unbounded.spans) == sink.emitted
+        assert len(unbounded.spans) == writer.lines_written
         assert report_memory.goodput == report_streamed.goodput
-        assert sink.aggregator.to_json() == aggregator.to_json()
+        restored = Tracer()
+        restored.spans = read_jsonl_spans(path)
+        assert to_chrome_trace(restored) == to_chrome_trace(unbounded)
