@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.config import ECSSDConfig, FlashConfig
 from repro.errors import SimulationError
 from repro.ssd.device import SSDDevice
@@ -150,6 +151,12 @@ class TestBitIdentityPin:
     EXPECTED_GC_EVENTS = 530
     EXPECTED_RELOCATED = 4696
     EXPECTED_ERASES = 530
+    # sha256 of ``counters()``; totals are (bus acquisitions, pages
+    # transferred, die reads, die programs, die erases, commands issued).
+    EXPECTED_COUNTERS_DIGEST = (
+        "b7fcae905d2abe6b580c8ec1573f0c8e465c07783ec0d55ad4aeea45dd900772"
+    )
+    EXPECTED_COUNTER_TOTALS = (35734, 35734, 16226, 19508, 0, 35734)
 
     def replay(self):
         flash = FlashConfig(
@@ -205,3 +212,47 @@ class TestBitIdentityPin:
             self.EXPECTED_RELOCATED,
             self.EXPECTED_ERASES,
         )
+
+    @staticmethod
+    def counters(device):
+        """Per-resource counters of the replay, in a fixed order."""
+        return (
+            [
+                (ch.bus.busy_time.hex(), ch.bus.acquisitions, ch.pages_transferred)
+                for ch in device.channels
+            ],
+            [
+                (die.reads, die.programs, die.erases, die.busy_time.hex())
+                for ch in device.channels
+                for die in ch.dies
+            ],
+            [ctrl.commands_issued for ctrl in device.controllers],
+            [u.hex() for u in device.channel_bus_utilizations(device.clock)],
+        )
+
+    def test_resource_counters_are_bit_identical(self):
+        device, _digest = self.replay()
+        counters = self.counters(device)
+        channels, dies, issued, _utilizations = counters
+        digest = hashlib.sha256(repr(counters).encode()).hexdigest()
+        totals = (
+            sum(acquisitions for _busy, acquisitions, _pages in channels),
+            sum(pages for _busy, _acquisitions, pages in channels),
+            sum(reads for reads, _p, _e, _busy in dies),
+            sum(programs for _r, programs, _e, _busy in dies),
+            sum(erases for _r, _p, erases, _busy in dies),
+            sum(issued),
+        )
+        assert (digest, totals) == (
+            self.EXPECTED_COUNTERS_DIGEST, self.EXPECTED_COUNTER_TOTALS
+        )
+
+    def test_metrics_on_and_off_agree(self):
+        """The metrics branches of the hot path never move simulated time."""
+        _device, plain_digest = self.replay()
+        with obs.configure() as session:
+            device, digest = self.replay()
+        assert (digest, device.clock.hex()) == (plain_digest, self.EXPECTED_CLOCK)
+        counter = session.registry.get("flash_commands_total")
+        issued = sum(ctrl.commands_issued for ctrl in device.controllers)
+        assert counter.total() == issued

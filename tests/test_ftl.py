@@ -124,6 +124,27 @@ class TestGarbageCollection:
         total_relocated = sum(e.relocated_pages for e in ftl.gc_events)
         assert total_relocated == ftl.pages_relocated
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=CapacityError,
+        reason="GC dead end on a full plane: the 0.07 over-provisioning is"
+        " less than one block per plane (ROADMAP item 7)",
+    )
+    def test_gc_dead_end_on_full_plane(self):
+        """Filling channel 0, then churning LPA 0, must not exhaust the plane.
+
+        The fill leaves every full block fully valid, so GC finds no victim
+        and allocation drains the free heap.  When the last block fills, the
+        victim it then picks still holds a valid page with nowhere to go.
+        """
+        ftl = FlashTranslationLayer(tiny_config(), gc_threshold=2)
+        ftl.write(0)
+        for lpa in range(1, 29):
+            ftl.write(lpa)
+        for _ in range(40):
+            ftl.write(0)
+        assert_bookkeeping(ftl)
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(SimulationError):
             FlashTranslationLayer(tiny_config(), gc_threshold=0)
