@@ -31,8 +31,22 @@ class OpPhases(NamedTuple):
     transfer: float
 
 
+_READ = FlashOperation.READ
+_PROGRAM = FlashOperation.PROGRAM
+_ERASE = FlashOperation.ERASE
+# The raw record of an idle channel: its phases are all zero.
+_IDLE = (_ERASE, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
 class Channel:
-    """One flash channel: a bus resource plus its attached dies."""
+    """One flash channel: a bus resource plus its attached dies.
+
+    Each operation stores one raw record ``(kind, now, t0, t1, t2, t3)``:
+    the issue time and the bounds of its two intervals in the order they
+    run (a read senses then transfers, a program transfers then programs,
+    an erase has only the array interval).  :attr:`last_op_phases` derives
+    the phase split from it on read.
+    """
 
     def __init__(self, index: int, config: FlashConfig) -> None:
         self.index = index
@@ -47,7 +61,7 @@ class Channel:
         self.page_transfer_time = config.page_transfer_time
         self.pages_transferred = 0
         self.bytes_transferred = 0
-        self.last_op_phases = OpPhases(0.0, 0.0, 0.0)
+        self._last_op = _IDLE
 
     # --- scheduling -----------------------------------------------------------
     def read_page(
@@ -61,39 +75,27 @@ class Channel:
         dies' transfers slot in during this die's tR.  ``extra_sense``
         extends the die occupation (ECC soft-decode / read-retry ladder).
         """
-        die = self._die(die_index)
-        _sense_start, sense_end = die.execute(now, FlashOperation.READ, extra_sense)
-        _bus_start, bus_end = self.bus.acquire(sense_end, self.page_transfer_time)
-        self.last_op_phases = OpPhases(
-            queue=(_sense_start - now) + (_bus_start - sense_end),
-            service=sense_end - _sense_start,
-            transfer=bus_end - _bus_start,
-        )
+        sense_start, sense_end = self._die(die_index).execute(now, _READ, extra_sense)
+        bus_start, bus_end = self.bus.acquire(sense_end, self.page_transfer_time)
+        self._last_op = (_READ, now, sense_start, sense_end, bus_start, bus_end)
         self.pages_transferred += 1
         self.bytes_transferred += self.page_size
-        return _sense_start, bus_end
+        return sense_start, bus_end
 
     def program_page(self, now: float, die_index: int) -> Tuple[float, float]:
         """Schedule a page program: bus transfer in, then die program time."""
         die = self._die(die_index)
-        _bus_start, bus_end = self.bus.acquire(now, self.page_transfer_time)
-        start, end = die.execute(bus_end, FlashOperation.PROGRAM)
-        self.last_op_phases = OpPhases(
-            queue=(_bus_start - now) + (start - bus_end),
-            service=end - start,
-            transfer=bus_end - _bus_start,
-        )
+        bus_start, bus_end = self.bus.acquire(now, self.page_transfer_time)
+        start, end = die.execute(bus_end, _PROGRAM)
+        self._last_op = (_PROGRAM, now, bus_start, bus_end, start, end)
         self.pages_transferred += 1
         self.bytes_transferred += self.page_size
-        return _bus_start, end
+        return bus_start, end
 
     def erase_block(self, now: float, die_index: int) -> Tuple[float, float]:
         """Schedule a block erase on ``die_index`` (no bus data phase)."""
-        die = self._die(die_index)
-        start, end = die.execute(now, FlashOperation.ERASE)
-        self.last_op_phases = OpPhases(
-            queue=start - now, service=end - start, transfer=0.0
-        )
+        start, end = self._die(die_index).execute(now, _ERASE)
+        self._last_op = (_ERASE, now, start, end, 0.0, 0.0)
         return start, end
 
     def block_until(self, time: float) -> None:
@@ -108,6 +110,16 @@ class Channel:
 
     # --- accounting -----------------------------------------------------------
     @property
+    def last_op_phases(self) -> OpPhases:
+        """Phase decomposition of the most recent operation."""
+        kind, now, t0, t1, t2, t3 = self._last_op
+        if kind is _READ:
+            return OpPhases(queue=(t0 - now) + (t2 - t1), service=t1 - t0, transfer=t3 - t2)
+        if kind is _PROGRAM:
+            return OpPhases(queue=(t0 - now) + (t2 - t1), service=t3 - t2, transfer=t1 - t0)
+        return OpPhases(queue=t0 - now, service=t1 - t0, transfer=0.0)
+
+    @property
     def free_at(self) -> float:
         """Earliest time the whole channel (bus and all dies) is idle."""
         return max([self.bus.free_at] + [die.free_at for die in self.dies])
@@ -121,7 +133,7 @@ class Channel:
             die.reset()
         self.pages_transferred = 0
         self.bytes_transferred = 0
-        self.last_op_phases = OpPhases(0.0, 0.0, 0.0)
+        self._last_op = _IDLE
 
     def _die(self, die_index: int) -> Die:
         if not (0 <= die_index < len(self.dies)):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..errors import SimulationError
 from ..faults.injector import get_injector
@@ -30,6 +30,11 @@ class CommandKind(enum.Enum):
     READ = "read"
     PROGRAM = "program"
     ERASE = "erase"
+
+
+_READ = CommandKind.READ
+_PROGRAM = CommandKind.PROGRAM
+_ERASE = CommandKind.ERASE
 
 
 @dataclass(frozen=True)
@@ -101,15 +106,16 @@ class FlashController:
         """Issue ``commands`` starting at ``now``; returns batch timing."""
         registry = get_registry()
         injector = get_injector()
-        kind_counts: Optional[Dict[CommandKind, int]] = (
-            {} if registry.enabled else None
-        )
-        latency_histogram = (
+        # Flags are read once per batch: a toggle applies from the next submit.
+        metrics_on = registry.enabled
+        faults_on = injector.enabled
+        kind_counts: Dict[CommandKind, int] = {}
+        latency_histogram: Any = (
             registry.histogram(
                 "flash_command_latency_seconds",
                 "per-command flash latency, by channel and kind",
             )
-            if registry.enabled
+            if metrics_on
             else None
         )
         start = now
@@ -118,39 +124,44 @@ class FlashController:
         count = 0
         failed: List[PhysicalAddress] = []
         geometry = self.geometry
+        channel = self.channel
+        channel_index = channel.index
+        overhead = self.command_overhead
+        dies_per_package = self._dies_per_package
         for command in commands:
+            address = command.address
             if command.geometry is not geometry:
-                geometry.check(command.address)
-            self._check_channel(command.address)
-            die_index = self._local_die(command.address)
-            issue_time += self.command_overhead
+                geometry.check(address)
+            if address.channel != channel_index:
+                self._check_channel(address)
+            die_index = address.package * dies_per_package + address.die
+            issue_time += overhead
+            kind = command.kind
             extra_sense = 0.0
-            if injector.enabled:
+            if faults_on:
                 issue_time = self._fault_delays(injector, issue_time)
-                if command.kind is CommandKind.READ:
-                    outcome = injector.read_outcome(issue_time, command.address)
+                if kind is _READ:
+                    outcome = injector.read_outcome(issue_time, address)
                     extra_sense = outcome.extra_latency
                     if not outcome.correctable:
-                        failed.append(command.address)
-                elif command.kind is CommandKind.PROGRAM:
-                    injector.on_program(command.address, issue_time)
-            if command.kind is CommandKind.READ:
-                _s, end = self.channel.read_page(issue_time, die_index, extra_sense)
-            elif command.kind is CommandKind.PROGRAM:
-                _s, end = self.channel.program_page(issue_time, die_index)
-            elif command.kind is CommandKind.ERASE:
-                _s, end = self.channel.erase_block(issue_time, die_index)
+                        failed.append(address)
+                elif kind is _PROGRAM:
+                    injector.on_program(address, issue_time)
+            if kind is _READ:
+                end = channel.read_page(issue_time, die_index, extra_sense)[1]
+            elif kind is _PROGRAM:
+                end = channel.program_page(issue_time, die_index)[1]
+            elif kind is _ERASE:
+                end = channel.erase_block(issue_time, die_index)[1]
             else:  # pragma: no cover - enum is exhaustive
-                raise SimulationError(f"unknown command kind {command.kind!r}")
-            finish = max(finish, end)
+                raise SimulationError(f"unknown command kind {kind!r}")
+            if end > finish:
+                finish = end
             count += 1
-            if kind_counts is not None:
-                kind_counts[command.kind] = kind_counts.get(command.kind, 0) + 1
-            if latency_histogram is not None:
+            if metrics_on:
+                kind_counts[kind] = kind_counts.get(kind, 0) + 1
                 latency_histogram.observe(
-                    end - issue_time,
-                    channel=self.channel.index,
-                    kind=command.kind.value,
+                    end - issue_time, channel=channel_index, kind=kind.value
                 )
         self.commands_issued += count
         if kind_counts:

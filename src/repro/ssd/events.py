@@ -45,7 +45,8 @@ class Resource:
             raise SimulationError(
                 f"non-finite acquire (now={now}, duration={duration}) on {self.name}"
             )
-        start = max(now, self.free_at)
+        free_at = self.free_at
+        start = free_at if free_at > now else now  # max(now, free_at)
         end = start + duration
         self.free_at = end
         self.busy_time += duration

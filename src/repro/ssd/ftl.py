@@ -108,9 +108,12 @@ class FlashTranslationLayer:
     """Page-mapping FTL over a :class:`FlashGeometry`.
 
     ``gc_threshold`` is the minimum number of free blocks a plane keeps in
-    reserve; dropping to it triggers GC on that plane.  ``op_ratio`` reserves
-    over-provisioned blocks per plane that the host-visible capacity never
-    touches, which guarantees GC can always find a destination.
+    reserve; dropping to it triggers GC on that plane.  ``op_ratio`` withholds
+    that share of each channel's pages from the host-visible capacity.  The
+    reserve does not guarantee GC a destination: when it is less than one
+    block per plane (0.07 of a plane of eight 4-page blocks is 3 pages), GC
+    can pick a victim whose valid pages have nowhere to go, and the write
+    raises :class:`CapacityError`.
     """
 
     def __init__(
@@ -127,12 +130,30 @@ class FlashTranslationLayer:
         self.geometry = FlashGeometry(config)
         self.gc_threshold = gc_threshold
         self.op_ratio = op_ratio
-        self._planes_per_package = config.dies_per_package * config.planes_per_die
-        self._planes_per_channel = config.packages_per_channel * self._planes_per_package
+        self.user_pages_per_channel = int(config.pages_per_channel * (1.0 - op_ratio))
+        self.user_pages = self.user_pages_per_channel * config.channels
+        self._pages_per_block = config.pages_per_block
+        self._planes_per_channel = (
+            config.packages_per_channel * config.dies_per_package * config.planes_per_die
+        )
+        # Plane keys of each channel, indexed by logical page modulo
+        # ``_planes_per_channel``: package-major, then die, then plane.
+        self._plane_keys: List[List[PlaneKey]] = [
+            [
+                (channel, package, die, plane)
+                for package in range(config.packages_per_channel)
+                for die in range(config.dies_per_package)
+                for plane in range(config.planes_per_die)
+            ]
+            for channel in range(config.channels)
+        ]
 
         self._l2p: Dict[int, int] = {}
         self._p2l: Dict[int, int] = {}
         self._planes: Dict[PlaneKey, _PlaneState] = {}
+        # Every touched block by global block number (flat // pages_per_block),
+        # so invalidating a page needs no address decode.
+        self._blocks: Dict[int, BlockState] = {}
         self.gc_events: List[GcEvent] = []
         self.pages_written = 0
         self.pages_relocated = 0
@@ -149,14 +170,6 @@ class FlashTranslationLayer:
         per_channel = self.user_pages_per_channel
         start = channel * per_channel
         return range(start, start + per_channel)
-
-    @property
-    def user_pages_per_channel(self) -> int:
-        return int(self.config.pages_per_channel * (1.0 - self.op_ratio))
-
-    @property
-    def user_pages(self) -> int:
-        return self.user_pages_per_channel * self.config.channels
 
     def channel_of_logical(self, logical_page: int) -> int:
         """Which channel a logical page is statically routed to."""
@@ -220,7 +233,8 @@ class FlashTranslationLayer:
         Returns ``(plane_key, block, page)``; the page's flat index is
         ``block.base + page``.
         """
-        plane_key = self._pick_plane(channel, logical_page)
+        # Planes round-robin within the channel by logical page number.
+        plane_key = self._plane_keys[channel][logical_page % self._planes_per_channel]
         block = self._active_block(plane_key)
         page = block.write_pointer
         block.write_pointer += 1
@@ -229,13 +243,6 @@ class FlashTranslationLayer:
         if block.write_pointer >= block.pages_per_block:
             self._planes[plane_key].active = None
         return plane_key, block, page
-
-    def _pick_plane(self, channel: int, logical_page: int) -> PlaneKey:
-        """Round-robin planes within the channel by logical page number."""
-        idx = logical_page % self._planes_per_channel
-        package, rest = divmod(idx, self._planes_per_package)
-        die, plane = divmod(rest, self.config.planes_per_die)
-        return (channel, package, die, plane)
 
     def _plane(self, plane_key: PlaneKey) -> _PlaneState:
         state = self._planes.get(plane_key)
@@ -276,8 +283,9 @@ class FlashTranslationLayer:
         block = state.blocks.get(block_index)
         if block is None:
             base = self.geometry.to_flat(PhysicalAddress(*plane_key, block_index, 0))
-            block = BlockState(block_index, self.config.pages_per_block, base)
+            block = BlockState(block_index, self._pages_per_block, base)
             state.blocks[block_index] = block
+            self._blocks[base // self._pages_per_block] = block
         return block
 
     # --- garbage collection ---------------------------------------------------------
@@ -457,8 +465,7 @@ class FlashTranslationLayer:
         return min(counts), max(counts), sum(counts) / len(counts)
 
     def _invalidate(self, flat: int) -> None:
-        plane_key, block_index, page = self.geometry.split(flat)
-        block = self._plane(plane_key).blocks[block_index]
-        block.valid[page] = 0
+        block = self._blocks[flat // self._pages_per_block]
+        block.valid[flat - block.base] = 0
         block.valid_count -= 1
         self._p2l.pop(flat, None)

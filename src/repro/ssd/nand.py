@@ -50,6 +50,10 @@ class NandTiming:
         raise SimulationError(f"unknown flash operation {op!r}")
 
 
+_READ = FlashOperation.READ
+_PROGRAM = FlashOperation.PROGRAM
+
+
 class Die:
     """One NAND die: a serially-reusable resource with operation counters.
 
@@ -64,6 +68,7 @@ class Die:
         self.index = index
         self.timing = timing
         self._resource = Resource(name=f"die{index}")
+        self._latency = {op: timing.latency(op) for op in FlashOperation}
         self.reads = 0
         self.programs = 0
         self.erases = 0
@@ -79,10 +84,10 @@ class Die:
         """
         if extra < 0:
             raise SimulationError(f"negative extra occupation {extra} on die {self.index}")
-        start, end = self._resource.acquire(now, self.timing.latency(op) + extra)
-        if op is FlashOperation.READ:
+        start, end = self._resource.acquire(now, self._latency[op] + extra)
+        if op is _READ:
             self.reads += 1
-        elif op is FlashOperation.PROGRAM:
+        elif op is _PROGRAM:
             self.programs += 1
         else:
             self.erases += 1
