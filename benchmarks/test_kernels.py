@@ -150,6 +150,43 @@ def test_fetch_pages_throughput(benchmark):
     assert result.pages_per_channel == [512] * 8
 
 
+def test_ssd_mixed_bursts(benchmark):
+    """2,000 seeded 30/70 ``host_write``/``host_read`` bursts after an 80% fill."""
+    flash = FlashConfig(
+        channels=8, packages_per_channel=1, dies_per_package=2,
+        planes_per_die=1, blocks_per_plane=64, pages_per_block=16,
+    )
+    rng = np.random.default_rng(11)
+    writes = (rng.random(2000) < 0.3).tolist()
+    sizes = rng.integers(4, 29, size=2000).tolist()
+    picks = rng.integers(0, 1 << 30, size=sum(sizes)).tolist()
+
+    def filled_device():
+        device = SSDDevice(ECSSDConfig(flash=flash))
+        per_channel = device.ftl.user_pages_per_channel
+        filled = int(per_channel * 0.8)
+        lpas = [
+            lpa
+            for c in range(flash.channels)
+            for lpa in range(c * per_channel, c * per_channel + filled)
+        ]
+        for lo in range(0, len(lpas), 64):
+            device.host_write(lpas[lo: lo + 64])
+        return (device, lpas), {}
+
+    def bursts(device, lpas):
+        cursor = 0
+        for write, size in zip(writes, sizes):
+            burst = [lpas[p % len(lpas)] for p in picks[cursor: cursor + size]]
+            cursor += size
+            (device.host_write if write else device.host_read)(burst)
+        return device
+
+    device = benchmark.pedantic(bursts, setup=filled_device, rounds=5)
+    assert device.ftl.gc_events
+    assert device.clock > 0.0
+
+
 def test_event_backed_tile_timing(benchmark):
     """Four 2,048-vector tiles replayed as flash reads by ``EventBackedTiming.run``."""
     rng = np.random.default_rng(4)
