@@ -9,7 +9,7 @@ model, and a ping-pong data buffer.
 Public entry point: :class:`repro.ssd.device.SSDDevice`.
 """
 
-from .geometry import FlashGeometry, LogicalAddress, PhysicalAddress
+from .geometry import FlashGeometry, PhysicalAddress
 from .nand import NandTiming, Die, FlashOperation
 from .channel import Channel
 from .controller import FlashController, FlashCommand, CommandKind
@@ -24,7 +24,6 @@ from .device import SSDDevice, TileAccessResult
 
 __all__ = [
     "FlashGeometry",
-    "LogicalAddress",
     "PhysicalAddress",
     "NandTiming",
     "Die",

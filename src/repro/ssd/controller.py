@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 from ..errors import SimulationError
 from ..faults.injector import get_injector
@@ -37,28 +37,34 @@ _PROGRAM = CommandKind.PROGRAM
 _ERASE = CommandKind.ERASE
 
 
-@dataclass(frozen=True)
-class FlashCommand:
-    """One page-level flash command addressed to a physical page.
-
-    When constructed with a ``geometry``, every address field is validated
-    against the device fan-out immediately (raising
-    :class:`~repro.errors.AddressError` naming the offending field) instead
-    of first failing deep inside :meth:`FlashController.submit`.  Such a
-    command is validated once, at construction: the command and its address
-    are frozen, so :meth:`FlashController.submit` re-checks only commands
-    built without a geometry (or with another controller's geometry).  The
-    geometry rides along for validation only: it does not participate in
-    equality or repr.
-    """
-
+class _CommandFields(NamedTuple):
     kind: CommandKind
     address: PhysicalAddress
-    geometry: Optional[FlashGeometry] = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.geometry is not None:
-            self.geometry.check(self.address)
+
+class FlashCommand(_CommandFields):
+    """One page-level flash command addressed to a physical page.
+
+    An immutable ``(kind, address)`` tuple.  When constructed with a
+    ``geometry``, the address is validated against the device fan-out
+    immediately (raising :class:`~repro.errors.AddressError` naming the
+    offending field) instead of first failing deep inside
+    :meth:`FlashController.submit`.  The geometry is not stored:
+    :meth:`FlashController.submit` checks every address against its own
+    geometry regardless.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: CommandKind,
+        address: PhysicalAddress,
+        geometry: Optional[FlashGeometry] = None,
+    ) -> "FlashCommand":
+        if geometry is not None:
+            geometry.check(address)
+        return tuple.__new__(cls, (kind, address))
 
 
 @dataclass
@@ -129,14 +135,12 @@ class FlashController:
         overhead = self.command_overhead
         dies_per_package = self._dies_per_package
         for command in commands:
-            address = command.address
-            if command.geometry is not geometry:
-                geometry.check(address)
+            kind, address = command
+            geometry.check(address)
             if address.channel != channel_index:
                 self._check_channel(address)
             die_index = address.package * dies_per_package + address.die
             issue_time += overhead
-            kind = command.kind
             extra_sense = 0.0
             if faults_on:
                 issue_time = self._fault_delays(injector, issue_time)

@@ -15,7 +15,7 @@ baselines run on.  It exposes two levels of service:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from ..config import ECSSDConfig
 from ..errors import SimulationError
@@ -27,6 +27,9 @@ from .dram import DramModel
 from .ftl import FlashTranslationLayer
 from .geometry import FlashGeometry, PhysicalAddress
 from .host import HostInterface
+
+_READ = CommandKind.READ
+_PROGRAM = CommandKind.PROGRAM
 
 
 @dataclass
@@ -97,7 +100,7 @@ class SSDDevice:
         commands = []
         for lpa in logical_pages:
             address = self.ftl.write(lpa)
-            commands.append(FlashCommand(CommandKind.PROGRAM, address, self.geometry))
+            commands.append(FlashCommand(_PROGRAM, address))
         # L2P table updates hit DRAM (8 B per entry, read-modify-write).
         dram_done = self.dram.write(now, 8 * len(logical_pages))
         finish = max(link_done, dram_done)
@@ -136,14 +139,17 @@ class SSDDevice:
         the access-pattern and utilization analyses.
         """
         begin = self.clock if start is None else start
-        routed: Dict[int, List[FlashCommand]] = route_commands(
-            (FlashCommand(CommandKind.READ, a, self.geometry) for a in addresses),
-            len(self.channels),
-        )
+        geometry = self.geometry
+        routed: List[List[FlashCommand]] = [[] for _ in self.channels]
+        for address in addresses:
+            # Validated before routing: every address is checked before any
+            # channel's state moves.
+            command = FlashCommand(_READ, address, geometry)
+            routed[address.channel].append(command)
         pages_per_channel = [0] * len(self.channels)
         channel_finish = [begin] * len(self.channels)
         total = 0
-        for channel_index, batch in routed.items():
+        for channel_index, batch in enumerate(routed):
             pages_per_channel[channel_index] = len(batch)
             total += len(batch)
             if not batch:

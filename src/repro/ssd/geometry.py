@@ -8,28 +8,17 @@ structured addresses and knows the fan-out at every level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import NamedTuple
 
 from ..config import FlashConfig
 from ..errors import AddressError
 
-
-@dataclass(frozen=True, order=True)
-class LogicalAddress:
-    """A logical page address: a flat page number in the device's LPA space."""
-
-    page: int
-
-    def __post_init__(self) -> None:
-        if self.page < 0:
-            raise AddressError(f"negative logical page {self.page}")
+# ``_tuple_new(PhysicalAddress, fields)`` skips the negative-field check of
+# ``PhysicalAddress.__new__``: only for fields in range by construction.
+_tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True, order=True)
-class PhysicalAddress:
-    """A physical page address within the flash hierarchy."""
-
+class _AddressFields(NamedTuple):
     channel: int
     package: int
     die: int
@@ -37,14 +26,25 @@ class PhysicalAddress:
     block: int
     page: int
 
-    def __post_init__(self) -> None:
-        if (
-            self.channel < 0 or self.package < 0 or self.die < 0
-            or self.plane < 0 or self.block < 0 or self.page < 0
-        ):
-            for name in ("channel", "package", "die", "plane", "block", "page"):
-                if getattr(self, name) < 0:
-                    raise AddressError(f"negative {name} in {self!r}")
+
+class PhysicalAddress(_AddressFields):
+    """A physical page address within the flash hierarchy.
+
+    An immutable six-int tuple: it orders, hashes and compares equal like
+    ``(channel, package, die, plane, block, page)``.  Construction rejects
+    negative fields; :meth:`FlashGeometry.check` bounds them from above.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, channel: int, package: int, die: int, plane: int, block: int, page: int
+    ) -> "PhysicalAddress":
+        address = _tuple_new(cls, (channel, package, die, plane, block, page))
+        if channel < 0 or package < 0 or die < 0 or plane < 0 or block < 0 or page < 0:
+            name = next(name for name, value in zip(cls._fields, address) if value < 0)
+            raise AddressError(f"negative {name} in {address!r}")
+        return address
 
 
 class FlashGeometry:
@@ -57,8 +57,7 @@ class FlashGeometry:
 
     The strides of that layout and the six per-level fan-outs are computed
     once here (``FlashConfig`` is frozen) and are known to this class alone:
-    callers go through :meth:`to_flat`, :meth:`to_physical` and
-    :meth:`split`.
+    callers go through :meth:`to_flat` and :meth:`to_physical`.
     """
 
     def __init__(self, config: FlashConfig) -> None:
@@ -78,9 +77,21 @@ class FlashGeometry:
 
     # --- flat <-> structured -------------------------------------------------
     def to_physical(self, flat: int) -> PhysicalAddress:
-        """Convert a flat physical page index to a structured address."""
-        (channel, package, die, plane), block, page = self.split(flat)
-        return PhysicalAddress(channel, package, die, plane, block, page)
+        """Convert a flat physical page index to a structured address.
+
+        The one range check ``0 <= flat < total_pages`` already puts every
+        decoded field inside its fan-out, so the address is built without
+        re-validating it.  Raises :class:`AddressError` for an out-of-range
+        ``flat``.
+        """
+        if not (0 <= flat < self.total_pages):
+            raise AddressError(f"flat page {flat} outside [0, {self.total_pages})")
+        channel, rest = divmod(flat, self.pages_per_channel)
+        package, rest = divmod(rest, self._pages_per_package)
+        die, rest = divmod(rest, self._pages_per_die)
+        plane, rest = divmod(rest, self._pages_per_plane)
+        block, page = divmod(rest, self._pages_per_block)
+        return _tuple_new(PhysicalAddress, (channel, package, die, plane, block, page))
 
     def to_flat(self, addr: PhysicalAddress) -> int:
         """Convert a structured physical address to a flat page index."""
@@ -94,27 +105,13 @@ class FlashGeometry:
             + addr.page
         )
 
-    def split(self, flat: int) -> Tuple[Tuple[int, int, int, int], int, int]:
-        """Decode a flat page to ``((channel, package, die, plane), block, page)``.
-
-        The FTL's plane-keyed view of :meth:`to_physical`, without building
-        a :class:`PhysicalAddress`.
-        """
-        if not (0 <= flat < self.total_pages):
-            raise AddressError(f"flat page {flat} outside [0, {self.total_pages})")
-        channel, rest = divmod(flat, self.pages_per_channel)
-        package, rest = divmod(rest, self._pages_per_package)
-        die, rest = divmod(rest, self._pages_per_die)
-        plane, rest = divmod(rest, self._pages_per_plane)
-        block, page = divmod(rest, self._pages_per_block)
-        return (channel, package, die, plane), block, page
-
     def check(self, addr: PhysicalAddress) -> None:
         """Validate every field of ``addr`` against this geometry's fan-out.
 
-        Raises :class:`AddressError` naming the offending field.  Public so
-        :class:`repro.ssd.controller.FlashCommand` can validate addresses at
-        construction rather than first failing deep inside ``submit``.
+        Raises :class:`AddressError` naming the offending field.  Addresses
+        built by hand are checked here (``FlashCommand`` construction,
+        ``FlashController.submit``, :meth:`to_flat`); addresses derived from
+        a flat index by :meth:`to_physical` need no check.
         """
         if (
             addr.channel < self.channels and addr.package < self._packages
@@ -135,27 +132,12 @@ class FlashGeometry:
                 raise AddressError(f"{name}={value} exceeds fan-out {limit} in {addr!r}")
 
     # --- derived views --------------------------------------------------------
-    def channel_of(self, flat: int) -> int:
-        """Channel index of a flat physical page (cheap, no full decode)."""
-        if not (0 <= flat < self.total_pages):
-            raise AddressError(f"flat page {flat} outside [0, {self.total_pages})")
-        return flat // self.pages_per_channel
-
-    def die_index_of(self, flat: int) -> int:
-        """Global die index (channel-major) of a flat physical page."""
-        if not (0 <= flat < self.total_pages):
-            raise AddressError(f"flat page {flat} outside [0, {self.total_pages})")
-        return flat // self._pages_per_die
-
     def channel_page_range(self, channel: int) -> range:
         """The flat physical page index range owned by ``channel``."""
         if not (0 <= channel < self.channels):
             raise AddressError(f"channel {channel} outside [0, {self.channels})")
         start = channel * self.pages_per_channel
         return range(start, start + self.pages_per_channel)
-
-    def iter_channels(self) -> Iterator[int]:
-        return iter(range(self.channels))
 
     def pages_for_bytes(self, num_bytes: int) -> int:
         """Number of whole pages needed to hold ``num_bytes``."""

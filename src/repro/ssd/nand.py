@@ -68,7 +68,8 @@ class Die:
         self.index = index
         self.timing = timing
         self._resource = Resource(name=f"die{index}")
-        self._latency = {op: timing.latency(op) for op in FlashOperation}
+        self._read_latency = timing.read
+        self._program_latency = timing.program
         self.reads = 0
         self.programs = 0
         self.erases = 0
@@ -84,12 +85,15 @@ class Die:
         """
         if extra < 0:
             raise SimulationError(f"negative extra occupation {extra} on die {self.index}")
-        start, end = self._resource.acquire(now, self._latency[op] + extra)
+        # Counters move only once ``acquire`` has accepted the operation.
         if op is _READ:
+            start, end = self._resource.acquire(now, self._read_latency + extra)
             self.reads += 1
         elif op is _PROGRAM:
+            start, end = self._resource.acquire(now, self._program_latency + extra)
             self.programs += 1
         else:
+            start, end = self._resource.acquire(now, self.timing.latency(op) + extra)
             self.erases += 1
         return start, end
 
