@@ -124,18 +124,13 @@ class TestGarbageCollection:
         total_relocated = sum(e.relocated_pages for e in ftl.gc_events)
         assert total_relocated == ftl.pages_relocated
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=CapacityError,
-        reason="GC dead end on a full plane: the 0.07 over-provisioning is"
-        " less than one block per plane (ROADMAP item 7)",
-    )
     def test_gc_dead_end_on_full_plane(self):
         """Filling channel 0, then churning LPA 0, must not exhaust the plane.
 
         The fill leaves every full block fully valid, so GC finds no victim
         and allocation drains the free heap.  When the last block fills, the
-        victim it then picks still holds a valid page with nowhere to go.
+        victim it then picks still holds a valid page and no free block is
+        left, so GC compacts that victim in place.
         """
         ftl = FlashTranslationLayer(tiny_config(), gc_threshold=2)
         ftl.write(0)
@@ -144,6 +139,24 @@ class TestGarbageCollection:
         for _ in range(40):
             ftl.write(0)
         assert_bookkeeping(ftl)
+        assert ftl.mapped_pages == 29
+        assert ftl.gc_events
+
+    def test_refresh_without_free_block_compacts_in_place(self):
+        """Refreshing a fully valid block with no free block left fills the
+        open block, then reprograms the rest into the erased block."""
+        ftl = FlashTranslationLayer(tiny_config(), gc_threshold=2)
+        for lpa in range(29):
+            ftl.write(lpa)
+        plane = (0, 0, 0, 0)
+        assert not ftl._planes[plane].free_heap
+        assert ftl.refresh_block(plane, 0) == 4
+        assert_bookkeeping(ftl)
+        assert ftl.mapped_pages == 29
+        state = ftl._planes[plane]
+        assert state.active is state.blocks[0]
+        assert state.blocks[0].erase_count == 1
+        assert [ftl.lookup(lpa).block for lpa in range(4)] == [7, 7, 7, 0]
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(SimulationError):
