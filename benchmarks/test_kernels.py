@@ -30,7 +30,7 @@ from repro.serve import (
 from repro.ssd.device import SSDDevice
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.workloads.streams import poisson_arrivals
-from repro.workloads.synthetic import make_workload
+from repro.workloads.synthetic import generate_features, generate_weights, make_workload
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +88,20 @@ def test_prealign_throughput(benchmark):
     vector = rng.normal(size=1024).astype(np.float32)
     encoded = benchmark(prealign, vector)
     assert len(encoded) == 1024
+
+
+def test_synthetic_generation(benchmark):
+    """Host-side input generation at the perfbench device-query shape.
+
+    4096 x 256 clustered weights plus 9,664 query features.
+    """
+
+    def generate():
+        weights, cluster_of_label = generate_weights(4096, 256, seed=11)
+        return generate_features(9664, 256, weights, cluster_of_label, seed=12)
+
+    features, _ = benchmark(generate)
+    assert features.shape == (9664, 256)
 
 
 def test_alignment_free_mac_dot(benchmark):
