@@ -8,17 +8,16 @@ published values.
 """
 
 from .roofline import RooflineModel, RooflinePoint
-from .metrics import speedup, geometric_mean, utilization_timeline
+from .metrics import speedup, geometric_mean
 from .reporting import render_table, format_seconds, format_ratio
 from .energy import EnergyPoint, baseline_energy, ecssd_energy
-from .figures import bar_chart, grouped_bars, sparkline
+from .figures import bar_chart
 
 __all__ = [
     "RooflineModel",
     "RooflinePoint",
     "speedup",
     "geometric_mean",
-    "utilization_timeline",
     "render_table",
     "format_seconds",
     "format_ratio",
@@ -26,6 +25,4 @@ __all__ = [
     "baseline_energy",
     "ecssd_energy",
     "bar_chart",
-    "grouped_bars",
-    "sparkline",
 ]

@@ -13,9 +13,10 @@ they do.
 * :func:`channel_count_sweep` — device scaling: 2..16 flash channels;
 * :func:`drift_study` — balance decay of a stale placement as query hotness
   drifts, and what re-tuning recovers;
+* :func:`remap_cost_study` — what that re-tuning costs in moved vectors and
+  remap time, full re-placement vs incremental rebalancing;
 * :func:`scheduler_study` — FIFO vs die-round-robin channel scheduling (the
   measured component of the interference penalty);
-* :func:`deployment_study` — the §4.5 data-preparation period per benchmark;
 * :func:`energy_study` — per-query energy for ECSSD vs every baseline.
 """
 
@@ -37,7 +38,6 @@ from ..baselines import (
     SMARTSSD_N,
 )
 from ..config import ECSSDConfig
-from ..core.deployment import DeploymentModel, DeploymentTiming
 from ..core.pipeline import PipelineFeatures
 from ..layout.graded import GradedInterleaving
 from ..layout.learned import HotnessPredictor, LearnedInterleaving
@@ -438,18 +438,6 @@ def scheduler_study(
         )
     results = compare_policies(make_controller, commands)
     return [SchedulerResult(policy=k, makespan=v) for k, v in results.items()]
-
-
-# --- deployment study --------------------------------------------------------------------
-
-
-def deployment_study(
-    benchmarks: Sequence[str] = ("GNMT-E32K", "XMLCNN-S10M", "XMLCNN-S100M"),
-    config: Optional[ECSSDConfig] = None,
-) -> Dict[str, DeploymentTiming]:
-    """§4.5 data-preparation time per benchmark."""
-    model = DeploymentModel(config)
-    return {name: model.deploy(get_benchmark(name)) for name in benchmarks}
 
 
 # --- energy study -----------------------------------------------------------------------

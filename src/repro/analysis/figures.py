@@ -1,4 +1,4 @@
-"""ASCII figure rendering: bar charts and series for terminal reports.
+"""ASCII figure rendering: horizontal bar charts for terminal reports.
 
 The bench harness records tables; the examples additionally render the
 paper's figures as horizontal ASCII bar charts so a terminal run *looks*
@@ -57,48 +57,3 @@ def bar_chart(
             f"{''.ljust(label_width)} {' ' * (marker or 0)}^ paper: {reference:.4g}{unit}"
         )
     return "\n".join(lines)
-
-
-def grouped_bars(
-    groups: Sequence[Tuple[str, Sequence[Tuple[str, float]]]],
-    title: str = "",
-    width: int = DEFAULT_WIDTH,
-    unit: str = "",
-) -> str:
-    """Multiple labeled groups of bars sharing one scale."""
-    if not groups:
-        raise WorkloadError("grouped_bars needs at least one group")
-    all_values = [v for _, items in groups for _, v in items]
-    if not all_values:
-        raise WorkloadError("grouped_bars needs at least one value")
-    peak = max(all_values) or 1.0
-    label_width = max(len(label) for _, items in groups for label, _ in items)
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for group_name, items in groups:
-        lines.append(f"[{group_name}]")
-        for label, value in items:
-            filled = int(round(value / peak * width))
-            lines.append(
-                f"  {label.ljust(label_width)} {'#' * filled}"
-                f"{' ' * (width - filled)} {value:.4g}{unit}"
-            )
-    return "\n".join(lines)
-
-
-def sparkline(values: Sequence[float], width: Optional[int] = None) -> str:
-    """One-line trend of a series using block characters."""
-    if len(values) == 0:
-        raise WorkloadError("sparkline needs values")
-    blocks = " .:-=+*#%@"
-    lo, hi = min(values), max(values)
-    span = hi - lo or 1.0
-    picked = values
-    if width is not None and len(values) > width:
-        step = len(values) / width
-        picked = [values[int(i * step)] for i in range(width)]
-    return "".join(
-        blocks[min(len(blocks) - 1, int((v - lo) / span * (len(blocks) - 1)))]
-        for v in picked
-    )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,27 +25,6 @@ def geometric_mean(values: Iterable[float]) -> float:
     if any(v <= 0 for v in values):
         raise WorkloadError("geometric mean requires positive values")
     return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def utilization_timeline(
-    pages_per_channel_series: Sequence[np.ndarray],
-) -> List[float]:
-    """Per-tile mean-to-peak channel-load ratio for a series of fetch patterns.
-
-    Each entry is ``mean(pages) / max(pages)`` for one tile's per-channel
-    page counts — 1.0 for a perfectly balanced (or idle) tile, approaching
-    ``1/channels`` when a single channel carries everything.  Raises
-    :class:`~repro.errors.WorkloadError` on an empty series: a silent ``[]``
-    would make a plot of "balance over time" vacuously healthy.
-    """
-    if not pages_per_channel_series:
-        raise WorkloadError("utilization timeline of an empty series")
-    out: List[float] = []
-    for counts in pages_per_channel_series:
-        counts = np.asarray(counts)
-        peak = counts.max()
-        out.append(1.0 if peak == 0 else float(counts.mean() / peak))
-    return out
 
 
 def topk_retention(

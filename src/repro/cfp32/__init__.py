@@ -21,11 +21,6 @@ from .format import (
     COMPENSATION_BITS,
 )
 from .mac import AlignmentFreeMac, dot_cfp32
-from .serialization import (
-    serialize_vector,
-    deserialize_vector,
-    vectors_to_pages,
-)
 from .circuits import (
     MacDesign,
     MacCircuitModel,
@@ -45,7 +40,4 @@ __all__ = [
     "MacCircuitModel",
     "AcceleratorAreaModel",
     "required_fp32_gflops",
-    "serialize_vector",
-    "deserialize_vector",
-    "vectors_to_pages",
 ]

@@ -121,18 +121,3 @@ def lossless_fraction(values: np.ndarray) -> float:
     if total == 0:
         return 1.0
     return lossless / total
-
-
-def max_relative_error(values: np.ndarray) -> float:
-    """Worst-case relative reconstruction error over rows of ``values``."""
-    values = np.atleast_2d(np.asarray(values, dtype=np.float32))
-    worst = 0.0
-    for row in values:
-        decoded = decode(prealign(row))
-        reference = row.astype(np.float64)
-        mask = reference != 0
-        if not mask.any():
-            continue
-        err = np.abs(decoded[mask] - reference[mask]) / np.abs(reference[mask])
-        worst = max(worst, float(err.max()))
-    return worst

@@ -25,7 +25,6 @@ from .api import ECSSD
 from .deployment import DeploymentModel, DeploymentTiming
 from .scaleout import ScaleOutCluster, LabelShard, partition_labels
 from .batching import BatchingAnalyzer, BatchPoint, optimal_batch
-from .protocol import Command, Response, Opcode, Status, DeviceFirmware, HostLink
 from .event_backend import EventBackedTiming
 
 __all__ = [
@@ -47,11 +46,5 @@ __all__ = [
     "BatchingAnalyzer",
     "BatchPoint",
     "optimal_batch",
-    "Command",
-    "Response",
-    "Opcode",
-    "Status",
-    "DeviceFirmware",
-    "HostLink",
     "EventBackedTiming",
 ]

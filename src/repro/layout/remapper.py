@@ -18,7 +18,7 @@ This module computes and prices that maintenance operation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -169,77 +169,3 @@ def incremental_rebalance(
         )
     plan = RemapPlan(moves=moves, total_vectors=placement.num_vectors)
     return channel_of, plan
-
-
-def evacuate_channels(
-    placement: WeightPlacement,
-    scores: np.ndarray,
-    failed_channels: Sequence[int],
-    max_moves: Optional[int] = None,
-) -> tuple:
-    """Move vectors off failed channels, hottest first, balancing survivors.
-
-    The reliability counterpart of :func:`incremental_rebalance`: when the
-    fault subsystem marks channels as failed (a stuck-offline window that
-    outlives its deadline, or a die the scrub loop condemned), the hot
-    32-bit vectors parked there must move or every query that screens them
-    stalls.  Vectors evacuate in descending predicted-hotness order — under
-    a bounded ``max_moves`` maintenance window the hottest data escapes
-    first — and each lands on the currently lightest surviving channel.
-
-    Returns ``(new_channel_of, plan)``.  Raises :class:`WorkloadError` when
-    every channel has failed (there is nowhere left to put the data).
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (placement.num_vectors,):
-        raise WorkloadError("one score per vector is required")
-    channels = placement.num_channels
-    failed = sorted({int(c) for c in failed_channels})
-    for c in failed:
-        if not (0 <= c < channels):
-            raise WorkloadError(f"failed channel {c} outside [0, {channels})")
-    survivors = [c for c in range(channels) if c not in failed]
-    if not survivors:
-        raise WorkloadError("every channel failed; no destination for evacuation")
-    channel_of = placement.channel_of.copy()
-    loads = np.zeros(channels, dtype=np.float64)
-    for c in survivors:
-        loads[c] = scores[channel_of == c].sum()
-    stranded = np.flatnonzero(np.isin(channel_of, failed))
-    # Hottest first; ties broken by vector index for determinism.
-    order = stranded[np.lexsort((stranded, -scores[stranded]))]
-    budget = max_moves if max_moves is not None else order.size
-    moves: List[VectorMove] = []
-    for vector in order[:budget]:
-        target = min(survivors, key=lambda c: (loads[c], c))
-        moves.append(
-            VectorMove(
-                vector=int(vector),
-                source_channel=int(channel_of[vector]),
-                target_channel=target,
-            )
-        )
-        channel_of[vector] = target
-        loads[target] += scores[vector]
-    plan = RemapPlan(moves=moves, total_vectors=placement.num_vectors)
-    return channel_of, plan
-
-
-def maintenance_summary(
-    plan: RemapPlan,
-    vector_bytes: int,
-    config: Optional[ECSSDConfig] = None,
-) -> dict:
-    """Operator-facing numbers: moves, bytes, time, per-channel load."""
-    config = config or ECSSDConfig()
-    time = remap_time(plan, vector_bytes, config)
-    return {
-        "moves": len(plan.moves),
-        "moved_fraction": plan.moved_fraction,
-        "bytes_moved": len(plan.moves) * vector_bytes,
-        "makespan_seconds": time,
-        "reads_per_channel": plan.reads_per_channel(config.flash.channels).tolist(),
-        "programs_per_channel": plan.programs_per_channel(
-            config.flash.channels
-        ).tolist(),
-    }

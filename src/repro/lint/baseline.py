@@ -9,7 +9,7 @@ Two entry formats coexist:
 
 * **v2** (current) — entries key on ``(rule, symbol, message)`` where
   ``symbol`` is the fully-qualified enclosing symbol
-  (``repro.core.protocol.DeviceServer.handle``).  Neither half moves when
+  (``repro.cluster.engine.ClusterSimulator.run``).  Neither half moves when
   unrelated edits shift line numbers or the file is renamed in place, so
   refactors don't churn the baseline.  ``path``/``line``/``code`` are kept
   as human-facing hints only.

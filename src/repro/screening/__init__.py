@@ -16,21 +16,18 @@ This package is the algorithmic substrate ECSSD accelerates — the ENMC
 """
 
 from .projection import ProjectionMatrix, project
-from .quantization import Int4Quantizer, QuantizedMatrix, pack_int4, unpack_int4
+from .quantization import Int4Quantizer, QuantizedMatrix
 from .screener import ScreenResult, Int4Screener
 from .thresholds import ThresholdCalibrator, calibrate_threshold
 from .classifier import CandidateClassifier, ClassificationResult
 from .model import ApproximateScreeningModel, InferenceStats
 from .sensitivity import IntQuantizer, SensitivityPoint, sensitivity_sweep
-from .topk import StreamingTopK, offline_topk
 
 __all__ = [
     "ProjectionMatrix",
     "project",
     "Int4Quantizer",
     "QuantizedMatrix",
-    "pack_int4",
-    "unpack_int4",
     "ScreenResult",
     "Int4Screener",
     "ThresholdCalibrator",
@@ -42,6 +39,4 @@ __all__ = [
     "IntQuantizer",
     "SensitivityPoint",
     "sensitivity_sweep",
-    "StreamingTopK",
-    "offline_topk",
 ]

@@ -5,9 +5,6 @@ is symmetric) with a per-row scale.  Per-row scaling matters for the
 interleaving framework: the paper's "hot degree" predictor is the sum of the
 absolute 4-bit weight values of a row, so each row's codes must span the full
 INT4 range for that sum to be informative.
-
-``pack_int4``/``unpack_int4`` give the 2-codes-per-byte storage layout used
-when sizing DRAM footprints (12.8 GB for S100M's 4-bit matrix).
 """
 
 from __future__ import annotations
@@ -82,37 +79,3 @@ class Int4Quantizer:
         if vector.ndim != 1:
             raise WorkloadError("quantize_vector expects a 1-D array")
         return self.quantize(vector[None, :])
-
-
-def pack_int4(codes: np.ndarray) -> np.ndarray:
-    """Pack int8 codes in [-8, 7] to 2 codes/byte (low nibble first)."""
-    codes = np.asarray(codes, dtype=np.int8)
-    if codes.ndim != 2:
-        raise WorkloadError("pack_int4 expects a 2-D array")
-    if codes.min(initial=0) < -8 or codes.max(initial=0) > 7:
-        raise WorkloadError("codes outside INT4 range [-8, 7]")
-    rows, cols = codes.shape
-    if cols % 2:
-        codes = np.concatenate([codes, np.zeros((rows, 1), dtype=np.int8)], axis=1)
-    unsigned = (codes.astype(np.int16) & 0xF).astype(np.uint8)
-    low = unsigned[:, 0::2]
-    high = unsigned[:, 1::2]
-    return (low | (high << 4)).astype(np.uint8)
-
-
-def unpack_int4(packed: np.ndarray, cols: int) -> np.ndarray:
-    """Inverse of :func:`pack_int4`; ``cols`` recovers an odd width."""
-    packed = np.asarray(packed, dtype=np.uint8)
-    if packed.ndim != 2:
-        raise WorkloadError("unpack_int4 expects a 2-D array")
-    if cols <= 0 or cols > packed.shape[1] * 2:
-        raise WorkloadError(f"cols={cols} incompatible with packed width")
-    low = (packed & 0xF).astype(np.int8)
-    high = ((packed >> 4) & 0xF).astype(np.int8)
-    # Sign-extend 4-bit two's complement.
-    low = np.where(low > 7, low - 16, low).astype(np.int8)
-    high = np.where(high > 7, high - 16, high).astype(np.int8)
-    out = np.empty((packed.shape[0], packed.shape[1] * 2), dtype=np.int8)
-    out[:, 0::2] = low
-    out[:, 1::2] = high
-    return out[:, :cols]

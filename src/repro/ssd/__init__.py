@@ -19,7 +19,6 @@ from .buffer import PingPongBuffer, BufferOverflow
 from .host import HostInterface
 from .scheduler import ScheduledController, SchedulingPolicy
 from .trace import CommandTrace, TraceEvent, TracingController
-from .queues import NvmeFrontEnd, QueuePair, IoKind, Arbitration
 from .device import SSDDevice, TileAccessResult
 
 __all__ = [
@@ -42,10 +41,6 @@ __all__ = [
     "CommandTrace",
     "TraceEvent",
     "TracingController",
-    "NvmeFrontEnd",
-    "QueuePair",
-    "IoKind",
-    "Arbitration",
     "SSDDevice",
     "TileAccessResult",
 ]

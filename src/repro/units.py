@@ -99,18 +99,3 @@ def pretty_bytes(num_bytes: float) -> str:
             return f"{value:.4g} {unit}" if unit != "B" else f"{int(value)} B"
         value /= 1024
     raise AssertionError("unreachable")
-
-
-def pretty_time(seconds: float) -> str:
-    """Human-readable duration (``1.23 ms``, ``45.6 us``)."""
-    if seconds == 0:
-        return "0 s"
-    for threshold, scale, unit in (
-        (1.0, 1.0, "s"),
-        (MILLISECOND, 1e3, "ms"),
-        (MICROSECOND, 1e6, "us"),
-        (0.0, 1e9, "ns"),
-    ):
-        if abs(seconds) >= threshold:
-            return f"{seconds * scale:.4g} {unit}"
-    raise AssertionError("unreachable")

@@ -16,7 +16,7 @@ from .benchmarks import BenchmarkSpec, BENCHMARKS, get_benchmark, list_benchmark
 from .synthetic import SyntheticWorkload, generate_weights, generate_features
 from .traces import LabelHotnessModel, CandidateTraceGenerator, TileTrace
 from .drift import DriftingHotnessModel, drifted_generator
-from .streams import poisson_arrivals, bursty_arrivals, simulate_batched_service
+from .streams import poisson_arrivals
 
 __all__ = [
     "BenchmarkSpec",
@@ -32,6 +32,4 @@ __all__ = [
     "DriftingHotnessModel",
     "drifted_generator",
     "poisson_arrivals",
-    "bursty_arrivals",
-    "simulate_batched_service",
 ]

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.metrics import (
     geometric_mean,
     speedup,
-    utilization_timeline,
     weighted_utilization,
 )
 from repro.analysis.reporting import format_ratio, format_seconds, render_table
@@ -72,11 +71,6 @@ class TestMetrics:
             geometric_mean([])
         with pytest.raises(WorkloadError):
             geometric_mean([1.0, -1.0])
-
-    def test_utilization_timeline(self):
-        series = [np.array([2, 2, 2, 2]), np.array([4, 0, 0, 0]), np.zeros(4)]
-        out = utilization_timeline(series)
-        assert out == [1.0, 0.25, 1.0]
 
     def test_weighted_utilization(self):
         series = [np.array([2, 2]), np.array([4, 0])]

@@ -113,8 +113,3 @@ class TestSweeps:
         assert points[1].stale_balance < points[0].stale_balance - 0.1
         # Re-tuning restores balance regardless of drift.
         assert points[1].retuned_balance > 0.85
-
-    def test_deployment_study_keys(self):
-        timings = A.deployment_study(benchmarks=("GNMT-E32K",))
-        assert "GNMT-E32K" in timings
-        assert timings["GNMT-E32K"].total_time > 0

@@ -32,8 +32,6 @@ from repro.faults import (
     installed,
 )
 from repro.faults.harness import FAULT_CLASSES, config_for_class, run_fault_matrix
-from repro.layout.placement import WeightPlacement
-from repro.layout.remapper import evacuate_channels
 from repro.ssd.device import SSDDevice
 
 
@@ -370,56 +368,6 @@ class TestScrub:
             ScrubConfig(refresh_margin=0.0)
         with pytest.raises(ConfigurationError):
             ScrubConfig(max_refreshes=-1)
-
-
-class TestEvacuation:
-    def _placement(self, vectors=16, channels=4):
-        channel_of = np.arange(vectors, dtype=np.int64) % channels
-        slot_of = np.arange(vectors, dtype=np.int64) // channels
-        return WeightPlacement(
-            num_vectors=vectors,
-            num_channels=channels,
-            vector_bytes=128,
-            page_size=4096,
-            channel_of=channel_of,
-            slot_of=slot_of,
-            strategy_name="test",
-        )
-
-    def test_failed_channels_emptied_hottest_first(self):
-        placement = self._placement()
-        scores = np.arange(16, dtype=np.float64)
-        channel_of, plan = evacuate_channels(placement, scores, [1])
-        assert not np.any(channel_of == 1)
-        stranded = np.flatnonzero(placement.channel_of == 1)
-        moved = [m.vector for m in plan.moves]
-        assert sorted(moved) == sorted(stranded.tolist())
-        # Hottest stranded vector moved first.
-        assert moved[0] == stranded[np.argmax(scores[stranded])]
-
-    def test_bounded_window_moves_hottest(self):
-        placement = self._placement()
-        scores = np.arange(16, dtype=np.float64)
-        _channel_of, plan = evacuate_channels(placement, scores, [1], max_moves=2)
-        assert len(plan.moves) == 2
-        stranded = np.flatnonzero(placement.channel_of == 1)
-        top2 = stranded[np.argsort(-scores[stranded])][:2]
-        assert {m.vector for m in plan.moves} == set(top2.tolist())
-
-    def test_all_channels_failed_raises(self):
-        placement = self._placement()
-        with pytest.raises(WorkloadError):
-            evacuate_channels(
-                placement, np.ones(16), failed_channels=[0, 1, 2, 3]
-            )
-
-    def test_deterministic(self):
-        placement = self._placement()
-        scores = np.ones(16, dtype=np.float64)
-        a = evacuate_channels(placement, scores, [0, 2])
-        b = evacuate_channels(placement, scores, [0, 2])
-        np.testing.assert_array_equal(a[0], b[0])
-        assert a[1].moves == b[1].moves
 
 
 class TestFaultMatrix:

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from repro import ECSSD, ObservabilityConfig, obs
-from repro.analysis.metrics import utilization_timeline
-from repro.errors import ConfigurationError, SimulationError, WorkloadError
+from repro.errors import ConfigurationError, SimulationError
 from repro.obs import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
@@ -374,14 +373,6 @@ class TestCommandTraceHelpers:
 
 # --- satellites --------------------------------------------------------------------
 class TestSatellites:
-    def test_utilization_timeline_empty_raises(self):
-        with pytest.raises(WorkloadError):
-            utilization_timeline([])
-
-    def test_utilization_timeline_still_works(self):
-        out = utilization_timeline([np.array([2, 2, 2, 2]), np.array([0, 4, 0, 0])])
-        assert out[0] == 1.0 and out[1] == 0.25
-
     def test_observability_config_validates(self):
         with pytest.raises(ConfigurationError):
             ObservabilityConfig(verbosity=-1)

@@ -1,4 +1,4 @@
-"""Tests for INT4 quantization and packing (repro.screening.quantization)."""
+"""Tests for INT4 quantization (repro.screening.quantization)."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from repro.screening.quantization import (
     INT4_MAX,
     Int4Quantizer,
     QuantizedMatrix,
-    pack_int4,
-    unpack_int4,
 )
 
 
@@ -74,48 +72,6 @@ class TestQuantizer:
                 codes=np.zeros((2, 2), dtype=np.int8),
                 scales=np.ones(3, dtype=np.float32),
             )
-
-
-class TestPacking:
-    def test_roundtrip_even_width(self):
-        codes = np.array([[1, -7, 0, 5]], dtype=np.int8)
-        assert np.array_equal(unpack_int4(pack_int4(codes), 4), codes)
-
-    def test_roundtrip_odd_width(self):
-        codes = np.array([[-3, 7, 2]], dtype=np.int8)
-        assert np.array_equal(unpack_int4(pack_int4(codes), 3), codes)
-
-    def test_packed_density(self):
-        codes = np.zeros((8, 10), dtype=np.int8)
-        assert pack_int4(codes).shape == (8, 5)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(WorkloadError):
-            pack_int4(np.array([[8]], dtype=np.int8))
-
-    def test_rank_checked(self):
-        with pytest.raises(WorkloadError):
-            pack_int4(np.zeros(4, dtype=np.int8))
-        with pytest.raises(WorkloadError):
-            unpack_int4(np.zeros(4, dtype=np.uint8), 8)
-
-    def test_bad_cols_rejected(self):
-        packed = pack_int4(np.zeros((2, 4), dtype=np.int8))
-        with pytest.raises(WorkloadError):
-            unpack_int4(packed, 0)
-        with pytest.raises(WorkloadError):
-            unpack_int4(packed, 99)
-
-    @given(
-        st.integers(min_value=1, max_value=16),
-        st.integers(min_value=1, max_value=33),
-        st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_roundtrip_property(self, rows, cols, seed):
-        rng = np.random.default_rng(seed)
-        codes = rng.integers(-8, 8, size=(rows, cols)).astype(np.int8)
-        assert np.array_equal(unpack_int4(pack_int4(codes), cols), codes)
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)

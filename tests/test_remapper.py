@@ -11,7 +11,6 @@ from repro.layout.remapper import (
     RemapPlan,
     VectorMove,
     diff_placements,
-    maintenance_summary,
     remap_time,
 )
 from repro.layout.uniform import UniformInterleaving
@@ -107,21 +106,6 @@ class TestRemapTime:
         programs = plan.programs_per_channel(4)
         np.testing.assert_array_equal(reads, [2, 0, 0, 1])
         np.testing.assert_array_equal(programs, [0, 2, 1, 0])
-
-
-class TestMaintenanceSummary:
-    def test_summary_fields(self):
-        base = LabelHotnessModel(num_labels=TILE, run_length=1, seed=3)
-        old_gen = CandidateTraceGenerator(base, candidate_ratio=0.1, query_noise=0.05)
-        new_gen = drifted_generator(base, drift=1.0)
-        plan = diff_placements(
-            learned_placement(old_gen), learned_placement(new_gen)
-        )
-        summary = maintenance_summary(plan, vector_bytes=4096)
-        assert summary["moves"] == len(plan.moves)
-        assert summary["bytes_moved"] == len(plan.moves) * 4096
-        assert summary["makespan_seconds"] > 0
-        assert len(summary["reads_per_channel"]) == 8
 
 
 class TestIncrementalRebalance:

@@ -1,5 +1,6 @@
 """Repository-level quality checks: docs, docstrings, and API hygiene."""
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -100,6 +101,76 @@ class TestDocumentation:
         ]
         for name in expected:
             assert (bench_dir / name).is_file(), f"missing bench {name}"
+
+
+#: Trees whose imports make a module live; tests alone do not.
+LIVE_ROOTS = ("src", "benchmarks", "perfbench", "examples")
+
+
+def _module_of(path):
+    """(dotted module name, is package ``__init__``) of a ``src/`` file."""
+    parts = list(path.relative_to(REPO_ROOT / "src").with_suffix("").parts)
+    is_init = parts[-1] == "__init__"
+    if is_init:
+        parts.pop()
+    return ".".join(parts), is_init
+
+
+def _scan_imports(path):
+    """(dotted names a file imports, re-exports of a package ``__init__``).
+
+    Each ``from M import n`` gives ``M.n``.  A package ``__init__`` counts an
+    import only when its own code reads the bound name; otherwise it is a
+    re-export, mapping ``package.n`` to ``M.n``, which keeps ``M`` live only
+    if some file imports ``package.n``.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    module, is_init = ("", False)
+    if path.is_relative_to(REPO_ROOT / "src"):
+        module, is_init = _module_of(path)
+    package = module if is_init else module.rpartition(".")[0]
+    loaded = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    imported, reexports = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if is_init and bound not in loaded:
+                    reexports[f"{package}.{bound}"] = f"{base}.{alias.name}"
+                else:
+                    imported.add(f"{base}.{alias.name}")
+    return imported, reexports
+
+
+class TestNoTestOnlyModules:
+    def test_every_module_is_imported_outside_tests(self):
+        imported, reexports = set(), {}
+        for root in LIVE_ROOTS:
+            for path in (REPO_ROOT / root).rglob("*.py"):
+                names, aliases = _scan_imports(path)
+                imported |= names
+                reexports.update(aliases)
+        reached = set()
+        for name in imported:
+            seen = set()
+            while name in reexports and name not in seen:
+                seen.add(name)
+                name = reexports[name]
+            parts = name.split(".")
+            reached.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+        unreached = [name for name in ALL_MODULES if name not in reached]
+        assert not unreached, (
+            f"only tests import {unreached}; delete them or use them"
+        )
 
 
 class TestErrorHierarchy:

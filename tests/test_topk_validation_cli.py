@@ -1,108 +1,13 @@
-"""Tests for streaming top-k, backend validation, and the CLI."""
+"""Tests for backend validation and the CLI."""
 
 import hashlib
 import os
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.analysis.validation import ValidationReport, ValidationRow, cross_validate
 from repro.cli import main
 from repro.errors import WorkloadError
-from repro.screening.topk import StreamingTopK, offline_topk
-
-
-class TestStreamingTopK:
-    def test_matches_offline_reference(self):
-        rng = np.random.default_rng(0)
-        batch, n, k = 4, 200, 5
-        scores = rng.normal(size=(batch, n))
-        labels = np.tile(np.arange(n), (batch, 1))
-        merger = StreamingTopK(batch, k)
-        # Feed in three arbitrary tiles.
-        for start, stop in ((0, 70), (70, 150), (150, 200)):
-            merger.update_tile(
-                [labels[q, start:stop] for q in range(batch)],
-                [scores[q, start:stop] for q in range(batch)],
-            )
-        got_labels, got_scores = merger.results()
-        want_labels, want_scores = offline_topk(labels, scores, k)
-        np.testing.assert_array_equal(got_labels, want_labels)
-        np.testing.assert_allclose(got_scores, want_scores)
-
-    def test_threshold_tightens(self):
-        merger = StreamingTopK(batch=1, k=2)
-        assert merger.threshold(0) == float("-inf")
-        merger.update(0, np.array([1, 2]), np.array([5.0, 3.0]))
-        assert merger.threshold(0) == 3.0
-        merger.update(0, np.array([3]), np.array([4.0]))
-        assert merger.threshold(0) == 4.0
-
-    def test_padding_when_fewer_than_k(self):
-        merger = StreamingTopK(batch=1, k=5)
-        merger.update(0, np.array([9]), np.array([1.0]))
-        labels, scores = merger.results()
-        assert labels[0, 0] == 9
-        assert (labels[0, 1:] == -1).all()
-        assert np.isneginf(scores[0, 1:]).all()
-
-    def test_buffer_accounting(self):
-        merger = StreamingTopK(batch=8, k=5)
-        assert merger.buffer_bytes == 8 * 5 * 8
-        assert merger.fits_output_buffer(1024)
-        big = StreamingTopK(batch=64, k=16)
-        assert not big.fits_output_buffer(1024)
-
-    def test_validation(self):
-        with pytest.raises(WorkloadError):
-            StreamingTopK(0, 5)
-        with pytest.raises(WorkloadError):
-            StreamingTopK(4, 0)
-        merger = StreamingTopK(2, 3)
-        with pytest.raises(WorkloadError):
-            merger.update(5, np.array([0]), np.array([1.0]))
-        with pytest.raises(WorkloadError):
-            merger.update(0, np.array([0, 1]), np.array([1.0]))
-        with pytest.raises(WorkloadError):
-            merger.update_tile([np.array([0])], [np.array([1.0])])
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_streaming_equals_offline_property(self, seed):
-        """Invariant: any tiling of the score stream yields the exact
-        offline top-k (ties broken by label, matching the reference)."""
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(5, 120))
-        k = int(rng.integers(1, 8))
-        scores = np.round(rng.normal(size=(2, n)), 2)  # force some ties
-        labels = np.tile(np.arange(n), (2, 1))
-        cuts = np.sort(rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False))
-        merger = StreamingTopK(2, k)
-        prev = 0
-        for cut in list(cuts) + [n]:
-            merger.update_tile(
-                [labels[q, prev:cut] for q in range(2)],
-                [scores[q, prev:cut] for q in range(2)],
-            )
-            prev = cut
-        got_labels, got_scores = merger.results()
-        want_labels, want_scores = offline_topk(labels, scores, k)
-        np.testing.assert_allclose(got_scores, want_scores)
-        np.testing.assert_array_equal(got_labels, want_labels)
-
-
-class TestOfflineTopk:
-    def test_shape_mismatch(self):
-        with pytest.raises(WorkloadError):
-            offline_topk(np.zeros((1, 3)), np.zeros((1, 4)), 2)
-
-    def test_k_larger_than_n(self):
-        labels, scores = offline_topk(
-            np.array([[7, 8]]), np.array([[1.0, 2.0]]), k=5
-        )
-        assert labels[0, 0] == 8
-        assert (labels[0, 2:] == -1).all()
 
 
 class TestCrossValidation:

@@ -84,10 +84,3 @@ class TestPretty:
         assert units.pretty_bytes(512) == "512 B"
         assert "KiB" in units.pretty_bytes(8192)
         assert "GiB" in units.pretty_bytes(3 * units.GiB)
-
-    def test_pretty_time_scales(self):
-        assert units.pretty_time(0) == "0 s"
-        assert "ms" in units.pretty_time(2e-3)
-        assert "us" in units.pretty_time(5e-6)
-        assert "ns" in units.pretty_time(7e-9)
-        assert units.pretty_time(2.0).endswith(" s")
