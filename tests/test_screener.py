@@ -280,3 +280,44 @@ class TestTopRatio:
         screener, _ = make_screener(num_labels=30)
         result = screener.screen_top_ratio(np.ones((1, 16), dtype=np.float32), 1.0)
         assert len(result.candidates[0]) == 30
+
+
+class TestAppliedThreshold:
+    """The (B,) threshold array ``screen`` reports for each threshold form."""
+
+    @pytest.mark.parametrize("threshold", [0.25, 1, np.float64(0.25), np.array(0.25)])
+    def test_scalar_broadcasts_to_batch(self, threshold):
+        screener, _ = make_screener()
+        result = screener.screen(np.ones((3, 16), dtype=np.float32), threshold)
+        assert result.threshold.dtype == np.float32
+        assert result.threshold.shape == (3,)
+        assert result.threshold.flags.writeable
+        np.testing.assert_array_equal(
+            result.threshold, np.full(3, threshold, dtype=np.float32)
+        )
+
+    def test_per_query_array_is_copied(self):
+        screener, _ = make_screener()
+        threshold = np.array([0.5, -0.5, 2.0], dtype=np.float32)
+        result = screener.screen(np.ones((3, 16), dtype=np.float32), threshold)
+        np.testing.assert_array_equal(result.threshold, threshold)
+        assert result.threshold.dtype == np.float32
+        assert not np.shares_memory(result.threshold, threshold)
+
+    def test_length_one_array_broadcasts(self):
+        screener, _ = make_screener()
+        result = screener.screen(np.ones((3, 16), dtype=np.float32), np.array([0.5]))
+        np.testing.assert_array_equal(result.threshold, np.full(3, 0.5, np.float32))
+
+    def test_wrong_length_rejected(self):
+        screener, _ = make_screener()
+        with pytest.raises(WorkloadError, match="2 thresholds for 3 queries"):
+            screener.screen(np.ones((3, 16), dtype=np.float32), np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "threshold", [np.nan, np.float32(np.nan), np.array([0.0, 0.0, np.nan])]
+    )
+    def test_nan_rejected(self, threshold):
+        screener, _ = make_screener()
+        with pytest.raises(WorkloadError, match="screening threshold is NaN"):
+            screener.screen(np.ones((3, 16), dtype=np.float32), threshold)
