@@ -345,16 +345,20 @@ class ECSSDevice:
         assert self.deployment is not None
         tile_vectors = self.deployment.tile_vectors
         num_labels = self.deployment.num_labels
+        flat = np.concatenate(candidates_per_query)
         in_union = np.zeros(num_labels, dtype=bool)
-        for c in candidates_per_query:
-            in_union[c] = True
+        in_union[flat] = True
         union = np.flatnonzero(in_union)
-        per_query_total = sum(len(c) for c in candidates_per_query)
+        per_query_total = flat.size
+        starts = range(0, num_labels, tile_vectors)
+        # The union is sorted, so each tile's members are one slice of it.
+        cuts = union.searchsorted(starts).tolist()
+        cuts.append(union.size)
         tiles: List[TileWorkload] = []
         int4_tile_bytes = tile_vectors * ((self.deployment.shrunk_dim + 1) // 2)
-        for start in range(0, num_labels, tile_vectors):
+        for tile, start in enumerate(starts):
             stop = min(start + tile_vectors, num_labels)
-            members = union[(union >= start) & (union < stop)]
+            members = union[cuts[tile]:cuts[tile + 1]]
             pages = placement.pages_per_channel(members)
             # Per-tile compute share proportional to this tile's candidates.
             share = len(members) / max(1, len(union))
@@ -366,9 +370,7 @@ class ECSSDevice:
                     batch=batch,
                     candidates=int(round(per_query_total * share / batch)),
                     fp32_pages_per_channel=pages,
-                    int4_pages_per_channel=self._int4_pages(
-                        int4_tile_bytes, start // tile_vectors
-                    ),
+                    int4_pages_per_channel=self._int4_pages(int4_tile_bytes, tile),
                     int4_bytes=int4_tile_bytes,
                 )
             )
