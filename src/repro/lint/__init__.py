@@ -23,43 +23,9 @@ Usage::
     REPRO_SIMSAN=1 repro serve ...          # runtime sanitizer
     # reprolint: disable=<rule>             # inline suppression
     reprolint-baseline.json                 # justified grandfathered findings
+
+The package itself imports nothing: the simulator imports
+:mod:`repro.lint.simsan`, and loading the static linter with it would slow
+every simulator start.  Import the linter's names from their submodules
+(:mod:`.engine`, :mod:`.rules`, :mod:`.baseline`, :mod:`.deep`, ...).
 """
-
-from .baseline import Baseline, BaselineEntry, BaselineError, discover_baseline
-from .deep import DEEP_RULE_CLASSES, default_deep_rules, run_deep
-from .engine import FileContext, LintEngine, Rule, module_name_for
-from .findings import Finding, Severity
-from .project import DeepRule, ProjectGraph, package_of
-from .rules import (
-    EXCLUDED_PACKAGES,
-    RULE_CLASSES,
-    SIM_PACKAGES,
-    default_rules,
-    discover_sim_packages,
-    rules_by_name,
-)
-
-__all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "BaselineError",
-    "DEEP_RULE_CLASSES",
-    "DeepRule",
-    "EXCLUDED_PACKAGES",
-    "FileContext",
-    "Finding",
-    "LintEngine",
-    "ProjectGraph",
-    "RULE_CLASSES",
-    "Rule",
-    "SIM_PACKAGES",
-    "Severity",
-    "default_deep_rules",
-    "default_rules",
-    "discover_baseline",
-    "discover_sim_packages",
-    "module_name_for",
-    "package_of",
-    "rules_by_name",
-    "run_deep",
-]

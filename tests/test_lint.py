@@ -15,21 +15,18 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as repro_main
-from repro.lint import (
-    Baseline,
-    BaselineError,
+from repro.lint.baseline import Baseline, BaselineEntry, BaselineError
+from repro.lint.cli import main as lint_main
+from repro.lint.deep import run_deep
+from repro.lint.engine import LintEngine, module_name_for
+from repro.lint.findings import Finding
+from repro.lint.rules import (
     EXCLUDED_PACKAGES,
-    LintEngine,
     SIM_PACKAGES,
     default_rules,
     discover_sim_packages,
-    module_name_for,
     rules_by_name,
-    run_deep,
 )
-from repro.lint.baseline import BaselineEntry
-from repro.lint.cli import main as lint_main
-from repro.lint.findings import Finding
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SIM_MODULE = "repro.ssd.fixture"
@@ -790,6 +787,26 @@ class TestDeepCommandLine:
         out = capsys.readouterr().out
         for name in ("layering-contract", "seed-provenance", "unit-flow"):
             assert name in out
+
+
+class TestImportCost:
+    def test_simulator_import_leaves_the_static_linter_unloaded(self):
+        """The simulator reaches only the runtime sanitizer, not the linter."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        code = (
+            "import sys, repro, repro.cluster, repro.serve, repro.faults\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('repro.lint')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        loaded = set(proc.stdout.split())
+        assert "repro.lint.simsan" in loaded
+        assert loaded <= {"repro.lint", "repro.lint.simsan"}
 
 
 class TestShippedTree:
