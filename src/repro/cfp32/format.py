@@ -81,19 +81,20 @@ def prealign(values: np.ndarray) -> CFP32Vector:
     if e_max == 0xFF:
         raise FormatError("CFP32 cannot encode inf/NaN")
     # Zeros and subnormals (exponent 0) flush to M = 0.
-    mantissa = ((bits & 0x7FFFFF) | (1 << 23)) * (exponent > 0)
-    shifted_up = mantissa << COMPENSATION_BITS
+    shifted_up = ((bits & 0x7FFFFF) | (1 << 23)) << COMPENSATION_BITS
+    shifted_up *= exponent > 0
     # shifted_up < 2**31, so any shift of 31 or more leaves 0; clamping keeps
     # far-below-E_max offsets (up to 254) within int64's defined shifts.
-    offset = np.minimum(e_max - exponent, 31)
+    offset = np.minimum(e_max - exponent, 31, out=exponent)
     aligned = shifted_up >> offset
     # Bits shifted out: frexp's exponent of the remainder is its bit length
     # (0 for no loss).  The remainder is below 2**31, so float64 holds it.
-    dropped = np.frexp(shifted_up - (aligned << offset))[1].astype(np.int64)
+    shifted_up -= aligned << offset
+    dropped = np.frexp(shifted_up)[1].astype(np.int64)
+    # The sign bit makes ``bits`` negative; a zero ``bits`` has M = 0 anyway.
+    aligned *= np.sign(bits)
     return CFP32Vector(
-        shared_exponent=e_max,
-        mantissas=np.where(bits < 0, -aligned, aligned),
-        dropped_bits=dropped,
+        shared_exponent=e_max, mantissas=aligned, dropped_bits=dropped
     )
 
 
