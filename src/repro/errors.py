@@ -2,10 +2,14 @@
 
 All library-raised exceptions derive from :class:`ReproError` so callers can
 catch everything from this package with a single ``except`` clause while still
-distinguishing configuration mistakes from runtime device faults.
+distinguishing configuration mistakes from runtime device faults.  It also
+holds :func:`candidate_ids`, the one check of candidate-id dtypes that the
+screening and layout packages share.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class ReproError(Exception):
@@ -56,3 +60,16 @@ class AblationError(ReproError):
     spec-derived cell identity (a version or spec drift mid-campaign), and
     importance scoring over an incomplete result set.
     """
+
+
+def candidate_ids(candidates: object) -> np.ndarray:
+    """Candidate label/vector ids as int64; floats and bools are refused.
+
+    Casting would truncate ``0.7`` to label 0, so a non-integer array raises
+    :class:`WorkloadError` instead.  An empty array of any dtype is allowed
+    (``np.asarray([])`` is float64).
+    """
+    array = np.asarray(candidates)
+    if array.dtype.kind not in "iu" and array.size:
+        raise WorkloadError(f"candidate ids must be integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
