@@ -115,19 +115,19 @@ class WeightPlacement:
             raise WorkloadError("candidate index outside placement")
         channels = self.channel_of[candidates]
         vectors_per_page = self.vectors_per_page
-        if not vectors_per_page:
-            counts = np.bincount(channels, minlength=self.num_channels)
-            return counts * self.pages_per_vector
-        # Mark each (channel, page) read in a dense per-channel row spanning
-        # only the candidates' pages, then count the marks per row.  The key
-        # is built per call because placements are edited in place
-        # (re-interleaving).
-        pages = self.slot_of[candidates] // vectors_per_page
-        lo = int(pages.min())
-        stride = int(pages.max()) - lo + 1
+        # Mark each (channel, page) read -- or, when vectors span pages, each
+        # (channel, slot) -- in a dense per-channel row spanning only the
+        # candidates' units, then count the marks per row.  The key is built
+        # per call because placements are edited in place (re-interleaving).
+        units = self.slot_of[candidates]
+        if vectors_per_page:
+            units = units // vectors_per_page
+        lo = int(units.min())
+        stride = int(units.max()) - lo + 1
         touched = np.zeros(self.num_channels * stride, dtype=bool)
-        touched[channels * stride + (pages - lo)] = True
-        return np.count_nonzero(touched.reshape(self.num_channels, stride), axis=1)
+        touched[channels * stride + (units - lo)] = True
+        counts = np.count_nonzero(touched.reshape(self.num_channels, stride), axis=1)
+        return counts if vectors_per_page else counts * self.pages_per_vector
 
     def fetch_page_lists(self, candidates: np.ndarray) -> Dict[int, np.ndarray]:
         """Channel -> sorted channel-local page indices for a candidate set.

@@ -124,7 +124,8 @@ class TestPagesPerChannel:
     @settings(max_examples=60, deadline=None)
     def test_counts_equal_unique_key_reference(self, seed):
         """Sort-and-mask page dedup matches the np.unique formulation,
-        repeated candidates included."""
+        repeated candidates included: vectors that span pages count each
+        distinct (channel, slot) once."""
         rng = np.random.default_rng(seed)
         num_vectors = int(rng.integers(1, 300))
         channels = int(rng.integers(1, 9))
@@ -140,7 +141,10 @@ class TestPagesPerChannel:
             keys = np.unique(chans.astype(np.int64) * (2**40) + pages)
             np.add.at(expected, (keys // (2**40)).astype(np.int64), 1)
         else:
-            np.add.at(expected, chans, pl.pages_per_vector)
+            keys = np.unique(chans.astype(np.int64) * (2**40) + pl.slot_of[candidates])
+            np.add.at(
+                expected, (keys // (2**40)).astype(np.int64), pl.pages_per_vector
+            )
         counts = pl.pages_per_channel(candidates)
         assert counts.dtype == np.int64
         np.testing.assert_array_equal(counts, expected)
@@ -152,14 +156,17 @@ def sorted_key_page_counts(placement, candidates):
     if candidates.size == 0:
         return np.zeros(placement.num_channels, dtype=np.int64)
     channels = placement.channel_of[candidates]
-    if not placement.vectors_per_page:
-        counts = np.bincount(channels, minlength=placement.num_channels)
-        return counts * placement.pages_per_vector
-    pages = placement.slot_of[candidates] // placement.vectors_per_page
-    keys = np.sort(channels.astype(np.int64) * (2**40) + pages)
+    units = placement.slot_of[candidates]
+    if placement.vectors_per_page:
+        units = units // placement.vectors_per_page
+    keys = np.sort(channels.astype(np.int64) * (2**40) + units)
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    return np.bincount(keys[first] // (2**40), minlength=placement.num_channels)
+    counts = np.bincount(keys[first] // (2**40), minlength=placement.num_channels)
+    if placement.vectors_per_page:
+        return counts
+    # A vector spanning pages reads all of them; distinct slots never share one.
+    return counts * placement.pages_per_vector
 
 
 @st.composite
@@ -211,18 +218,11 @@ class TestPagesPerChannelOracle:
             np.testing.assert_array_equal(
                 counts, sorted_key_page_counts(placement, candidates)
             )
-            # Vectors that span pages count once per candidate, repeats
-            # included, while the page lists are deduplicated; the two agree
-            # on distinct candidates with distinct slots.
-            if placement.vectors_per_page or not edited:
-                distinct = (
-                    candidates if placement.vectors_per_page
-                    else np.unique(candidates)
-                )
-                counts = placement.pages_per_channel(distinct)
-                lists = placement.fetch_page_lists(distinct)
-                for channel in range(placement.num_channels):
-                    assert len(lists.get(channel, [])) == counts[channel]
+            # The counts are the lengths of the deduplicated page lists,
+            # repeated candidates and slots shared after an edit included.
+            lists = placement.fetch_page_lists(candidates)
+            for channel in range(placement.num_channels):
+                assert len(lists.get(channel, [])) == counts[channel]
             # Placements are edited in place (re-interleaving): the next
             # call must see the new channels.
             for vector, channel in edits:
