@@ -21,12 +21,7 @@ from repro.layout.uniform import UniformInterleaving
 from repro.screening.model import ApproximateScreeningModel
 from repro.screening.quantization import Int4Quantizer
 from repro.screening.screener import Int4Screener
-from repro.serve import (
-    AffineServiceModel,
-    ServingConfig,
-    build_serving_stack,
-    saturating_rate,
-)
+from repro.serve import AffineServiceModel
 from repro.ssd.device import SSDDevice
 from repro.ssd.ftl import FlashTranslationLayer
 from repro.workloads.streams import poisson_arrivals
@@ -215,19 +210,6 @@ def test_event_backed_tile_timing(benchmark):
     deployed = backend.run(*args)  # writes the pages; timed runs only read
     result = benchmark(backend.run, *args)
     assert result.total_time == deployed.total_time
-
-
-def test_serving_loop_throughput(benchmark):
-    """20k Poisson requests at 1.5x saturation through ``ServingSimulator``."""
-    service = AffineServiceModel(
-        base=2.0e-4, per_query=2.0e-5, knee=32, candidate_fraction=0.7
-    )
-    config = ServingConfig(slo=0.02, shards=2, replicas=1)
-    arrivals = poisson_arrivals(
-        1.5 * saturating_rate(service, config), 20_000, seed=0
-    )
-    report = benchmark(lambda: build_serving_stack(service, config).run(arrivals))
-    assert report.shed_rate > 0  # past saturation, admission must shed
 
 
 def test_fleet_loop_throughput(benchmark):

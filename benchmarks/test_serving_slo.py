@@ -1,8 +1,9 @@
 """Serving-layer SLO bench: goodput and tail latency across offered load.
 
-Sweeps offered load (as multiples of the cluster's saturating rate) against
-shard count for a calibrated GNMT-E32K service model, and records the
-trajectory the serving layer walks as it crosses saturation: goodput rises
+Sweeps offered load (as multiples of the deployment's saturating rate)
+against shard count for a calibrated GNMT-E32K service model, run as a
+one-node fleet, and records the trajectory the serving layer walks as it
+crosses saturation: goodput rises
 to capacity, the degradation ladder engages, explicit shedding absorbs the
 excess, and — the design's whole point — the p99 of *admitted* requests
 stays inside the SLO even at 2x overload.
@@ -16,13 +17,8 @@ import json
 from conftest import RESULTS_DIR, run_once
 
 from repro.analysis.reporting import render_table
-from repro.serve import (
-    ServingConfig,
-    build_serving_stack,
-    calibrate_service_model,
-    saturating_rate,
-    shard_hot_degrees,
-)
+from repro.cluster import build_single_deployment, single_deployment_rate
+from repro.serve import calibrate_service_model, shard_hot_degrees
 from repro.workloads.streams import poisson_arrivals
 
 SLO_S = 0.02
@@ -33,10 +29,11 @@ SEED = 0
 
 
 def _run_point(service, generator, shards, multiplier):
-    config = ServingConfig(slo=SLO_S, shards=shards, replicas=1)
     degrees = shard_hot_degrees(generator, shards, tile_size=512)
-    simulator = build_serving_stack(service, config, hot_degrees=degrees)
-    capacity = saturating_rate(service, config)
+    simulator = build_single_deployment(
+        service, SLO_S, shards, hot_degrees=degrees
+    )
+    capacity = single_deployment_rate(service, SLO_S, shards)
     rate = multiplier * capacity
     num_queries = max(64, int(round(rate * DURATION_S)))
     arrivals = poisson_arrivals(rate, num_queries, seed=SEED)

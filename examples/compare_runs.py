@@ -21,12 +21,8 @@ from repro.obs import (
     compare_runs,
     diverge_runs,
 )
-from repro.serve import (
-    AffineServiceModel,
-    ServingConfig,
-    build_serving_stack,
-    saturating_rate,
-)
+from repro.cluster import build_single_deployment, single_deployment_rate
+from repro.serve import AffineServiceModel
 from repro.workloads.streams import poisson_arrivals
 
 NUM_REQUESTS = 2_000
@@ -38,10 +34,11 @@ def run_serving(seed: int) -> RunManifest:
     service = AffineServiceModel(
         base=2.0e-4, per_query=2.0e-5, knee=32, candidate_fraction=0.7
     )
-    config = ServingConfig(slo=SLO_S, shards=2, replicas=1)
     recorder = DigestRecorder(interval=64, label="serve")
-    simulator = build_serving_stack(service, config, digest_recorder=recorder)
-    rate = 1.2 * saturating_rate(service, config)
+    simulator = build_single_deployment(
+        service, SLO_S, shards=2, digest_recorder=recorder
+    )
+    rate = 1.2 * single_deployment_rate(service, SLO_S, shards=2)
     report = simulator.run(poisson_arrivals(rate, NUM_REQUESTS, seed=seed))
     return RunManifest.build(
         label="example-serve",

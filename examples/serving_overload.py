@@ -2,8 +2,9 @@
 """Serving under overload: what users see when load exceeds capacity.
 
 The paper's timing models price one batch; `repro.serve` stacks admission
-control, deadline batching at the roofline knee, hotness-weighted replica
-routing, and a graceful-degradation ladder on top of them.  This example
+control, deadline batching at the roofline knee, and a graceful-degradation
+ladder on top of them, and `repro.cluster` runs one deployment of sharded,
+replicated devices as a one-node fleet.  This example
 sweeps offered load from half the saturating rate to 4x it and shows the
 trade the layer makes: past saturation it degrades fidelity first, then
 sheds *explicitly* — and the p99 of admitted requests never leaves the SLO.
@@ -12,12 +13,8 @@ Run:  python examples/serving_overload.py
 """
 
 from repro.analysis.reporting import render_table
-from repro.serve import (
-    AffineServiceModel,
-    ServingConfig,
-    build_serving_stack,
-    saturating_rate,
-)
+from repro.cluster import build_single_deployment, single_deployment_rate
+from repro.serve import AffineServiceModel
 from repro.workloads.streams import poisson_arrivals
 
 SLO_S = 0.02  # 20 ms latency budget
@@ -30,14 +27,13 @@ def main() -> None:
     service = AffineServiceModel(
         base=2e-4, per_query=1e-4, knee=8, candidate_fraction=0.7
     )
-    config = ServingConfig(slo=SLO_S, shards=2, replicas=2)
-    capacity = saturating_rate(service, config)
+    capacity = single_deployment_rate(service, SLO_S, shards=2, replicas=2)
     print(f"=== Serving layer: 2 shards x 2 replicas, SLO {SLO_S * 1e3:.0f} ms,"
           f" saturates at {capacity:,.0f} q/s ===\n")
 
     rows = []
     for multiplier in (0.5, 1.0, 2.0, 4.0):
-        simulator = build_serving_stack(service, config)
+        simulator = build_single_deployment(service, SLO_S, shards=2, replicas=2)
         rate = multiplier * capacity
         arrivals = poisson_arrivals(rate, num_queries=2000, seed=0)
         report = simulator.run(arrivals)

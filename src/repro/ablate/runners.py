@@ -196,14 +196,8 @@ def run_serve_cell(
     the saturating rate), ``degrade`` (on = default ladder, off = pinned at
     full fidelity).
     """
-    from ..serve import (
-        DegradationLadder,
-        DegradeStep,
-        ServingConfig,
-        build_serving_stack,
-        saturating_rate,
-        shard_hot_degrees,
-    )
+    from ..cluster import build_single_deployment, single_deployment_rate
+    from ..serve import DegradationLadder, DegradeStep, shard_hot_degrees
     from ..workloads.streams import poisson_arrivals
 
     admission = _level(assignment, "admission", "token-bucket")
@@ -216,28 +210,21 @@ def run_serve_cell(
         raise AblationError(f"serve runner: unknown degrade level {degrade!r}")
 
     service, generator = _calibrated_service(params, seed)
+    slo = _float_param(params, "slo_s", 0.020)
     shards = _int_param(params, "shards", 2)
-    probe = ServingConfig(
-        slo=_float_param(params, "slo_s", 0.020),
-        shards=shards,
-        replicas=_int_param(params, "replicas", 1),
-    )
-    capacity = saturating_rate(service, probe)
+    replicas = _int_param(params, "replicas", 1)
+    capacity = single_deployment_rate(service, slo, shards, replicas)
     rate = capacity * _float_param(params, "rate_multiplier", 1.5)
-    config = ServingConfig(
-        slo=probe.slo,
-        shards=probe.shards,
-        replicas=probe.replicas,
-        token_rate=rate if admission == "token-bucket" else None,
-    )
     ladder = (
         DegradationLadder()
         if degrade == "on"
         else DegradationLadder(steps=(DegradeStep("full"),))
     )
-    degrees = shard_hot_degrees(generator, shards, tile_size=512)
-    simulator = build_serving_stack(
-        service, config, hot_degrees=degrees, ladder=ladder
+    simulator = build_single_deployment(
+        service, slo, shards, replicas,
+        token_rate=rate if admission == "token-bucket" else None,
+        hot_degrees=shard_hot_degrees(generator, shards, tile_size=512),
+        ladder=ladder,
     )
     arrivals = poisson_arrivals(
         rate, _int_param(params, "num_queries", 2000), seed=seed

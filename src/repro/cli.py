@@ -436,15 +436,10 @@ def _cmd_validate(_args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Replay an arrival stream through the deterministic serving layer."""
-    from .analysis.reporting import format_seconds, render_table
-    from .serve import (
-        ServingConfig,
-        build_serving_stack,
-        calibrate_service_model,
-        saturating_rate,
-        shard_hot_degrees,
-    )
+    """Replay an arrival stream through one deployment, run as a one-node fleet."""
+    from .analysis.reporting import render_table
+    from .cluster import build_single_deployment, single_deployment_rate
+    from .serve import calibrate_service_model, shard_hot_degrees
     from .errors import WorkloadError
     from .workloads.streams import poisson_arrivals
 
@@ -457,21 +452,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.benchmark, args.seed, sample_tiles=args.tiles
     )
 
-    config = ServingConfig(
-        slo=slo, shards=args.shards, replicas=args.replicas
-    )
     degrees = shard_hot_degrees(generator, args.shards, tile_size=512)
     recorder = _digest_recorder(args, "serve", interval=args.digest_interval)
-    simulator = build_serving_stack(
-        service, config, hot_degrees=degrees, digest_recorder=recorder
+    simulator = build_single_deployment(
+        service, slo, args.shards, args.replicas, hot_degrees=degrees,
+        digest_recorder=recorder,
     )
 
-    capacity = saturating_rate(service, config)
+    capacity = single_deployment_rate(service, slo, args.shards, args.replicas)
     rate = args.rate if args.rate is not None else capacity
     num_queries = max(1, int(round(rate * args.duration)))
     arrivals = poisson_arrivals(rate, num_queries, seed=args.seed)
     # The session brackets only the serving run, so the exported telemetry
-    # carries batch/shed spans without the calibration sweep's tile spans.
+    # carries batch spans without the calibration sweep's tile spans.
     session = _session_from_args(args)
     try:
         with _simsan_context(args) as sanitizer:
@@ -479,32 +472,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         _finish_session(session, replay_flash=False)
 
-    summary = report.to_dict()
+    summary = report.to_serving_dict()
     rows = [
         ["offered load", f"{rate:,.0f} q/s ({rate / capacity:.2f}x saturation)"],
         ["arrived / admitted / shed",
-         f"{report.arrived} / {report.admitted} / {report.shed_count}"],
+         f"{report.arrived} / {report.admitted} / {report.shed}"],
         ["shed rate", f"{report.shed_rate:.1%}"],
         ["goodput", f"{report.goodput:,.0f} q/s within SLO"],
         ["SLO attainment", f"{report.slo_attainment:.1%} of admitted"],
         *_latency_rows(summary, slo),
+        ["batches", f"{report.batches} (mean size {report.mean_batch_size:.1f}, "
+                    f"knee {service.knee})"],
+        ["max degrade level", str(report.max_degrade_level)],
     ]
-    rows.append(["batches", f"{len(report.batches)} "
-                 f"(mean size {report.mean_batch_size:.1f}, "
-                 f"knee {service.knee})"])
-    rows.append(["max degrade level", str(report.max_degrade_level)])
-    if session is not None:
-        waits = session.registry.histogram(
-            "serve_queue_wait_seconds",
-            "time each request waited in queue before dispatch",
-        ).quantiles_or_none()
-        if waits is not None:
-            rows.append([
-                "queue wait p50/p99/p99.9",
-                f"{format_seconds(waits['p50'])} / "
-                f"{format_seconds(waits['p99'])} / "
-                f"{format_seconds(waits['p99.9'])}",
-            ])
     print(render_table(
         ["quantity", "value"], rows,
         title=f"Serving {args.benchmark}: {args.shards} shards x "

@@ -20,12 +20,23 @@ byte-comparable timeline, cross-node **work stealing**, and background
 rebalance).  Everything runs on one event heap with total tie-ordering, so
 a million-request run is bit-identical per seed — the ``repro cluster``
 CLI and ``tests/test_cluster.py`` hold it to that.
+
+A single deployment is the smallest fleet:
+:func:`~repro.cluster.engine.build_single_deployment` maps S shards x R
+replicas behind one host onto one service node over S x R one-slot data
+nodes, and ``repro serve`` runs it.
 """
 
 from .autoscale import SCALE_DOWN_FRACTION, Autoscaler
 from .cache import HotLabelCache, zipf_keys
 from .crawlers import DEFAULT_CRAWLERS, CrawlerKind, CrawlerSchedule
-from .engine import ClusterSimulator, build_cluster, cluster_saturating_rate
+from .engine import (
+    ClusterSimulator,
+    build_cluster,
+    build_single_deployment,
+    cluster_saturating_rate,
+    single_deployment_rate,
+)
 from .nodes import BatchState, DataNode, FleetCounters, ServiceNode, ShardTask
 from .placement import Placement, place_replicas
 from .report import (
@@ -55,7 +66,9 @@ __all__ = [
     "DEFAULT_CRAWLERS",
     "ClusterSimulator",
     "build_cluster",
+    "build_single_deployment",
     "cluster_saturating_rate",
+    "single_deployment_rate",
     "BatchState",
     "DataNode",
     "FleetCounters",

@@ -59,7 +59,7 @@ from ..serve.degrade import DegradationLadder
 from ..serve.kernel import EventKernel, arrival_times
 from ..serve.node import ServiceNodeCore
 from ..serve.request import Request
-from ..serve.router import MERGE_ENTRY_BYTES, TOP_K
+from ..serve.sharding import MERGE_BANDWIDTH, MERGE_ENTRY_BYTES, TOP_K
 from ..serve.scheduler import CLOSE_MARGIN_FACTOR, AffineServiceModel, DeadlineBatcher
 from .autoscale import Autoscaler
 from .cache import HotLabelCache, zipf_keys
@@ -73,7 +73,7 @@ from .report import (
     build_latency_array,
     shard_outage_seconds,
 )
-from .topology import REQUEST_BYTES, ClusterConfig
+from .topology import REQUEST_BYTES, ClusterConfig, Interconnect
 
 logger = logging.getLogger(__name__)
 
@@ -89,7 +89,12 @@ _KIND_DEADLINE = 5
 _KIND_ARRIVAL = 6
 
 class ClusterSimulator:
-    """Drives the whole fleet over one arrival stream (see module docstring)."""
+    """Drives the whole fleet over one arrival stream (see module docstring).
+
+    ``ladder`` supplies the degradation steps and watermarks; every run
+    gives each service node a fresh ladder built from them (default
+    :class:`~repro.serve.degrade.DegradationLadder`).
+    """
 
     def __init__(
         self,
@@ -100,6 +105,7 @@ class ClusterSimulator:
         crawlers: CrawlerSchedule,
         seed: int = 0,
         digest_recorder: Optional[DigestRecorder] = None,
+        ladder: Optional[DegradationLadder] = None,
     ) -> None:
         if len(placement.assignments) != config.shards:
             raise ConfigurationError(
@@ -113,10 +119,13 @@ class ClusterSimulator:
         self.crawlers = crawlers
         self.seed = seed
         self.digest_recorder = digest_recorder
+        self.ladder = ladder if ladder is not None else DegradationLadder()
 
-        worst = self.worst_task_time(service.knee)
-        merge = self.merge_time(service.knee, 1.0)
-        worst_batch = worst + merge
+        worst_batch = self.worst_task_time(service.knee) + self.merge_time(
+            service.knee, 1.0
+        )
+        #: Full-fidelity knee batch through the slowest shard, merge included.
+        self.worst_batch = worst_batch
         self.close_margin = worst_batch * CLOSE_MARGIN_FACTOR
         if self.close_margin >= config.slo:
             raise ConfigurationError(
@@ -132,6 +141,7 @@ class ClusterSimulator:
             worst_batch_time=worst_batch,
             knee=service.knee,
             replicas=drain_parallelism,
+            token_rate=config.token_rate,
         )
         self.pressure_fallback = max(
             1, service.knee * max(1, config.total_slots // config.shards) * 4
@@ -220,11 +230,14 @@ class FleetRun:
         self.close_margin = sim.close_margin
         self.hit_time = config.cache_hit_time
 
+        ladder = sim.ladder
         self.sns = [
             ServiceNode(index, config.service_rack(index), ServiceNodeCore(
                 AdmissionController(sim.admission_config),
                 DeadlineBatcher(sim.service, close_margin=sim.close_margin),
-                DegradationLadder(),
+                DegradationLadder(
+                    ladder.steps, ladder.high_watermark, ladder.low_watermark
+                ),
             ), HotLabelCache(config.cache_capacity, config.cache_ttl))
             for index in range(config.service_nodes)
         ]
@@ -759,6 +772,7 @@ class FleetRun:
             failover_timeline=self.timeline,
             shard_outages=shard_outage_seconds(self.fault_plan, self.sim.placement),
             shed_by_reason=self.shed_by_reason,
+            max_degrade_level=max(sn.core.ladder.peak_level for sn in self.sns),
         )
         logger.info(
             "fleet served %d/%d requests (%.1f%% shed, %.1f%% cached) across "
@@ -782,6 +796,7 @@ def build_cluster(
     fault_config: Optional[ClusterFaultConfig] = None,
     hot_degrees: Optional[Sequence[float]] = None,
     digest_recorder: Optional[DigestRecorder] = None,
+    ladder: Optional[DegradationLadder] = None,
 ) -> ClusterSimulator:
     """Assemble placement, fault plan, crawlers, and nodes into one fleet."""
     degrees = (
@@ -802,7 +817,71 @@ def build_cluster(
         crawlers=crawlers,
         seed=seed,
         digest_recorder=digest_recorder,
+        ladder=ladder,
     )
+
+
+def build_single_deployment(
+    service: AffineServiceModel,
+    slo: float,
+    shards: int = 1,
+    replicas: int = 1,
+    token_rate: Optional[float] = None,
+    hot_degrees: Optional[Sequence[float]] = None,
+    ladder: Optional[DegradationLadder] = None,
+    digest_recorder: Optional[DigestRecorder] = None,
+) -> ClusterSimulator:
+    """One deployment (§7.1: ``shards`` devices, ``replicas`` copies) as a fleet.
+
+    The host is the fleet's one service node.  Each of the
+    ``shards * replicas`` devices is a one-slot data node, all in one rack,
+    so ``replicas`` tasks of each shard run at once.  Cache, autoscaler,
+    crawlers and faults are off, and the interconnect is the host link:
+    no fixed latency, :data:`~repro.serve.sharding.MERGE_BANDWIDTH`.
+    ``hot_degrees`` (one per shard, mean ~1, from
+    :func:`~repro.serve.sharding.shard_hot_degrees`) defaults to uniform.
+    """
+    if shards <= 0 or replicas <= 0:
+        raise ConfigurationError("shards and replicas must be positive")
+    devices = shards * replicas
+    config = ClusterConfig(
+        data_nodes=devices,
+        service_nodes=1,
+        shards=shards,
+        replicas=devices,
+        racks=1,
+        slots_per_node=1,
+        slo=slo,
+        cache_capacity=0,
+        autoscale=False,
+        interconnect=Interconnect(latency=0.0, bandwidth=MERGE_BANDWIDTH),
+        token_rate=token_rate,
+    )
+    degrees = list(hot_degrees) if hot_degrees is not None else [1.0] * shards
+    return ClusterSimulator(
+        service=service,
+        config=config,
+        placement=place_replicas(config, degrees),
+        fault_plan=ClusterFaultPlan.build(
+            ClusterFaultConfig.disabled(), nodes=devices, racks=1
+        ),
+        crawlers=CrawlerSchedule(0, crawlers=()),
+        digest_recorder=digest_recorder,
+        ladder=ladder,
+    )
+
+
+def single_deployment_rate(
+    service: AffineServiceModel, slo: float, shards: int = 1, replicas: int = 1
+) -> float:
+    """Offered load (queries/s) at which a uniform single deployment saturates.
+
+    Each of the ``replicas`` copies drains one knee-sized batch per
+    worst-case batch time (slowest shard task plus the merge).  The serving
+    bench's 1x point.
+    """
+    probe = build_single_deployment(service, slo, shards, replicas)
+    return replicas * service.knee / probe.worst_batch
 
 
 def cluster_saturating_rate(

@@ -1,9 +1,8 @@
 """Node state for the fleet simulator: service nodes and data nodes.
 
 A **service node** is the stateless request plane: it owns one
-:class:`~repro.serve.node.ServiceNodeCore` (the exact admission /
-deadline-batching / degradation machinery the single-deployment driver
-uses) plus a :class:`~repro.cluster.cache.HotLabelCache`, and tracks its
+:class:`~repro.serve.node.ServiceNodeCore` (admission /
+deadline-batching / degradation) plus a :class:`~repro.cluster.cache.HotLabelCache`, and tracks its
 in-flight and pending request counts so admission and routing see true
 pending depth without recounting it.
 

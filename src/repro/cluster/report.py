@@ -4,7 +4,8 @@ Distinct from :class:`repro.core.scaleout.ClusterReport` (one inference
 pass across the devices of a single deployment): this report aggregates a
 whole *fleet serving run* — millions of requests over service nodes, data
 nodes, failures, and failovers — into the quantities the ``repro cluster``
-CLI prints and ``benchmarks/test_cluster.py`` gates:
+and ``repro serve`` CLIs print and ``benchmarks/test_cluster.py`` and
+``benchmarks/test_serving_slo.py`` gate:
 
 * goodput, shed rate, cache hit rate, and latency percentiles vs the SLO;
 * the **failover timeline** (every park / redispatch / unpark decision, in
@@ -31,6 +32,13 @@ from .placement import Placement
 #: Sentinel latency for requests that never completed (shed); percentile
 #: math masks these out.
 LATENCY_UNSET = -1.0
+
+#: :meth:`ClusterReport.to_dict` keys that ``repro serve --out`` reports too.
+_SERVING_KEYS = (
+    "slo_s", "arrived", "shed", "shed_rate", "shed_by_reason", "completed",
+    "goodput_qps", "slo_attainment", "p50_s", "p95_s", "p99_s", "p999_s",
+    "batches",
+)
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,7 @@ class ClusterReport:
     failover_timeline: List[FailoverEvent] = field(default_factory=list)
     shard_outages: List[float] = field(default_factory=list)
     shed_by_reason: Dict[str, int] = field(default_factory=dict)
+    max_degrade_level: int = 0  # deepest ladder level any service node hit
 
     def __post_init__(self) -> None:
         if self.completed + self.shed != self.arrived:
@@ -153,8 +162,19 @@ class ClusterReport:
         return self.percentile(99.9)
 
     @property
+    def admitted(self) -> int:
+        return self.arrived - self.shed
+
+    @property
     def shed_rate(self) -> float:
         return self.shed / self.arrived if self.arrived else 0.0
+
+    @property
+    def mean_batch_size(self) -> float:
+        """Requests per dispatched batch (cache hits ride no batch)."""
+        if not self.batches:
+            return 0.0
+        return (self.completed - self.cache_hits) / self.batches
 
     @property
     def cache_hit_rate(self) -> float:
@@ -237,6 +257,17 @@ class ClusterReport:
             "node_utilization": self.utilization(),
             "utilization_skew": self.utilization_skew,
         }
+
+    def to_serving_dict(self) -> Dict[str, object]:
+        """A single deployment's summary (the ``repro serve --out`` payload)."""
+        summary = self.to_dict()
+        serving = {key: summary[key] for key in _SERVING_KEYS}
+        serving.update(
+            admitted=self.admitted,
+            mean_batch_size=self.mean_batch_size,
+            max_degrade_level=self.max_degrade_level,
+        )
+        return serving
 
 
 def build_latency_array(num_requests: int) -> np.ndarray:

@@ -15,8 +15,9 @@ every run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..units import gbps, us
@@ -67,11 +68,14 @@ class Interconnect:
     cross_rack_factor: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.latency < 0:
-            raise ConfigurationError("interconnect latency cannot be negative")
-        if self.bandwidth <= 0:
+        # Negated comparisons, so a NaN (which compares false) is rejected.
+        if not 0.0 <= self.latency < math.inf:
+            raise ConfigurationError(
+                "interconnect latency must be non-negative and finite"
+            )
+        if not self.bandwidth > 0:
             raise ConfigurationError("interconnect bandwidth must be positive")
-        if self.cross_rack_factor < 1.0:
+        if not self.cross_rack_factor >= 1.0:
             raise ConfigurationError("cross_rack_factor must be >= 1")
 
     def transfer_time(self, nbytes: int, cross_rack: bool) -> float:
@@ -91,7 +95,12 @@ class ClusterConfig:
     the placement engine spreads each shard's replicas across distinct
     nodes and racks.  ``slots_per_node`` is how many shard tasks one data
     node executes concurrently (its channel-level parallelism budget);
-    further tasks queue FIFO on the node.
+    further tasks queue FIFO on the node.  ``token_rate`` (requests/s)
+    optionally gives each service node's admission a token bucket; ``None``
+    leaves it off.
+
+    Float fields are checked with negated comparisons, so a NaN is rejected
+    here, at construction, rather than partway through a run.
     """
 
     data_nodes: int
@@ -115,6 +124,7 @@ class ClusterConfig:
     placement_strategy: str = "rack-spread"
     steal_policy: str = "newest"
     interconnect: Interconnect = Interconnect()
+    token_rate: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.data_nodes <= 0 or self.service_nodes <= 0:
@@ -130,27 +140,29 @@ class ClusterConfig:
             raise ConfigurationError("racks must be positive")
         if self.slots_per_node <= 0:
             raise ConfigurationError("slots_per_node must be positive")
-        if self.slo <= 0:
-            raise ConfigurationError("slo must be positive")
+        if not 0 < self.slo < math.inf:
+            raise ConfigurationError("slo must be positive and finite")
         if self.cache_capacity < 0 or self.cache_groups <= 0:
             raise ConfigurationError(
                 "cache_capacity cannot be negative; cache_groups must be positive"
             )
-        if self.cache_ttl < 0:
+        if not self.cache_ttl >= 0:
             raise ConfigurationError("cache_ttl cannot be negative")
-        if not self.cache_hit_time > 0:
+        if not 0 < self.cache_hit_time < math.inf:
             # A hit completes strictly after the arrival that scheduled it,
             # or it would pop after that arrival at the same instant with
             # an earlier kind and break the (time, kind, seq) order.
-            raise ConfigurationError("cache_hit_time must be positive")
-        if self.cache_skew <= 0:
+            raise ConfigurationError("cache_hit_time must be positive and finite")
+        if not self.cache_skew > 0:
             raise ConfigurationError("cache_skew must be positive")
         if not 1 <= self.autoscale_min <= self.service_nodes:
             raise ConfigurationError(
                 "autoscale_min must be in [1, service_nodes]"
             )
-        if self.autoscale_interval <= 0:
-            raise ConfigurationError("autoscale_interval must be positive")
+        if not 0 < self.autoscale_interval < math.inf:
+            raise ConfigurationError(
+                "autoscale_interval must be positive and finite"
+            )
         if self.placement_strategy not in PLACEMENT_STRATEGIES:
             raise ConfigurationError(
                 f"unknown placement strategy {self.placement_strategy!r}; "
@@ -160,6 +172,10 @@ class ClusterConfig:
             raise ConfigurationError(
                 f"unknown steal policy {self.steal_policy!r}; "
                 f"expected one of {STEAL_POLICIES}"
+            )
+        if self.token_rate is not None and not 0 < self.token_rate < math.inf:
+            raise ConfigurationError(
+                "token_rate must be positive and finite (or None)"
             )
 
     @property

@@ -31,7 +31,7 @@ class Finding:
 
     ``symbol`` is the fully-qualified symbol the finding sits in (module plus
     enclosing class/function qualname, e.g.
-    ``repro.serve.driver.ServingSimulator.run``) — the refactor-stable half
+    ``repro.cluster.engine.FleetRun.dispatch``) — the refactor-stable half
     of the baseline key alongside ``message``.
     """
 

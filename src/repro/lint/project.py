@@ -136,7 +136,7 @@ class ModuleInfo:
 def package_of(module: str) -> str:
     """The layering unit a module belongs to.
 
-    ``repro.serve.driver`` -> ``repro.serve``; top-level modules
+    ``repro.serve.node`` -> ``repro.serve``; top-level modules
     (``repro.cli``, ``repro.config``) are their own unit; the package root
     ``repro`` (its ``__init__``) is the unit ``repro``.
     """

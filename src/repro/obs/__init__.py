@@ -106,7 +106,6 @@ from .tracing import (
     HOST_TRACK,
     INT4_TRACK,
     PIPELINE_TRACK,
-    SERVE_TRACK,
     NullTracer,
     NULL_TRACER,
     SpanRecord,
@@ -156,7 +155,6 @@ __all__ = [
     "FP32_TRACK",
     "HOST_TRACK",
     "CLUSTER_TRACK",
-    "SERVE_TRACK",
     "FAULT_TRACK",
     "DIGEST_TRACK",
     "FLASH_TRACK_PREFIX",

@@ -123,7 +123,7 @@ class RequestTrace:
 
     trace_id: str
     request_id: int
-    kind: str  # "batch" | "cache" | "serve"
+    kind: str  # "batch" | "cache"
     arrival: float
     completion: float
     fault_class: str
@@ -339,16 +339,6 @@ class NullCausalCollector:
     def on_shed(self, reason: str) -> None:
         return None
 
-    def on_serve_complete(
-        self,
-        request_id: int,
-        arrival: float,
-        dispatch_time: float,
-        completion: float,
-        level: int = 0,
-    ) -> None:
-        return None
-
     def on_ecc(self, tier: str, extra_latency: float, retries: int) -> None:
         return None
 
@@ -384,7 +374,7 @@ class CausalCollector(NullCausalCollector):
 
     Observe-only: hooks copy already-computed sim timestamps into private
     records (no simulator RNG draws, no timing arithmetic), finalize each
-    request at its merge/cache/serve completion into a stage breakdown,
+    request at its merge or cache completion into a stage breakdown,
     verify stage-sum conservation, and feed the tail-exemplar store.
     """
 
@@ -417,7 +407,7 @@ class CausalCollector(NullCausalCollector):
         self.ecc_retries = 0
         self.ecc_extra_latency = 0.0
 
-    # -- cluster/serve hook implementations --------------------------------
+    # -- fleet hook implementations --------------------------------
 
     def on_dispatch(
         self,
@@ -584,35 +574,6 @@ class CausalCollector(NullCausalCollector):
 
     def on_shed(self, reason: str) -> None:
         self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + 1
-
-    def on_serve_complete(
-        self,
-        request_id: int,
-        arrival: float,
-        dispatch_time: float,
-        completion: float,
-        level: int = 0,
-    ) -> None:
-        self._finish(
-            RequestTrace(
-                trace_id=f"req-{request_id}",
-                request_id=request_id,
-                kind="serve",
-                arrival=arrival,
-                completion=completion,
-                fault_class=FAULT_CLEAN,
-                stages=(
-                    (STAGE_QUEUE_WAIT, dispatch_time - arrival),
-                    (STAGE_SERVICE, completion - dispatch_time),
-                ),
-                boundaries=(
-                    ("arrival", arrival),
-                    ("dispatch", dispatch_time),
-                    ("completion", completion),
-                ),
-                level=level,
-            )
-        )
 
     def on_ecc(self, tier: str, extra_latency: float, retries: int) -> None:
         self.ecc_tiers[tier] = self.ecc_tiers.get(tier, 0) + 1

@@ -38,7 +38,6 @@ INT4_TRACK = "int4-module"
 FP32_TRACK = "fp32-module"
 HOST_TRACK = "host"
 CLUSTER_TRACK = "cluster"
-SERVE_TRACK = "serve"
 FAULT_TRACK = "faults"
 DIGEST_TRACK = "digest"
 FLASH_TRACK_PREFIX = "flash/ch"

@@ -1,30 +1,31 @@
-"""repro.serve: a deterministic SLO-aware serving layer over the ECSSD models.
+"""repro.serve: the request plane of an SLO-aware ECSSD deployment.
 
 The reproduction's timing models answer "how fast is one batch"; this
-package answers the production question on top of them — "what latency do
-*users* see at a given offered load, and what does the layer do when load
-exceeds capacity?".  It is a discrete-event simulation of the full request
-lifecycle:
+package holds the per-host machinery that answers the production question
+on top of them — "what latency do *users* see at a given offered load, and
+what does the layer do when load exceeds capacity?":
 
-* :mod:`repro.serve.request` — request/shed/completion records and the
-  :class:`ServingReport` (goodput, shed rate, p50/p95/p99 vs SLO);
+* :mod:`repro.serve.request` — the :class:`Request` record and the
+  machine-readable shed reasons;
 * :mod:`repro.serve.admission` — token-bucket + queue-depth admission with
   explicit shedding and the ``admitted + shed == arrived`` conservation
   invariant;
 * :mod:`repro.serve.scheduler` — SLO/deadline-aware batch formation off
   the head of a FIFO queue that never exceeds the roofline knee located by
   :func:`repro.core.batching.optimal_batch`;
-* :mod:`repro.serve.router` — idle-group routing over replicated,
-  label-sharded device groups, weighted by the §5.3 hot-degree predictor;
 * :mod:`repro.serve.degrade` — the graceful-degradation ladder (shrink
   candidate budget and top-k before shedding);
-* :mod:`repro.serve.kernel` — the ``(time, kind, seq)`` event heap the
-  serving and fleet loops share;
-* :mod:`repro.serve.driver` — the event loop, stack builder, and the
-  ``repro serve`` CLI's engine.
+* :mod:`repro.serve.node` — one host's queue, admission, batching and
+  ladder behind one object;
+* :mod:`repro.serve.sharding` — per-shard hot degrees and the §7.1 merge
+  constants;
+* :mod:`repro.serve.kernel` — the ``(time, kind, seq)`` event heap.
 
-Everything runs on simulated time with no randomness of its own: the same
-seeded arrival stream produces bit-identical shed decisions, batch
+The event loop that drives them is the fleet simulator's
+(:mod:`repro.cluster`): a single deployment runs as a one-node fleet
+(:func:`repro.cluster.build_single_deployment`), and ``repro serve`` is that
+run.  Everything runs on simulated time with no randomness of its own: the
+same seeded arrival stream produces bit-identical shed decisions, batch
 boundaries, and latency percentiles on every run.
 """
 
@@ -32,31 +33,10 @@ from __future__ import annotations
 
 from .admission import AdmissionConfig, AdmissionController, TokenBucket
 from .degrade import DEFAULT_LADDER_STEPS, DegradationLadder, DegradeStep
-from .driver import (
-    SERVE_TRACK,
-    ServingConfig,
-    ServingSimulator,
-    build_serving_stack,
-    saturating_rate,
-)
 from .node import ServiceNodeCore
-from .request import (
-    SHED_QUEUE_DEPTH,
-    SHED_TOKEN_BUCKET,
-    BatchRecord,
-    CompletedRequest,
-    Request,
-    ServingReport,
-    ShedRequest,
-)
-from .router import (
-    ReplicaState,
-    Router,
-    ShardModel,
-    build_replicas,
-    shard_hot_degrees,
-)
+from .request import SHED_QUEUE_DEPTH, SHED_TOKEN_BUCKET, Request
 from .scheduler import AffineServiceModel, DeadlineBatcher, calibrate_service_model
+from .sharding import shard_hot_degrees
 
 __all__ = [
     "AdmissionConfig",
@@ -65,23 +45,10 @@ __all__ = [
     "DegradationLadder",
     "DegradeStep",
     "DEFAULT_LADDER_STEPS",
-    "ServingConfig",
-    "ServingSimulator",
-    "build_serving_stack",
-    "saturating_rate",
-    "SERVE_TRACK",
     "ServiceNodeCore",
     "Request",
-    "ShedRequest",
-    "CompletedRequest",
-    "BatchRecord",
-    "ServingReport",
     "SHED_TOKEN_BUCKET",
     "SHED_QUEUE_DEPTH",
-    "ReplicaState",
-    "Router",
-    "ShardModel",
-    "build_replicas",
     "shard_hot_degrees",
     "AffineServiceModel",
     "DeadlineBatcher",

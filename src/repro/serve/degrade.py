@@ -74,6 +74,7 @@ class DegradationLadder:
         self.high_watermark = high_watermark
         self.low_watermark = low_watermark
         self.level = 0
+        self.peak_level = 0  # deepest level reached so far
         self.escalations = 0
 
     @property
@@ -104,6 +105,8 @@ class DegradationLadder:
         if pressure >= self.high_watermark and self.level < self.max_level:
             self.level += 1
             self.escalations += 1
+            if self.level > self.peak_level:
+                self.peak_level = self.level
         elif pressure < self.low_watermark and self.level > 0:
             self.level -= 1
         return self.level

@@ -1,4 +1,4 @@
-"""The event kernel shared by the serving and fleet loops.
+"""The event kernel of the fleet loop.
 
 One ``(time, kind, seq, payload)`` heap.  ``kind`` is the caller's small
 integer event class, so ties at one timestamp resolve by kind first and then

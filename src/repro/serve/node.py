@@ -1,18 +1,14 @@
-"""One service node's request-plane state, extracted for reuse.
+"""One service node's request-plane state.
 
-:class:`ServiceNodeCore` bundles the per-node request-plane components the
-serving loop juggles — the FIFO request queue, the
-:class:`~repro.serve.admission.AdmissionController`, the
-:class:`~repro.serve.scheduler.DeadlineBatcher`, and the
+:class:`ServiceNodeCore` bundles the per-node request-plane components — the
+FIFO request queue, the :class:`~repro.serve.admission.AdmissionController`,
+the :class:`~repro.serve.scheduler.DeadlineBatcher`, and the
 :class:`~repro.serve.degrade.DegradationLadder` — behind one object with the
-exact call sequence :class:`~repro.serve.driver.ServingSimulator` performs.
-
-The extraction exists so the same admission/batching/degradation machinery
-can be instantiated *per node*: the single-deployment driver owns one core,
-and the fleet simulator (:mod:`repro.cluster`) owns one per stateless
-service node.  The core holds no event-loop state of its own (no heap, no
-clock); every method is a pure state transition driven by the caller's
-simulated time, so two identically-seeded runs make identical decisions.
+call sequence :class:`~repro.cluster.engine.FleetRun` performs for each of
+its service nodes (a single deployment is a fleet with one).  The core
+holds no event-loop state of its own (no heap, no clock); every method is a
+pure state transition driven by the caller's simulated time, so two
+identically-seeded runs make identical decisions.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ class ServiceNodeCore:
         """Pending work (queued + in flight) relative to the depth limit.
 
         ``fallback_limit`` is used when the admission config carries no
-        ``max_pending`` (the driver derives it from the knee and replica
+        ``max_pending`` (the fleet derives it from the knee and replica
         count so the ladder still sees a meaningful 0..1 signal).
         """
         limit = self.admission.config.max_pending

@@ -12,7 +12,7 @@ when *either*
   the service time it still needs) runs out, dispatching a partial batch.
 
 :class:`AffineServiceModel` is the cost model both the batcher and the
-driver consult: a least-squares affine fit (``base + per_query * B``) of
+fleet simulator consult: a least-squares affine fit (``base + per_query * B``) of
 :class:`~repro.core.batching.BatchPoint` sweeps, carrying B* from
 :func:`~repro.core.batching.optimal_batch` and a ``candidate_fraction``
 splitting per-query cost into candidate-dependent work (shrinks under
@@ -31,7 +31,7 @@ from ..workloads.traces import CandidateTraceGenerator, LabelHotnessModel
 from .request import Request
 
 #: Padding on the worst-case knee batch time that sets each request's latest
-#: safe dispatch (the serving and fleet loops both size ``close_margin`` so).
+#: safe dispatch (the fleet sizes ``close_margin`` so).
 CLOSE_MARGIN_FACTOR = 1.05
 
 

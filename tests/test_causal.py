@@ -20,7 +20,9 @@ from repro import obs
 from repro.cluster import (
     ClusterConfig,
     build_cluster,
+    build_single_deployment,
     cluster_saturating_rate,
+    single_deployment_rate,
 )
 from repro.errors import WorkloadError
 from repro.faults import ClusterFaultConfig
@@ -42,12 +44,7 @@ from repro.obs.causal import (
     trace_to_chrome,
 )
 from repro.obs.profile import profile_trace
-from repro.serve import (
-    AffineServiceModel,
-    ServingConfig,
-    build_serving_stack,
-    saturating_rate,
-)
+from repro.serve import AffineServiceModel
 from repro.workloads.streams import poisson_arrivals
 
 #: Fast pure-Python service model (same shape as tests/test_cluster.py).
@@ -119,7 +116,6 @@ class TestCollectorGuard:
         null.on_dispatch(0, 0, 0.0, 0, (1,), (0.0,))
         null.on_task_route(0, 0, 0, 1e-3, 0.0, 0.0, 0)
         null.on_merge(0, 1.0)
-        null.on_serve_complete(0, 0.0, 0.5, 1.0)
         null.on_ecc("slow", 1e-6, 1)
 
 
@@ -304,23 +300,6 @@ class TestChromeExport:
         json.dumps(document)  # JSON-safe
 
 
-class TestServeDecomposition:
-    def test_queue_wait_plus_service_equals_latency(self):
-        config = ServingConfig(replicas=2, slo=0.02)
-        rate = 0.8 * saturating_rate(SERVICE, config)
-        arrivals = poisson_arrivals(rate, 2000, seed=5)
-        driver = build_serving_stack(SERVICE, config)
-        collector = CausalCollector(seed=5, keep_traces=True)
-        with installed(collector):
-            report = driver.run(arrivals)
-        traces = list(collector.traces())
-        assert len(traces) == len(report.completed)
-        for trace in traces:
-            assert trace.kind == "serve"
-            total = math.fsum(seconds for _, seconds in trace.stages)
-            assert total == pytest.approx(trace.latency, rel=1e-9, abs=1e-12)
-
-
 class TestQuantileSurfaces:
     def test_histogram_quantiles_include_p999(self):
         from repro.obs.metrics import Histogram
@@ -339,11 +318,10 @@ class TestQuantileSurfaces:
         assert payload["p999_s"] >= payload["p99_s"]
 
     def test_serving_report_exposes_p999(self):
-        config = ServingConfig(replicas=2, slo=0.02)
-        rate = 0.5 * saturating_rate(SERVICE, config)
-        driver = build_serving_stack(SERVICE, config)
-        report = driver.run(poisson_arrivals(rate, 500, seed=3))
-        payload = report.to_dict()
+        rate = 0.5 * single_deployment_rate(SERVICE, 0.02, replicas=2)
+        deployment = build_single_deployment(SERVICE, 0.02, replicas=2)
+        report = deployment.run(poisson_arrivals(rate, 500, seed=3))
+        payload = report.to_serving_dict()
         assert payload["p999_s"] is not None
         assert payload["p999_s"] >= payload["p99_s"]
 

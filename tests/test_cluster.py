@@ -32,7 +32,7 @@ from repro.lint.simsan import SimSanitizer, installed
 from repro.obs.digest import DigestRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runs import derive_run_id
-from repro.serve import AffineServiceModel
+from repro.serve import AffineServiceModel, DegradationLadder, DegradeStep
 from repro.serve.kernel import EventKernel
 from repro.workloads.streams import poisson_arrivals
 
@@ -56,6 +56,7 @@ def run_fleet(
     config=CONFIG,
     fault_config=None,
     hot_degrees=None,
+    ladder=None,
 ):
     """Fresh fleet replaying a Poisson stream at ``multiplier`` x saturation."""
     rate = multiplier * cluster_saturating_rate(SERVICE, config)
@@ -68,6 +69,7 @@ def run_fleet(
         seed=seed,
         fault_config=fault_config,
         hot_degrees=hot_degrees,
+        ladder=ladder,
     )
     return simulator.run(arrivals)
 
@@ -107,6 +109,26 @@ class TestTopology:
         assert config.total_slots == 12
         with pytest.raises(ConfigurationError):
             config.node_rack(4)
+
+    @pytest.mark.parametrize("owner, field, value", [
+        *[(ClusterConfig, name, float("nan")) for name in (
+            "slo", "cache_ttl", "cache_skew", "cache_hit_time",
+            "autoscale_interval", "token_rate",
+        )],
+        *[(ClusterConfig, name, float("inf")) for name in (
+            "slo", "cache_hit_time", "autoscale_interval", "token_rate",
+        )],
+        *[(Interconnect, name, float("nan")) for name in (
+            "latency", "bandwidth", "cross_rack_factor",
+        )],
+        (Interconnect, "latency", float("inf")),
+    ], ids=lambda value: value if isinstance(value, str) else None)
+    def test_config_rejects_bad_floats(self, owner, field, value):
+        # A bad float must fail here, not partway through a run or silently
+        # in the reported results.
+        kwargs = {"data_nodes": 4} if owner is ClusterConfig else {}
+        with pytest.raises(ConfigurationError, match=field):
+            owner(**kwargs, **{field: value})
 
 
 class TestPlacement:
@@ -422,6 +444,31 @@ class TestFleetRuns:
     def test_hot_degrees_must_match_shards(self):
         with pytest.raises(ConfigurationError):
             build_cluster(SERVICE, CONFIG, hot_degrees=[1.0, 1.0])
+
+    def test_token_rate_sheds_with_its_reason(self):
+        # Each of the two service nodes gets its own 1,000/s bucket, whose
+        # burst (the admission depth limit, 1,711 here) the run outlasts.
+        config = ClusterConfig(
+            data_nodes=8, service_nodes=2, shards=4, replicas=12,
+            racks=2, slots_per_node=2, slo=0.05, cache_capacity=0,
+            token_rate=1000.0,
+        )
+        report = run_fleet(1.0, num_requests=6000, config=config)
+        assert report.shed_by_reason.get("token_bucket", 0) > 0
+        assert report.completed + report.shed == report.arrived
+
+    def test_one_step_ladder_never_degrades(self):
+        config = ClusterConfig(
+            data_nodes=8, service_nodes=2, shards=4, replicas=12,
+            racks=2, slots_per_node=2, slo=0.05, cache_capacity=0,
+        )
+        default = run_fleet(4.0, num_requests=6000, config=config)
+        pinned = run_fleet(
+            4.0, num_requests=6000, config=config,
+            ladder=DegradationLadder(steps=(DegradeStep("full"),)),
+        )
+        assert default.max_degrade_level >= 1
+        assert pinned.max_degrade_level == 0
 
     def test_saturating_rate_scales_with_slots(self):
         small = cluster_saturating_rate(SERVICE, CONFIG)

@@ -21,12 +21,8 @@ from repro.obs import (
     state_digest,
 )
 from repro.obs.digest import canonical_json
-from repro.serve import (
-    AffineServiceModel,
-    ServingConfig,
-    build_serving_stack,
-    saturating_rate,
-)
+from repro.cluster import build_single_deployment, single_deployment_rate
+from repro.serve import AffineServiceModel
 from repro.workloads.streams import poisson_arrivals
 
 
@@ -260,12 +256,11 @@ class TestServingDigests:
         service = AffineServiceModel(
             base=2.0e-4, per_query=2.0e-5, knee=32, candidate_fraction=0.7
         )
-        config = ServingConfig(slo=0.02, shards=2, replicas=1)
         recorder = DigestRecorder(interval=interval, label="serve")
-        simulator = build_serving_stack(
-            service, config, digest_recorder=recorder
+        simulator = build_single_deployment(
+            service, 0.02, shards=2, digest_recorder=recorder
         )
-        rate = 1.2 * saturating_rate(service, config)
+        rate = 1.2 * single_deployment_rate(service, 0.02, shards=2)
         arrivals = poisson_arrivals(rate, 2_000, seed=seed)
         report = simulator.run(arrivals)
         return recorder, report

@@ -1,15 +1,29 @@
-"""Tests for the deterministic SLO-aware serving layer (repro.serve)."""
+"""Tests for the deterministic SLO-aware serving layer (repro.serve).
+
+A single deployment runs as a one-node fleet
+(:func:`repro.cluster.build_single_deployment`), so the run-level tests
+here drive the fleet loop through that builder.
+"""
 
 from collections import deque
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.cluster import (
+    LATENCY_UNSET,
+    REQUEST_BYTES,
+    ClusterReport,
+    build_latency_array,
+    build_single_deployment,
+    single_deployment_rate,
+)
 from repro.core.batching import BatchPoint
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
-from repro.obs import SERVE_TRACK
+from repro.obs import CLUSTER_TRACK
 from repro.serve import (
     AdmissionConfig,
     AdmissionController,
@@ -19,17 +33,12 @@ from repro.serve import (
     DegradationLadder,
     DegradeStep,
     Request,
-    Router,
     ServiceNodeCore,
-    ServingConfig,
-    ServingReport,
     TokenBucket,
-    build_replicas,
-    build_serving_stack,
-    saturating_rate,
     shard_hot_degrees,
 )
 from repro.serve.kernel import EventKernel
+from repro.serve.sharding import MERGE_BANDWIDTH, MERGE_ENTRY_BYTES, TOP_K
 from repro.workloads.streams import poisson_arrivals
 from repro.workloads.traces import CandidateTraceGenerator, LabelHotnessModel
 
@@ -37,15 +46,50 @@ from repro.workloads.traces import CandidateTraceGenerator, LabelHotnessModel
 SERVICE = AffineServiceModel(
     base=2e-4, per_query=1e-4, knee=8, candidate_fraction=0.7
 )
-CONFIG = ServingConfig(slo=0.02, shards=2, replicas=2)
+SLO = 0.02
+SHARDS = 2
+REPLICAS = 2
 
 
-def run_at(multiplier, seed=0, num_queries=2000, config=CONFIG):
-    """Fresh stack replaying a Poisson stream at ``multiplier`` x saturation."""
-    simulator = build_serving_stack(SERVICE, config)
-    rate = multiplier * saturating_rate(SERVICE, config)
+def build(slo=SLO, shards=SHARDS, replicas=REPLICAS, **kwargs):
+    """A fresh one-node fleet for ``SERVICE`` (2 shards x 2 replicas)."""
+    return build_single_deployment(SERVICE, slo, shards, replicas, **kwargs)
+
+
+def run_at(multiplier, seed=0, num_queries=2000):
+    """Fresh deployment replaying a Poisson stream at ``multiplier`` x saturation."""
+    rate = multiplier * single_deployment_rate(SERVICE, SLO, SHARDS, REPLICAS)
     arrivals = poisson_arrivals(rate, num_queries, seed=seed)
-    return simulator.run(arrivals)
+    return build().run(arrivals)
+
+
+def assert_same_report(a, b):
+    """Two runs agree on every summary field and every request's latency."""
+    assert a.to_dict() == b.to_dict()
+    assert a.to_serving_dict() == b.to_serving_dict()
+    np.testing.assert_array_equal(a.latencies, b.latencies)
+
+
+@contextmanager
+def batch_log():
+    """Request ids of every batch a service node forms, in dispatch order.
+
+    The fleet looks ``ServiceNodeCore.form_batch`` up on the class at call
+    time, so a wrapper installed here sees every batch.
+    """
+    batches = []
+    form_batch = ServiceNodeCore.form_batch
+
+    def logged(core):
+        batch = form_batch(core)
+        batches.append([request.request_id for request in batch])
+        return batch
+
+    ServiceNodeCore.form_batch = logged
+    try:
+        yield batches
+    finally:
+        ServiceNodeCore.form_batch = form_batch
 
 
 class TestRequestTypes:
@@ -58,11 +102,18 @@ class TestRequestTypes:
         assert request.slo == pytest.approx(0.02)
 
     def test_empty_report_percentile_raises(self):
-        report = ServingReport(slo=0.02, arrived=5)
+        report = ClusterReport(
+            config={}, slo=0.02, arrived=5, completed=0, shed=5, cache_hits=0,
+            latencies=build_latency_array(5), tasks_done=0, steals=0,
+            redispatches=0, parked_events=0, parked_time=0.0, batches=0,
+            scale_ups=0, scale_downs=0, peak_active_service_nodes=1,
+            node_busy=[0.0], makespan=0.0,
+        )
         with pytest.raises(WorkloadError, match="percentiles"):
             report.percentile(99.0)
         assert report.goodput == 0.0
         assert report.slo_attainment == 0.0
+        assert report.to_serving_dict()["p99_s"] is None
 
     def test_percentile_range_validated(self):
         report = run_at(0.5, num_queries=200)
@@ -72,7 +123,7 @@ class TestRequestTypes:
     def test_to_dict_is_json_safe(self):
         import json
 
-        payload = run_at(0.5, num_queries=200).to_dict()
+        payload = run_at(0.5, num_queries=200).to_serving_dict()
         assert json.loads(json.dumps(payload)) == payload
 
 
@@ -149,12 +200,12 @@ class TestAdmission:
             AdmissionConfig(max_pending=0)
         with pytest.raises(ConfigurationError):
             AdmissionConfig.for_slo(slo=0.0, worst_batch_time=1.0, knee=8)
-        # ServingConfig rejects what the router/admission would, at build.
+        # The deployment rejects what admission would, at build.
         for bad, message in (
             ({"token_rate": -1.0}, "token_rate must be positive"),
         ):
             with pytest.raises(ConfigurationError, match=message):
-                ServingConfig(slo=0.02, **bad)
+                build(**bad)
 
     def test_depth_gate_does_not_burn_tokens(self):
         controller = AdmissionController(
@@ -209,39 +260,25 @@ class TestDegradationLadder:
 
 
 class TestRouter:
-    def test_route_prefers_least_outstanding_then_lowest_index(self):
-        router = Router(build_replicas(2, [1.0]), SERVICE)
-        first = router.route()
-        assert first.index == 0  # tie at zero outstanding -> lowest index
-        router.acquire(first, 4)
-        assert router.route().index == 1
-
-    def test_route_none_when_pipelines_full(self):
-        router = Router(build_replicas(1, [1.0]), SERVICE)
-        router.acquire(router.route(), 4)
-        assert router.route() is None
-        assert not router.has_capacity()
-
-    def test_release_guards(self):
-        router = Router(build_replicas(1, [1.0]), SERVICE)
-        replica = router.replicas[0]
-        with pytest.raises(SimulationError):
-            router.release(replica, 1)
+    """The §7.1 fan-out: every batch visits all shards, then the host merges."""
 
     def test_fanout_batch_time_is_slowest_shard_plus_merge(self):
         # Two equal shards each hold half the labels: the variable term
-        # halves, and the host merge adds its transfer on top.
-        router = Router(build_replicas(1, [1.0, 1.0]), SERVICE)
-        replica = router.replicas[0]
+        # halves; the shard task ships its queries and top-k over the host
+        # link, and the host merge adds its transfer on top.
+        simulator = build(replicas=1)
         batch = 8
         shard_only = SERVICE.batch_time(batch, work_fraction=0.5)
-        total = router.batch_time_on(replica, batch)
-        assert total == pytest.approx(shard_only + router.merge_time(batch))
+        merge = batch * TOP_K * MERGE_ENTRY_BYTES * SHARDS / MERGE_BANDWIDTH
+        transfers = batch * (REQUEST_BYTES + TOP_K * MERGE_ENTRY_BYTES) / MERGE_BANDWIDTH
+        assert simulator.merge_time(batch, 1.0) == pytest.approx(merge)
+        total = simulator.worst_task_time(batch) + simulator.merge_time(batch, 1.0)
+        assert total == pytest.approx(shard_only + transfers + merge)
 
     def test_hot_shard_slows_its_group(self):
-        cool = Router(build_replicas(1, [1.0, 1.0]), SERVICE)
-        skew = Router(build_replicas(1, [1.6, 0.4]), SERVICE)
-        assert skew.worst_batch_time(8) > cool.worst_batch_time(8)
+        cool = build(replicas=1, hot_degrees=[1.0, 1.0])
+        skew = build(replicas=1, hot_degrees=[1.6, 0.4])
+        assert skew.worst_batch > cool.worst_batch
 
     def test_shard_hot_degrees_normalized_and_deterministic(self):
         hotness = LabelHotnessModel(num_labels=32768, run_length=1, seed=3)
@@ -311,18 +348,22 @@ class TestServingProperties:
     def test_conservation_across_rates(self):
         for multiplier in (0.5, 1.0, 2.0, 4.0):
             report = run_at(multiplier, num_queries=1500)
-            assert report.admitted + report.shed_count == report.arrived
-            assert len(report.completed) == report.admitted
+            assert report.admitted + report.shed == report.arrived
+            assert report.completed == report.admitted
 
     def test_determinism_bit_identical(self):
-        first = run_at(2.0, seed=11)
-        second = run_at(2.0, seed=11)
-        np.testing.assert_array_equal(first.latencies(), second.latencies())
-        assert [s.request.request_id for s in first.shed] == [
-            s.request.request_id for s in second.shed
-        ]
-        assert [b.size for b in first.batches] == [
-            b.size for b in second.batches
+        with batch_log() as first_batches:
+            first = run_at(2.0, seed=11)
+        with batch_log() as second_batches:
+            second = run_at(2.0, seed=11)
+        np.testing.assert_array_equal(first.latencies, second.latencies)
+        assert first.shed > 0  # the shed ids below are not all empty
+        np.testing.assert_array_equal(
+            np.flatnonzero(first.latencies == LATENCY_UNSET),
+            np.flatnonzero(second.latencies == LATENCY_UNSET),
+        )
+        assert [len(b) for b in first_batches] == [
+            len(b) for b in second_batches
         ]
         assert first.p99 == second.p99
 
@@ -334,13 +375,15 @@ class TestServingProperties:
         assert shed[-1] > 0.0
 
     def test_batches_never_exceed_knee(self):
-        report = run_at(4.0)
-        assert max(b.size for b in report.batches) <= SERVICE.knee
+        with batch_log() as batches:
+            report = run_at(4.0)
+        assert len(batches) == report.batches
+        assert max(len(b) for b in batches) <= SERVICE.knee
 
     def test_overload_keeps_admitted_p99_within_slo(self):
         baseline = run_at(1.0)
         overload = run_at(2.0)
-        assert overload.p99 <= CONFIG.slo
+        assert overload.p99 <= SLO
         assert overload.slo_attainment == pytest.approx(1.0)
         # Degradation engaged, shedding explicit, goodput degrades
         # gracefully (no collapse below the saturated baseline).
@@ -355,14 +398,11 @@ class TestServingProperties:
         assert report.shed_rate == 0.0
 
     def test_token_bucket_gate_sheds_with_reason(self):
-        config = ServingConfig(
-            slo=0.02, shards=2, replicas=2, token_rate=1000.0
-        )
-        simulator = build_serving_stack(SERVICE, config)
+        simulator = build(token_rate=1000.0)
         arrivals = poisson_arrivals(4000.0, 800, seed=5)
         report = simulator.run(arrivals)
-        assert report.shed_by_reason().get("token_bucket", 0) > 0
-        assert report.admitted + report.shed_count == report.arrived
+        assert report.shed_by_reason.get("token_bucket", 0) > 0
+        assert report.admitted + report.shed == report.arrived
 
     @pytest.mark.parametrize(
         "steps, high, low",
@@ -374,24 +414,25 @@ class TestServingProperties:
         # are per run: a second run on one simulator equals the first and a
         # freshly built stack's, and each run walks the given ladder.
         service = AffineServiceModel(0.002, 0.0005, 8, 0.7)
-        config = ServingConfig(slo=0.02, shards=2, replicas=2, token_rate=3000.0)
         arrivals = poisson_arrivals(
-            1.5 * saturating_rate(service, config), 3000, seed=1
+            1.5 * single_deployment_rate(service, 0.02, 2, 2), 3000, seed=1
         )
 
         def stack():
             ladder = DegradationLadder(steps, high_watermark=high, low_watermark=low)
-            return build_serving_stack(service, config, ladder=ladder)
+            return build_single_deployment(
+                service, 0.02, 2, 2, token_rate=3000.0, ladder=ladder
+            )
 
         simulator = stack()
         first = simulator.run(arrivals)
-        assert first.shed_count > 0
+        assert first.shed > 0
         assert first.max_degrade_level == len(steps) - 1
-        assert simulator.run(arrivals) == first
-        assert stack().run(arrivals) == first
+        assert_same_report(simulator.run(arrivals), first)
+        assert_same_report(stack().run(arrivals), first)
 
     def test_run_input_validation(self):
-        simulator = build_serving_stack(SERVICE, CONFIG)
+        simulator = build()
         with pytest.raises(WorkloadError):
             simulator.run([])
         with pytest.raises(WorkloadError):
@@ -410,32 +451,21 @@ class TestServingProperties:
             EventKernel, "push", lambda kernel, *event: pushed.append(event)
         )
         with pytest.raises(WorkloadError):
-            build_serving_stack(SERVICE, CONFIG).run(arrivals)
+            build().run(arrivals)
         assert pushed == []
 
     def test_slo_too_tight_for_knee_batch_raises(self):
         with pytest.raises(ConfigurationError, match="SLO"):
-            build_serving_stack(SERVICE, ServingConfig(slo=1e-4))
+            build_single_deployment(SERVICE, slo=1e-4)
 
     def test_hot_degrees_must_match_shards(self):
         with pytest.raises(ConfigurationError):
-            build_serving_stack(
-                SERVICE, ServingConfig(slo=0.02, shards=2), hot_degrees=[1.0]
-            )
+            build_single_deployment(SERVICE, 0.02, shards=2, hot_degrees=[1.0])
 
     def test_saturating_rate_scales_with_replicas(self):
-        one = saturating_rate(SERVICE, ServingConfig(slo=0.02, replicas=1))
-        two = saturating_rate(SERVICE, ServingConfig(slo=0.02, replicas=2))
+        one = single_deployment_rate(SERVICE, 0.02, replicas=1)
+        two = single_deployment_rate(SERVICE, 0.02, replicas=2)
         assert two == pytest.approx(2.0 * one)
-
-
-def _batch_members(report):
-    """Request ids of each dispatched batch, in dispatch order."""
-    members = {}
-    for record in report.completed:
-        key = (record.dispatch_time, record.replica)
-        members.setdefault(key, []).append(record.request.request_id)
-    return [sorted(members[(b.start, b.replica)]) for b in report.batches]
 
 
 class TestServingRunProperties:
@@ -456,40 +486,38 @@ class TestServingRunProperties:
     def test_conservation_fifo_batches_and_replay(
         self, arrivals, slo, shards, replicas, token_rate
     ):
-        config = ServingConfig(
-            slo=slo, shards=shards, replicas=replicas, token_rate=token_rate
+        simulator = build_single_deployment(
+            SERVICE, slo, shards, replicas, token_rate=token_rate
         )
-        simulator = build_serving_stack(SERVICE, config)
-        report = simulator.run(arrivals)
-        assert len(report.completed) + report.shed_count == report.arrived
+        with batch_log() as members:
+            report = simulator.run(arrivals)
+        assert report.completed + report.shed == report.arrived
         assert report.arrived == len(arrivals)
         # Batches are contiguous ascending runs of the admitted ids and leave
         # in id order: concatenated in dispatch order, they are the admitted
         # ids sorted.
-        shed_ids = {s.request.request_id for s in report.shed}
+        shed_ids = set(np.flatnonzero(report.latencies == LATENCY_UNSET).tolist())
         admitted = [rid for rid in range(len(arrivals)) if rid not in shed_ids]
-        members = _batch_members(report)
-        assert [len(m) for m in members] == [b.size for b in report.batches]
+        assert len(members) == report.batches
         assert [rid for batch in members for rid in batch] == admitted
-        assert all(b.size <= SERVICE.knee for b in report.batches)
-        assert simulator.run(arrivals) == report
+        assert all(len(batch) <= SERVICE.knee for batch in members)
+        assert_same_report(simulator.run(arrivals), report)
 
 
 class TestServeObservability:
     def test_metrics_and_spans_recorded(self):
         with obs.configure(install=True) as session:
             report = run_at(1.0, num_queries=400)
-            batches = session.registry.get("serve_batches_total")
-            requests = session.registry.get("serve_requests_total")
-            latency = session.registry.get("serve_request_latency_seconds")
-            assert sum(v for _, v in batches.samples()) == len(report.batches)
+            batches = session.registry.get("cluster_batches_total")
+            requests = session.registry.get("cluster_requests_total")
+            assert sum(v for _, v in batches.samples()) == report.batches
             assert sum(v for _, v in requests.samples()) == 400
-            observed = sum(state.count for _, state in latency.states())
-            assert observed == len(report.completed)
-            assert SERVE_TRACK in session.tracer.tracks()
+            assert CLUSTER_TRACK in session.tracer.tracks()
+            spans = [s for s in session.tracer.spans if s.track == CLUSTER_TRACK]
+            assert len(spans) == report.batches
 
     def test_disabled_observability_is_bit_identical(self):
         quiet = run_at(2.0, seed=9)
         with obs.configure(install=True):
             traced = run_at(2.0, seed=9)
-        np.testing.assert_array_equal(quiet.latencies(), traced.latencies())
+        np.testing.assert_array_equal(quiet.latencies, traced.latencies)

@@ -14,12 +14,8 @@ from repro.obs import (
     to_chrome_trace,
     to_jsonl,
 )
-from repro.serve import (
-    AffineServiceModel,
-    ServingConfig,
-    build_serving_stack,
-    saturating_rate,
-)
+from repro.cluster import build_single_deployment, single_deployment_rate
+from repro.serve import AffineServiceModel
 from repro.workloads.streams import poisson_arrivals
 
 
@@ -137,9 +133,8 @@ class TestBoundedServingRun:
         service = AffineServiceModel(
             base=2.0e-4, per_query=2.0e-5, knee=32, candidate_fraction=0.7
         )
-        config = ServingConfig(slo=0.02, shards=2, replicas=1)
-        rate = 1.2 * saturating_rate(service, config)
-        return build_serving_stack(service, config), rate
+        rate = 1.2 * single_deployment_rate(service, 0.02, shards=2)
+        return build_single_deployment(service, 0.02, shards=2), rate
 
     def test_100k_request_run_streams_the_in_memory_trace(self, tmp_path):
         """A 100k-request serve run streams every span to disk, keeps none

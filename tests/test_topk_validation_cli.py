@@ -92,10 +92,10 @@ CLI_OUTPUT_PINS = {
          "--out", "{tmp}/serve.json", "--run-dir", "{tmp}/runs",
          "--metrics-out", "{tmp}/serve.prom"],
         {
-            "<stdout>": "9cbc74a5b245a4f7",
-            "runs/4ef7215430ae3103.json": "5bcdefe6b7b40c76",
-            "serve.json": "e14c9017ae26276e",
-            "serve.prom": "f7a52e4b8a8a6915",
+            "<stdout>": "6faeab82e726f36f",
+            "runs/5cc5f55587603d24.json": "d6b57c1412bf9682",
+            "serve.json": "fcf38d6b46585166",
+            "serve.prom": "ec8fedcb350172dd",
         },
     ),
     "cluster": (
