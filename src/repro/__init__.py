@@ -34,26 +34,7 @@ Package map (see DESIGN.md for the full inventory):
 
 import logging as _logging
 
-from .config import (
-    AcceleratorConfig,
-    ECSSDConfig,
-    FlashConfig,
-    ObservabilityConfig,
-    default_config,
-)
-from .core.api import ECSSD
-from .core.ecssd import ECSSDevice, PerformanceReport
-from .core.pipeline import PipelineFeatures
-from .errors import (
-    AddressError,
-    CapacityError,
-    ConfigurationError,
-    FormatError,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-    WorkloadError,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -62,23 +43,26 @@ __version__ = "1.0.0"
 # configure_logging (or the CLI's -v flag) opts in to console output.
 _logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
-__all__ = [
-    "ECSSD",
-    "ECSSDevice",
-    "PerformanceReport",
-    "PipelineFeatures",
-    "ECSSDConfig",
-    "FlashConfig",
-    "AcceleratorConfig",
-    "ObservabilityConfig",
-    "default_config",
-    "ReproError",
-    "ConfigurationError",
-    "CapacityError",
-    "AddressError",
-    "SimulationError",
-    "ProtocolError",
-    "FormatError",
-    "WorkloadError",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core.api": ("ECSSD",),
+    ".core.ecssd": ("ECSSDevice", "PerformanceReport"),
+    ".core.pipeline": ("PipelineFeatures",),
+    ".config": (
+        "ECSSDConfig",
+        "FlashConfig",
+        "AcceleratorConfig",
+        "ObservabilityConfig",
+        "default_config",
+    ),
+    ".errors": (
+        "ReproError",
+        "ConfigurationError",
+        "CapacityError",
+        "AddressError",
+        "SimulationError",
+        "ProtocolError",
+        "FormatError",
+        "WorkloadError",
+    ),
+})
+__all__.append("__version__")

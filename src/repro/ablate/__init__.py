@@ -11,74 +11,42 @@ See DESIGN.md section 14 for the architecture and the determinism
 contract for parallel execution.
 """
 
-from .campaigns import (
-    BUILTIN_CAMPAIGNS,
-    builtin_campaign,
-    campaign_names,
-    components_campaign,
-    fleet_policy_campaign,
-    reliability_campaign,
-    serving_policy_campaign,
-    smoke_campaign,
-)
-from .engine import (
-    CAMPAIGN_WORKLOAD_KIND,
-    CampaignResult,
-    report_from_registry,
-    run_campaign,
-)
-from .importance import (
-    INDIFFERENCE,
-    SCORING_DIRECTIONS,
-    ImportanceEntry,
-    MetricDelta,
-    metric_direction,
-    metric_harm,
-    score_importance,
-)
-from .matrix import (
-    CELL_WORKLOAD_KIND,
-    Cell,
-    RunMatrix,
-    cell_identity,
-    generate_matrix,
-)
-from .report import AblationReport, build_report
-from .runners import get_runner, register_runner, runner_names
-from .spec import CAMPAIGN_MODES, Axis, CampaignSpec, axis
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AblationReport",
-    "Axis",
-    "BUILTIN_CAMPAIGNS",
-    "CAMPAIGN_MODES",
-    "CAMPAIGN_WORKLOAD_KIND",
-    "CELL_WORKLOAD_KIND",
-    "CampaignResult",
-    "CampaignSpec",
-    "Cell",
-    "INDIFFERENCE",
-    "ImportanceEntry",
-    "MetricDelta",
-    "RunMatrix",
-    "SCORING_DIRECTIONS",
-    "axis",
-    "build_report",
-    "builtin_campaign",
-    "campaign_names",
-    "cell_identity",
-    "components_campaign",
-    "fleet_policy_campaign",
-    "generate_matrix",
-    "get_runner",
-    "metric_direction",
-    "metric_harm",
-    "register_runner",
-    "reliability_campaign",
-    "report_from_registry",
-    "run_campaign",
-    "runner_names",
-    "score_importance",
-    "serving_policy_campaign",
-    "smoke_campaign",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".campaigns": (
+        "BUILTIN_CAMPAIGNS",
+        "builtin_campaign",
+        "campaign_names",
+        "components_campaign",
+        "fleet_policy_campaign",
+        "reliability_campaign",
+        "serving_policy_campaign",
+        "smoke_campaign",
+    ),
+    ".engine": (
+        "CAMPAIGN_WORKLOAD_KIND",
+        "CampaignResult",
+        "report_from_registry",
+        "run_campaign",
+    ),
+    ".importance": (
+        "INDIFFERENCE",
+        "SCORING_DIRECTIONS",
+        "ImportanceEntry",
+        "MetricDelta",
+        "metric_direction",
+        "metric_harm",
+        "score_importance",
+    ),
+    ".matrix": (
+        "CELL_WORKLOAD_KIND",
+        "Cell",
+        "RunMatrix",
+        "cell_identity",
+        "generate_matrix",
+    ),
+    ".report": ("AblationReport", "build_report"),
+    ".runners": ("get_runner", "register_runner", "runner_names"),
+    ".spec": ("CAMPAIGN_MODES", "Axis", "CampaignSpec", "axis"),
+})

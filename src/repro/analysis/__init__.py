@@ -7,22 +7,12 @@ the benchmarks under ``benchmarks/`` print those tables next to the paper's
 published values.
 """
 
-from .roofline import RooflineModel, RooflinePoint
-from .metrics import speedup, geometric_mean
-from .reporting import render_table, format_seconds, format_ratio
-from .energy import EnergyPoint, baseline_energy, ecssd_energy
-from .figures import bar_chart
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RooflineModel",
-    "RooflinePoint",
-    "speedup",
-    "geometric_mean",
-    "render_table",
-    "format_seconds",
-    "format_ratio",
-    "EnergyPoint",
-    "baseline_energy",
-    "ecssd_energy",
-    "bar_chart",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".roofline": ("RooflineModel", "RooflinePoint"),
+    ".metrics": ("speedup", "geometric_mean"),
+    ".reporting": ("render_table", "format_seconds", "format_ratio"),
+    ".energy": ("EnergyPoint", "baseline_energy", "ecssd_energy"),
+    ".figures": ("bar_chart",),
+})

@@ -17,32 +17,18 @@ stage-by-stage time breakdown, so tests can verify *why* a baseline loses,
 not just that it does.
 """
 
-from .common import BaselineResult, ArchitectureModel
-from .cpu import CpuBaseline, CPU_N, CPU_AP
-from .genstore import GenStoreBaseline, GENSTORE_N, GENSTORE_AP
-from .smartssd import (
-    SmartSSDBaseline,
-    SMARTSSD_N,
-    SMARTSSD_AP,
-    SMARTSSD_H_N,
-    SMARTSSD_H_AP,
-)
-from .gpu_enmc import GpuComparison, EnmcComparison
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BaselineResult",
-    "ArchitectureModel",
-    "CpuBaseline",
-    "CPU_N",
-    "CPU_AP",
-    "GenStoreBaseline",
-    "GENSTORE_N",
-    "GENSTORE_AP",
-    "SmartSSDBaseline",
-    "SMARTSSD_N",
-    "SMARTSSD_AP",
-    "SMARTSSD_H_N",
-    "SMARTSSD_H_AP",
-    "GpuComparison",
-    "EnmcComparison",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".common": ("BaselineResult", "ArchitectureModel"),
+    ".cpu": ("CpuBaseline", "CPU_N", "CPU_AP"),
+    ".genstore": ("GenStoreBaseline", "GENSTORE_N", "GENSTORE_AP"),
+    ".smartssd": (
+        "SmartSSDBaseline",
+        "SMARTSSD_N",
+        "SMARTSSD_AP",
+        "SMARTSSD_H_N",
+        "SMARTSSD_H_AP",
+    ),
+    ".gpu_enmc": ("GpuComparison", "EnmcComparison"),
+})

@@ -13,31 +13,21 @@ Three pieces:
   the paper's synthesis anchors (Table 4, Fig. 9, §6.2).
 """
 
-from .format import (
-    CFP32Vector,
-    prealign,
-    decode,
-    lossless_fraction,
-    COMPENSATION_BITS,
-)
-from .mac import AlignmentFreeMac, dot_cfp32
-from .circuits import (
-    MacDesign,
-    MacCircuitModel,
-    AcceleratorAreaModel,
-    required_fp32_gflops,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CFP32Vector",
-    "prealign",
-    "decode",
-    "lossless_fraction",
-    "COMPENSATION_BITS",
-    "AlignmentFreeMac",
-    "dot_cfp32",
-    "MacDesign",
-    "MacCircuitModel",
-    "AcceleratorAreaModel",
-    "required_fp32_gflops",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".format": (
+        "CFP32Vector",
+        "prealign",
+        "decode",
+        "lossless_fraction",
+        "COMPENSATION_BITS",
+    ),
+    ".mac": ("AlignmentFreeMac", "dot_cfp32"),
+    ".circuits": (
+        "MacDesign",
+        "MacCircuitModel",
+        "AcceleratorAreaModel",
+        "required_fp32_gflops",
+    ),
+})

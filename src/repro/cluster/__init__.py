@@ -27,65 +27,40 @@ replicas behind one host onto one service node over S x R one-slot data
 nodes, and ``repro serve`` runs it.
 """
 
-from .autoscale import SCALE_DOWN_FRACTION, Autoscaler
-from .cache import HotLabelCache, zipf_keys
-from .crawlers import DEFAULT_CRAWLERS, CrawlerKind, CrawlerSchedule
-from .engine import (
-    ClusterSimulator,
-    build_cluster,
-    build_single_deployment,
-    cluster_saturating_rate,
-    single_deployment_rate,
-)
-from .nodes import BatchState, DataNode, FleetCounters, ServiceNode, ShardTask
-from .placement import Placement, place_replicas
-from .report import (
-    LATENCY_UNSET,
-    ClusterReport,
-    FailoverEvent,
-    build_latency_array,
-    failover_timeline_digest,
-    shard_outage_seconds,
-)
-from .topology import (
-    PLACEMENT_STRATEGIES,
-    REQUEST_BYTES,
-    STEAL_POLICIES,
-    ClusterConfig,
-    Interconnect,
-    rack_of,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Autoscaler",
-    "SCALE_DOWN_FRACTION",
-    "HotLabelCache",
-    "zipf_keys",
-    "CrawlerKind",
-    "CrawlerSchedule",
-    "DEFAULT_CRAWLERS",
-    "ClusterSimulator",
-    "build_cluster",
-    "build_single_deployment",
-    "cluster_saturating_rate",
-    "single_deployment_rate",
-    "BatchState",
-    "DataNode",
-    "FleetCounters",
-    "ServiceNode",
-    "ShardTask",
-    "Placement",
-    "place_replicas",
-    "ClusterReport",
-    "FailoverEvent",
-    "LATENCY_UNSET",
-    "build_latency_array",
-    "failover_timeline_digest",
-    "shard_outage_seconds",
-    "ClusterConfig",
-    "Interconnect",
-    "PLACEMENT_STRATEGIES",
-    "REQUEST_BYTES",
-    "STEAL_POLICIES",
-    "rack_of",
-]
+# Bound at import, not lazily: perfbench's traced run wraps
+# ``repro.cluster.build_cluster`` by replacing the entry in the package
+# namespace, which a lazy name does not have until its first read.
+from .engine import build_cluster  # noqa: F401
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".autoscale": ("Autoscaler", "SCALE_DOWN_FRACTION"),
+    ".cache": ("HotLabelCache", "zipf_keys"),
+    ".crawlers": ("CrawlerKind", "CrawlerSchedule", "DEFAULT_CRAWLERS"),
+    ".engine": (
+        "ClusterSimulator",
+        "build_cluster",
+        "build_single_deployment",
+        "cluster_saturating_rate",
+        "single_deployment_rate",
+    ),
+    ".nodes": ("BatchState", "DataNode", "FleetCounters", "ServiceNode", "ShardTask"),
+    ".placement": ("Placement", "place_replicas"),
+    ".report": (
+        "ClusterReport",
+        "FailoverEvent",
+        "LATENCY_UNSET",
+        "build_latency_array",
+        "failover_timeline_digest",
+        "shard_outage_seconds",
+    ),
+    ".topology": (
+        "ClusterConfig",
+        "Interconnect",
+        "PLACEMENT_STRATEGIES",
+        "REQUEST_BYTES",
+        "STEAL_POLICIES",
+        "rack_of",
+    ),
+})

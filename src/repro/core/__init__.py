@@ -12,39 +12,21 @@
 * :mod:`repro.core.api` — the Table 1 host API.
 """
 
-from .accelerator import AcceleratorModel
-from .pipeline import (
-    PipelineFeatures,
-    TileWorkload,
-    TileTiming,
-    RunResult,
-    TilePipelineModel,
-)
-from .ecssd import ECSSDevice, DeploymentInfo, PerformanceReport
-from .api import ECSSD
-from .deployment import DeploymentModel, DeploymentTiming
-from .scaleout import ScaleOutCluster, LabelShard, partition_labels
-from .batching import BatchingAnalyzer, BatchPoint, optimal_batch
-from .event_backend import EventBackedTiming
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AcceleratorModel",
-    "PipelineFeatures",
-    "TileWorkload",
-    "TileTiming",
-    "RunResult",
-    "TilePipelineModel",
-    "ECSSDevice",
-    "DeploymentInfo",
-    "PerformanceReport",
-    "ECSSD",
-    "DeploymentModel",
-    "DeploymentTiming",
-    "ScaleOutCluster",
-    "LabelShard",
-    "partition_labels",
-    "BatchingAnalyzer",
-    "BatchPoint",
-    "optimal_batch",
-    "EventBackedTiming",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".accelerator": ("AcceleratorModel",),
+    ".pipeline": (
+        "PipelineFeatures",
+        "TileWorkload",
+        "TileTiming",
+        "RunResult",
+        "TilePipelineModel",
+    ),
+    ".ecssd": ("ECSSDevice", "DeploymentInfo", "PerformanceReport"),
+    ".api": ("ECSSD",),
+    ".deployment": ("DeploymentModel", "DeploymentTiming"),
+    ".scaleout": ("ScaleOutCluster", "LabelShard", "partition_labels"),
+    ".batching": ("BatchingAnalyzer", "BatchPoint", "optimal_batch"),
+    ".event_backend": ("EventBackedTiming",),
+})

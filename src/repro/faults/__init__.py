@@ -26,52 +26,29 @@ Layout:
 
 from __future__ import annotations
 
-from .model import EccConfig, EccModel, EccOutcome, EccTier, RberModel
-from .plan import (
-    ClusterFaultConfig,
-    ClusterFaultPlan,
-    FaultConfig,
-    FaultPlan,
-    NodeCrashWindow,
-    OfflineWindow,
-    PartitionWindow,
-    SlowNodeWindow,
-    hash_uniform,
-)
-from .injector import (
-    FAULT_TRACK,
-    FaultInjector,
-    NullFaultInjector,
-    NULL_INJECTOR,
-    get_injector,
-    installed,
-    set_injector,
-)
-from .scrub import ScrubConfig, ScrubPolicy, ScrubReport
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EccConfig",
-    "EccModel",
-    "EccOutcome",
-    "EccTier",
-    "RberModel",
-    "FaultConfig",
-    "FaultPlan",
-    "OfflineWindow",
-    "ClusterFaultConfig",
-    "ClusterFaultPlan",
-    "NodeCrashWindow",
-    "PartitionWindow",
-    "SlowNodeWindow",
-    "hash_uniform",
-    "FAULT_TRACK",
-    "FaultInjector",
-    "NullFaultInjector",
-    "NULL_INJECTOR",
-    "get_injector",
-    "set_injector",
-    "installed",
-    "ScrubConfig",
-    "ScrubPolicy",
-    "ScrubReport",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".model": ("EccConfig", "EccModel", "EccOutcome", "EccTier", "RberModel"),
+    ".plan": (
+        "FaultConfig",
+        "FaultPlan",
+        "OfflineWindow",
+        "ClusterFaultConfig",
+        "ClusterFaultPlan",
+        "NodeCrashWindow",
+        "PartitionWindow",
+        "SlowNodeWindow",
+        "hash_uniform",
+    ),
+    ".injector": (
+        "FAULT_TRACK",
+        "FaultInjector",
+        "NullFaultInjector",
+        "NULL_INJECTOR",
+        "get_injector",
+        "set_injector",
+        "installed",
+    ),
+    ".scrub": ("ScrubConfig", "ScrubPolicy", "ScrubReport"),
+})

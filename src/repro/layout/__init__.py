@@ -11,34 +11,19 @@ This package answers *where each weight vector lives*:
   split versus the homogeneous everything-in-flash baseline.
 """
 
-from .placement import (
-    InterleavingStrategy,
-    WeightPlacement,
-    build_placement,
-)
-from .sequential import SequentialStoring
-from .uniform import UniformInterleaving
-from .learned import HotnessPredictor, LearnedInterleaving, HotGrade
-from .graded import GradedInterleaving
-from .remapper import RemapPlan, VectorMove, diff_placements, remap_time
-from .heterogeneous import DataLocation, WeightLayout, heterogeneous_layout, homogeneous_layout
+from .._lazy import lazy_exports
 
-__all__ = [
-    "InterleavingStrategy",
-    "WeightPlacement",
-    "build_placement",
-    "SequentialStoring",
-    "UniformInterleaving",
-    "HotnessPredictor",
-    "LearnedInterleaving",
-    "GradedInterleaving",
-    "RemapPlan",
-    "VectorMove",
-    "diff_placements",
-    "remap_time",
-    "HotGrade",
-    "DataLocation",
-    "WeightLayout",
-    "heterogeneous_layout",
-    "homogeneous_layout",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".placement": ("InterleavingStrategy", "WeightPlacement", "build_placement"),
+    ".sequential": ("SequentialStoring",),
+    ".uniform": ("UniformInterleaving",),
+    ".learned": ("HotnessPredictor", "LearnedInterleaving", "HotGrade"),
+    ".graded": ("GradedInterleaving",),
+    ".remapper": ("RemapPlan", "VectorMove", "diff_placements", "remap_time"),
+    ".heterogeneous": (
+        "DataLocation",
+        "WeightLayout",
+        "heterogeneous_layout",
+        "homogeneous_layout",
+    ),
+})

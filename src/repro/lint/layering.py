@@ -24,8 +24,10 @@ from .project import DeepRule, ProjectGraph
 #: (errors, units), the config layer that roots all seeds, observability
 #: (importable everywhere by design — the zero-overhead guard keeps it out of
 #: the hot path), and the lint package itself (the simsan runtime guard is
-#: consumed by sim layers the same way obs is).
+#: consumed by sim layers the same way obs is), and the lazy-export helper
+#: every package ``__init__`` calls.
 UNIVERSAL: Tuple[str, ...] = (
+    "repro._lazy",
     "repro.errors",
     "repro.units",
     "repro.obs",

@@ -11,7 +11,9 @@ on:
   suppression table, and symbol spans (shared with the per-file engine);
 * **import graph** — every import statement resolved to a project module
   where possible (``from .. import obs`` resolves to ``repro.obs``, not the
-  package root), at any nesting depth, so lazy function-level imports count;
+  package root), at any nesting depth, so lazy function-level imports count,
+  and every lazy package export table (:mod:`repro._lazy`) read as the
+  ``from`` imports it replaces;
 * **function index + call sites** — every ``def`` under its qualified name,
   plus every call site resolved back to a project function with its
   argument-to-parameter binding, which is what makes interprocedural seed
@@ -29,7 +31,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .engine import (
     FileContext,
@@ -133,6 +135,48 @@ class ModuleInfo:
         return ""
 
 
+def import_nodes(tree: ast.AST) -> Iterator[Union[ast.Import, ast.ImportFrom]]:
+    """Every import statement in ``tree``, lazy export tables included.
+
+    An entry ``".engine": ("build_cluster",)`` of a
+    ``lazy_exports(__name__, {...})`` table yields the
+    ``from .engine import build_cluster`` it stands for, located at the
+    entry's key, so a lazy re-export makes the same import edge an eager one
+    did.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "lazy_exports"
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Dict)
+        ):
+            table = node.args[1]
+            for key, names in zip(table.keys, table.values):
+                if not (
+                    isinstance(key, ast.Constant)
+                    and isinstance(key.value, str)
+                    and isinstance(names, (ast.Tuple, ast.List))
+                ):
+                    continue
+                module = key.value.lstrip(".")
+                yield ast.copy_location(
+                    ast.ImportFrom(
+                        module=module or None,
+                        names=[
+                            ast.alias(name=name.value, asname=None)
+                            for name in names.elts
+                            if isinstance(name, ast.Constant)
+                        ],
+                        level=len(key.value) - len(module),
+                    ),
+                    key,
+                )
+
+
 def package_of(module: str) -> str:
     """The layering unit a module belongs to.
 
@@ -186,7 +230,7 @@ class ProjectGraph:
             return self._import_edges
         edges: List[ImportEdge] = []
         for info in self.modules.values():
-            for node in ast.walk(info.tree):
+            for node in import_nodes(info.tree):
                 if isinstance(node, ast.Import):
                     for alias in node.names:
                         edges.append(
@@ -197,7 +241,7 @@ class ProjectGraph:
                                 node=node,
                             )
                         )
-                elif isinstance(node, ast.ImportFrom):
+                else:
                     base = self._resolve_from_base(info.module, node)
                     if base is None:
                         continue

@@ -30,99 +30,95 @@ the package-root ``repro`` logger carries a ``NullHandler`` (installed in
 from __future__ import annotations
 
 import logging
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .causal import (
-    AttributionReport,
-    CausalCollector,
-    NullCausalCollector,
-    RequestTrace,
-    TailExemplarStore,
-    get_collector,
-    set_collector,
-    trace_spans,
-    trace_to_chrome,
-)
-from .digest import (
-    DigestEntry,
-    DigestRecorder,
-    Divergence,
-    DivergenceReport,
-    canonical_json,
-    diverge_digest_entries,
-    spans_in_window,
-    state_digest,
-)
-from .export import (
-    command_trace_events,
-    read_jsonl_spans,
-    spans_to_chrome_events,
-    to_chrome_trace,
-    to_jsonl,
-    to_prometheus_text,
-    write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
-)
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    NULL_REGISTRY,
-)
-from .perfdiff import (
-    PerfDiffReport,
-    Tolerance,
-    diff_metrics,
-    flatten_metrics,
-)
-from .profile import (
-    ChannelBalance,
-    InterferenceStats,
-    ProfileReport,
-    ResourceProfile,
-    TileAttribution,
-    profile_trace,
-)
-from .runs import (
-    RunManifest,
-    RunRegistry,
-    compare_many,
-    compare_runs,
-    derive_run_id,
-    diverge_runs,
-    file_digest,
-)
-from .streaming import JsonlSpanWriter
-from .tracing import (
-    DIGEST_TRACK,
-    CLUSTER_TRACK,
-    FAULT_TRACK,
-    FLASH_TRACK_PREFIX,
-    FP32_TRACK,
-    HOST_TRACK,
-    INT4_TRACK,
-    PIPELINE_TRACK,
-    NullTracer,
-    NULL_TRACER,
-    SpanRecord,
-    Tracer,
-    spans_from_command_trace,
-)
+from .._lazy import lazy_exports
+from .metrics import NULL_REGISTRY, MetricsRegistry
+from .tracing import NULL_TRACER, Tracer
 
-__all__ = [
-    "MetricsRegistry",
-    "NullMetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "DEFAULT_BUCKETS",
-    "Tracer",
-    "NullTracer",
-    "SpanRecord",
+if TYPE_CHECKING:
+    from .streaming import JsonlSpanWriter
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".metrics": (
+        "MetricsRegistry",
+        "NullMetricsRegistry",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "DEFAULT_BUCKETS",
+        "NULL_REGISTRY",
+    ),
+    ".tracing": (
+        "Tracer",
+        "NullTracer",
+        "NULL_TRACER",
+        "SpanRecord",
+        "spans_from_command_trace",
+        "PIPELINE_TRACK",
+        "INT4_TRACK",
+        "FP32_TRACK",
+        "HOST_TRACK",
+        "CLUSTER_TRACK",
+        "FAULT_TRACK",
+        "DIGEST_TRACK",
+        "FLASH_TRACK_PREFIX",
+    ),
+    ".export": (
+        "to_chrome_trace",
+        "to_jsonl",
+        "to_prometheus_text",
+        "write_chrome_trace",
+        "write_jsonl",
+        "write_prometheus",
+        "command_trace_events",
+        "spans_to_chrome_events",
+        "read_jsonl_spans",
+    ),
+    ".profile": (
+        "profile_trace",
+        "ProfileReport",
+        "TileAttribution",
+        "ResourceProfile",
+        "ChannelBalance",
+        "InterferenceStats",
+    ),
+    ".perfdiff": ("diff_metrics", "flatten_metrics", "PerfDiffReport", "Tolerance"),
+    # run provenance + streaming telemetry
+    ".digest": (
+        "DigestEntry",
+        "DigestRecorder",
+        "Divergence",
+        "DivergenceReport",
+        "canonical_json",
+        "diverge_digest_entries",
+        "spans_in_window",
+        "state_digest",
+    ),
+    ".runs": (
+        "RunManifest",
+        "RunRegistry",
+        "compare_many",
+        "compare_runs",
+        "derive_run_id",
+        "diverge_runs",
+        "file_digest",
+    ),
+    ".streaming": ("JsonlSpanWriter",),
+    # causal tracing + tail attribution
+    ".causal": (
+        "AttributionReport",
+        "CausalCollector",
+        "NullCausalCollector",
+        "RequestTrace",
+        "TailExemplarStore",
+        "get_collector",
+        "set_collector",
+        "trace_spans",
+        "trace_to_chrome",
+    ),
+})
+__all__ += [
     "Observability",
     "configure",
     "configure_logging",
@@ -131,61 +127,6 @@ __all__ = [
     "set_registry",
     "set_tracer",
     "register_standard_metrics",
-    "to_chrome_trace",
-    "to_jsonl",
-    "to_prometheus_text",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_prometheus",
-    "command_trace_events",
-    "spans_to_chrome_events",
-    "spans_from_command_trace",
-    "profile_trace",
-    "ProfileReport",
-    "TileAttribution",
-    "ResourceProfile",
-    "ChannelBalance",
-    "InterferenceStats",
-    "diff_metrics",
-    "flatten_metrics",
-    "PerfDiffReport",
-    "Tolerance",
-    "PIPELINE_TRACK",
-    "INT4_TRACK",
-    "FP32_TRACK",
-    "HOST_TRACK",
-    "CLUSTER_TRACK",
-    "FAULT_TRACK",
-    "DIGEST_TRACK",
-    "FLASH_TRACK_PREFIX",
-    # run provenance + streaming telemetry
-    "DigestEntry",
-    "DigestRecorder",
-    "Divergence",
-    "DivergenceReport",
-    "canonical_json",
-    "diverge_digest_entries",
-    "spans_in_window",
-    "state_digest",
-    "read_jsonl_spans",
-    "RunManifest",
-    "RunRegistry",
-    "compare_many",
-    "compare_runs",
-    "derive_run_id",
-    "diverge_runs",
-    "file_digest",
-    "JsonlSpanWriter",
-    # causal tracing + tail attribution
-    "AttributionReport",
-    "CausalCollector",
-    "NullCausalCollector",
-    "RequestTrace",
-    "TailExemplarStore",
-    "get_collector",
-    "set_collector",
-    "trace_spans",
-    "trace_to_chrome",
 ]
 
 _registry = NULL_REGISTRY
@@ -266,6 +207,8 @@ class Observability:
         self.sink: Optional[JsonlSpanWriter] = None
         stream_out = getattr(config, "jsonl_stream_out", None)
         if self.tracer.enabled and stream_out is not None:
+            from .streaming import JsonlSpanWriter
+
             self.sink = JsonlSpanWriter(stream_out)
             self.tracer.attach_sink(self.sink)
         self._previous = None
@@ -292,6 +235,8 @@ class Observability:
         config = self.config
         if config is None:
             return written
+        from .export import write_chrome_trace, write_jsonl, write_prometheus
+
         trace_out = getattr(config, "trace_out", None)
         if trace_out and self.tracer.enabled:
             write_chrome_trace(trace_out, self.tracer)

@@ -15,28 +15,14 @@ This package is the algorithmic substrate ECSSD accelerates — the ENMC
 :class:`repro.screening.model.ApproximateScreeningModel` glues the stages.
 """
 
-from .projection import ProjectionMatrix, project
-from .quantization import Int4Quantizer, QuantizedMatrix
-from .screener import ScreenResult, Int4Screener
-from .thresholds import ThresholdCalibrator, calibrate_threshold
-from .classifier import CandidateClassifier, ClassificationResult
-from .model import ApproximateScreeningModel, InferenceStats
-from .sensitivity import IntQuantizer, SensitivityPoint, sensitivity_sweep
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ProjectionMatrix",
-    "project",
-    "Int4Quantizer",
-    "QuantizedMatrix",
-    "ScreenResult",
-    "Int4Screener",
-    "ThresholdCalibrator",
-    "calibrate_threshold",
-    "CandidateClassifier",
-    "ClassificationResult",
-    "ApproximateScreeningModel",
-    "InferenceStats",
-    "IntQuantizer",
-    "SensitivityPoint",
-    "sensitivity_sweep",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".projection": ("ProjectionMatrix", "project"),
+    ".quantization": ("Int4Quantizer", "QuantizedMatrix"),
+    ".screener": ("ScreenResult", "Int4Screener"),
+    ".thresholds": ("ThresholdCalibrator", "calibrate_threshold"),
+    ".classifier": ("CandidateClassifier", "ClassificationResult"),
+    ".model": ("ApproximateScreeningModel", "InferenceStats"),
+    ".sensitivity": ("IntQuantizer", "SensitivityPoint", "sensitivity_sweep"),
+})

@@ -31,26 +31,17 @@ boundaries, and latency percentiles on every run.
 
 from __future__ import annotations
 
-from .admission import AdmissionConfig, AdmissionController, TokenBucket
-from .degrade import DEFAULT_LADDER_STEPS, DegradationLadder, DegradeStep
-from .node import ServiceNodeCore
-from .request import SHED_QUEUE_DEPTH, SHED_TOKEN_BUCKET, Request
-from .scheduler import AffineServiceModel, DeadlineBatcher, calibrate_service_model
-from .sharding import shard_hot_degrees
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionConfig",
-    "AdmissionController",
-    "TokenBucket",
-    "DegradationLadder",
-    "DegradeStep",
-    "DEFAULT_LADDER_STEPS",
-    "ServiceNodeCore",
-    "Request",
-    "SHED_TOKEN_BUCKET",
-    "SHED_QUEUE_DEPTH",
-    "shard_hot_degrees",
-    "AffineServiceModel",
-    "DeadlineBatcher",
-    "calibrate_service_model",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".admission": ("AdmissionConfig", "AdmissionController", "TokenBucket"),
+    ".degrade": ("DegradationLadder", "DegradeStep", "DEFAULT_LADDER_STEPS"),
+    ".node": ("ServiceNodeCore",),
+    ".request": ("Request", "SHED_TOKEN_BUCKET", "SHED_QUEUE_DEPTH"),
+    ".sharding": ("shard_hot_degrees",),
+    ".scheduler": (
+        "AffineServiceModel",
+        "DeadlineBatcher",
+        "calibrate_service_model",
+    ),
+})

@@ -9,38 +9,18 @@ model, and a ping-pong data buffer.
 Public entry point: :class:`repro.ssd.device.SSDDevice`.
 """
 
-from .geometry import FlashGeometry, PhysicalAddress
-from .nand import NandTiming, Die, FlashOperation
-from .channel import Channel
-from .controller import FlashController, FlashCommand, CommandKind
-from .ftl import FlashTranslationLayer
-from .dram import DramModel
-from .buffer import PingPongBuffer, BufferOverflow
-from .host import HostInterface
-from .scheduler import ScheduledController, SchedulingPolicy
-from .trace import CommandTrace, TraceEvent, TracingController
-from .device import SSDDevice, TileAccessResult
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FlashGeometry",
-    "PhysicalAddress",
-    "NandTiming",
-    "Die",
-    "FlashOperation",
-    "Channel",
-    "FlashController",
-    "FlashCommand",
-    "CommandKind",
-    "FlashTranslationLayer",
-    "DramModel",
-    "PingPongBuffer",
-    "BufferOverflow",
-    "HostInterface",
-    "ScheduledController",
-    "SchedulingPolicy",
-    "CommandTrace",
-    "TraceEvent",
-    "TracingController",
-    "SSDDevice",
-    "TileAccessResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".geometry": ("FlashGeometry", "PhysicalAddress"),
+    ".nand": ("NandTiming", "Die", "FlashOperation"),
+    ".channel": ("Channel",),
+    ".controller": ("FlashController", "FlashCommand", "CommandKind"),
+    ".ftl": ("FlashTranslationLayer",),
+    ".dram": ("DramModel",),
+    ".buffer": ("PingPongBuffer", "BufferOverflow"),
+    ".host": ("HostInterface",),
+    ".scheduler": ("ScheduledController", "SchedulingPolicy"),
+    ".trace": ("CommandTrace", "TraceEvent", "TracingController"),
+    ".device": ("SSDDevice", "TileAccessResult"),
+})

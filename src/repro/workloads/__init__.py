@@ -12,24 +12,17 @@ three with the statistical structure the architecture is sensitive to:
   the way real label distributions do (Figs. 8/11/12 depend on this).
 """
 
-from .benchmarks import BenchmarkSpec, BENCHMARKS, get_benchmark, list_benchmarks
-from .synthetic import SyntheticWorkload, generate_weights, generate_features
-from .traces import LabelHotnessModel, CandidateTraceGenerator, TileTrace
-from .drift import DriftingHotnessModel, drifted_generator
-from .streams import poisson_arrivals
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BenchmarkSpec",
-    "BENCHMARKS",
-    "get_benchmark",
-    "list_benchmarks",
-    "SyntheticWorkload",
-    "generate_weights",
-    "generate_features",
-    "LabelHotnessModel",
-    "CandidateTraceGenerator",
-    "TileTrace",
-    "DriftingHotnessModel",
-    "drifted_generator",
-    "poisson_arrivals",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".benchmarks": (
+        "BenchmarkSpec",
+        "BENCHMARKS",
+        "get_benchmark",
+        "list_benchmarks",
+    ),
+    ".synthetic": ("SyntheticWorkload", "generate_weights", "generate_features"),
+    ".traces": ("LabelHotnessModel", "CandidateTraceGenerator", "TileTrace"),
+    ".drift": ("DriftingHotnessModel", "drifted_generator"),
+    ".streams": ("poisson_arrivals",),
+})

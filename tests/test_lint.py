@@ -511,6 +511,39 @@ class TestLayeringContract:
         findings = run_deep([root])
         assert [f.rule for f in findings] == ["layering-contract"]
 
+    def test_lazy_export_back_edge_is_flagged(self, tmp_path):
+        # A lazy table entry is the import it replaces: exporting a fleet
+        # name from a lower layer's __init__ is the same back-edge.
+        root = _deep_tree(tmp_path, {
+            "cluster/engine.py": "def build_cluster():\n    pass\n",
+            "ssd/__init__.py": (
+                "from repro._lazy import lazy_exports\n"
+                "__getattr__, __dir__, __all__ = lazy_exports(__name__, {\n"
+                "    '.device': ('SSDDevice',),\n"
+                "    '..cluster.engine': ('build_cluster',),\n"
+                "})\n"
+            ),
+            "ssd/device.py": "class SSDDevice:\n    pass\n",
+        })
+        findings = run_deep([root])
+        assert [(f.rule, f.line) for f in findings] == [("layering-contract", 4)]
+        assert "repro.ssd may not import repro.cluster" in findings[0].message
+        assert "imports repro.cluster.engine" in findings[0].message
+
+    def test_lazy_export_allowed_edge_is_clean(self, tmp_path):
+        root = _deep_tree(tmp_path, {
+            "faults/plan.py": "def hash_uniform():\n    pass\n",
+            "ssd/__init__.py": (
+                "from repro._lazy import lazy_exports\n"
+                "__getattr__, __dir__, __all__ = lazy_exports(__name__, {\n"
+                "    '.device': ('SSDDevice',),\n"
+                "    '..faults.plan': ('hash_uniform',),\n"
+                "})\n"
+            ),
+            "ssd/device.py": "class SSDDevice:\n    pass\n",
+        })
+        assert run_deep([root]) == []
+
     def test_inline_suppression_applies_to_deep_findings(self, tmp_path):
         root = _deep_tree(tmp_path, {
             "serve/__init__.py": "",
@@ -789,24 +822,91 @@ class TestDeepCommandLine:
             assert name in out
 
 
+def _run_fresh(code):
+    """stdout of ``code`` in a fresh interpreter that sees ``src/``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (
+        str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return proc.stdout
+
+
+def _modules_loaded_by(imports):
+    """``repro`` modules loaded after ``imports`` in a fresh interpreter."""
+    return set(_run_fresh(
+        f"import sys\n{imports}\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('repro')))"
+    ).split())
+
+
 class TestImportCost:
     def test_simulator_import_leaves_the_static_linter_unloaded(self):
         """The simulator reaches only the runtime sanitizer, not the linter."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-        )
-        code = (
-            "import sys, repro, repro.cluster, repro.serve, repro.faults\n"
-            "print(' '.join(m for m in sys.modules if m.startswith('repro.lint')))"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        loaded = set(proc.stdout.split())
+        loaded = {
+            name for name in _modules_loaded_by(
+                "import repro, repro.cluster.engine, repro.serve, repro.faults"
+            )
+            if name.startswith("repro.lint")
+        }
         assert "repro.lint.simsan" in loaded
         assert loaded <= {"repro.lint", "repro.lint.simsan"}
+
+
+class TestImportFootprint:
+    """Packages export lazily: an import loads only what its caller uses."""
+
+    def test_import_repro_loads_no_subsystem(self):
+        loaded = _modules_loaded_by("import repro")
+        forbidden = {
+            name for name in loaded
+            if name.startswith(("repro.core.", "repro.cluster."))
+            or name in {
+                "repro.obs.causal", "repro.obs.profile", "repro.obs.perfdiff",
+                "repro.faults.scrub",
+            }
+        }
+        assert not forbidden, sorted(forbidden)
+
+    def test_ssd_mode_device_loads_no_serving_or_ecssd_stack(self):
+        # perfbench's ssd-mixed workload times exactly this import list.
+        loaded = _modules_loaded_by(
+            "import importlib\n"
+            f"sys.path.insert(0, {str(REPO_ROOT / 'perfbench')!r})\n"
+            "import workloads\n"
+            "for name in workloads.WORKLOADS['ssd-mixed'].modules:\n"
+            "    importlib.import_module(name)"
+        )
+        assert "repro.ssd.device" in loaded
+        forbidden = {
+            name for name in loaded
+            if name.split(".")[:2] in (
+                ["repro", "cluster"], ["repro", "serve"],
+                ["repro", "core"], ["repro", "screening"],
+            )
+        }
+        assert not forbidden, sorted(forbidden)
+
+    def test_every_export_resolves_and_is_listed(self):
+        out = _run_fresh(
+            "import importlib, pkgutil, repro\n"
+            "packages = ['repro'] + [info.name for info in\n"
+            "    pkgutil.iter_modules(repro.__path__, 'repro.') if info.ispkg]\n"
+            "for name in packages:\n"
+            "    package = importlib.import_module(name)\n"
+            "    listed = set(dir(package))\n"
+            "    for export in getattr(package, '__all__', ()):\n"
+            "        getattr(package, export)\n"
+            "        if export not in listed:\n"
+            "            print(f'{name}.{export}')\n"
+            "import repro.cluster\n"
+            "if 'build_cluster' not in vars(repro.cluster):\n"
+            "    print('repro.cluster.build_cluster unbound')\n"
+        )
+        assert out.split() == []
 
 
 class TestShippedTree:

@@ -9,6 +9,7 @@ import re
 import pytest
 
 import repro
+from repro.lint.project import import_nodes
 
 REPO_ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
 
@@ -122,7 +123,8 @@ def _scan_imports(path):
     Each ``from M import n`` gives ``M.n``.  A package ``__init__`` counts an
     import only when its own code reads the bound name; otherwise it is a
     re-export, mapping ``package.n`` to ``M.n``, which keeps ``M`` live only
-    if some file imports ``package.n``.
+    if some file imports ``package.n``.  A lazy export table entry reads as
+    the ``from`` import it replaces, so it is a re-export too.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
     module, is_init = ("", False)
@@ -134,7 +136,7 @@ def _scan_imports(path):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     imported, reexports = set(), {}
-    for node in ast.walk(tree):
+    for node in import_nodes(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
