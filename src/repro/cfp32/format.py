@@ -51,6 +51,24 @@ class CFP32Vector:
         if np.abs(self.mantissas).max(initial=0) >= (1 << STORED_MANTISSA_BITS):
             raise FormatError("mantissa exceeds 31-bit storage")
 
+    @classmethod
+    def _aligned(
+        cls, shared_exponent: int, mantissas: np.ndarray, dropped_bits: np.ndarray
+    ) -> "CFP32Vector":
+        """The vector :func:`prealign` computed, without the range checks.
+
+        ``prealign`` rejects ``E_max == 255`` and only right-shifts 31-bit
+        mantissas, so both ``__post_init__`` checks hold by construction;
+        the mantissa check would be a full pass over the vector.
+        """
+        vector = object.__new__(cls)
+        vector.__dict__.update(
+            shared_exponent=shared_exponent,
+            mantissas=mantissas,
+            dropped_bits=dropped_bits,
+        )
+        return vector
+
     def __len__(self) -> int:
         return len(self.mantissas)
 
@@ -93,9 +111,7 @@ def prealign(values: np.ndarray) -> CFP32Vector:
     dropped = np.frexp(shifted_up)[1].astype(np.int64)
     # The sign bit makes ``bits`` negative; a zero ``bits`` has M = 0 anyway.
     aligned *= np.sign(bits)
-    return CFP32Vector(
-        shared_exponent=e_max, mantissas=aligned, dropped_bits=dropped
-    )
+    return CFP32Vector._aligned(e_max, aligned, dropped)
 
 
 def decode(vector: CFP32Vector) -> np.ndarray:

@@ -189,14 +189,17 @@ class ClusterSimulator:
 
         ``keys`` optionally supplies each request's cache label-group key;
         by default they are drawn from the seeded Zipf stream
-        (:func:`~repro.cluster.cache.zipf_keys`).  Raises
+        (:func:`~repro.cluster.cache.zipf_keys`), or all zero when the
+        cache has no capacity and never reads one.  Raises
         :class:`~repro.errors.SimulationError` when conservation breaks or
         work is left behind.  Every call starts from fresh nodes, so
         repeated runs on one simulator give equal reports.
         """
         times = arrival_times(arrivals)
         num_requests = int(times.size)
-        if keys is None:
+        if keys is None and self.config.cache_capacity == 0:
+            keys = np.zeros(num_requests, dtype=np.int64)
+        elif keys is None:
             keys = zipf_keys(
                 num_requests,
                 self.config.cache_groups,

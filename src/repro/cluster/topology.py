@@ -75,8 +75,10 @@ class Interconnect:
             )
         if not self.bandwidth > 0:
             raise ConfigurationError("interconnect bandwidth must be positive")
-        if not self.cross_rack_factor >= 1.0:
-            raise ConfigurationError("cross_rack_factor must be >= 1")
+        if not 1.0 <= self.cross_rack_factor < math.inf:
+            # Every fleet prices a cross-rack hop (worst_task_time), so an
+            # infinite factor can never build: 0 latency x inf is NaN.
+            raise ConfigurationError("cross_rack_factor must be >= 1 and finite")
 
     def transfer_time(self, nbytes: int, cross_rack: bool) -> float:
         """Seconds to move ``nbytes`` over one hop."""

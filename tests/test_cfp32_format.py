@@ -1,5 +1,6 @@
 """Tests for the CFP32 format and pre-alignment (repro.cfp32.format)."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -117,12 +118,23 @@ class TestCFP32Vector:
                 mantissas=np.zeros(1, dtype=np.int64),
                 dropped_bits=np.zeros(1, dtype=np.int64),
             )
-        with pytest.raises(FormatError):
-            CFP32Vector(
-                shared_exponent=10,
-                mantissas=np.array([2**31], dtype=np.int64),
-                dropped_bits=np.zeros(1, dtype=np.int64),
-            )
+        for mantissa in (2**31, -(2**31)):
+            with pytest.raises(FormatError):
+                CFP32Vector(
+                    shared_exponent=10,
+                    mantissas=np.array([0, mantissa], dtype=np.int64),
+                    dropped_bits=np.zeros(2, dtype=np.int64),
+                )
+
+    def test_prealign_builds_a_vector_the_checks_accept(self):
+        # prealign skips __post_init__; its output must pass it and behave
+        # like a checked, frozen vector.
+        rng = np.random.default_rng(3)
+        v = prealign(rng.normal(scale=1e3, size=64).astype(np.float32))
+        checked = CFP32Vector(v.shared_exponent, v.mantissas, v.dropped_bits)
+        assert v == checked
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.shared_exponent = 0
 
     def test_len(self):
         v = prealign(np.ones(7, dtype=np.float32))

@@ -122,6 +122,9 @@ class TestTopology:
             "latency", "bandwidth", "cross_rack_factor",
         )],
         (Interconnect, "latency", float("inf")),
+        # With latency 0, 0 x inf = NaN would crash build_cluster; with the
+        # default latency an SLO check would fail without naming the field.
+        (Interconnect, "cross_rack_factor", float("inf")),
     ], ids=lambda value: value if isinstance(value, str) else None)
     def test_config_rejects_bad_floats(self, owner, field, value):
         # A bad float must fail here, not partway through a run or silently
