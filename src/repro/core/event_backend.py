@@ -24,7 +24,6 @@ from ..errors import ConfigurationError
 from ..layout.placement import WeightPlacement
 from ..lint.simsan import get_sanitizer
 from ..obs.digest import DigestRecorder
-from ..ssd.controller import CommandKind, FlashCommand
 from ..ssd.device import SSDDevice
 from .accelerator import AcceleratorModel
 from .pipeline import PipelineFeatures
@@ -119,14 +118,11 @@ class EventBackedTiming:
             raise ConfigurationError("batch must be positive")
         lpas_by_channel = self.deploy_tile(placement, tile_base_page)
         page_lists = placement.fetch_page_lists(candidates)
-        commands = []
+        addresses = []
         for channel, pages in page_lists.items():
             base_lpas = lpas_by_channel[channel]
             for page in pages:
-                lpa = base_lpas[int(page)]
-                commands.append(
-                    FlashCommand(CommandKind.READ, self.device.ftl.lookup(lpa))
-                )
+                addresses.append(self.device.ftl.lookup(base_lpas[int(page)]))
         if self.features.heterogeneous:
             int4_fetch = int4_bytes / self.config.dram_bandwidth
         else:
@@ -139,18 +135,12 @@ class EventBackedTiming:
                     lpa = base + 500_000 + tile_base_page + i
                     if not self.device.ftl.is_mapped(lpa):
                         self.device.ftl.write(lpa)
-                    commands.append(
-                        FlashCommand(
-                            CommandKind.READ, self.device.ftl.lookup(lpa)
-                        )
-                    )
+                    addresses.append(self.device.ftl.lookup(lpa))
             int4_fetch = 0.0  # folded into the flash makespan
 
         for channel in self.device.channels:
             channel.reset()
-        result = self.device.fetch_pages(
-            [command.address for command in commands], start=0.0
-        )
+        result = self.device.fetch_pages(addresses, start=0.0)
         flash_makespan = result.makespan
 
         candidates_count = int(len(np.asarray(candidates)))
@@ -172,7 +162,7 @@ class EventBackedTiming:
         for channel, page_list in page_lists.items():
             pages[channel] = len(page_list)
         self._tiles_timed += 1
-        self._commands_issued += len(commands)
+        self._commands_issued += len(addresses)
         if self.digest_recorder is not None:
             self.digest_recorder.tick(
                 flash_makespan,

@@ -1,7 +1,8 @@
 """Per-channel flash controller: command queues and die interleaving.
 
-The controller receives :class:`FlashCommand` batches from the FTL, issues
-them to its channel, and reports per-batch completion times.  Reads to
+The controller receives ``(kind, address)`` command batches (a
+:class:`FlashCommand` is one) routed by the device, issues them to its
+channel, and reports per-batch completion times.  Reads to
 different dies overlap their sense phases; the channel bus serializes the
 data-out phases.  This is exactly the mechanism behind the paper's
 channel-level bandwidth utilization numbers: a channel's finish time for a
@@ -48,10 +49,11 @@ class FlashCommand(_CommandFields):
     An immutable ``(kind, address)`` tuple.  When constructed with a
     ``geometry``, the address is validated against the device fan-out
     immediately (raising :class:`~repro.errors.AddressError` naming the
-    offending field) instead of first failing deep inside
+    offending field) instead of first failing inside
     :meth:`FlashController.submit`.  The geometry is not stored:
     :meth:`FlashController.submit` checks every address against its own
-    geometry regardless.
+    geometry regardless, so the device's page path routes plain
+    ``(kind, address)`` pairs and builds no command objects.
     """
 
     __slots__ = ()
@@ -109,7 +111,24 @@ class FlashController:
         self._dies_per_package = geometry.config.dies_per_package
 
     def submit(self, now: float, commands: Iterable[FlashCommand]) -> BatchResult:
-        """Issue ``commands`` starting at ``now``; returns batch timing."""
+        """Issue ``commands`` starting at ``now``; returns batch timing.
+
+        ``commands`` are ``(kind, address)`` pairs; a :class:`FlashCommand`
+        is one.  Every address is checked against the geometry and this
+        channel before the first command is issued, so a bad command raises
+        with the channel, its dies and ``commands_issued`` untouched.
+        """
+        commands = list(commands)
+        geometry = self.geometry
+        channel = self.channel
+        channel_index = channel.index
+        for _kind, address in commands:
+            geometry.check(address)
+            if address.channel != channel_index:
+                raise SimulationError(
+                    f"command for channel {address.channel} sent to controller"
+                    f" of channel {channel_index}"
+                )
         registry = get_registry()
         injector = get_injector()
         # Flags are read once per batch: a toggle applies from the next submit.
@@ -127,18 +146,10 @@ class FlashController:
         start = now
         finish = now
         issue_time = now
-        count = 0
         failed: List[PhysicalAddress] = []
-        geometry = self.geometry
-        channel = self.channel
-        channel_index = channel.index
         overhead = self.command_overhead
         dies_per_package = self._dies_per_package
-        for command in commands:
-            kind, address = command
-            geometry.check(address)
-            if address.channel != channel_index:
-                self._check_channel(address)
+        for kind, address in commands:
             die_index = address.package * dies_per_package + address.die
             issue_time += overhead
             extra_sense = 0.0
@@ -161,12 +172,12 @@ class FlashController:
                 raise SimulationError(f"unknown command kind {kind!r}")
             if end > finish:
                 finish = end
-            count += 1
             if metrics_on:
                 kind_counts[kind] = kind_counts.get(kind, 0) + 1
                 latency_histogram.observe(
                     end - issue_time, channel=channel_index, kind=kind.value
                 )
+        count = len(commands)
         self.commands_issued += count
         if kind_counts:
             counter = registry.counter(
@@ -215,27 +226,6 @@ class FlashController:
                 issue_time = release
         return issue_time
 
-    def _check_channel(self, address: PhysicalAddress) -> None:
-        if address.channel != self.channel.index:
-            raise SimulationError(
-                f"command for channel {address.channel} sent to controller"
-                f" of channel {self.channel.index}"
-            )
-
     def _local_die(self, address: PhysicalAddress) -> int:
         return address.package * self._dies_per_package + address.die
 
-
-def route_commands(
-    commands: Iterable[FlashCommand], channels: int
-) -> Dict[int, List[FlashCommand]]:
-    """Split a command stream by target channel (FTL dispatch helper)."""
-    routed: Dict[int, List[FlashCommand]] = {c: [] for c in range(channels)}
-    for command in commands:
-        if command.address.channel not in routed:
-            raise SimulationError(
-                f"command targets channel {command.address.channel},"
-                f" device has {channels}"
-            )
-        routed[command.address.channel].append(command)
-    return routed

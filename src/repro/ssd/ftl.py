@@ -237,13 +237,19 @@ class FlashTranslationLayer:
         """
         # Planes round-robin within the channel by logical page number.
         plane_key = self._plane_keys[channel][logical_page % self._planes_per_channel]
-        block = self._active_block(plane_key)
+        # An active block is never full (filling it clears ``active``
+        # below), so only a plane with no open block takes the slow path.
+        state = self._planes.get(plane_key)
+        block = None if state is None else state.active
+        if block is None:
+            block = self._active_block(plane_key)
+            state = self._planes[plane_key]
         page = block.write_pointer
         block.write_pointer += 1
         block.valid[page] = 1
         block.valid_count += 1
         if block.write_pointer >= block.pages_per_block:
-            self._planes[plane_key].active = None
+            state.active = None
         return plane_key, block, page
 
     def _plane(self, plane_key: PlaneKey) -> _PlaneState:

@@ -108,10 +108,16 @@ class FlashGeometry:
     def check(self, addr: PhysicalAddress) -> None:
         """Validate every field of ``addr`` against this geometry's fan-out.
 
-        Raises :class:`AddressError` naming the offending field.  Addresses
-        built by hand are checked here (``FlashCommand`` construction,
-        ``FlashController.submit``, :meth:`to_flat`); addresses derived from
-        a flat index by :meth:`to_physical` need no check.
+        Raises :class:`AddressError` naming the offending field.  The one
+        rule for where an address is validated: an address the FTL builds
+        (``FlashTranslationLayer.write``) or derives from a flat index
+        (:meth:`to_physical`) is in range by construction, and each page is
+        checked once, by ``FlashController.submit``.  ``submit`` checks its
+        whole batch before issuing any command, so a hand-built address is
+        always caught there too; ``SSDDevice.fetch_pages`` also checks its
+        addresses up front, so that a bad one leaves no channel moved.
+        ``FlashCommand`` construction with a geometry and :meth:`to_flat`
+        check their address as well.
         """
         if (
             addr.channel < self.channels and addr.package < self._packages

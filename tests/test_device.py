@@ -12,7 +12,7 @@ from repro.faults.injector import FaultInjector, installed
 from repro.faults.plan import FaultConfig
 from repro.ssd.controller import CommandKind, FlashCommand
 from repro.ssd.device import SSDDevice
-from repro.ssd.geometry import PhysicalAddress
+from repro.ssd.geometry import FlashGeometry, PhysicalAddress
 from repro.units import us
 
 
@@ -44,6 +44,27 @@ class TestSSDMode:
         dev.host_write(lpas)
         programs = [sum(d.programs for d in ch.dies) for ch in dev.channels]
         assert all(p == 1 for p in programs)
+
+    def test_each_page_address_is_checked_exactly_once(self, monkeypatch):
+        dev = small_device()
+        lpas = [
+            dev.ftl.channel_logical_range(c).start + i for c in range(4) for i in range(4)
+        ]
+        # The first write opens each plane's active block; opening one checks
+        # the block's base address once, through ``to_flat``.
+        dev.host_write(lpas)
+        checked = []
+        check = FlashGeometry.check
+
+        def counting_check(geometry, address):
+            checked.append(address)
+            check(geometry, address)
+
+        monkeypatch.setattr(FlashGeometry, "check", counting_check)
+        for operation in (dev.host_write, dev.host_read, dev.fetch_logical):
+            checked.clear()
+            operation(lpas)
+            assert sorted(checked) == sorted(dev.ftl.lookup(lpa) for lpa in lpas)
 
     def test_clock_is_monotonic(self):
         dev = small_device()
