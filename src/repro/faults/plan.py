@@ -19,6 +19,7 @@ keeps them stable under any interleaving of reads.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -254,6 +255,10 @@ class ClusterFaultConfig:
     say how bad each window is.  :meth:`disabled` is the inert default; the
     ``repro cluster`` CLI builds one from a ``--fault-plan`` spec string via
     :meth:`from_spec`.
+
+    Float fields are checked with negated comparisons, so a NaN is rejected
+    here, at construction, rather than silently dropping windows or failing
+    partway through a run.
     """
 
     enabled: bool = True
@@ -270,14 +275,20 @@ class ClusterFaultConfig:
     def __post_init__(self) -> None:
         if self.node_crashes < 0 or self.partitions < 0 or self.slow_nodes < 0:
             raise ConfigurationError("cluster fault counts cannot be negative")
-        if self.crash_duration < 0 or self.partition_duration < 0:
-            raise ConfigurationError("cluster fault durations cannot be negative")
-        if self.slow_duration < 0:
+        if not 0 <= self.crash_duration < math.inf:
+            raise ConfigurationError("crash_duration must be non-negative and finite")
+        if not 0 <= self.partition_duration < math.inf:
+            raise ConfigurationError(
+                "partition_duration must be non-negative and finite"
+            )
+        if not self.slow_duration >= 0:
             raise ConfigurationError("slow_duration cannot be negative")
-        if self.slow_factor < 1.0:
-            raise ConfigurationError("slow_factor must be >= 1 (1 = no brownout)")
-        if self.horizon <= 0:
-            raise ConfigurationError("horizon must be positive")
+        if not 1.0 <= self.slow_factor < math.inf:
+            raise ConfigurationError(
+                "slow_factor must be >= 1 (1 = no brownout) and finite"
+            )
+        if not 0 < self.horizon < math.inf:
+            raise ConfigurationError("horizon must be positive and finite")
 
     @classmethod
     def disabled(cls) -> "ClusterFaultConfig":

@@ -122,6 +122,15 @@ class TestTopology:
             "latency", "bandwidth", "cross_rack_factor",
         )],
         (Interconnect, "latency", float("inf")),
+        *[(ClusterFaultConfig, name, float("nan")) for name in (
+            "crash_duration", "partition_duration", "slow_duration",
+            "slow_factor", "horizon",
+        )],
+        # An infinite window end cannot be scheduled, and an infinite
+        # horizon overflows the window-start draw.
+        *[(ClusterFaultConfig, name, float("inf")) for name in (
+            "crash_duration", "partition_duration", "slow_factor", "horizon",
+        )],
         # With latency 0, 0 x inf = NaN would crash build_cluster; with the
         # default latency an SLO check would fail without naming the field.
         (Interconnect, "cross_rack_factor", float("inf")),
