@@ -15,6 +15,7 @@ setup fails at build time, not deep inside a simulation run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -61,9 +62,13 @@ class FlashConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"FlashConfig.{name} must be positive")
-        for name in ("channel_bandwidth", "read_latency", "program_latency", "erase_latency"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"FlashConfig.{name} must be positive")
+        if not self.channel_bandwidth > 0:
+            raise ConfigurationError("FlashConfig.channel_bandwidth must be positive")
+        # The channel prices every die operation inline without re-checking
+        # its duration, so a latency must be a positive finite number here.
+        for name in ("read_latency", "program_latency", "erase_latency"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"FlashConfig.{name} must be positive and finite")
 
     @property
     def dies_per_channel(self) -> int:

@@ -8,7 +8,8 @@ other dies on the channel can sense in parallel but cannot transfer.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+import math
+from typing import List, NamedTuple, NoReturn, Tuple
 
 from ..config import FlashConfig
 from ..errors import SimulationError
@@ -31,6 +32,7 @@ class OpPhases(NamedTuple):
     transfer: float
 
 
+_INF = math.inf
 _READ = FlashOperation.READ
 _PROGRAM = FlashOperation.PROGRAM
 _ERASE = FlashOperation.ERASE
@@ -40,6 +42,13 @@ _IDLE = (_ERASE, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 class Channel:
     """One flash channel: a bus resource plus its attached dies.
+
+    The channel is the one place a die operation is priced.  Each operation
+    reserves its die and, for reads and programs, the bus inline, with the
+    reservation arithmetic of :meth:`Resource.acquire`: ``start = max(now,
+    free_at)``, ``end = start + duration``, ``busy_time += duration``.  A bad
+    die index, a non-finite ``now`` or a negative or non-finite
+    ``extra_sense`` raises :class:`SimulationError` before any state moves.
 
     Each operation stores one raw record ``(kind, now, t0, t1, t2, t3)``:
     the issue time and the bounds of its two intervals in the order they
@@ -52,15 +61,18 @@ class Channel:
         self.index = index
         self.config = config
         self.bus = Resource(name=f"channel{index}.bus")
-        timing = NandTiming.from_config(config)
         self.dies: List[Die] = [
-            Die(index=index * config.dies_per_channel + d, timing=timing)
+            Die(index * config.dies_per_channel + d)
             for d in range(config.dies_per_channel)
         ]
+        self._die_count = len(self.dies)
+        timing = NandTiming.from_config(config)
+        self._read_latency = timing.read
+        self._program_latency = timing.program
+        self._erase_latency = timing.erase
         self.page_size = config.page_size
         self.page_transfer_time = config.page_transfer_time
         self.pages_transferred = 0
-        self.bytes_transferred = 0
         self._last_op = _IDLE
 
     # --- scheduling -----------------------------------------------------------
@@ -75,26 +87,68 @@ class Channel:
         dies' transfers slot in during this die's tR.  ``extra_sense``
         extends the die occupation (ECC soft-decode / read-retry ladder).
         """
-        sense_start, sense_end = self._die(die_index).execute(now, _READ, extra_sense)
-        bus_start, bus_end = self.bus.acquire(sense_end, self.page_transfer_time)
+        if not (
+            0 <= die_index < self._die_count
+            and 0.0 <= extra_sense < _INF
+            and -_INF < now < _INF
+        ):
+            self._reject(now, die_index, extra_sense)
+        die = self.dies[die_index]
+        duration = self._read_latency + extra_sense
+        free_at = die.free_at
+        sense_start = free_at if free_at > now else now
+        sense_end = sense_start + duration
+        die.free_at = sense_end
+        die.busy_time += duration
+        die.reads += 1
+        bus = self.bus
+        transfer = self.page_transfer_time
+        free_at = bus.free_at
+        bus_start = free_at if free_at > sense_end else sense_end
+        bus_end = bus_start + transfer
+        bus.free_at = bus_end
+        bus.busy_time += transfer
+        bus.acquisitions += 1
         self._last_op = (_READ, now, sense_start, sense_end, bus_start, bus_end)
         self.pages_transferred += 1
-        self.bytes_transferred += self.page_size
         return sense_start, bus_end
 
     def program_page(self, now: float, die_index: int) -> Tuple[float, float]:
         """Schedule a page program: bus transfer in, then die program time."""
-        die = self._die(die_index)
-        bus_start, bus_end = self.bus.acquire(now, self.page_transfer_time)
-        start, end = die.execute(bus_end, _PROGRAM)
+        if not (0 <= die_index < self._die_count and -_INF < now < _INF):
+            self._reject(now, die_index)
+        bus = self.bus
+        transfer = self.page_transfer_time
+        free_at = bus.free_at
+        bus_start = free_at if free_at > now else now
+        bus_end = bus_start + transfer
+        bus.free_at = bus_end
+        bus.busy_time += transfer
+        bus.acquisitions += 1
+        die = self.dies[die_index]
+        duration = self._program_latency
+        free_at = die.free_at
+        start = free_at if free_at > bus_end else bus_end
+        end = start + duration
+        die.free_at = end
+        die.busy_time += duration
+        die.programs += 1
         self._last_op = (_PROGRAM, now, bus_start, bus_end, start, end)
         self.pages_transferred += 1
-        self.bytes_transferred += self.page_size
         return bus_start, end
 
     def erase_block(self, now: float, die_index: int) -> Tuple[float, float]:
         """Schedule a block erase on ``die_index`` (no bus data phase)."""
-        start, end = self._die(die_index).execute(now, _ERASE)
+        if not (0 <= die_index < self._die_count and -_INF < now < _INF):
+            self._reject(now, die_index)
+        die = self.dies[die_index]
+        duration = self._erase_latency
+        free_at = die.free_at
+        start = free_at if free_at > now else now
+        end = start + duration
+        die.free_at = end
+        die.busy_time += duration
+        die.erases += 1
         self._last_op = (_ERASE, now, start, end, 0.0, 0.0)
         return start, end
 
@@ -104,9 +158,10 @@ class Channel:
         Models a stuck-offline window: nothing on the channel can start
         before the window ends.  Accrues no busy time on any resource.
         """
-        self.bus.block_until(time)
+        self.bus.block_until(time)  # rejects a non-finite ``time``
         for die in self.dies:
-            die.block_until(time)
+            if time > die.free_at:
+                die.free_at = time
 
     # --- accounting -----------------------------------------------------------
     @property
@@ -118,6 +173,10 @@ class Channel:
         if kind is _PROGRAM:
             return OpPhases(queue=(t0 - now) + (t2 - t1), service=t3 - t2, transfer=t1 - t0)
         return OpPhases(queue=t0 - now, service=t1 - t0, transfer=0.0)
+
+    @property
+    def bytes_transferred(self) -> int:
+        return self.pages_transferred * self.page_size
 
     @property
     def free_at(self) -> float:
@@ -132,16 +191,24 @@ class Channel:
         for die in self.dies:
             die.reset()
         self.pages_transferred = 0
-        self.bytes_transferred = 0
         self._last_op = _IDLE
 
-    def _die(self, die_index: int) -> Die:
-        if not (0 <= die_index < len(self.dies)):
+    def _reject(self, now: float, die_index: int, extra_sense: float = 0.0) -> NoReturn:
+        """Raise the :class:`SimulationError` for an operation's bad argument."""
+        if not (0 <= die_index < self._die_count):
             raise SimulationError(
                 f"die {die_index} outside channel {self.index}'s"
-                f" {len(self.dies)} dies"
+                f" {self._die_count} dies"
             )
-        return self.dies[die_index]
+        if extra_sense < 0:
+            raise SimulationError(
+                f"negative extra sense {extra_sense} on channel {self.index}"
+                f" die {die_index}"
+            )
+        raise SimulationError(
+            f"non-finite operation (now={now}, extra_sense={extra_sense})"
+            f" on channel {self.index} die {die_index}"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Channel({self.index}, dies={len(self.dies)})"

@@ -149,6 +149,8 @@ class FlashController:
         failed: List[PhysicalAddress] = []
         overhead = self.command_overhead
         dies_per_package = self._dies_per_package
+        read_page = channel.read_page
+        program_page = channel.program_page
         for kind, address in commands:
             die_index = address.package * dies_per_package + address.die
             issue_time += overhead
@@ -163,9 +165,9 @@ class FlashController:
                 elif kind is _PROGRAM:
                     injector.on_program(address, issue_time)
             if kind is _READ:
-                end = channel.read_page(issue_time, die_index, extra_sense)[1]
+                end = read_page(issue_time, die_index, extra_sense)[1]
             elif kind is _PROGRAM:
-                end = channel.program_page(issue_time, die_index)[1]
+                end = program_page(issue_time, die_index)[1]
             elif kind is _ERASE:
                 end = channel.erase_block(issue_time, die_index)[1]
             else:  # pragma: no cover - enum is exhaustive

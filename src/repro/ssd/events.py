@@ -1,9 +1,10 @@
 """Serially-reusable resources for the flash timing model.
 
-The flash subsystem is modeled as resources (channel buses, dies) that are
-busy for known durations.  A :class:`Resource` hands out reservation
-intervals instead of firing callbacks, so callers compute their own command
-timelines directly.  The serving and fleet loops order their events on
+The SSD's shared paths (channel buses, the DRAM port, host link lanes) are
+modeled as resources that are busy for known durations; dies are priced
+inline by :class:`repro.ssd.channel.Channel` with the same arithmetic.  A
+:class:`Resource` hands out reservation intervals instead of firing
+callbacks, so callers compute their own command timelines directly.  The serving and fleet loops order their events on
 :class:`repro.serve.kernel.EventKernel`.
 """
 
@@ -18,7 +19,7 @@ _INF = math.inf
 
 
 class Resource:
-    """A serially-reusable resource (a bus, a die) with FIFO acquisition.
+    """A serially-reusable resource (a bus, a port) with FIFO acquisition.
 
     ``acquire(duration)`` reserves the resource for ``duration`` seconds
     starting at the earliest time it is free, and returns the ``(start, end)``

@@ -1,9 +1,10 @@
 """NAND die model: per-die operation timing and occupancy.
 
 A die executes one flash operation at a time.  Read latency (tR) is spent on
-the die itself; the subsequent data transfer occupies the channel bus and is
-modeled by :class:`repro.ssd.channel.Channel`.  Program and erase occupy the
-die for much longer, which is why writes interleave across dies.
+the die itself; the subsequent data transfer occupies the channel bus.  Program
+and erase occupy the die for much longer, which is why writes interleave
+across dies.  :class:`repro.ssd.channel.Channel` prices every die operation;
+a :class:`Die` only holds the state that pricing reads and writes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 from ..config import FlashConfig
 from ..errors import SimulationError
-from .events import Resource
 
 
 class FlashOperation(enum.Enum):
@@ -50,12 +50,11 @@ class NandTiming:
         raise SimulationError(f"unknown flash operation {op!r}")
 
 
-_READ = FlashOperation.READ
-_PROGRAM = FlashOperation.PROGRAM
-
-
 class Die:
-    """One NAND die: a serially-reusable resource with operation counters.
+    """One NAND die: when it is next free, its busy time and op counters.
+
+    A plain record: its channel reserves it inline (``start = max(now,
+    free_at)``, ``end = start + duration``, ``busy_time += duration``).
 
     Multi-plane parallelism is intentionally not modeled as extra concurrency:
     candidate fetches in this workload are single-page random reads, for which
@@ -64,56 +63,19 @@ class Die:
     the conservative, commonly-measured behaviour.
     """
 
-    def __init__(self, index: int, timing: NandTiming) -> None:
+    __slots__ = ("index", "free_at", "busy_time", "reads", "programs", "erases")
+
+    def __init__(self, index: int) -> None:
         self.index = index
-        self.timing = timing
-        self._resource = Resource(name=f"die{index}")
-        self._read_latency = timing.read
-        self._program_latency = timing.program
+        self.free_at = 0.0
+        self.busy_time = 0.0
         self.reads = 0
         self.programs = 0
         self.erases = 0
 
-    def execute(self, now: float, op: FlashOperation, extra: float = 0.0) -> tuple:
-        """Occupy the die for ``op``; returns the ``(start, end)`` interval.
-
-        ``start`` is when the die actually begins (it may be busy with a
-        previous operation); ``end`` is when the array operation completes —
-        for reads that is when data is ready in the die's page register,
-        before any bus transfer.  ``extra`` extends the occupation (ECC
-        soft-decode and read-retry re-sensing happen on the die).
-        """
-        if extra < 0:
-            raise SimulationError(f"negative extra occupation {extra} on die {self.index}")
-        # Counters move only once ``acquire`` has accepted the operation.
-        if op is _READ:
-            start, end = self._resource.acquire(now, self._read_latency + extra)
-            self.reads += 1
-        elif op is _PROGRAM:
-            start, end = self._resource.acquire(now, self._program_latency + extra)
-            self.programs += 1
-        else:
-            start, end = self._resource.acquire(now, self.timing.latency(op) + extra)
-            self.erases += 1
-        return start, end
-
-    def block_until(self, time: float) -> None:
-        """Hold the die unavailable before ``time`` (component outage)."""
-        self._resource.block_until(time)
-
-    @property
-    def busy_time(self) -> float:
-        return self._resource.busy_time
-
-    @property
-    def free_at(self) -> float:
-        return self._resource.free_at
-
-    def utilization(self, elapsed: float) -> float:
-        return self._resource.utilization(elapsed)
-
     def reset(self) -> None:
-        self._resource.reset()
+        self.free_at = 0.0
+        self.busy_time = 0.0
         self.reads = 0
         self.programs = 0
         self.erases = 0

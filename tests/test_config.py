@@ -1,5 +1,7 @@
 """Tests for repro.config: Table 2 geometry and validation."""
 
+import math
+
 import pytest
 
 from repro.config import (
@@ -58,6 +60,22 @@ class TestFlashConfig:
     def test_rejects_non_positive_timing(self):
         with pytest.raises(ConfigurationError):
             FlashConfig(read_latency=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("read_latency", math.nan),
+            ("read_latency", math.inf),
+            ("program_latency", math.nan),
+            ("program_latency", math.inf),
+            ("erase_latency", math.inf),
+            ("channel_bandwidth", math.nan),
+        ],
+    )
+    def test_rejects_non_finite_timing(self, field, value):
+        # The channel prices die operations without re-checking durations.
+        with pytest.raises(ConfigurationError, match=field):
+            FlashConfig(**{field: value})
 
 
 class TestAcceleratorConfig:

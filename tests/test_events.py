@@ -9,7 +9,6 @@ from repro.errors import SimulationError
 from repro.lint.simsan import SimSanitizer, installed
 from repro.serve.kernel import EventKernel
 from repro.ssd.events import Resource
-from repro.ssd.nand import Die, FlashOperation, NandTiming
 
 
 def _drain(kernel):
@@ -311,13 +310,6 @@ class TestResource:
         assert (r.free_at, r.busy_time, r.acquisitions) == (2.0, 2.0, 1)
         # The next acquisition sees the untouched state.
         assert r.acquire(1.0, 1.0) == (2.0, 3.0)
-
-    @pytest.mark.parametrize("extra", [math.nan, math.inf])
-    def test_die_rejects_non_finite_extra_occupation(self, extra):
-        die = Die(0, NandTiming(read=1.0, program=2.0, erase=3.0))
-        with pytest.raises(SimulationError):
-            die.execute(0.0, FlashOperation.READ, extra)
-        assert (die.free_at, die.busy_time, die.reads) == (0.0, 0.0, 0)
 
     def test_reset(self):
         r = Resource()
