@@ -92,8 +92,14 @@ class SSDDevice:
     def host_write(self, logical_pages: Sequence[int]) -> float:
         """SSD-mode write: host link in, L2P update, program to flash.
 
-        Returns the completion time of the whole write burst.
+        Returns the completion time of the whole write burst.  Every logical
+        page is range-checked before the host link, DRAM or FTL is touched,
+        so an out-of-range page raises :class:`AddressError` with no state
+        moved.  A :class:`CapacityError` from garbage collection part-way
+        through the burst is not rolled back: the pages mapped before it
+        stay mapped, and the link and DRAM time stay reserved.
         """
+        self.ftl.check_logical(logical_pages)
         page_size = self.geometry.page_size
         now = self.clock
         link_done = self.host.send_to_device(now, len(logical_pages) * page_size)
@@ -110,11 +116,16 @@ class SSDDevice:
         return finish
 
     def host_read(self, logical_pages: Sequence[int]) -> float:
-        """SSD-mode read: L2P lookup, flash fetch, host link out."""
+        """SSD-mode read: L2P lookup, flash fetch, host link out.
+
+        Every logical page is translated before DRAM is reserved, so an
+        unmapped page raises :class:`AddressError` with no state moved.
+        """
+        routed = self._route(_READ, map(self.ftl.lookup, logical_pages))
         page_size = self.geometry.page_size
         now = self.clock
         lookup_done = self.dram.read(now, 8 * len(logical_pages))
-        fetch = self._fetch(map(self.ftl.lookup, logical_pages), lookup_done)
+        fetch = self._fetch(routed, lookup_done)
         finish = self.host.receive_from_device(
             fetch.finish, len(logical_pages) * page_size
         )
@@ -141,17 +152,18 @@ class SSDDevice:
         check = self.geometry.check
         for address in addresses:
             check(address)
-        return self._fetch(addresses, self.clock if start is None else start)
+        return self._fetch(
+            self._route(_READ, addresses), self.clock if start is None else start
+        )
 
     def _fetch(
-        self, addresses: Iterable[PhysicalAddress], begin: float
+        self, routed: List[List[Tuple[CommandKind, PhysicalAddress]]], begin: float
     ) -> TileAccessResult:
-        """:meth:`fetch_pages` for addresses whose channel is in range.
+        """:meth:`fetch_pages` for read batches already split by :meth:`_route`.
 
         Each controller's ``submit`` checks its batch, so an address the
         FTL translated is checked exactly once.
         """
-        routed = self._route(_READ, addresses)
         pages_per_channel = [0] * len(self.channels)
         channel_finish = [begin] * len(self.channels)
         total = 0
@@ -185,10 +197,15 @@ class SSDDevice:
     def fetch_logical(
         self, logical_pages: Sequence[int], start: Optional[float] = None
     ) -> TileAccessResult:
-        """:meth:`fetch_pages` addressed by logical page (adds L2P lookups)."""
+        """:meth:`fetch_pages` addressed by logical page (adds L2P lookups).
+
+        Every logical page is translated before DRAM is reserved, so an
+        unmapped page raises :class:`AddressError` with no state moved.
+        """
+        routed = self._route(_READ, map(self.ftl.lookup, logical_pages))
         begin = self.clock if start is None else start
         lookup_done = self.dram.read(begin, 8 * len(logical_pages))
-        return self._fetch(map(self.ftl.lookup, logical_pages), lookup_done)
+        return self._fetch(routed, lookup_done)
 
     # --- utilities ---------------------------------------------------------------------
     def advance_clock(self, time: float) -> None:

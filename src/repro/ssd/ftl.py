@@ -29,7 +29,7 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import FlashConfig
 from ..errors import AddressError, CapacityError, SimulationError
@@ -37,6 +37,10 @@ from ..obs import get_registry, get_tracer
 from .geometry import FlashGeometry, PhysicalAddress
 
 logger = logging.getLogger(__name__)
+
+# Builds a PhysicalAddress without its negative-field check: only for fields
+# in range by construction.
+_tuple_new = tuple.__new__
 
 # A plane is identified by (channel, package, die, plane).
 PlaneKey = Tuple[int, int, int, int]
@@ -46,19 +50,25 @@ class BlockState:
     """Bookkeeping for one physical block (valid bitmap + wear).
 
     ``base`` is the flat physical index of the block's page 0, so page *p*
-    of the block is flat ``base + p``.  ``valid_count`` tracks the number of
-    set bits in ``valid``: every 0<->1 transition of a bit updates it.
+    of the block is flat ``base + p``, at address ``prefix + (p,)``:
+    ``prefix`` is the block's ``(channel, package, die, plane, block)``.
+    ``valid_count`` tracks the number of set bits in ``valid``: every
+    0<->1 transition of a bit updates it.
     """
 
     __slots__ = (
-        "block", "pages_per_block", "base", "write_pointer", "valid",
+        "block", "pages_per_block", "base", "prefix", "write_pointer", "valid",
         "valid_count", "erase_count",
     )
 
-    def __init__(self, block: int, pages_per_block: int, base: int) -> None:
+    def __init__(
+        self, block: int, pages_per_block: int, base: int,
+        prefix: Tuple[int, int, int, int, int],
+    ) -> None:
         self.block = block
         self.pages_per_block = pages_per_block
         self.base = base
+        self.prefix = prefix
         self.write_pointer = 0
         self.valid = bytearray(pages_per_block)
         self.valid_count = 0
@@ -188,14 +198,21 @@ class FlashTranslationLayer:
         determined by the static logical range; within the channel the
         allocator round-robins dies/planes for program parallelism.
         """
-        channel = self.channel_of_logical(logical_page)
-        old = self._l2p.pop(logical_page, None)
+        if not (0 <= logical_page < self.user_pages):
+            self.channel_of_logical(logical_page)  # raises the AddressError
+        channel = logical_page // self.user_pages_per_channel
+        l2p = self._l2p
+        p2l = self._p2l
+        old = l2p.pop(logical_page, None)
         if old is not None:
-            self._invalidate(old)
-        plane_key, block, page = self._allocate(channel, logical_page)
+            stale = self._blocks[old // self._pages_per_block]
+            stale.valid[old - stale.base] = 0
+            stale.valid_count -= 1
+            p2l.pop(old, None)
+        block, page = self._allocate(channel, logical_page)
         flat = block.base + page
-        self._l2p[logical_page] = flat
-        self._p2l[flat] = logical_page
+        l2p[logical_page] = flat
+        p2l[flat] = logical_page
         self.pages_written += 1
         registry = get_registry()
         if registry.enabled:
@@ -204,14 +221,30 @@ class FlashTranslationLayer:
             ).inc(channel=channel)
         # The allocator hands out in-fan-out fields only, so the address
         # skips PhysicalAddress's negative-field check.
-        return tuple.__new__(PhysicalAddress, plane_key + (block.block, page))
+        return _tuple_new(PhysicalAddress, block.prefix + (page,))
+
+    def check_logical(self, logical_pages: Sequence[int]) -> None:
+        """Raise :class:`AddressError` for the first page outside user space.
+
+        Lets a caller reject a whole burst before it changes any state.
+        """
+        if len(logical_pages) and (
+            min(logical_pages) < 0 or max(logical_pages) >= self.user_pages
+        ):
+            for logical_page in logical_pages:
+                self.channel_of_logical(logical_page)
 
     def lookup(self, logical_page: int) -> PhysicalAddress:
-        """Translate a logical page to its current physical address."""
+        """Translate a logical page to its current physical address.
+
+        The page's block holds its address prefix, so the address is built
+        without decoding the flat index.
+        """
         flat = self._l2p.get(logical_page)
         if flat is None:
             raise AddressError(f"logical page {logical_page} is unmapped")
-        return self.geometry.to_physical(flat)
+        block = self._blocks[flat // self._pages_per_block]
+        return _tuple_new(PhysicalAddress, block.prefix + (flat - block.base,))
 
     def is_mapped(self, logical_page: int) -> bool:
         return logical_page in self._l2p
@@ -227,12 +260,10 @@ class FlashTranslationLayer:
         return len(self._l2p)
 
     # --- allocation --------------------------------------------------------------
-    def _allocate(
-        self, channel: int, logical_page: int
-    ) -> Tuple[PlaneKey, BlockState, int]:
+    def _allocate(self, channel: int, logical_page: int) -> Tuple[BlockState, int]:
         """Program the next page of the plane's active block.
 
-        Returns ``(plane_key, block, page)``; the page's flat index is
+        Returns ``(block, page)``; the page's flat index is
         ``block.base + page``.
         """
         # Planes round-robin within the channel by logical page number.
@@ -250,7 +281,7 @@ class FlashTranslationLayer:
         block.valid_count += 1
         if block.write_pointer >= block.pages_per_block:
             state.active = None
-        return plane_key, block, page
+        return block, page
 
     def _plane(self, plane_key: PlaneKey) -> _PlaneState:
         state = self._planes.get(plane_key)
@@ -290,8 +321,9 @@ class FlashTranslationLayer:
         _wear, block_index = heapq.heappop(state.free_heap)
         block = state.blocks.get(block_index)
         if block is None:
-            base = self.geometry.to_flat(PhysicalAddress(*plane_key, block_index, 0))
-            block = BlockState(block_index, self._pages_per_block, base)
+            prefix = plane_key + (block_index,)
+            base = self.geometry.to_flat(PhysicalAddress(*prefix, 0))
+            block = BlockState(block_index, self._pages_per_block, base, prefix)
             state.blocks[block_index] = block
             self._blocks[base // self._pages_per_block] = block
         return block
@@ -330,23 +362,33 @@ class FlashTranslationLayer:
         in_place = relocated > room and self.op_ratio > 0.0
         spill = room if in_place else relocated
         staged: List[int] = []
+        channel = plane_key[0]
+        allocate = self._allocate
+        l2p = self._l2p
+        p2l = self._p2l
         base = victim.base
         for page_index in range(victim.pages_per_block):
             if not victim.valid[page_index]:
                 continue
-            logical_page = self._p2l.pop(base + page_index)
+            logical_page = p2l.pop(base + page_index)
             victim.valid[page_index] = 0
             victim.valid_count -= 1
             if spill:
                 spill -= 1
-                self._relocate(plane_key[0], logical_page)
+                block, page = allocate(channel, logical_page)
+                new_flat = block.base + page
+                l2p[logical_page] = new_flat
+                p2l[new_flat] = logical_page
             else:
                 staged.append(logical_page)
         victim.erase()
         if in_place:
             state.active = victim
             for logical_page in staged:
-                self._relocate(plane_key[0], logical_page)
+                block, page = allocate(channel, logical_page)
+                new_flat = block.base + page
+                l2p[logical_page] = new_flat
+                p2l[new_flat] = logical_page
         else:
             heapq.heappush(state.free_heap, (victim.erase_count, victim.block))
         self.pages_relocated += relocated
@@ -378,12 +420,6 @@ class FlashTranslationLayer:
             "gc: plane %s victim block %d relocated %d pages",
             plane_key, victim.block, relocated,
         )
-
-    def _relocate(self, channel: int, logical_page: int) -> None:
-        _plane_key, block, page = self._allocate(channel, logical_page)
-        new_flat = block.base + page
-        self._l2p[logical_page] = new_flat
-        self._p2l[new_flat] = logical_page
 
     def _pick_victim(self, plane_key: PlaneKey) -> Optional[BlockState]:
         """The full block with the fewest valid pages, then the least wear.

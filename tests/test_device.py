@@ -29,6 +29,28 @@ def small_device() -> SSDDevice:
     return SSDDevice(ECSSDConfig(flash=flash))
 
 
+def device_state(dev: SSDDevice) -> tuple:
+    """Clock, link, DRAM, FTL and flash state of ``dev``, floats as hex."""
+    ftl = dev.ftl
+    return (
+        dev.clock.hex(),
+        [
+            (link.free_at.hex(), link.busy_time.hex(), link.acquisitions)
+            for link in (dev.host.downstream, dev.host.upstream, dev.dram.port)
+        ],
+        (dev.host.bytes_down, dev.host.bytes_up),
+        (dev.dram.bytes_read, dev.dram.bytes_written),
+        sorted(ftl._l2p.items()),
+        sorted(ftl._p2l.items()),
+        ftl.pages_written,
+        [
+            (ch.bus.free_at.hex(), ch.pages_transferred)
+            + tuple((die.free_at.hex(), die.reads, die.programs) for die in ch.dies)
+            for ch in dev.channels
+        ],
+    )
+
+
 class TestSSDMode:
     def test_write_then_read_roundtrip(self):
         dev = small_device()
@@ -65,6 +87,40 @@ class TestSSDMode:
             checked.clear()
             operation(lpas)
             assert sorted(checked) == sorted(dev.ftl.lookup(lpa) for lpa in lpas)
+
+    def test_out_of_range_write_burst_moves_nothing(self):
+        dev = small_device()
+        dev.host_write([0, 1, 5])
+        before = device_state(dev)
+        with pytest.raises(AddressError, match="outside user space"):
+            dev.host_write([0, 1, 10**6])
+        assert device_state(dev) == before
+
+    @pytest.mark.parametrize("operation", ["host_read", "fetch_logical"])
+    def test_unmapped_read_burst_moves_nothing(self, operation):
+        dev = small_device()
+        dev.host_write([0, 1])
+        before = device_state(dev)
+        with pytest.raises(AddressError, match="unmapped"):
+            getattr(dev, operation)([0, 5])
+        assert device_state(dev) == before
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="host_write starts each channel's batch at the previous"
+        " channel's finish; the fix is a re-baseline (ROADMAP item 8)",
+    )
+    def test_write_burst_starts_every_channel_at_its_ready_time(self):
+        # One page on each of 4 channels against 4 pages on the 4 dies of
+        # one channel: equal host-link and DRAM time, so equal ready times.
+        # With every channel starting at the ready time, the spread burst
+        # finishes no later (today: 2,663.5 us against 682.0 us).
+        spread = small_device()
+        per_channel = spread.ftl.user_pages_per_channel
+        spread_done = spread.host_write([c * per_channel for c in range(4)])
+        one_channel = small_device()
+        one_channel_done = one_channel.host_write([0, 1, 2, 3])
+        assert spread_done <= one_channel_done
 
     def test_clock_is_monotonic(self):
         dev = small_device()

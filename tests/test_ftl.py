@@ -231,7 +231,11 @@ class TestPropertyBased:
 
 
 def assert_bookkeeping(ftl: FlashTranslationLayer) -> None:
-    """Valid counts, valid bits and the two maps all agree."""
+    """Valid counts, valid bits and the two maps all agree.
+
+    ``lookup`` builds each address from its block's stored prefix; it must
+    equal the full decode of the mapped flat index.
+    """
     total_valid = 0
     for state in ftl._planes.values():
         for block in state.blocks.values():
@@ -240,6 +244,9 @@ def assert_bookkeeping(ftl: FlashTranslationLayer) -> None:
     assert len(ftl._l2p) == len(ftl._p2l)
     for lpa, flat in ftl._l2p.items():
         assert ftl._p2l[flat] == lpa
+        address = ftl.lookup(lpa)
+        assert type(address) is PhysicalAddress
+        assert address == ftl.geometry.to_physical(flat)
     for flat in ftl._p2l:
         addr = ftl.geometry.to_physical(flat)
         plane_key = (addr.channel, addr.package, addr.die, addr.plane)
