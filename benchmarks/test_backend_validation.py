@@ -2,29 +2,13 @@
 
 from conftest import run_once
 
-from repro.analysis.reporting import format_seconds, render_table
-from repro.analysis.validation import cross_validate
+from repro.analysis import artifacts
 
 
 def test_backend_cross_validation(benchmark, record_table):
-    report = run_once(benchmark, lambda: cross_validate(tiles=3))
-
-    rows = [
-        [
-            row.strategy,
-            format_seconds(row.analytic_flash),
-            format_seconds(row.event_flash),
-            f"{row.ratio:.2f}x",
-        ]
-        for row in report.rows
-    ]
-    rows.append(["ordering agrees", "-", "-", str(report.ordering_agrees())])
-    table = render_table(
-        ["strategy", "analytic flash", "event-simulated flash", "event/analytic"],
-        rows,
-        title="Timing-backend cross-validation (DESIGN.md §5 envelope: 0.8-2.2x)",
-    )
-    record_table("backend_validation", table)
+    artifact = run_once(benchmark, artifacts.backend_validation)
+    record_table("backend_validation", artifact.table)
+    report = artifact.data
 
     assert report.ordering_agrees()
     assert report.within_envelope()

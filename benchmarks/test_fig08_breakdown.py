@@ -2,32 +2,13 @@
 
 from conftest import run_once
 
-from repro.analysis.experiments import fig8_breakdown
-from repro.analysis.reporting import render_table
+from repro.analysis import artifacts
 
 
 def test_fig08_breakdown(benchmark, record_table):
-    steps = run_once(
-        benchmark, lambda: fig8_breakdown(queries=32, sample_tiles=10)
-    )
-
-    rows = [
-        [
-            s.label,
-            f"{s.speedup_vs_baseline:.2f}x",
-            "-" if s.paper_speedup is None else f"{s.paper_speedup:.2f}x",
-            f"{s.fp32_utilization:.1%}",
-            "-" if s.paper_utilization is None else f"{s.paper_utilization:.1%}",
-        ]
-        for s in steps
-    ]
-    table = render_table(
-        ["technique (cumulative)", "speedup (ours)", "speedup (paper)",
-         "fp32 util (ours)", "fp32 util (paper)"],
-        rows,
-        title="Fig. 8: breakdown analysis, averaged over 4 benchmarks",
-    )
-    record_table("fig08_breakdown", table)
+    artifact = run_once(benchmark, artifacts.fig8)
+    record_table("fig08_breakdown", artifact.table)
+    steps = artifact.data
 
     speedups = [s.speedup_vs_baseline for s in steps]
     utils = [s.fp32_utilization for s in steps]

@@ -3,30 +3,15 @@
 import pytest
 from conftest import run_once
 
-from repro.analysis.experiments import fig9_mac_comparison
+from repro.analysis import artifacts
 from repro.analysis.reporting import render_table
 from repro.cfp32.circuits import MacCircuitModel, MacDesign, required_fp32_gflops
 
 
 def test_fig09_mac_comparison(benchmark, record_table):
-    rows_data = run_once(benchmark, fig9_mac_comparison)
-
-    rows = [
-        [
-            r.design,
-            f"{r.area_ratio:.2f}x",
-            f"{r.paper_area_ratio:.2f}x",
-            f"{r.power_ratio:.2f}x",
-            f"{r.paper_power_ratio:.2f}x",
-        ]
-        for r in rows_data
-    ]
-    table = render_table(
-        ["design", "area (ours)", "area (paper)", "power (ours)", "power (paper)"],
-        rows,
-        title="Fig. 9: iso-throughput FP32 MAC comparison (normalized to alignment-free)",
-    )
-    record_table("fig09_mac_circuit", table)
+    artifact = run_once(benchmark, artifacts.fig9)
+    record_table("fig09_mac_circuit", artifact.table)
+    rows_data = artifact.data
 
     for r in rows_data:
         assert r.area_ratio == pytest.approx(r.paper_area_ratio, rel=0.02)

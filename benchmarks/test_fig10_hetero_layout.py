@@ -3,35 +3,14 @@
 import numpy as np
 from conftest import run_once
 
-from repro.analysis.experiments import fig10_hetero_layout
-from repro.analysis.reporting import format_seconds, render_table
+from repro.analysis import artifacts
 
 
 def test_fig10_hetero_layout(benchmark, record_table):
-    points = run_once(
-        benchmark, lambda: fig10_hetero_layout(queries=32, sample_tiles=10)
-    )
-
-    paper = {0.05: "1.73x", 0.10: "-", 0.15: "-", 0.20: "-"}
-    rows = [
-        [
-            f"{p.candidate_ratio:.0%}",
-            format_seconds(p.homogeneous_time),
-            format_seconds(p.heterogeneous_time),
-            f"{p.speedup:.2f}x",
-            paper.get(round(p.candidate_ratio, 2), "-"),
-        ]
-        for p in points
-    ]
+    artifact = run_once(benchmark, artifacts.fig10)
+    record_table("fig10_hetero_layout", artifact.table)
+    points = artifact.data
     avg = float(np.mean([p.speedup for p in points]))
-    rows.append(["average", "-", "-", f"{avg:.2f}x", "1.43x"])
-    table = render_table(
-        ["candidate ratio", "homogeneous", "heterogeneous",
-         "speedup (ours)", "speedup (paper)"],
-        rows,
-        title="Fig. 10: data layout comparison on Transformer-W268K",
-    )
-    record_table("fig10_hetero_layout", table)
 
     # Shape: hetero always wins, gains shrink as candidate traffic grows
     # (the fixed 4-bit stream matters less), average in the paper's range.

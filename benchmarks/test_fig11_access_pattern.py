@@ -2,28 +2,13 @@
 
 from conftest import run_once
 
-from repro.analysis.experiments import fig11_access_pattern
-from repro.analysis.reporting import render_table
+from repro.analysis import artifacts
 
 
 def test_fig11_access_pattern(benchmark, record_table):
-    uniform, learned = run_once(benchmark, fig11_access_pattern)
-
-    rows = [
-        [f"channel {c}",
-         int(uniform.pages_per_channel[c]),
-         int(learned.pages_per_channel[c])]
-        for c in range(len(uniform.pages_per_channel))
-    ]
-    rows.append(["max", int(uniform.pages_per_channel.max()),
-                 int(learned.pages_per_channel.max())])
-    rows.append(["balance (mean/max)", f"{uniform.balance:.2f}", f"{learned.balance:.2f}"])
-    table = render_table(
-        ["", "uniform interleaving", "learned interleaving"],
-        rows,
-        title="Fig. 11: per-channel page loads, one GNMT-E32K tile @ 10% ratio",
-    )
-    record_table("fig11_access_pattern", table)
+    artifact = run_once(benchmark, artifacts.fig11)
+    record_table("fig11_access_pattern", artifact.table)
+    uniform, learned = artifact.data
 
     # The paper's qualitative claim: learned is visibly more balanced.
     assert learned.balance > uniform.balance

@@ -3,37 +3,15 @@
 import numpy as np
 from conftest import run_once
 
-from repro.analysis.experiments import fig12_interleaving
-from repro.analysis.reporting import format_seconds, render_table
+from repro.analysis import artifacts
 
 
 def test_fig12_interleaving(benchmark, record_table):
-    results = run_once(
-        benchmark, lambda: fig12_interleaving(queries=32, sample_tiles=10)
-    )
-
-    rows = [
-        [
-            r.benchmark,
-            format_seconds(r.times["sequential"]),
-            format_seconds(r.times["uniform"]),
-            format_seconds(r.times["learned"]),
-            f"{r.speedup('uniform', 'learned'):.2f}x",
-            f"{r.speedup('sequential', 'learned'):.2f}x",
-        ]
-        for r in results
-    ]
+    artifact = run_once(benchmark, artifacts.fig12)
+    record_table("fig12_interleaving", artifact.table)
+    results = artifact.data
     lu = float(np.mean([r.speedup("uniform", "learned") for r in results]))
     ls = float(np.mean([r.speedup("sequential", "learned") for r in results]))
-    rows.append(["average", "-", "-", "-", f"{lu:.2f}x", f"{ls:.2f}x"])
-    rows.append(["paper average", "-", "-", "-", "1.43x", "7.57x"])
-    table = render_table(
-        ["benchmark", "sequential", "uniform", "learned",
-         "learned/uniform", "learned/sequential"],
-        rows,
-        title="Fig. 12: storing strategy comparison",
-    )
-    record_table("fig12_interleaving", table)
 
     for r in results:
         assert r.times["learned"] < r.times["uniform"] < r.times["sequential"]

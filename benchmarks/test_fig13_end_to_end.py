@@ -2,31 +2,13 @@
 
 from conftest import run_once
 
-from repro.analysis.experiments import fig13_end_to_end
-from repro.analysis.reporting import format_seconds, render_table
-from repro.workloads.benchmarks import LARGE_SCALE
+from repro.analysis import artifacts
 
 
 def test_fig13_end_to_end(benchmark, record_table):
-    results = run_once(
-        benchmark, lambda: fig13_end_to_end(queries=8, sample_tiles=10)
-    )
-
-    rows = [
-        [
-            r.architecture,
-            *(format_seconds(r.per_benchmark_time[b]) for b in LARGE_SCALE),
-            f"{r.mean_slowdown_vs_ecssd:.2f}x",
-            "-" if r.paper_slowdown is None else f"{r.paper_slowdown:.2f}x",
-        ]
-        for r in results
-    ]
-    table = render_table(
-        ["architecture", *LARGE_SCALE, "slowdown (ours)", "slowdown (paper)"],
-        rows,
-        title="Fig. 13: end-to-end performance, batch of 8 queries",
-    )
-    record_table("fig13_end_to_end", table)
+    artifact = run_once(benchmark, artifacts.fig13)
+    record_table("fig13_end_to_end", artifact.table)
+    results = artifact.data
 
     ecssd, baselines = results[0], results[1:]
     assert ecssd.architecture == "ECSSD"

@@ -2,27 +2,13 @@
 
 from conftest import run_once
 
-from repro.analysis.experiments import sec71_scalability, sec71_scale_out
-from repro.analysis.reporting import render_table
+from repro.analysis import artifacts
 
 
 def test_sec71_scalability(benchmark, record_table):
-    points = run_once(benchmark, sec71_scalability)
-
-    rows = [
-        [
-            f"{p.dram_capacity_gib} GiB",
-            f"{p.max_categories_millions:.0f}M",
-            "-" if p.paper_max_millions is None else f"{p.paper_max_millions:.0f}M",
-        ]
-        for p in points
-    ]
-    table = render_table(
-        ["DRAM capacity", "max categories (ours)", "supported scenario (paper)"],
-        rows,
-        title="Section 7.1: maximum classification scale vs DRAM capacity",
-    )
-    record_table("sec71_scalability", table)
+    artifact = run_once(benchmark, artifacts.sec71_scalability)
+    record_table("sec71_scalability", artifact.table)
+    points = artifact.data
 
     by_gib = {p.dram_capacity_gib: p for p in points}
     # Each size holds its named scenario but not the next one up.
@@ -32,18 +18,8 @@ def test_sec71_scalability(benchmark, record_table):
 
 
 def test_sec71_scale_out(benchmark, record_table):
-    plan = run_once(benchmark, sec71_scale_out)
-
-    table = render_table(
-        ["quantity", "ours", "paper"],
-        [
-            ["categories", f"{plan.categories_millions:.0f}M", "500M"],
-            ["4-bit matrix total", f"{plan.int4_total_gib:.0f} GiB", "64 GB"],
-            ["32-bit matrix total", f"{plan.fp32_total_tib:.1f} TiB", "2 TB"],
-            ["ECSSDs needed", plan.devices_needed, "5"],
-        ],
-        title="Section 7.1: scale-out partitioning of a 500M-category layer",
-    )
-    record_table("sec71_scale_out", table)
+    artifact = run_once(benchmark, artifacts.sec71_scale_out)
+    record_table("sec71_scale_out", artifact.table)
+    plan = artifact.data
 
     assert plan.devices_needed == 5

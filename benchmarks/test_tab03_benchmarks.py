@@ -3,34 +3,15 @@
 import pytest
 from conftest import run_once
 
-from repro.analysis.reporting import render_table
-from repro.units import GB, pretty_bytes
-from repro.workloads.benchmarks import get_benchmark, list_benchmarks
+from repro.analysis import artifacts
+from repro.units import GB
+from repro.workloads.benchmarks import get_benchmark
 
 
 def test_tab03_benchmarks(benchmark, record_table):
-    specs = run_once(benchmark, list_benchmarks)
-
-    rows = [
-        [
-            s.name,
-            s.model,
-            s.dataset,
-            f"{s.num_labels:,}",
-            s.hidden_dim,
-            s.shrunk_dim,
-            pretty_bytes(s.int4_matrix_bytes),
-            pretty_bytes(s.fp32_matrix_bytes),
-        ]
-        for s in specs
-    ]
-    table = render_table(
-        ["benchmark", "model", "dataset", "categories", "D", "K",
-         "4-bit matrix", "32-bit matrix"],
-        rows,
-        title="Table 3 benchmarks + derived matrix sizes (K = D/4)",
-    )
-    record_table("tab03_benchmarks", table)
+    artifact = run_once(benchmark, artifacts.tab3)
+    record_table("tab03_benchmarks", artifact.table)
+    specs = artifact.data
 
     assert len(specs) == 7
     s100m = get_benchmark("XMLCNN-S100M")

@@ -5,37 +5,15 @@ Times the three large-scale extreme-classification benchmarks on every
 modeled architecture — CPU, GenStore-style in-storage, SmartSSD near-storage
 (3 and 6 GB/s switches), each with and without the approximate screening
 algorithm — and prints the slowdown table next to the paper's published
-factors, plus the §7.2/§7.3 GPU and ENMC efficiency discussions.
+factors, the §7.2/§7.3 GPU and ENMC efficiency discussions and the §7.1
+scalability tables.
 
 Run:  python examples/architecture_comparison.py
 """
 
-from repro.analysis import experiments as exp
-from repro.analysis.reporting import format_seconds, render_table
+from repro.analysis import artifacts
 from repro.baselines.gpu_enmc import EnmcComparison, GpuComparison
-from repro.workloads.benchmarks import LARGE_SCALE, get_benchmark
-
-
-def end_to_end() -> None:
-    print("=== Fig. 13: end-to-end comparison on S10M/S50M/S100M ===")
-    results = exp.fig13_end_to_end(queries=8, sample_tiles=10)
-    rows = []
-    for r in results:
-        rows.append(
-            [
-                r.architecture,
-                *(format_seconds(r.per_benchmark_time[b]) for b in LARGE_SCALE),
-                f"{r.mean_slowdown_vs_ecssd:.2f}x",
-                "-" if r.paper_slowdown is None else f"{r.paper_slowdown:.2f}x",
-            ]
-        )
-    print(
-        render_table(
-            ["architecture", *LARGE_SCALE, "slowdown (ours)", "slowdown (paper)"],
-            rows,
-        )
-    )
-    print()
+from repro.workloads.benchmarks import get_benchmark
 
 
 def gpu_discussion() -> None:
@@ -65,25 +43,13 @@ def enmc_discussion() -> None:
           " out instead (see §7.1).")
 
 
-def scalability() -> None:
-    print("\n=== §7.1: DRAM scalability and scale-out ===")
-    rows = [
-        [f"{p.dram_capacity_gib} GiB", f"{p.max_categories_millions:.0f}M",
-         "-" if p.paper_max_millions is None else f"{p.paper_max_millions:.0f}M"]
-        for p in exp.sec71_scalability()
-    ]
-    print(render_table(["DRAM", "max categories (ours)", "supported scenario (paper)"], rows))
-    plan = exp.sec71_scale_out()
-    print(f"\n500M categories -> {plan.devices_needed} ECSSDs"
-          f" ({plan.int4_total_gib:.0f} GiB INT4, {plan.fp32_total_tib:.1f} TiB FP32)"
-          " — paper: 5 devices.")
-
-
 def main() -> None:
-    end_to_end()
+    print(artifacts.fig13().table, end="\n\n")
     gpu_discussion()
     enmc_discussion()
-    scalability()
+    print()
+    print(artifacts.sec71_scalability().table, end="\n\n")
+    print(artifacts.sec71_scale_out().table)
 
 
 if __name__ == "__main__":

@@ -9,55 +9,12 @@ performance comparison (Fig. 12), and shows the hot-degree machinery: raw
 Run:  python examples/interleaving_study.py
 """
 
-import numpy as np
-
+from repro.analysis import artifacts
 from repro.analysis import experiments as exp
-from repro.analysis.reporting import format_ratio, format_seconds, render_table
+from repro.analysis.reporting import format_seconds, render_table
 from repro.core.ecssd import ECSSDevice
 from repro.core.pipeline import PipelineFeatures
 from repro.workloads.benchmarks import get_benchmark
-
-
-def access_pattern_study() -> None:
-    print("=== Fig. 11: one GNMT-E32K tile, 10% candidate ratio ===")
-    uniform, learned = exp.fig11_access_pattern()
-    channels = len(uniform.pages_per_channel)
-    rows = []
-    for c in range(channels):
-        rows.append(
-            [f"ch{c}", int(uniform.pages_per_channel[c]), int(learned.pages_per_channel[c])]
-        )
-    rows.append(["balance (mean/max)", f"{uniform.balance:.2f}", f"{learned.balance:.2f}"])
-    print(render_table(["channel", "uniform pages", "learned pages"], rows))
-    print()
-
-
-def performance_study() -> None:
-    print("=== Fig. 12: strategy comparison across four benchmarks ===")
-    results = exp.fig12_interleaving(queries=32, sample_tiles=10)
-    rows = []
-    for r in results:
-        rows.append(
-            [
-                r.benchmark,
-                format_seconds(r.times["sequential"]),
-                format_seconds(r.times["uniform"]),
-                format_seconds(r.times["learned"]),
-                format_ratio(r.speedup("uniform", "learned")),
-                format_ratio(r.speedup("sequential", "learned")),
-            ]
-        )
-    print(
-        render_table(
-            ["benchmark", "sequential", "uniform", "learned",
-             "learned/uniform", "learned/sequential"],
-            rows,
-        )
-    )
-    lu = np.mean([r.speedup("uniform", "learned") for r in results])
-    ls = np.mean([r.speedup("sequential", "learned") for r in results])
-    print(f"\nAverage: learned beats uniform {lu:.2f}x (paper: 1.43x),")
-    print(f"         learned beats sequential {ls:.2f}x (paper: 7.57x)\n")
 
 
 def utilization_study() -> None:
@@ -78,8 +35,8 @@ def utilization_study() -> None:
 
 
 def main() -> None:
-    access_pattern_study()
-    performance_study()
+    print(artifacts.fig11().table, end="\n\n")
+    print(artifacts.fig12().table, end="\n\n")
     utilization_study()
 
 

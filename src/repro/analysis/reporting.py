@@ -49,7 +49,3 @@ def format_seconds(seconds: float) -> str:
     if seconds >= 1e-6:
         return f"{seconds * 1e6:.3g} us"
     return f"{seconds * 1e9:.3g} ns"
-
-
-def format_ratio(ratio: float) -> str:
-    return f"{ratio:.2f}x"

@@ -5,8 +5,9 @@ Gives the reproduction a front door that requires no Python:
 * ``python -m repro benchmarks`` — print the Table 3 registry;
 * ``python -m repro quickstart`` — run a small end-to-end inference
   (``--trace-out``/``--metrics-out`` additionally emit telemetry);
-* ``python -m repro figure <fig8|fig9|fig10|fig11|fig12|fig13>`` — regenerate
-  one paper figure and print the ours-vs-paper table;
+* ``python -m repro figure <name>`` — regenerate one paper artifact
+  (``fig8``..``fig13``, ``tab3``, ``sec71_scalability``, ``sec71_scale_out``,
+  ``backend_validation``) and print its ours-vs-paper table;
 * ``python -m repro report`` — write the full reproduction report;
 * ``python -m repro trace`` — run an instrumented inference and export a
   Chrome/Perfetto trace, Prometheus metrics, and JSON-lines telemetry;
@@ -43,20 +44,9 @@ from typing import Dict, List, Optional
 
 
 def _cmd_benchmarks(_args: argparse.Namespace) -> int:
-    from .analysis.reporting import render_table
-    from .units import pretty_bytes
-    from .workloads.benchmarks import list_benchmarks
+    from .analysis import artifacts
 
-    rows = [
-        [s.name, s.model, s.dataset, f"{s.num_labels:,}", s.hidden_dim,
-         pretty_bytes(s.int4_matrix_bytes), pretty_bytes(s.fp32_matrix_bytes)]
-        for s in list_benchmarks()
-    ]
-    print(render_table(
-        ["benchmark", "model", "dataset", "categories", "D",
-         "4-bit matrix", "32-bit matrix"],
-        rows, title="Table 3 benchmarks",
-    ))
+    print(artifacts.tab3().table)
     return 0
 
 
@@ -327,83 +317,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-_FIGURES = ("fig8", "fig9", "fig10", "fig11", "fig12", "fig13")
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from .analysis import experiments as exp
-    from .analysis.reporting import render_table
+    from .analysis.artifacts import ARTIFACTS
 
-    name = args.name
-    if name == "fig8":
-        steps = exp.fig8_breakdown(queries=16, sample_tiles=8)
-        rows = [
-            [s.label, f"{s.speedup_vs_baseline:.2f}x",
-             "-" if s.paper_speedup is None else f"{s.paper_speedup:.2f}x",
-             f"{s.fp32_utilization:.1%}"]
-            for s in steps
-        ]
-        print(render_table(
-            ["technique", "speedup", "paper", "fp32 util"], rows, title="Fig. 8"
-        ))
-    elif name == "fig9":
-        rows = [
-            [r.design, f"{r.area_ratio:.2f}x", f"{r.paper_area_ratio:.2f}x",
-             f"{r.power_ratio:.2f}x", f"{r.paper_power_ratio:.2f}x"]
-            for r in exp.fig9_mac_comparison()
-        ]
-        print(render_table(
-            ["design", "area", "paper", "power", "paper"], rows, title="Fig. 9"
-        ))
-    elif name == "fig10":
-        points = exp.fig10_hetero_layout(queries=16, sample_tiles=8)
-        rows = [[f"{p.candidate_ratio:.0%}", f"{p.speedup:.2f}x"] for p in points]
-        print(render_table(
-            ["candidate ratio", "hetero speedup"], rows, title="Fig. 10"
-        ))
-    elif name == "fig11":
-        uniform, learned = exp.fig11_access_pattern()
-        rows = [
-            [f"ch{c}", int(uniform.pages_per_channel[c]),
-             int(learned.pages_per_channel[c])]
-            for c in range(len(uniform.pages_per_channel))
-        ]
-        print(render_table(
-            ["channel", "uniform", "learned"], rows, title="Fig. 11"
-        ))
-    elif name == "fig12":
-        results = exp.fig12_interleaving(queries=16, sample_tiles=8)
-        rows = [
-            [r.benchmark, f"{r.speedup('uniform', 'learned'):.2f}x",
-             f"{r.speedup('sequential', 'learned'):.2f}x"]
-            for r in results
-        ]
-        print(render_table(
-            ["benchmark", "learned/uniform", "learned/sequential"],
-            rows, title="Fig. 12",
-        ))
-    elif name == "fig13":
-        results = exp.fig13_end_to_end(queries=8, sample_tiles=8)
-        rows = [
-            [r.architecture, f"{r.mean_slowdown_vs_ecssd:.2f}x",
-             "-" if r.paper_slowdown is None else f"{r.paper_slowdown:.2f}x"]
-            for r in results
-        ]
-        print(render_table(
-            ["architecture", "slowdown", "paper"], rows, title="Fig. 13"
-        ))
-    else:  # pragma: no cover - argparse restricts choices
-        print(f"unknown figure {name}", file=sys.stderr)
-        return 2
+    _stem, produce = ARTIFACTS[args.name]
+    print(produce().table)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis.report_builder import build_report
+    from .analysis.artifacts import build_report
 
     session = _session_from_args(args)
     try:
-        text = build_report(queries=args.queries, sample_tiles=args.tiles)
+        text = build_report()
     finally:
         _finish_session(session)
     if args.output == "-":
@@ -416,23 +343,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(_args: argparse.Namespace) -> int:
-    from .analysis.reporting import format_seconds, render_table
-    from .analysis.validation import cross_validate
+    from .analysis import artifacts
 
-    report = cross_validate(tiles=2)
-    rows = [
-        [row.strategy, format_seconds(row.analytic_flash),
-         format_seconds(row.event_flash), f"{row.ratio:.2f}x"]
-        for row in report.rows
-    ]
-    print(render_table(
-        ["strategy", "analytic flash time", "event flash time", "event/analytic"],
-        rows, title="Backend cross-validation",
-    ))
-    ok = report.ordering_agrees() and report.within_envelope()
-    print(f"ordering agrees: {report.ordering_agrees()};"
-          f" within envelope {report.envelope}: {report.within_envelope()}")
-    return 0 if ok else 1
+    artifact = artifacts.backend_validation()
+    print(artifact.table)
+    report = artifact.data
+    return 0 if report.ordering_agrees() and report.within_envelope() else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1196,6 +1112,8 @@ def _check_output_flags(
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .analysis.artifacts import ARTIFACTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ECSSD (ISCA 2023) reproduction command line",
@@ -1214,14 +1132,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_observability_flags(quickstart)
     _add_verbose(quickstart)
 
-    figure = sub.add_parser("figure", help="regenerate one paper figure")
-    figure.add_argument("name", choices=_FIGURES)
+    figure = sub.add_parser(
+        "figure", help="regenerate one paper artifact and print its table"
+    )
+    figure.add_argument("name", choices=tuple(ARTIFACTS))
     _add_verbose(figure)
 
     report = sub.add_parser("report", help="write a full reproduction report")
     report.add_argument("--output", default="REPORT.md")
-    report.add_argument("--queries", type=int, default=16)
-    report.add_argument("--tiles", type=int, default=6)
     _add_observability_flags(report)
     _add_verbose(report)
 

@@ -8,7 +8,7 @@ from repro.analysis.metrics import (
     speedup,
     weighted_utilization,
 )
-from repro.analysis.reporting import format_ratio, format_seconds, render_table
+from repro.analysis.reporting import format_seconds, render_table
 from repro.analysis.roofline import RooflineModel
 from repro.errors import ConfigurationError, WorkloadError
 
@@ -104,6 +104,3 @@ class TestReporting:
         assert format_seconds(2.5e-3) == "2.5 ms"
         assert format_seconds(2.5e-6) == "2.5 us"
         assert format_seconds(2.5e-9) == "2.5 ns"
-
-    def test_format_ratio(self):
-        assert format_ratio(3.238) == "3.24x"

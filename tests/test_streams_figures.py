@@ -1,9 +1,8 @@
-"""Tests for arrival streams and ASCII figure rendering."""
+"""Tests for arrival streams."""
 
 import numpy as np
 import pytest
 
-from repro.analysis.figures import bar_chart
 from repro.errors import WorkloadError
 from repro.workloads.streams import poisson_arrivals
 
@@ -25,32 +24,3 @@ class TestArrivals:
             poisson_arrivals(0.0, 10)
         with pytest.raises(WorkloadError):
             poisson_arrivals(10.0, 0)
-
-
-class TestFigures:
-    def test_bar_chart_scales_to_max(self):
-        chart = bar_chart([("a", 10.0), ("b", 5.0)], width=10)
-        lines = chart.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == 5
-
-    def test_bar_chart_reference_marker(self):
-        chart = bar_chart([("x", 5.0)], width=10, reference=10.0)
-        assert "paper: 10" in chart
-
-    def test_bar_chart_title_and_units(self):
-        chart = bar_chart([("x", 1.0)], title="T", unit="ms")
-        assert chart.startswith("T\n")
-        assert "1ms" in chart
-
-    def test_bar_chart_validation(self):
-        with pytest.raises(WorkloadError):
-            bar_chart([])
-        with pytest.raises(WorkloadError):
-            bar_chart([("x", -1.0)])
-        with pytest.raises(WorkloadError):
-            bar_chart([("x", 1.0)], width=2)
-
-    def test_bar_chart_all_zero(self):
-        chart = bar_chart([("x", 0.0)])
-        assert "#" not in chart
