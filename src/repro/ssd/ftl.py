@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,6 +42,9 @@ logger = logging.getLogger(__name__)
 # Builds a PhysicalAddress without its negative-field check: only for fields
 # in range by construction.
 _tuple_new = tuple.__new__
+
+# A burst of exactly these page types needs no per-page operator.index check.
+_PLAIN_INT = frozenset({int})
 
 # A plane is identified by (channel, package, die, plane).
 PlaneKey = Tuple[int, int, int, int]
@@ -224,10 +228,20 @@ class FlashTranslationLayer:
         return _tuple_new(PhysicalAddress, block.prefix + (page,))
 
     def check_logical(self, logical_pages: Sequence[int]) -> None:
-        """Raise :class:`AddressError` for the first page outside user space.
+        """Raise :class:`AddressError` for the first page that is not an
+        integer (anything :func:`operator.index` rejects) or lies outside
+        user space.
 
         Lets a caller reject a whole burst before it changes any state.
         """
+        if not _PLAIN_INT.issuperset(map(type, logical_pages)):
+            for logical_page in logical_pages:
+                try:
+                    operator.index(logical_page)
+                except TypeError:
+                    raise AddressError(
+                        f"logical page {logical_page!r} is not an integer"
+                    ) from None
         if len(logical_pages) and (
             min(logical_pages) < 0 or max(logical_pages) >= self.user_pages
         ):

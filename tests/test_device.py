@@ -96,6 +96,22 @@ class TestSSDMode:
             dev.host_write([0, 1, 10**6])
         assert device_state(dev) == before
 
+    @pytest.mark.parametrize("bad", [2.5, 1.0, "2", None])
+    def test_non_integer_write_burst_moves_nothing(self, bad):
+        dev = small_device()
+        dev.host_write([0, 1, 5])
+        before = device_state(dev)
+        with pytest.raises(AddressError, match="not an integer"):
+            dev.host_write([0, 1, bad])
+        assert device_state(dev) == before
+
+    def test_numpy_integer_write_burst_matches_int_burst(self):
+        plain, numpy_ints = small_device(), small_device()
+        assert plain.host_write([0, 1, 7]) == numpy_ints.host_write(
+            np.array([0, 1, 7], dtype=np.int64)
+        )
+        assert device_state(plain) == device_state(numpy_ints)
+
     @pytest.mark.parametrize("operation", ["host_read", "fetch_logical"])
     def test_unmapped_read_burst_moves_nothing(self, operation):
         dev = small_device()

@@ -117,6 +117,25 @@ def _module_of(path):
     return ".".join(parts), is_init
 
 
+def _import_target(node, alias, package):
+    """Dotted name an import binds for ``alias`` (relative imports resolved)."""
+    if isinstance(node, ast.Import):
+        return alias.name
+    base = node.module or ""
+    if node.level:
+        anchor = package.rsplit(".", node.level - 1)[0]
+        base = f"{anchor}.{base}" if base else anchor
+    return f"{base}.{alias.name}"
+
+
+def _package_of(path):
+    """(package relative imports resolve against, is package ``__init__``)."""
+    if not path.is_relative_to(REPO_ROOT / "src"):
+        return "", False
+    module, is_init = _module_of(path)
+    return (module if is_init else module.rpartition(".")[0]), is_init
+
+
 def _scan_imports(path):
     """(dotted names a file imports, re-exports of a package ``__init__``).
 
@@ -127,29 +146,20 @@ def _scan_imports(path):
     the ``from`` import it replaces, so it is a re-export too.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
-    module, is_init = ("", False)
-    if path.is_relative_to(REPO_ROOT / "src"):
-        module, is_init = _module_of(path)
-    package = module if is_init else module.rpartition(".")[0]
+    package, is_init = _package_of(path)
     loaded = {
         node.id for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     imported, reexports = set(), {}
     for node in import_nodes(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                anchor = package.rsplit(".", node.level - 1)[0]
-                base = f"{anchor}.{base}" if base else anchor
-            for alias in node.names:
-                bound = alias.asname or alias.name
-                if is_init and bound not in loaded:
-                    reexports[f"{package}.{bound}"] = f"{base}.{alias.name}"
-                else:
-                    imported.add(f"{base}.{alias.name}")
+        for alias in node.names:
+            target = _import_target(node, alias, package)
+            bound = alias.asname or alias.name
+            if isinstance(node, ast.ImportFrom) and is_init and bound not in loaded:
+                reexports[f"{package}.{bound}"] = target
+            else:
+                imported.add(target)
     return imported, reexports
 
 
@@ -173,6 +183,67 @@ class TestNoTestOnlyModules:
         assert not unreached, (
             f"only tests import {unreached}; delete them or use them"
         )
+
+
+#: The drivers behind ``repro.analysis.artifacts``' registry, as the dotted
+#: names a caller reaches them by (``repro.workloads`` re-exports one).
+ARTIFACT_DRIVERS = {
+    *(f"repro.analysis.experiments.{name}" for name in (
+        "fig8_breakdown", "fig9_mac_comparison", "fig10_hetero_layout",
+        "fig11_access_pattern", "fig12_interleaving", "fig13_end_to_end",
+        "sec71_scalability", "sec71_scale_out",
+    )),
+    "repro.analysis.validation.cross_validate",
+    "repro.workloads.benchmarks.list_benchmarks",
+    "repro.workloads.list_benchmarks",
+}
+
+
+def _names_read(path):
+    """Dotted names a file reads through its imports, e.g. ``exp.f`` -> ``M.f``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    package, _ = _package_of(path)
+    bound = {}
+    for node in import_nodes(tree):
+        for alias in node.names:
+            if isinstance(node, ast.Import) and not alias.asname:
+                # ``import a.b`` binds ``a``.
+                bound[alias.name.split(".")[0]] = alias.name.split(".")[0]
+            else:
+                bound[alias.asname or alias.name] = _import_target(
+                    node, alias, package
+                )
+    read = set()
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in bound:
+            parts = [bound[node.id], *reversed(attrs)]
+            read.update(".".join(parts[:i]) for i in range(1, len(parts) + 1))
+    return read
+
+
+class TestOneProducerPerArtifact:
+    def test_only_artifacts_module_calls_the_drivers(self):
+        producer = REPO_ROOT / "src" / "repro" / "analysis" / "artifacts.py"
+        callers = {}
+        for root in ("src", "benchmarks", "examples"):
+            for path in (REPO_ROOT / root).rglob("*.py"):
+                drivers = _names_read(path) & ARTIFACT_DRIVERS
+                if path != producer and drivers:
+                    callers[str(path.relative_to(REPO_ROOT))] = sorted(drivers)
+        assert not callers, (
+            f"{callers} call an artifact's driver; go through"
+            " repro.analysis.artifacts instead"
+        )
+
+    def test_the_guard_sees_the_producer(self):
+        producer = REPO_ROOT / "src" / "repro" / "analysis" / "artifacts.py"
+        assert _names_read(producer) >= ARTIFACT_DRIVERS - {
+            "repro.workloads.list_benchmarks"
+        }
 
 
 class TestErrorHierarchy:
