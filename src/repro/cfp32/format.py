@@ -72,11 +72,6 @@ class CFP32Vector:
     def __len__(self) -> int:
         return len(self.mantissas)
 
-    @property
-    def storage_bytes(self) -> int:
-        """On-device bytes: 4 per element plus the one shared exponent byte."""
-        return 4 * len(self.mantissas) + 1
-
     def is_lossless(self) -> np.ndarray:
         """Boolean mask of elements that lost no mantissa information."""
         return self.dropped_bits == 0

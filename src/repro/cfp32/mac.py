@@ -59,13 +59,6 @@ class AlignmentFreeMac:
             result=result,
         )
 
-    def matvec(self, weights_rows, features: CFP32Vector) -> np.ndarray:
-        """Dot the feature vector against each pre-aligned weight row."""
-        return np.array(
-            [self.dot(features, row).result for row in weights_rows],
-            dtype=np.float64,
-        )
-
 
 def dot_cfp32(x: np.ndarray, w: np.ndarray) -> float:
     """Convenience: pre-align two float vectors and run the MAC datapath."""

@@ -141,19 +141,6 @@ class AcceleratorConfig:
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"AcceleratorConfig.{name} must be positive")
 
-    @property
-    def buffer_total(self) -> int:
-        """Total accelerator-private SRAM, excluding the SSD's 4 MB buffer."""
-        return (
-            self.index_buffer
-            + self.int4_weight_buffer
-            + self.int4_input_buffer
-            + self.int4_output_buffer
-            + self.fp32_input_buffer
-            + self.fp32_weight_buffer
-            + self.fp32_output_buffer
-        )
-
 
 @dataclass(frozen=True)
 class ECSSDConfig:
@@ -194,10 +181,6 @@ class ECSSDConfig:
     def with_channels(self, channels: int) -> "ECSSDConfig":
         """A copy of this config with a different channel count."""
         return replace(self, flash=replace(self.flash, channels=channels))
-
-    def with_dram_capacity(self, dram_capacity: int) -> "ECSSDConfig":
-        """A copy of this config with a different DRAM capacity (§7.1)."""
-        return replace(self, dram_capacity=dram_capacity)
 
 
 @dataclass(frozen=True)

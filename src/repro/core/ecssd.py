@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..config import ECSSDConfig
-from ..errors import ConfigurationError, WorkloadError
+from ..errors import ConfigurationError
 from ..faults.injector import FAULT_TRACK, get_injector
 from ..obs import get_registry, get_tracer
 from ..layout.heterogeneous import WeightLayout, heterogeneous_layout, homogeneous_layout
@@ -97,11 +97,6 @@ class PerformanceReport:
     @property
     def fp32_channel_utilization(self) -> float:
         return self.run.fp32_channel_utilization
-
-    def speedup_over(self, other: "PerformanceReport") -> float:
-        if self.scaled_total_time <= 0:
-            raise WorkloadError("cannot compute speedup of a zero-time run")
-        return other.scaled_total_time / self.scaled_total_time
 
 
 def make_strategy(

@@ -48,10 +48,6 @@ class EventRunResult:
     total_time: float
     tiles: List[EventTileTiming]
 
-    @property
-    def flash_time_total(self) -> float:
-        return sum(t.flash_makespan for t in self.tiles)
-
 
 class EventBackedTiming:
     """Times tile workloads by submitting real flash commands.

@@ -135,12 +135,6 @@ class RunResult:
             return 0.0
         return self.fp32_busy / (self.channels * window)
 
-    def speedup_over(self, other: "RunResult") -> float:
-        """How much faster this run is than ``other``."""
-        if self.total_time <= 0:
-            raise SimulationError("cannot compute speedup of a zero-time run")
-        return other.total_time / self.total_time
-
 
 class TilePipelineModel:
     """Turns tile workloads into end-to-end time for a feature set."""

@@ -115,11 +115,6 @@ class ClusterReport:
     def devices(self) -> int:
         return len(self.shard_reports)
 
-    @property
-    def slowest_shard(self) -> int:
-        times = [r.scaled_total_time for r in self.shard_reports]
-        return int(np.argmax(times))
-
 
 class ScaleOutCluster:
     """N ECSSDs serving one partitioned extreme-classification layer."""

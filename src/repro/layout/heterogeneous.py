@@ -38,10 +38,6 @@ class WeightLayout:
     int4_bytes: int = 0
     fp32_bytes: int = 0
 
-    @property
-    def is_heterogeneous(self) -> bool:
-        return self.int4_location is DataLocation.DRAM
-
     def check_dram_capacity(self, dram_capacity: int, reserved: int = 0) -> None:
         """Raise if the DRAM-resident share exceeds capacity (§7.1).
 
@@ -58,14 +54,6 @@ class WeightLayout:
                 f"layout needs {needed} B of DRAM but only"
                 f" {dram_capacity} B available"
             )
-
-    def flash_bytes(self) -> int:
-        total = 0
-        if self.int4_location is DataLocation.FLASH:
-            total += self.int4_bytes
-        if self.fp32_location is DataLocation.FLASH:
-            total += self.fp32_bytes
-        return total
 
 
 def heterogeneous_layout(int4_bytes: int, fp32_bytes: int) -> WeightLayout:

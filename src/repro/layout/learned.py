@@ -76,7 +76,6 @@ class HotnessPredictor:
             if total > 0
             else np.full_like(self.abs_sums, 1.0 / max(1, len(self.abs_sums)))
         )
-        self._fine_tuned = False
 
     def __len__(self) -> int:
         return len(self.abs_sums)
@@ -108,15 +107,10 @@ class HotnessPredictor:
         freq_total = frequency.sum()
         empirical = frequency / freq_total if freq_total > 0 else prior
         self.scores = (1.0 - weight) * prior + weight * empirical
-        self._fine_tuned = True
         logger.debug(
             "fine-tuned hotness predictor on %d observations (blend %.2f)",
             observations, weight,
         )
-
-    @property
-    def is_fine_tuned(self) -> bool:
-        return self._fine_tuned
 
     def grades(self) -> np.ndarray:
         """Three-grade bucketing of the current scores."""

@@ -86,13 +86,6 @@ class WeightPlacement:
         """Pages one vector occupies when it is page-sized or larger."""
         return -(-self.vector_bytes // self.page_size)
 
-    def page_index_of(self, vector: int) -> int:
-        """First channel-local page index holding ``vector``."""
-        slot = int(self.slot_of[vector])
-        if self.vectors_per_page:
-            return slot // self.vectors_per_page
-        return slot * self.pages_per_vector
-
     def channel_pages(self, channel: int) -> int:
         """Total channel-local pages this placement occupies on ``channel``."""
         count = int((self.channel_of == channel).sum())
@@ -151,18 +144,6 @@ class WeightPlacement:
                 )
             result[int(channel)] = pages.astype(np.int64)
         return result
-
-    def balance_metric(self, candidates: np.ndarray) -> float:
-        """mean/max page load across channels: 1.0 is perfectly balanced.
-
-        This is exactly the channel-bandwidth-utilization upper bound for the
-        tile: the tile ends when the busiest channel drains.
-        """
-        counts = self.pages_per_channel(candidates)
-        peak = counts.max()
-        if peak == 0:
-            return 1.0
-        return float(counts.mean() / peak)
 
 
 def build_placement(

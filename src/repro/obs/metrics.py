@@ -110,9 +110,6 @@ class Gauge(_Instrument):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels: object) -> float:
         return self._values.get(_label_key(labels), 0.0)
 
@@ -350,9 +347,6 @@ class _NullInstrument:
     kind = "null"
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
         pass
 
     def set(self, value: float, **labels: object) -> None:

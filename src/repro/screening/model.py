@@ -35,13 +35,6 @@ class InferenceStats:
     fp32_flops: int
     fp32_flops_full: int  # what a no-screening run would have cost
 
-    @property
-    def flop_reduction(self) -> float:
-        """Factor by which screening cut the FP32 work (paper: ~10x)."""
-        if self.fp32_flops == 0:
-            return float("inf")
-        return self.fp32_flops_full / self.fp32_flops
-
 
 class ApproximateScreeningModel:
     """Two-stage extreme classifier: INT4 screen + FP32 candidate ranking."""

@@ -40,9 +40,6 @@ class ScreenResult:
         total = sum(len(c) for c in self.candidates)
         return total / (len(self.candidates) * self.num_labels)
 
-    def candidate_counts(self) -> np.ndarray:
-        return np.array([len(c) for c in self.candidates], dtype=np.int64)
-
 
 class Int4Screener:
     """Screens feature batches against a quantized (L, K) weight matrix.

@@ -84,11 +84,6 @@ class AffineServiceModel:
         ) + self.candidate_fraction * candidate_scale
         return self.base + variable * blended
 
-    @property
-    def knee_batch_time(self) -> float:
-        """Full-fidelity service time of a knee-sized batch."""
-        return self.batch_time(self.knee)
-
     @classmethod
     def from_batch_points(
         cls,

@@ -79,13 +79,6 @@ class PingPongBuffer:
             raise SimulationError("consumer finished before the fill completed")
         half.released_at = consume_end
 
-    def earliest_fill_start(self) -> float:
-        """When the next ``begin_fill``'s target half becomes reusable."""
-        return self._halves[self._next].released_at
-
-    def fits_tile(self, num_bytes: int) -> bool:
-        return 0 <= num_bytes <= self.half_capacity
-
     def reset(self) -> None:
         self._halves = [_Half(0), _Half(1)]
         self._next = 0

@@ -175,10 +175,6 @@ class Channel:
         return OpPhases(queue=t0 - now, service=t1 - t0, transfer=0.0)
 
     @property
-    def bytes_transferred(self) -> int:
-        return self.pages_transferred * self.page_size
-
-    @property
     def free_at(self) -> float:
         """Earliest time the whole channel (bus and all dies) is idle."""
         return max([self.bus.free_at] + [die.free_at for die in self.dies])

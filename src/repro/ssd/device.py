@@ -194,19 +194,6 @@ class SSDDevice:
             routed[address.channel].append((kind, address))
         return routed
 
-    def fetch_logical(
-        self, logical_pages: Sequence[int], start: Optional[float] = None
-    ) -> TileAccessResult:
-        """:meth:`fetch_pages` addressed by logical page (adds L2P lookups).
-
-        Every logical page is translated before DRAM is reserved, so an
-        unmapped page raises :class:`AddressError` with no state moved.
-        """
-        routed = self._route(_READ, map(self.ftl.lookup, logical_pages))
-        begin = self.clock if start is None else start
-        lookup_done = self.dram.read(begin, 8 * len(logical_pages))
-        return self._fetch(routed, lookup_done)
-
     # --- utilities ---------------------------------------------------------------------
     def advance_clock(self, time: float) -> None:
         if time < self.clock:

@@ -71,10 +71,6 @@ class DramModel:
         self.bytes_written += num_bytes
         return end
 
-    def access_time(self, num_bytes: int) -> float:
-        """Pure transfer time for ``num_bytes`` (no port contention)."""
-        return transfer_time(num_bytes, self.bandwidth)
-
     def reset_timing(self) -> None:
         self.port.reset()
         self.bytes_read = 0

@@ -138,15 +138,3 @@ class FlashGeometry:
                 raise AddressError(f"{name}={value} exceeds fan-out {limit} in {addr!r}")
 
     # --- derived views --------------------------------------------------------
-    def channel_page_range(self, channel: int) -> range:
-        """The flat physical page index range owned by ``channel``."""
-        if not (0 <= channel < self.channels):
-            raise AddressError(f"channel {channel} outside [0, {self.channels})")
-        start = channel * self.pages_per_channel
-        return range(start, start + self.pages_per_channel)
-
-    def pages_for_bytes(self, num_bytes: int) -> int:
-        """Number of whole pages needed to hold ``num_bytes``."""
-        if num_bytes < 0:
-            raise AddressError(f"negative byte count {num_bytes}")
-        return -(-num_bytes // self.page_size)

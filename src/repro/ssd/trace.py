@@ -149,14 +149,6 @@ class CommandTrace:
                 return float(depth)
         return float(max(weighted))
 
-    def queue_depth_summary(self) -> Dict[str, float]:
-        """The p50/p95/p99 depth summary, mirroring the metrics registry."""
-        return {
-            "p50": self.queue_depth_percentile(50.0),
-            "p95": self.queue_depth_percentile(95.0),
-            "p99": self.queue_depth_percentile(99.0),
-        }
-
     def to_chrome_events(self) -> List[dict]:
         """This trace as Chrome trace-event dicts (one per command).
 
@@ -167,25 +159,6 @@ class CommandTrace:
         from ..obs.export import command_trace_events
 
         return command_trace_events(self.events)
-
-    def busy_fraction(self, channel: int) -> float:
-        """Fraction of the trace window this channel had work in flight."""
-        spans = sorted(
-            (e.submit_time, e.finish_time)
-            for e in self.events
-            if e.channel == channel
-        )
-        if not spans:
-            return 0.0
-        merged = [list(spans[0])]
-        for start, finish in spans[1:]:
-            if start <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], finish)
-            else:
-                merged.append([start, finish])
-        busy = sum(finish - start for start, finish in merged)
-        window = self.makespan()
-        return busy / window if window > 0 else 0.0
 
 
 class TracingController:

@@ -83,10 +83,6 @@ class TileTrace:
     def num_queries(self) -> int:
         return len(self.candidates)
 
-    def global_candidates(self) -> List[np.ndarray]:
-        """Candidates as global label indices."""
-        return [c + self.tile_start for c in self.candidates]
-
     def selection_frequency(self) -> np.ndarray:
         """Per-label (tile-local) fraction of queries that selected it."""
         counts = np.zeros(self.tile_size, dtype=np.int64)

@@ -193,9 +193,3 @@ class TestSimulate:
         model = TilePipelineModel(features=PipelineFeatures.full())
         result = model.simulate([tile([50] * 8, candidates=400)])
         assert result.fp32_channel_utilization > 0.95
-
-    def test_speedup_over(self):
-        model = TilePipelineModel(features=PipelineFeatures.full())
-        fast = model.simulate([tile([13] * 8)])
-        slow = model.simulate([tile([104, 0, 0, 0, 0, 0, 0, 0])])
-        assert fast.speedup_over(slow) > 1.0

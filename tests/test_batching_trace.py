@@ -102,12 +102,6 @@ class TestCommandTrace:
         # All four senses overlap -> depth reaches 4.
         assert trace.max_queue_depth() == 4
 
-    def test_busy_fraction(self):
-        tracer, trace = make_tracer()
-        tracer.submit(0.0, [read(0, 0), read(1, 0)])
-        assert 0.9 < trace.busy_fraction(0) <= 1.0
-        assert trace.busy_fraction(5) == 0.0
-
     def test_empty_trace(self):
         trace = CommandTrace()
         assert trace.makespan() == 0.0

@@ -105,10 +105,6 @@ class TestPrealign:
         v = prealign(rng.normal(size=256).astype(np.float32))
         assert np.abs(v.mantissas).max() < 2**STORED_MANTISSA_BITS
 
-    def test_storage_is_4_bytes_per_element_plus_shared_exponent(self):
-        v = prealign(np.ones(100, dtype=np.float32))
-        assert v.storage_bytes == 401
-
 
 class TestCFP32Vector:
     def test_validation(self):

@@ -59,16 +59,6 @@ class TestDot:
         got = dot_cfp32(x, w)
         assert got == pytest.approx(1.0, abs=2.0 ** (20 - 30))
 
-    def test_matvec(self):
-        rng = np.random.default_rng(1)
-        W = rng.normal(size=(5, 16)).astype(np.float32)
-        x = rng.normal(size=16).astype(np.float32)
-        mac = AlignmentFreeMac()
-        rows = [prealign(row) for row in W]
-        got = mac.matvec(rows, prealign(x))
-        want = W.astype(np.float64) @ x.astype(np.float64)
-        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-7)
-
 
 class TestPropertyBased:
     @given(st.integers(min_value=0, max_value=2**31 - 1))

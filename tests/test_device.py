@@ -83,7 +83,7 @@ class TestSSDMode:
             check(geometry, address)
 
         monkeypatch.setattr(FlashGeometry, "check", counting_check)
-        for operation in (dev.host_write, dev.host_read, dev.fetch_logical):
+        for operation in (dev.host_write, dev.host_read):
             checked.clear()
             operation(lpas)
             assert sorted(checked) == sorted(dev.ftl.lookup(lpa) for lpa in lpas)
@@ -112,13 +112,12 @@ class TestSSDMode:
         )
         assert device_state(plain) == device_state(numpy_ints)
 
-    @pytest.mark.parametrize("operation", ["host_read", "fetch_logical"])
-    def test_unmapped_read_burst_moves_nothing(self, operation):
+    def test_unmapped_read_burst_moves_nothing(self):
         dev = small_device()
         dev.host_write([0, 1])
         before = device_state(dev)
         with pytest.raises(AddressError, match="unmapped"):
-            getattr(dev, operation)([0, 5])
+            dev.host_read([0, 5])
         assert device_state(dev) == before
 
     @pytest.mark.xfail(
@@ -205,13 +204,6 @@ class TestFetchPages:
             dev.fetch_pages(good + [bad], start=0.0)
         assert [ch.pages_transferred for ch in dev.channels] == [0, 0, 0, 0]
         assert [ctrl.commands_issued for ctrl in dev.controllers] == [0, 0, 0, 0]
-
-    def test_fetch_logical_translates(self):
-        dev = small_device()
-        dev.host_write(list(range(8)))
-        dev.reset_timing()
-        result = dev.fetch_logical(list(range(8)), start=0.0)
-        assert result.total_pages == 8
 
 
 class TestHousekeeping:

@@ -1,5 +1,7 @@
 """Tests for the assembled ECSSD device (functional and trace paths)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.config import ECSSDConfig
 from repro.core.ecssd import ECSSDevice, make_strategy
 from repro.core.pipeline import PipelineFeatures
 from repro.errors import ConfigurationError
+from repro.layout.heterogeneous import DataLocation
 from repro.layout.learned import HotnessPredictor
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.synthetic import make_workload
@@ -48,7 +51,7 @@ class TestFunctionalPath:
         info = dev.deploy_model(workload.weights, train_features=workload.features[:32])
         assert info.num_labels == 4096
         assert info.placement is not None
-        assert info.layout.is_heterogeneous
+        assert info.layout.int4_location is DataLocation.DRAM
         stats, report = dev.run_inference(workload.features[32:40])
         assert stats.result.batch_size == 8
         assert report.scaled_total_time > 0
@@ -138,7 +141,7 @@ class TestTracePath:
         spec = get_benchmark("XMLCNN-S100M")
         ok = ECSSDevice(features=PipelineFeatures.full())
         ok.deploy_spec(spec)  # 12.8 GB int4 fits 16 GiB DRAM
-        small = ECSSDevice(config=ECSSDConfig().with_dram_capacity(8 * 2**30))
+        small = ECSSDevice(config=replace(ECSSDConfig(), dram_capacity=8 * 2**30))
         with pytest.raises(Exception):
             small.deploy_spec(spec)
 

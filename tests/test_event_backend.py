@@ -134,7 +134,7 @@ class TestBackendAgreement:
         analytic_flash = sum(
             t.fp32_fetch + tr for t in map(analytic.tile_timing, tiles)
         )
-        ratio = event.flash_time_total / analytic_flash
+        ratio = sum(t.flash_makespan for t in event.tiles) / analytic_flash
         assert 0.8 <= ratio <= 2.2
 
     def test_ordering_preserved_across_backends(self, generator):

@@ -182,24 +182,6 @@ class TestConversions:
         assert geometry.to_physical(geometry.to_flat(addr)) == addr
 
 
-class TestDerivedViews:
-    def test_channel_page_range(self, geometry):
-        r = geometry.channel_page_range(1)
-        assert r.start == geometry.pages_per_channel
-        assert len(r) == geometry.pages_per_channel
-        with pytest.raises(AddressError):
-            geometry.channel_page_range(99)
-
-    def test_pages_for_bytes(self, geometry):
-        page = geometry.page_size
-        assert geometry.pages_for_bytes(0) == 0
-        assert geometry.pages_for_bytes(1) == 1
-        assert geometry.pages_for_bytes(page) == 1
-        assert geometry.pages_for_bytes(page + 1) == 2
-        with pytest.raises(AddressError):
-            geometry.pages_for_bytes(-1)
-
-
 fan_out = st.integers(min_value=1, max_value=4)
 
 

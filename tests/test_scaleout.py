@@ -1,5 +1,7 @@
 """Tests for multi-device scale-out (repro.core.scaleout)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ class TestShards:
         assert 120e6 < limit < 140e6
 
     def test_small_dram_lowers_limit(self):
-        small = ECSSDConfig().with_dram_capacity(8 * GiB)
+        small = replace(ECSSDConfig(), dram_capacity=8 * GiB)
         assert max_labels_per_device(S100M, small) < max_labels_per_device(S100M)
 
 
@@ -75,7 +77,6 @@ class TestCluster:
         assert report.devices == 5
         assert report.total_time > 0
         assert report.merge_time < 1e-3
-        assert 0 <= report.slowest_shard < 5
 
     def test_total_is_parallel_max_plus_merge(self):
         cluster = ScaleOutCluster(S500M, devices=5)

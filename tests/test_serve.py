@@ -394,7 +394,7 @@ class TestServingProperties:
     def test_light_load_dispatches_eagerly(self):
         report = run_at(0.1, num_queries=300)
         # An idle cluster should not hold requests for a full knee batch.
-        assert report.p50 < 2.0 * SERVICE.knee_batch_time
+        assert report.p50 < 2.0 * SERVICE.batch_time(SERVICE.knee)
         assert report.shed_rate == 0.0
 
     def test_token_bucket_gate_sheds_with_reason(self):

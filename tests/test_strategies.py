@@ -75,7 +75,6 @@ class TestHotnessPredictor:
         pred = HotnessPredictor(np.ones(4))
         freq = np.array([1.0, 0.0, 0.0, 0.0])
         pred.fine_tune(freq, observations=10_000)
-        assert pred.is_fine_tuned
         assert pred.scores[0] > 0.9
 
     def test_fine_tune_with_few_observations_stays_near_prior(self):

@@ -333,13 +333,6 @@ class TestTraceGenerator:
             assert (np.diff(c) > 0).all()
             assert 0 <= c.min() and c.max() < 512
 
-    def test_global_candidates_offset(self):
-        gen = self.make()
-        trace = gen.tile_trace(2, 512, num_queries=1)
-        np.testing.assert_array_equal(
-            trace.global_candidates()[0], trace.candidates[0] + 1024
-        )
-
     def test_low_noise_queries_agree(self):
         quiet = self.make(noise=0.01).tile_trace(0, 512, num_queries=4)
         loud = self.make(noise=5.0).tile_trace(0, 512, num_queries=4)
