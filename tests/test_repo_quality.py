@@ -246,7 +246,8 @@ def _live_words():
                     words.add(node.attr)
                 elif isinstance(node, ast.alias):
                     words.update(node.name.split("."))
-                    words.add(node.asname)
+                    if node.asname:
+                        words.add(node.asname)
                 elif isinstance(node, ast.keyword) and node.arg:
                     words.add(node.arg)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):

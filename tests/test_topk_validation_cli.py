@@ -182,3 +182,10 @@ class TestReportCommand:
         assert "# ECSSD reproduction report" in text
         assert "Fig. 8" in text and "Fig. 13" in text
         assert f"wrote {out} ({len(text)} chars)" in capsys.readouterr().out
+
+    def test_report_to_stdout(self, monkeypatch, capsys):
+        # Only the output branch differs from the run above, so the report
+        # itself is stubbed rather than run a second time.
+        monkeypatch.setattr(artifacts, "build_report", lambda: "# stub report\n")
+        assert main(["report", "--output", "-"]) == 0
+        assert capsys.readouterr().out == "# stub report\n\n"
