@@ -18,7 +18,8 @@ from conftest import RESULTS_DIR, run_once
 
 from repro.cluster import ClusterConfig, build_cluster, cluster_saturating_rate
 from repro.faults import ClusterFaultConfig
-from repro.obs.causal import CausalCollector, installed
+from repro.obs import hooks
+from repro.obs.causal import CausalCollector
 from repro.serve import calibrate_service_model
 from repro.workloads.streams import poisson_arrivals
 
@@ -51,7 +52,7 @@ def _run_attribution():
         service, CONFIG, seed=SEED, fault_config=fault_config
     )
     collector = CausalCollector(slowest_k=8, sample_size=16, seed=SEED)
-    with installed(collector):
+    with hooks.installed(collector=collector):
         report = simulator.run(arrivals)
     return report, collector.report(), rate, capacity
 

@@ -8,7 +8,7 @@ one-time deployment stops mattering.
 
 from conftest import run_once
 
-from repro.analysis.experiments import _generator, _run_device
+from repro.analysis.experiments import _run_device
 from repro.analysis.reporting import format_seconds, render_table
 from repro.core.deployment import DeploymentModel
 from repro.core.pipeline import PipelineFeatures

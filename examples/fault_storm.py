@@ -24,8 +24,8 @@ from repro.faults import (
     FaultInjector,
     ScrubConfig,
     ScrubPolicy,
-    installed,
 )
+from repro.obs import hooks
 from repro.ssd.device import SSDDevice
 from repro.units import us
 from repro.workloads.synthetic import make_workload
@@ -73,7 +73,7 @@ def main() -> None:
     rows = []
     for scale in (1.0, 5.0, 10.0):
         injector = FaultInjector(storm_config(scale), channels=config.flash.channels)
-        with installed(injector):
+        with hooks.installed(injector=injector):
             stats, report = fresh_device().run_inference(queries, top_k=5)
         retention = topk_retention(clean_stats.result.top_labels,
                                    stats.result.top_labels)
@@ -106,7 +106,7 @@ def main() -> None:
         )
     )
     injector = FaultInjector(storm_config(10.0), channels=small.flash.channels)
-    with installed(injector):
+    with hooks.installed(injector=injector):
         ssd = SSDDevice(small)
         lpas = list(range(64))
         ssd.host_write(lpas)

@@ -9,8 +9,6 @@ predictions alongside the device-side timing report.
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro import ECSSD
 from repro.analysis.reporting import format_seconds
 from repro.workloads.synthetic import make_workload

@@ -25,7 +25,8 @@ import numpy as np
 
 from repro.cluster import ClusterConfig, build_cluster, cluster_saturating_rate
 from repro.faults import ClusterFaultConfig
-from repro.obs.causal import CausalCollector, installed, trace_to_chrome
+from repro.obs import hooks
+from repro.obs.causal import CausalCollector, trace_to_chrome
 from repro.serve import AffineServiceModel
 from repro.workloads.streams import poisson_arrivals
 
@@ -58,7 +59,7 @@ def run_fleet(collector=None):
     )
     if collector is None:
         return simulator.run(arrivals)
-    with installed(collector):
+    with hooks.installed(collector=collector):
         return simulator.run(arrivals)
 
 

@@ -347,10 +347,11 @@ def run_cluster_cell(
         service, config, seed=seed, fault_config=fault_config,
         hot_degrees=degrees,
     )
-    from ..obs.causal import CausalCollector, installed
+    from ..obs import hooks
+    from ..obs.causal import CausalCollector
 
     collector = CausalCollector(seed=seed)
-    with installed(collector):
+    with hooks.installed(collector=collector):
         report = simulator.run(arrivals)
     metrics = {
         "goodput_qps": float(report.goodput),

@@ -244,7 +244,8 @@ def _cmd_trace_attribute(args: argparse.Namespace) -> int:
     """Causally-traced fleet run answering "where does tail latency live"."""
     import json
 
-    from .obs.causal import CausalCollector, installed, trace_to_chrome
+    from .obs import hooks
+    from .obs.causal import CausalCollector, trace_to_chrome
 
     (
         simulator, arrivals, rate, capacity, service, fault_config
@@ -253,7 +254,7 @@ def _cmd_trace_attribute(args: argparse.Namespace) -> int:
         slowest_k=args.slowest, sample_size=args.sample, seed=args.seed
     )
     with _simsan_context(args) as sanitizer:
-        with installed(collector):
+        with hooks.installed(collector=collector):
             simulator.run(arrivals)
     attribution = collector.report()
     print(
@@ -509,6 +510,7 @@ def _build_cluster_from_args(args: argparse.Namespace, recorder=None):
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """Simulate a fleet of service/data nodes under load and faults."""
     from .analysis.reporting import format_seconds, render_table
+    from .obs import hooks
 
     slo = args.slo_ms / 1000.0
     recorder = _digest_recorder(args, "cluster", interval=args.digest_interval)
@@ -518,17 +520,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     collector = None
     if args.attribution_out:
-        from .obs.causal import CausalCollector, installed
+        from .obs.causal import CausalCollector
 
         collector = CausalCollector(seed=args.seed)
 
     session = _session_from_args(args)
     try:
         with _simsan_context(args) as sanitizer:
-            if collector is not None:
-                with installed(collector):
-                    report = simulator.run(arrivals)
-            else:
+            with hooks.installed(collector=collector):
                 report = simulator.run(arrivals)
     finally:
         _finish_session(session, replay_flash=False)

@@ -51,9 +51,9 @@ from ..faults.plan import (
     ClusterFaultConfig,
     ClusterFaultPlan,
 )
-from ..obs import CLUSTER_TRACK, get_registry, get_tracer
-from ..obs.causal import get_collector
+from ..obs import CLUSTER_TRACK
 from ..obs.digest import DigestRecorder
+from ..obs.hooks import current
 from ..serve.admission import AdmissionConfig, AdmissionController
 from ..serve.degrade import DegradationLadder
 from ..serve.kernel import EventKernel, arrival_times
@@ -288,10 +288,11 @@ class FleetRun:
         # per-shard exec times)
         self.batch_costs: Dict[Tuple[int, float, float], Tuple[float, int, List[float]]] = {}
 
-        self.registry = get_registry()
+        hooks = current()
+        self.registry = hooks.registry
         self.metered = self.registry.enabled
-        self.tracer = get_tracer()
-        self.collector = get_collector()
+        self.tracer = hooks.tracer
+        self.collector = hooks.collector
         self.causal = self.collector.enabled
         self.recorder = sim.digest_recorder
 

@@ -26,7 +26,7 @@ import numpy as np
 from ..config import ECSSDConfig
 from ..core.pipeline import PipelineFeatures, TilePipelineModel, TileWorkload
 from ..errors import ConfigurationError
-from ..obs import get_registry, get_tracer
+from ..obs.hooks import current
 
 logger = logging.getLogger(__name__)
 from ..workloads.benchmarks import BenchmarkSpec
@@ -108,7 +108,7 @@ class BatchingAnalyzer:
                     int4_bytes=int4_tile_bytes,
                 )
             )
-        tracer = get_tracer()
+        tracer = current().tracer
         with tracer.span(
             "batch_evaluate", batch=batch, benchmark=self.spec.name
         ) as span:
@@ -120,7 +120,7 @@ class BatchingAnalyzer:
         scale = total_tiles / len(tiles)
         batch_time = result.tile_time_total * scale + result.overhead_time
         wait = 0.0 if arrival_rate == 0 else (batch - 1) / (2.0 * arrival_rate)
-        registry = get_registry()
+        registry = current().registry
         if registry.enabled:
             registry.histogram(
                 "ecssd_batch_time_seconds", "end-to-end batch latency by size"

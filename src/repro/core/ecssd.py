@@ -27,8 +27,8 @@ import numpy as np
 
 from ..config import ECSSDConfig
 from ..errors import ConfigurationError
-from ..faults.injector import FAULT_TRACK, get_injector
-from ..obs import get_registry, get_tracer
+from ..obs.hooks import current
+from ..obs.tracing import FAULT_TRACK
 from ..layout.heterogeneous import WeightLayout, heterogeneous_layout, homogeneous_layout
 from ..layout.learned import HotnessPredictor, LearnedInterleaving, empirical_frequencies
 from ..layout.placement import InterleavingStrategy, WeightPlacement, build_placement
@@ -228,12 +228,13 @@ class ECSSDevice:
         placement = self.deployment.placement
         assert placement is not None
         features = np.atleast_2d(np.asarray(features, dtype=np.float32))
-        tracer = get_tracer()
+        hooks = current()
+        tracer = hooks.tracer
         with tracer.span(
             "run_inference", queries=features.shape[0], label=self.features.label
         ) as span:
             stats = self.model.infer(features, top_k=top_k)
-            injector = get_injector()
+            injector = hooks.injector
             fault_surcharge = 0.0
             if injector.enabled:
                 stats = self._apply_weight_faults(
@@ -261,7 +262,7 @@ class ECSSDevice:
                 fault_surcharge = injector.page_read_surcharge() * total_pages
             span.set_sim_window(0.0, run.total_time + fault_surcharge)
             span.set_attr("tiles", run.tiles)
-        registry = get_registry()
+        registry = hooks.registry
         if registry.enabled:
             registry.counter(
                 "ecssd_inference_runs_total", "inference passes executed"
@@ -317,7 +318,7 @@ class ECSSDevice:
                 track=FAULT_TRACK,
                 attrs={"labels_dropped": int(bad.size)},
             )
-        registry = get_registry()
+        registry = current().registry
         if registry.enabled:
             registry.counter(
                 "fault_labels_dropped_total",
@@ -437,7 +438,8 @@ class ECSSDevice:
         host_in = queries * (
             4 * deployment.hidden_dim + (deployment.shrunk_dim + 1) // 2
         )
-        tracer = get_tracer()
+        hooks = current()
+        tracer = hooks.tracer
         with tracer.span(
             "run_trace",
             queries=queries,
@@ -446,7 +448,7 @@ class ECSSDevice:
         ) as span:
             run = self.pipeline.simulate(tiles, host_bytes_in=0, host_bytes_out=0)
             span.set_sim_window(0.0, run.total_time)
-        registry = get_registry()
+        registry = hooks.registry
         if registry.enabled:
             registry.counter(
                 "ecssd_inference_runs_total", "inference passes executed"

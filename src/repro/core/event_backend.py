@@ -22,7 +22,7 @@ import numpy as np
 from ..config import ECSSDConfig
 from ..errors import ConfigurationError
 from ..layout.placement import WeightPlacement
-from ..lint.simsan import get_sanitizer
+from ..obs.hooks import current
 from ..obs.digest import DigestRecorder
 from ..ssd.device import SSDDevice
 from .accelerator import AcceleratorModel
@@ -150,7 +150,7 @@ class EventBackedTiming:
             cost = max(flash_makespan, fp32_compute, max(int4_fetch, int4_compute))
         else:
             cost = int4_fetch + int4_compute + flash_makespan + fp32_compute
-        sanitizer = get_sanitizer()
+        sanitizer = current().sanitizer
         if sanitizer.enabled:
             sanitizer.check_time("event_backend.flash_makespan", flash_makespan)
             sanitizer.check_time("event_backend.tile_cost", cost)

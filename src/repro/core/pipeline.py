@@ -31,7 +31,8 @@ import numpy as np
 from ..cfp32.circuits import MacDesign
 from ..config import ECSSDConfig
 from ..errors import ConfigurationError, SimulationError
-from ..obs import FP32_TRACK, INT4_TRACK, PIPELINE_TRACK, get_registry, get_tracer
+from ..obs import FP32_TRACK, INT4_TRACK, PIPELINE_TRACK
+from ..obs.hooks import current
 from .accelerator import AcceleratorModel
 
 logger = logging.getLogger(__name__)
@@ -348,8 +349,9 @@ class TilePipelineModel:
         first batch upload is serial, so the full transfer is charged —
         conservative and identical across compared configurations).
         """
-        registry = get_registry()
-        tracer = get_tracer()
+        hooks = current()
+        registry = hooks.registry
+        tracer = hooks.tracer
         observing = registry.enabled or tracer.enabled
         total = 0.0
         busy = 0.0

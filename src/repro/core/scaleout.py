@@ -26,7 +26,8 @@ import numpy as np
 
 from ..config import ECSSDConfig
 from ..errors import CapacityError, ConfigurationError
-from ..obs import CLUSTER_TRACK, get_registry, get_tracer
+from ..obs import CLUSTER_TRACK
+from ..obs.hooks import current
 
 logger = logging.getLogger(__name__)
 from ..workloads.benchmarks import BenchmarkSpec
@@ -150,7 +151,7 @@ class ScaleOutCluster:
         seed: int = 3,
     ) -> ClusterReport:
         """Trace-driven timing of one batch across every shard."""
-        tracer = get_tracer()
+        tracer = current().tracer
         reports: List[PerformanceReport] = []
         with tracer.span(
             "cluster_run", devices=len(self.devices), queries=queries
@@ -188,7 +189,7 @@ class ScaleOutCluster:
         # query (12 B each); merging is bandwidth-trivial but accounted.
         merge_bytes = queries * top_k * 12 * len(self.devices)
         merge_time = merge_bytes / self.host_merge_bandwidth
-        registry = get_registry()
+        registry = current().registry
         if registry.enabled:
             registry.counter(
                 "ecssd_cluster_runs_total", "scale-out inference passes"

@@ -14,9 +14,9 @@ Layout:
   (fast BCH-like → soft LDPC-like → read-retry → uncorrectable);
 * :mod:`repro.faults.plan` — :class:`FaultConfig` knobs and the materialized
   :class:`FaultPlan` (offline windows, DRAM flips, command timeouts);
-* :mod:`repro.faults.injector` — the process-global :class:`FaultInjector`
-  call sites query (``get_injector``/``set_injector``, no-op by default so a
-  disabled run is bit-identical to an uninstrumented build);
+* :mod:`repro.faults.injector` — the :class:`FaultInjector` call sites
+  query from the ``injector`` field of :mod:`repro.obs.hooks` (off by
+  default, so a disabled run is bit-identical to an uninstrumented build);
 * :mod:`repro.faults.scrub` — background scrub/refresh migrating high-RBER
   blocks back through the FTL's wear-leveling heap;
 * :mod:`repro.faults.harness` — fault-matrix sweeps behind the
@@ -41,14 +41,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "SlowNodeWindow",
         "hash_uniform",
     ),
-    ".injector": (
-        "FAULT_TRACK",
-        "FaultInjector",
-        "NullFaultInjector",
-        "NULL_INJECTOR",
-        "get_injector",
-        "set_injector",
-        "installed",
-    ),
+    ".injector": ("FAULT_TRACK", "FaultInjector"),
     ".scrub": ("ScrubConfig", "ScrubPolicy", "ScrubReport"),
 })

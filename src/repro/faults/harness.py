@@ -30,11 +30,11 @@ from ..analysis.metrics import topk_retention
 from ..config import ECSSDConfig
 from ..core.ecssd import ECSSDevice
 from ..errors import WorkloadError
-from ..lint.simsan import get_sanitizer
+from ..obs import hooks
 from ..obs.digest import DigestRecorder
 from ..units import us
 from ..workloads.synthetic import make_workload
-from .injector import FaultInjector, installed
+from .injector import FaultInjector
 from .model import EccConfig
 from .plan import FaultConfig
 
@@ -207,11 +207,11 @@ def run_fault_matrix(
                 fault_class, float(scale), seed, ecc=ecc
             )
             injector = FaultInjector(fault_config, channels=channels)
-            with installed(injector):
+            with hooks.installed(injector=injector):
                 stats, perf = fresh_device().run_inference(queries, top_k=top_k)
                 storm = _read_storm(injector, storm_pages)
             injector.check_conservation()
-            sanitizer = get_sanitizer()
+            sanitizer = hooks.current().sanitizer
             if sanitizer.enabled:
                 sanitizer.check_time(
                     f"faults.{fault_class}@{float(scale):g}.latency_s",

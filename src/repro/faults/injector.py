@@ -1,10 +1,13 @@
-"""The process-global :class:`FaultInjector` the rest of the stack queries.
+"""The :class:`FaultInjector` the rest of the stack queries.
 
-Mirrors the ``repro.obs`` zero-overhead pattern: instrumented call sites
-fetch the injector via :func:`get_injector`, which defaults to the shared
-:data:`NULL_INJECTOR` whose ``enabled`` flag is ``False`` — every guard is
-one attribute test and no timing arithmetic changes, so a disabled run is
-bit-identical to a build without the subsystem.
+A live injector sits in the ``injector`` field of the observer slot
+(:mod:`repro.obs.hooks`).  Instrumented call sites read that field and test
+its ``enabled`` flag first; the field is off by default, so every guard is
+one attribute test and no timing arithmetic changes, and a disabled run is
+bit-identical to a build without the subsystem::
+
+    with hooks.installed(injector=FaultInjector(config, channels=8)):
+        device.run_inference(features)
 
 A live injector owns a :class:`~repro.faults.plan.FaultPlan` plus the
 :class:`~repro.faults.model.RberModel`/:class:`~repro.faults.model.EccModel`
@@ -28,9 +31,8 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .. import obs
 from ..errors import SimulationError
-from ..obs.causal import get_collector
+from ..obs.hooks import current
 from ..obs.tracing import FAULT_TRACK
 from .model import EccModel, EccOutcome, EccTier, RberModel
 from .plan import FaultConfig, FaultPlan, hash_uniform
@@ -126,12 +128,13 @@ class FaultInjector:
         self.tier_counts[outcome.tier.value] += 1
         self.retries_performed += outcome.retries
         if outcome.tier is not EccTier.FAST:
-            registry = obs.get_registry()
+            hooks = current()
+            registry = hooks.registry
             if registry.enabled:
                 registry.counter(
                     "fault_ecc_reads_total", "page reads by ECC tier"
                 ).inc(tier=outcome.tier.value)
-            collector = get_collector()
+            collector = hooks.collector
             if collector.enabled:
                 collector.on_ecc(
                     outcome.tier.value, outcome.extra_latency, outcome.retries
@@ -158,7 +161,7 @@ class FaultInjector:
         release = self.plan.offline_release(channel, now)
         if release > now:
             self.offline_stalls += 1
-            tracer = obs.get_tracer()
+            tracer = current().tracer
             if tracer.enabled:
                 tracer.add_span(
                     f"offline/ch{channel}",
@@ -232,73 +235,3 @@ class FaultInjector:
                 f"fault ledger out of balance: {self.reads_attempted} reads "
                 f"attempted but {total} accounted across tiers"
             )
-
-
-class NullFaultInjector:
-    """Zero-overhead stand-in installed while fault injection is off."""
-
-    enabled = False
-
-    def bind_wear_source(self, source: Callable[[object], int]) -> None:
-        return None
-
-    def on_program(self, address: object, now: float) -> None:
-        return None
-
-    def page_read_surcharge(self) -> float:
-        return 0.0
-
-    def offline_release(self, channel: int, now: float) -> float:
-        return now
-
-    def next_command_times_out(self) -> bool:
-        return False
-
-    def unreadable_labels(self, num_labels: int) -> np.ndarray:
-        return np.empty(0, dtype=np.int64)
-
-    def flipped_labels(self, num_labels: int) -> np.ndarray:
-        return np.empty(0, dtype=np.int64)
-
-    def summary(self) -> Dict[str, object]:
-        return {"enabled": False}
-
-
-NULL_INJECTOR = NullFaultInjector()
-
-_injector = NULL_INJECTOR
-
-
-def get_injector():
-    """The process-global fault injector (a no-op until installed)."""
-    return _injector
-
-
-def set_injector(injector) -> None:
-    """Install a live injector, or ``None`` to restore the no-op default."""
-    global _injector
-    _injector = injector if injector is not None else NULL_INJECTOR
-
-
-class installed:
-    """Context manager installing an injector and restoring the previous one.
-
-    ::
-
-        with installed(FaultInjector(config, channels=8)) as inj:
-            device.run_inference(features)
-        print(inj.summary())
-    """
-
-    def __init__(self, injector) -> None:
-        self.injector = injector
-        self._previous = None
-
-    def __enter__(self):
-        self._previous = get_injector()
-        set_injector(self.injector)
-        return self.injector
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        set_injector(self._previous)
-        self._previous = None

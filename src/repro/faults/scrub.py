@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .. import obs
 from ..errors import ConfigurationError
+from ..obs.hooks import current
 from ..ssd.geometry import PhysicalAddress
 from .injector import FAULT_TRACK, FaultInjector
 
@@ -119,12 +119,13 @@ class ScrubPolicy:
             report.refreshed += 1
             report.pages_migrated += migrated
             report.refreshed_blocks.append((plane_key, block_index))
-        registry = obs.get_registry()
+        hooks = current()
+        registry = hooks.registry
         if registry.enabled and report.refreshed:
             registry.counter(
                 "fault_scrub_refreshes_total", "blocks refreshed by scrub"
             ).inc(report.refreshed)
-        tracer = obs.get_tracer()
+        tracer = hooks.tracer
         if tracer.enabled and report.refreshed:
             tracer.instant(
                 "scrub", sim_time=now, track=FAULT_TRACK, attrs=report.to_dict()

@@ -78,7 +78,6 @@ ALLOWED_IMPORTS: Dict[str, Tuple[str, ...]] = {
     "repro.config": (),
     "repro.core": (
         "repro.cfp32",
-        "repro.faults",
         "repro.layout",
         "repro.screening",
         "repro.ssd",
@@ -101,7 +100,7 @@ ALLOWED_IMPORTS: Dict[str, Tuple[str, ...]] = {
         "repro.layout",
         "repro.workloads",
     ),
-    "repro.ssd": ("repro.faults",),
+    "repro.ssd": (),
     "repro.units": (),
     "repro.workloads": (),
 }

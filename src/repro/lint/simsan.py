@@ -16,22 +16,24 @@ or ``--simsan`` on the serve/faults CLIs) it watches:
   (``np.random.random``/``seed``/``shuffle``/...) are violations: streams
   must be constructed from an explicit ``(seed, salt, ...)`` and registered.
 
-Guard pattern mirrors :mod:`repro.faults.injector` /:mod:`repro.obs`: call
-sites fetch the process-global sanitizer via :func:`get_sanitizer` and test
-one ``enabled`` attribute.  The default :data:`NULL_SANITIZER` is disabled,
-so an un-instrumented run executes the same arithmetic in the same order —
-bit-identical digests with the sanitizer compiled in but off, and (because
-the checks only *observe*) with it on as well.
+Call sites read the sanitizer from the ``sanitizer`` field of the observer
+slot (:mod:`repro.obs.hooks`) and test one ``enabled`` attribute.  The
+field is off by default, so an un-instrumented run executes the same
+arithmetic in the same order — bit-identical digests with the sanitizer
+compiled in but off, and (because the checks only *observe*) with it on as
+well.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import SimulationError
+from ..obs import hooks
 
 #: Legacy numpy global-state entry points that bypass seeded streams.
 _GLOBAL_STATE_FNS = (
@@ -265,61 +267,13 @@ class SimSanitizer:
         return "\n".join(lines)
 
     def _tracer_spans(self) -> List[Any]:
-        try:
-            from .. import obs
-
-            tracer = obs.get_tracer()
-            if getattr(tracer, "enabled", False):
-                return list(getattr(tracer, "spans", []))
-        except Exception:  # pragma: no cover - obs optional at runtime
-            pass
-        return []
-
-
-class NullSimSanitizer:
-    """Zero-overhead stand-in while the sanitizer is off."""
-
-    enabled = False
-    strict = False
-    violations: List[SimSanViolation] = []
-
-    def observe_pop(
-        self,
-        track: str,
-        sim_time: float,
-        key: Optional[Tuple[Any, ...]] = None,
-    ) -> None:
-        return None
-
-    def check_time(
-        self, label: str, value: float, sim_time: Optional[float] = None
-    ) -> None:
-        return None
-
-    def register_stream(self, name: str, seed: object) -> None:
-        return None
-
-    def summary(self) -> Dict[str, object]:
-        return {"enabled": False}
-
-    def report(self) -> str:
-        return "simsan: disabled"
-
-
-NULL_SANITIZER = NullSimSanitizer()
-
-_sanitizer: object = NULL_SANITIZER
-
-
-def get_sanitizer() -> Any:
-    """The process-global sanitizer (the disabled null until installed)."""
-    return _sanitizer
+        tracer = hooks.current().tracer
+        return list(tracer.spans) if tracer.enabled else []
 
 
 def set_sanitizer(sanitizer: Optional[SimSanitizer]) -> None:
-    """Install a live sanitizer, or ``None`` to restore the no-op default."""
-    global _sanitizer
-    _sanitizer = sanitizer if sanitizer is not None else NULL_SANITIZER
+    """Put ``sanitizer`` in the observer slot; ``None`` switches it off."""
+    hooks.swap(sanitizer=sanitizer)
 
 
 def env_enabled(environ: Optional[Dict[str, str]] = None) -> bool:
@@ -328,9 +282,9 @@ def env_enabled(environ: Optional[Dict[str, str]] = None) -> bool:
     return env.get("REPRO_SIMSAN", "").strip().lower() in ("1", "true", "yes", "on")
 
 
-@dataclass
-class installed:
-    """Context manager installing a sanitizer and restoring the previous one.
+@contextmanager
+def installed(sanitizer: SimSanitizer) -> Iterator[SimSanitizer]:
+    """Install ``sanitizer`` and wrap numpy's RNG entry points for a block.
 
     ::
 
@@ -338,23 +292,11 @@ class installed:
             simulator.run()
         print(san.report())
 
-    ``hook_rng=True`` (default) also wraps numpy's RNG entry points for the
-    duration, restoring the originals on exit.
+    The observer slot and numpy's originals are both restored on exit.
     """
-
-    sanitizer: SimSanitizer
-    hook_rng: bool = True
-    _previous: object = field(default=None, repr=False)
-
-    def __enter__(self) -> SimSanitizer:
-        self._previous = get_sanitizer()
-        set_sanitizer(self.sanitizer)
-        if self.hook_rng:
-            self.sanitizer.install_rng_hooks()
-        return self.sanitizer
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        if self.hook_rng:
-            self.sanitizer.uninstall_rng_hooks()
-        set_sanitizer(self._previous if isinstance(self._previous, SimSanitizer) else None)
-        self._previous = None
+    with hooks.installed(sanitizer=sanitizer):
+        sanitizer.install_rng_hooks()
+        try:
+            yield sanitizer
+        finally:
+            sanitizer.uninstall_rng_hooks()

@@ -13,14 +13,15 @@ reproduction one way to report that:
 * :mod:`repro.obs.export` — JSON-lines, Prometheus text exposition, and
   Chrome trace-event JSON (open the file in Perfetto / ``chrome://tracing``).
 
-Instrumented call sites fetch the process-global recorder via
-:func:`get_registry` / :func:`get_tracer`; both default to shared no-op
-singletons, so with observability disabled the stack's timing results are
-bit-identical to an uninstrumented build.  :func:`configure` installs live
-recorders (optionally from an :class:`repro.config.ObservabilityConfig`) and
-returns an :class:`Observability` session whose :meth:`Observability.flush`
-writes every configured output file; it also works as a context manager that
-restores the previous recorders on exit.
+Instrumented call sites read the installed recorders from the one observer
+slot, :mod:`repro.obs.hooks` (``hooks.current().registry`` /
+``.tracer``); both default to shared no-op singletons, so with
+observability disabled the stack's timing results are bit-identical to an
+uninstrumented build.  :func:`configure` installs live recorders (optionally
+from an :class:`repro.config.ObservabilityConfig`) and returns an
+:class:`Observability` session whose :meth:`Observability.flush` writes
+every configured output file; it also works as a context manager that
+restores the previous observers on exit.
 
 :func:`configure_logging` wires stdlib logging (``-v``/``-vv`` on the CLI);
 the package-root ``repro`` logger carries a ``NullHandler`` (installed in
@@ -33,6 +34,7 @@ import logging
 from typing import TYPE_CHECKING, List, Optional
 
 from .._lazy import lazy_exports
+from . import hooks
 from .metrics import NULL_REGISTRY, MetricsRegistry
 from .tracing import NULL_TRACER, Tracer
 
@@ -109,10 +111,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".causal": (
         "AttributionReport",
         "CausalCollector",
-        "NullCausalCollector",
         "RequestTrace",
         "TailExemplarStore",
-        "get_collector",
         "set_collector",
         "trace_spans",
         "trace_to_chrome",
@@ -122,35 +122,8 @@ __all__ += [
     "Observability",
     "configure",
     "configure_logging",
-    "get_registry",
-    "get_tracer",
-    "set_registry",
-    "set_tracer",
     "register_standard_metrics",
 ]
-
-_registry = NULL_REGISTRY
-_tracer = NULL_TRACER
-
-
-def get_registry():
-    """The process-global metrics registry (a no-op until configured)."""
-    return _registry
-
-
-def get_tracer():
-    """The process-global span tracer (a no-op until configured)."""
-    return _tracer
-
-
-def set_registry(registry) -> None:
-    global _registry
-    _registry = registry if registry is not None else NULL_REGISTRY
-
-
-def set_tracer(tracer) -> None:
-    global _tracer
-    _tracer = tracer if tracer is not None else NULL_TRACER
 
 
 def register_standard_metrics(registry: MetricsRegistry) -> None:
@@ -180,13 +153,13 @@ def register_standard_metrics(registry: MetricsRegistry) -> None:
 class Observability:
     """A live telemetry session: registry + tracer + output destinations.
 
-    ``install`` swaps the globals to this session's recorders (keeping the
-    previous pair for restoration); ``flush`` writes whatever outputs the
+    ``install`` puts this session's recorders in the observer slot (keeping
+    the previous record for restoration); ``flush`` writes whatever outputs the
     config names and returns the paths.  Usable as a context manager::
 
         with obs.configure(ObservabilityConfig(trace_out="t.json")) as session:
             device.run_inference(features)
-        # t.json written, previous recorders restored
+        # t.json written, previous observers restored
     """
 
     def __init__(
@@ -211,23 +184,21 @@ class Observability:
 
             self.sink = JsonlSpanWriter(stream_out)
             self.tracer.attach_sink(self.sink)
-        self._previous = None
+        self._saved: Optional[hooks.Hooks] = None
 
     def install(self) -> "Observability":
         # Idempotent: a second install (e.g. configure() followed by a
-        # ``with`` block) must not clobber the saved previous pair, or
+        # ``with`` block) must not clobber the saved previous record, or
         # uninstall would "restore" this session's own recorders.
-        if self._previous is None:
-            self._previous = (_registry, _tracer)
-        set_registry(self.registry)
-        set_tracer(self.tracer)
+        saved = hooks.swap(registry=self.registry, tracer=self.tracer)
+        if self._saved is None:
+            self._saved = saved
         return self
 
     def uninstall(self) -> None:
-        if self._previous is not None:
-            set_registry(self._previous[0])
-            set_tracer(self._previous[1])
-            self._previous = None
+        if self._saved is not None:
+            hooks.restore(self._saved)
+            self._saved = None
 
     def flush(self) -> List[str]:
         """Write every output path named in the config; returns the paths."""
@@ -266,16 +237,13 @@ class Observability:
         self.uninstall()
 
 
-def configure(config=None, install: bool = True) -> Observability:
-    """Create (and by default install) a live telemetry session.
+def configure(config=None) -> Observability:
+    """Create and install a live telemetry session.
 
     ``config`` is an :class:`repro.config.ObservabilityConfig` (or any object
     with its attributes); ``None`` enables both recorders with no outputs.
     """
-    session = Observability(config=config)
-    if install:
-        session.install()
-    return session
+    return Observability(config=config).install()
 
 
 _LOG_FORMAT = "%(asctime)s %(levelname)-7s %(name)s: %(message)s"

@@ -10,10 +10,10 @@ sum *exactly* (telescoping boundary timestamps) to the end-to-end latency.
 
 Three layers:
 
-* :class:`CausalCollector` — the process-global observer the simulators
-  call into behind the established zero-overhead-when-disabled guard
-  (:func:`get_collector` returns :data:`NULL_COLLECTOR` unless one is
-  installed, mirroring ``repro.faults.injector``).  The collector is
+* :class:`CausalCollector` — the observer the simulators call into from
+  the ``collector`` field of :mod:`repro.obs.hooks`, behind the
+  zero-overhead-when-disabled guard (the field is off, ``enabled`` False,
+  unless a collector is installed).  The collector is
   observe-only: it consumes no simulator RNG and touches no timing
   arithmetic, so trace-enabled runs keep bit-identical run IDs.
 * :class:`TailExemplarStore` — deterministic tail-exemplar capture: the K
@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ObservabilityError, SimulationError
+from . import hooks
 from .metrics import sample_quantiles
 from .tracing import SpanRecord
 
@@ -273,74 +274,8 @@ class TailExemplarStore:
 
 
 # ---------------------------------------------------------------------------
-# Collector (null object + live implementation)
+# Collector
 # ---------------------------------------------------------------------------
-
-
-class NullCausalCollector:
-    """Default no-op collector: every hook returns immediately.
-
-    Simulators guard each hook call with ``collector.enabled`` so a
-    disabled run pays one attribute read per loop, not per event — the
-    same zero-overhead contract as the metrics registry, tracer, and
-    fault injector.
-    """
-
-    enabled = False
-
-    def on_dispatch(
-        self,
-        batch_id: int,
-        service_node: int,
-        dispatch_time: float,
-        level: int,
-        request_ids: Sequence[int],
-        arrivals: Sequence[float],
-    ) -> None:
-        return None
-
-    def on_task_route(
-        self,
-        task_id: int,
-        batch_id: int,
-        shard: int,
-        exec_time: float,
-        route_time: float,
-        ready_at: float,
-        node: int,
-    ) -> None:
-        return None
-
-    def on_task_park(self, task_id: int, batch_id: int, shard: int) -> None:
-        return None
-
-    def on_task_steal(self, task_id: int) -> None:
-        return None
-
-    def on_task_redispatch(self, task_id: int) -> None:
-        return None
-
-    def on_task_start(
-        self, task_id: int, started_at: float, end: float, exec_time: float
-    ) -> None:
-        return None
-
-    def on_task_finish(self, task_id: int, end: float, result_at: float) -> None:
-        return None
-
-    def on_merge(self, batch_id: int, completion: float) -> None:
-        return None
-
-    def on_cache_hit(
-        self, request_id: int, arrival: float, completion: float
-    ) -> None:
-        return None
-
-    def on_shed(self, reason: str) -> None:
-        return None
-
-    def on_ecc(self, tier: str, extra_latency: float, retries: int) -> None:
-        return None
 
 
 @dataclass
@@ -369,7 +304,7 @@ class _BatchRecord:
     task_ids: List[int] = field(default_factory=list)
 
 
-class CausalCollector(NullCausalCollector):
+class CausalCollector:
     """Live per-request causal collector.
 
     Observe-only: hooks copy already-computed sim timestamps into private
@@ -614,35 +549,9 @@ class CausalCollector(NullCausalCollector):
         return AttributionReport.from_collector(self)
 
 
-NULL_COLLECTOR = NullCausalCollector()
-_collector: NullCausalCollector = NULL_COLLECTOR
-
-
-def get_collector() -> NullCausalCollector:
-    """The process-global causal collector (the null object when disabled)."""
-    return _collector
-
-
-def set_collector(collector: Optional[NullCausalCollector]) -> None:
-    """Install a collector; ``None`` restores the zero-overhead null object."""
-    global _collector
-    _collector = NULL_COLLECTOR if collector is None else collector
-
-
-class installed:
-    """Context manager installing a collector for the duration of a block."""
-
-    def __init__(self, collector: Optional[NullCausalCollector]):
-        self.collector = collector
-        self._previous: Optional[NullCausalCollector] = None
-
-    def __enter__(self) -> NullCausalCollector:
-        self._previous = get_collector()
-        set_collector(self.collector)
-        return get_collector()
-
-    def __exit__(self, *exc_info: object) -> None:
-        set_collector(self._previous)
+def set_collector(collector: Optional[CausalCollector]) -> None:
+    """Put ``collector`` in the observer slot; ``None`` switches it off."""
+    hooks.swap(collector=collector)
 
 
 # ---------------------------------------------------------------------------
@@ -898,13 +807,9 @@ __all__ = [
     "FAULT_CLASSES",
     "RequestTrace",
     "TailExemplarStore",
-    "NullCausalCollector",
     "CausalCollector",
     "AttributionReport",
-    "NULL_COLLECTOR",
-    "get_collector",
     "set_collector",
-    "installed",
     "trace_spans",
     "trace_to_chrome",
 ]

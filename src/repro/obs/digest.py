@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from ..errors import ConfigurationError
+from . import hooks
 from .tracing import DIGEST_TRACK, SpanRecord
 
 #: Hex digits kept from the sha256 — plenty to make collisions between two
@@ -129,9 +130,7 @@ class DigestRecorder:
             state=dict(state),
         )
         self.entries.append(entry)
-        from . import get_tracer  # late import: repro.obs imports this module
-
-        tracer = get_tracer()
+        tracer = hooks.current().tracer
         if tracer.enabled:
             tracer.instant(
                 f"digest/{self.label}/{entry.index}",

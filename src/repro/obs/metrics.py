@@ -18,8 +18,8 @@ paths can look instruments up on every call without growing state.
 
 Disabled observability must cost nothing: :class:`NullMetricsRegistry` hands
 out shared no-op instruments whose methods are empty, and the module-level
-:data:`NULL_REGISTRY` singleton is what :func:`repro.obs.get_registry`
-returns until someone installs a live registry.
+:data:`NULL_REGISTRY` singleton fills the ``registry`` field of
+:mod:`repro.obs.hooks` until someone installs a live registry.
 """
 
 from __future__ import annotations

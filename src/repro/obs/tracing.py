@@ -135,7 +135,7 @@ class _OpenSpan:
 
 
 class Tracer:
-    """Collects spans; the live implementation behind ``obs.get_tracer``.
+    """Collects spans; the live ``tracer`` of :mod:`repro.obs.hooks`.
 
     Finished spans accumulate on :attr:`spans`, unless :meth:`attach_sink`
     streams them to a :class:`repro.obs.streaming.JsonlSpanWriter` instead,

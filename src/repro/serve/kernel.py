@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import SimulationError, WorkloadError
-from ..lint.simsan import get_sanitizer
+from ..obs.hooks import current
 
 Event = Tuple[float, int, int, Any]
 
@@ -52,7 +52,7 @@ class EventKernel:
         self._arrivals = 0  # arrivals of the current :meth:`run`
         self._taken = 0  # of which handled
         self._observe: Optional[Callable[..., None]] = None
-        sanitizer = get_sanitizer()
+        sanitizer = current().sanitizer
         if sanitizer.enabled:
             observe = self._observe = partial(sanitizer.observe_pop, track)
             heap = self._heap

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional
 
 from ..errors import SimulationError
-from ..faults.injector import get_injector
-from ..obs import get_registry
+from ..obs.hooks import current
 from .channel import Channel
 from .geometry import FlashGeometry, PhysicalAddress
 
@@ -129,8 +128,9 @@ class FlashController:
                     f"command for channel {address.channel} sent to controller"
                     f" of channel {channel_index}"
                 )
-        registry = get_registry()
-        injector = get_injector()
+        hooks = current()
+        registry = hooks.registry
+        injector = hooks.injector
         # Flags are read once per batch: a toggle applies from the next submit.
         metrics_on = registry.enabled
         faults_on = injector.enabled

@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..config import ECSSDConfig
 from ..errors import SimulationError
-from ..faults.injector import get_injector
+from ..obs.hooks import current
 from .buffer import PingPongBuffer
 from .channel import Channel
 from .controller import CommandKind, FlashController
@@ -84,7 +84,7 @@ class SSDDevice:
         self.clock = 0.0
         # If fault injection is live, wire its RBER wear axis to the FTL's
         # per-block erase ledger (the ground truth for P/E cycling).
-        injector = get_injector()
+        injector = current().injector
         if injector.enabled:
             injector.bind_wear_source(self.ftl.block_erase_count)
 
@@ -118,9 +118,11 @@ class SSDDevice:
     def host_read(self, logical_pages: Sequence[int]) -> float:
         """SSD-mode read: L2P lookup, flash fetch, host link out.
 
-        Every logical page is translated before DRAM is reserved, so an
-        unmapped page raises :class:`AddressError` with no state moved.
+        Every logical page is checked as :meth:`host_write` checks it, then
+        translated, before DRAM is reserved, so a non-integer, out-of-range
+        or unmapped page raises :class:`AddressError` with no state moved.
         """
+        self.ftl.check_logical(logical_pages)
         routed = self._route(_READ, map(self.ftl.lookup, logical_pages))
         page_size = self.geometry.page_size
         now = self.clock

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import FlashConfig
 from ..errors import AddressError, CapacityError, SimulationError
-from ..obs import get_registry, get_tracer
+from ..obs.hooks import current
 from .geometry import FlashGeometry, PhysicalAddress
 
 logger = logging.getLogger(__name__)
@@ -218,7 +218,7 @@ class FlashTranslationLayer:
         l2p[logical_page] = flat
         p2l[flat] = logical_page
         self.pages_written += 1
-        registry = get_registry()
+        registry = current().registry
         if registry.enabled:
             registry.counter(
                 "ftl_pages_written_total", "pages programmed through the FTL"
@@ -409,7 +409,8 @@ class FlashTranslationLayer:
         self.gc_events.append(
             GcEvent(plane=plane_key, victim_block=victim.block, relocated_pages=relocated)
         )
-        registry = get_registry()
+        hooks = current()
+        registry = hooks.registry
         if registry.enabled:
             registry.counter(
                 "ftl_gc_total", "garbage-collection invocations"
@@ -417,7 +418,7 @@ class FlashTranslationLayer:
             registry.counter(
                 "ftl_pages_relocated_total", "valid pages moved by GC"
             ).inc(relocated, channel=plane_key[0])
-        tracer = get_tracer()
+        tracer = hooks.tracer
         if tracer.enabled:
             # The FTL has no simulated clock of its own: GC shows up as a
             # wall-time instant event tagged with its plane and cost.

@@ -22,7 +22,7 @@ import logging
 from collections import defaultdict
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List
 
-from ..obs import get_registry
+from ..obs.hooks import current
 from .controller import BatchResult, FlashCommand, FlashController
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -90,7 +90,7 @@ class ScheduledController:
             }
             batch = reorder_round_robin(batch, die_of)
         result = self.controller.submit(now, batch)
-        registry = get_registry()
+        registry = current().registry
         if registry.enabled and batch:
             registry.counter(
                 "flash_sched_batches_total", "scheduled channel batches, by policy"

@@ -28,18 +28,14 @@ from repro.errors import WorkloadError
 from repro.faults import ClusterFaultConfig
 from repro.lint.simsan import SimSanitizer
 from repro.lint.simsan import installed as simsan_installed
-from repro.obs import DigestRecorder, RunManifest, Tracer, diverge_runs
+from repro.obs import DigestRecorder, RunManifest, Tracer, diverge_runs, hooks
 from repro.obs.causal import (
     FAULT_CLASSES,
     STAGES,
     AttributionReport,
     CausalCollector,
-    NullCausalCollector,
     RequestTrace,
     TailExemplarStore,
-    get_collector,
-    installed,
-    set_collector,
     trace_spans,
     trace_to_chrome,
 )
@@ -61,10 +57,9 @@ CONFIG = ClusterConfig(
 
 
 @pytest.fixture(autouse=True)
-def _restore_collector():
-    previous = get_collector()
-    yield
-    set_collector(previous if previous.enabled else None)
+def _restore_hooks():
+    with hooks.installed():
+        yield
 
 
 def run_fleet(
@@ -85,9 +80,7 @@ def run_fleet(
         SERVICE, config, seed=seed, fault_config=fault_config,
         digest_recorder=recorder,
     )
-    if collector is None:
-        return simulator.run(arrivals)
-    with installed(collector):
+    with hooks.installed(collector=collector):
         return simulator.run(arrivals)
 
 
@@ -99,24 +92,15 @@ def faulted_config(seed=7, horizon=0.05):
 
 class TestCollectorGuard:
     def test_default_collector_is_null_and_disabled(self):
-        set_collector(None)
-        collector = get_collector()
-        assert isinstance(collector, NullCausalCollector)
+        collector = hooks.current().collector
+        assert collector is hooks.OFF
         assert not collector.enabled
 
     def test_installed_restores_previous(self):
-        set_collector(None)
         live = CausalCollector()
-        with installed(live):
-            assert get_collector() is live
-        assert not get_collector().enabled
-
-    def test_null_hooks_are_noops(self):
-        null = NullCausalCollector()
-        null.on_dispatch(0, 0, 0.0, 0, (1,), (0.0,))
-        null.on_task_route(0, 0, 0, 1e-3, 0.0, 0.0, 0)
-        null.on_merge(0, 1.0)
-        null.on_ecc("slow", 1e-6, 1)
+        with hooks.installed(collector=live):
+            assert hooks.current().collector is live
+        assert not hooks.current().collector.enabled
 
 
 class TestConservation:
@@ -329,13 +313,9 @@ class TestQuantileSurfaces:
 class TestFleetProfile:
     def test_profile_trace_rejects_cluster_spans(self):
         """Fleet latency has one report: causal attribution, not spans."""
-        previous = obs.get_tracer()
         tracer = Tracer()
-        obs.set_tracer(tracer)
-        try:
+        with hooks.installed(tracer=tracer):
             run_fleet()
-        finally:
-            obs.set_tracer(previous)
         assert any(s.track == obs.CLUSTER_TRACK for s in tracer.spans)
         with pytest.raises(WorkloadError, match="trace attribute"):
             profile_trace(tracer.spans, None)

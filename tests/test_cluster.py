@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.cluster import (
     PLACEMENT_STRATEGIES,
     STEAL_POLICIES,
@@ -29,6 +28,7 @@ from repro.cluster.nodes import DataNode
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.faults import ClusterFaultConfig, ClusterFaultPlan
 from repro.lint.simsan import SimSanitizer, installed
+from repro.obs import hooks
 from repro.obs.digest import DigestRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runs import derive_run_id
@@ -539,12 +539,8 @@ class TestFailover:
 
     def test_failover_metric_counts_parks_and_redispatches(self):
         registry = MetricsRegistry()
-        previous = obs.get_registry()
-        obs.set_registry(registry)
-        try:
+        with hooks.installed(registry=registry):
             report = TestBitIdentityPin().replay("park-failover")
-        finally:
-            obs.set_registry(previous)
         failovers = registry.get("cluster_failovers_total")
         assert report.parked_events > 0 and report.redispatches > 0
         assert failovers.value(action="park") == report.parked_events

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.obs import hooks
 from repro.config import ECSSDConfig, FlashConfig
 from repro.errors import AddressError, SimulationError
-from repro.faults.injector import FaultInjector, installed
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultConfig
 from repro.ssd.controller import CommandKind, FlashCommand
 from repro.ssd.device import SSDDevice
@@ -105,9 +106,32 @@ class TestSSDMode:
             dev.host_write([0, 1, bad])
         assert device_state(dev) == before
 
+    @pytest.mark.parametrize(
+        "bad", [1.0, 2.5, None, np.float64(5.0)],
+        ids=["1.0", "2.5", "None", "np.float64(5.0)"],
+    )
+    def test_non_integer_read_burst_moves_nothing(self, bad):
+        # 1.0 and np.float64(5.0) hash like mapped LPAs 1 and 5, so only the
+        # integer check stands between them and a read of those pages.
+        dev = small_device()
+        dev.host_write([0, 1, 5])
+        before = device_state(dev)
+        with pytest.raises(AddressError, match="not an integer"):
+            dev.host_read([bad])
+        assert device_state(dev) == before
+
     def test_numpy_integer_write_burst_matches_int_burst(self):
         plain, numpy_ints = small_device(), small_device()
         assert plain.host_write([0, 1, 7]) == numpy_ints.host_write(
+            np.array([0, 1, 7], dtype=np.int64)
+        )
+        assert device_state(plain) == device_state(numpy_ints)
+
+    def test_numpy_integer_read_burst_matches_int_burst(self):
+        plain, numpy_ints = small_device(), small_device()
+        for dev in (plain, numpy_ints):
+            dev.host_write([0, 1, 7])
+        assert plain.host_read([0, 1, 7]) == numpy_ints.host_read(
             np.array([0, 1, 7], dtype=np.int64)
         )
         assert device_state(plain) == device_state(numpy_ints)
@@ -400,7 +424,8 @@ class TestFaultedBitIdentityPin:
         faults = FaultConfig(
             rber_scale=40.0, timeout_rate=0.05, offline_windows=6, horizon=8.0, seed=5
         )
-        with installed(FaultInjector(faults, channels=flash.channels)) as injector:
+        injector = FaultInjector(faults, channels=flash.channels)
+        with hooks.installed(injector=injector):
             device = SSDDevice(ECSSDConfig(flash=flash))
             per_channel = device.ftl.user_pages_per_channel
             filled = int(per_channel * 0.8)

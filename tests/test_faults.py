@@ -23,15 +23,13 @@ from repro.faults import (
     FaultConfig,
     FaultInjector,
     FaultPlan,
-    NULL_INJECTOR,
     RberModel,
     ScrubConfig,
     ScrubPolicy,
-    get_injector,
     hash_uniform,
-    installed,
 )
 from repro.faults.harness import FAULT_CLASSES, config_for_class, run_fault_matrix
+from repro.obs import hooks
 from repro.ssd.device import SSDDevice
 
 
@@ -215,12 +213,11 @@ class TestInjector:
         assert 0.1 < hits / 2000 < 0.3
 
     def test_installed_restores_previous(self):
-        assert get_injector() is NULL_INJECTOR
+        assert hooks.current().injector is hooks.OFF
         live = FaultInjector(aged_config(), channels=2)
-        with installed(live) as active:
-            assert active is live
-            assert get_injector() is live
-        assert get_injector() is NULL_INJECTOR
+        with hooks.installed(injector=live):
+            assert hooks.current().injector is live
+        assert hooks.current().injector is hooks.OFF
 
 
 class TestZeroOverheadWhenDisabled:
@@ -237,20 +234,17 @@ class TestZeroOverheadWhenDisabled:
 
     def test_disabled_injector_is_bit_identical_to_no_injector(self):
         baseline = self._storm()
-        with installed(FaultInjector(FaultConfig.disabled(), channels=2)):
+        with hooks.installed(
+            injector=FaultInjector(FaultConfig.disabled(), channels=2)
+        ):
             disabled = self._storm()
         assert disabled == baseline
-
-    def test_null_injector_costs_nothing(self):
-        assert NULL_INJECTOR.page_read_surcharge() == 0.0
-        assert NULL_INJECTOR.offline_release(0, 1.25) == 1.25
-        assert not NULL_INJECTOR.next_command_times_out()
-        assert NULL_INJECTOR.unreadable_labels(100).size == 0
 
     def test_zero_rber_injector_adds_no_latency(self):
         baseline = self._storm()
         config = FaultConfig(rber_scale=0.0)
-        with installed(FaultInjector(config, channels=2)) as injector:
+        injector = FaultInjector(config, channels=2)
+        with hooks.installed(injector=injector):
             live = self._storm()
             injector.check_conservation()
         assert live == baseline
@@ -260,9 +254,8 @@ class TestZeroOverheadWhenDisabled:
 class TestEventPathInjection:
     def _run(self, config: FaultConfig):
         device_config = tiny_config()
-        with installed(
-            FaultInjector(config, channels=device_config.flash.channels)
-        ) as injector:
+        injector = FaultInjector(config, channels=device_config.flash.channels)
+        with hooks.installed(injector=injector):
             device = SSDDevice(device_config)
             lpas = list(range(16))
             device.host_write(lpas)
@@ -310,9 +303,8 @@ class TestEventPathInjection:
 
     def test_wear_binding_uses_ftl_erase_counts(self):
         device_config = tiny_config()
-        with installed(
-            FaultInjector(aged_config(), channels=2)
-        ) as injector:
+        injector = FaultInjector(aged_config(), channels=2)
+        with hooks.installed(injector=injector):
             device = SSDDevice(device_config)
             assert injector._wear_source is not None
             lpas = list(range(8))
@@ -331,7 +323,8 @@ class TestScrub:
             mean_pe_cycles=0.0,
             deployment_age=365.0 * 24.0 * 3600.0,
         )
-        with installed(FaultInjector(fault_config, channels=2)) as injector:
+        injector = FaultInjector(fault_config, channels=2)
+        with hooks.installed(injector=injector):
             device = SSDDevice(config)
             lpas = list(range(24))
             device.host_write(lpas)
@@ -352,7 +345,8 @@ class TestScrub:
         fault_config = FaultConfig(
             rber_scale=50.0, deployment_age=365.0 * 24.0 * 3600.0
         )
-        with installed(FaultInjector(fault_config, channels=2)) as injector:
+        injector = FaultInjector(fault_config, channels=2)
+        with hooks.installed(injector=injector):
             device = SSDDevice(config)
             device.host_write(list(range(24)))
             policy = ScrubPolicy(

@@ -495,13 +495,25 @@ class TestLayeringContract:
             "serve/ok.py": (
                 "from repro.core import thing\n"
                 "from repro.units import us\n"
-                "from repro.obs import get_tracer\n"
+                "from repro.obs import hooks\n"
             ),
-            "ssd/ok.py": "from repro.faults import plan\n",
+            "cluster/ok.py": "from repro.faults import plan\n",
             "core/__init__.py": "",
             "faults/__init__.py": "",
         })
         assert run_deep([root]) == []
+
+    @pytest.mark.parametrize("importer", ["ssd", "core"])
+    def test_faults_back_edge_is_flagged(self, tmp_path, importer):
+        # The injector sits in the observer slot, so the layers it is
+        # injected into never import it.
+        root = _deep_tree(tmp_path, {
+            f"{importer}/bad.py": "from repro.faults import injector\n",
+            "faults/__init__.py": "",
+        })
+        findings = run_deep([root])
+        assert [f.rule for f in findings] == ["layering-contract"]
+        assert f"repro.{importer} may not import repro.faults" in findings[0].message
 
     def test_nothing_may_import_cli(self, tmp_path):
         root = _deep_tree(tmp_path, {
@@ -533,14 +545,14 @@ class TestLayeringContract:
     def test_lazy_export_allowed_edge_is_clean(self, tmp_path):
         root = _deep_tree(tmp_path, {
             "faults/plan.py": "def hash_uniform():\n    pass\n",
-            "ssd/__init__.py": (
+            "cluster/__init__.py": (
                 "from repro._lazy import lazy_exports\n"
                 "__getattr__, __dir__, __all__ = lazy_exports(__name__, {\n"
-                "    '.device': ('SSDDevice',),\n"
+                "    '.engine': ('ClusterSimulator',),\n"
                 "    '..faults.plan': ('hash_uniform',),\n"
                 "})\n"
             ),
-            "ssd/device.py": "class SSDDevice:\n    pass\n",
+            "cluster/engine.py": "class ClusterSimulator:\n    pass\n",
         })
         assert run_deep([root]) == []
 
@@ -845,15 +857,15 @@ def _modules_loaded_by(imports):
 
 class TestImportCost:
     def test_simulator_import_leaves_the_static_linter_unloaded(self):
-        """The simulator reaches only the runtime sanitizer, not the linter."""
+        """The simulator reads the sanitizer from the observer slot, so it
+        loads nothing from ``repro.lint``."""
         loaded = {
             name for name in _modules_loaded_by(
                 "import repro, repro.cluster.engine, repro.serve, repro.faults"
             )
             if name.startswith("repro.lint")
         }
-        assert "repro.lint.simsan" in loaded
-        assert loaded <= {"repro.lint", "repro.lint.simsan"}
+        assert not loaded, sorted(loaded)
 
 
 class TestImportFootprint:

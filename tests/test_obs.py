@@ -1,13 +1,16 @@
 """Tests for the unified telemetry subsystem (repro.obs)."""
 
+import importlib.util
 import json
 import logging
+import pathlib
 
 import numpy as np
 import pytest
 
 from repro import ECSSD, ObservabilityConfig, obs
 from repro.errors import ConfigurationError, SimulationError
+from repro.obs import hooks
 from repro.obs import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
@@ -21,11 +24,9 @@ from repro.workloads.synthetic import make_workload
 
 
 @pytest.fixture(autouse=True)
-def _restore_globals():
-    registry, tracer = obs.get_registry(), obs.get_tracer()
-    yield
-    obs.set_registry(registry)
-    obs.set_tracer(tracer)
+def _restore_hooks():
+    with hooks.installed():
+        yield
 
 
 def _make_event(sequence, channel, submit, finish, kind=CommandKind.READ):
@@ -159,21 +160,98 @@ class TestTracing:
         assert NullTracer().find("tile0/", track="fp32-module") == []
 
 
+# --- the observer slot -------------------------------------------------------------
+_perfbench_loader = importlib.util.spec_from_file_location(
+    "perfbench_tracing",
+    pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py",
+)
+perfbench_tracing = importlib.util.module_from_spec(_perfbench_loader)
+_perfbench_loader.loader.exec_module(perfbench_tracing)
+
+
+class TestHooks:
+    def test_every_field_is_off_by_default(self):
+        current = hooks.current()
+        assert current == hooks.Hooks()
+        assert current.registry is obs.NULL_REGISTRY
+        assert current.tracer is obs.NULL_TRACER
+        for name in ("collector", "sanitizer", "injector"):
+            assert getattr(current, name) is hooks.OFF
+            assert not getattr(current, name).enabled
+
+    def test_installed_replaces_only_the_named_fields(self):
+        tracer = Tracer()
+        with hooks.installed(tracer=tracer) as installed:
+            assert installed is hooks.current()
+            assert installed.tracer is tracer
+            assert installed.registry is obs.NULL_REGISTRY
+
+    def test_none_switches_a_field_off(self):
+        with hooks.installed(registry=MetricsRegistry(), tracer=Tracer()):
+            with hooks.installed(registry=None, tracer=None) as inner:
+                assert inner == hooks.Hooks()
+
+    def test_nested_blocks_restore_in_order(self):
+        outer, inner = Tracer(), Tracer()
+        registry = MetricsRegistry()
+        with hooks.installed(tracer=outer):
+            with hooks.installed(tracer=inner, registry=registry):
+                assert hooks.current().tracer is inner
+                assert hooks.current().registry is registry
+            assert hooks.current().tracer is outer
+            assert hooks.current().registry is obs.NULL_REGISTRY
+        assert hooks.current() == hooks.Hooks()
+
+    def test_a_block_that_raises_still_restores(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            with hooks.installed(tracer=Tracer(), registry=MetricsRegistry()):
+                raise RuntimeError("boom")
+        assert hooks.current() == hooks.Hooks()
+
+    def test_unknown_field_raises_type_error(self):
+        with pytest.raises(TypeError):
+            with hooks.installed(profiler=Tracer()):
+                pass
+        with pytest.raises(TypeError):
+            hooks.swap(profiler=None)
+        assert hooks.current() == hooks.Hooks()
+
+    def test_session_restores_the_whole_record(self):
+        session = obs.configure()
+        assert hooks.current().tracer is session.tracer
+        session.install()  # idempotent: keeps the record saved first
+        session.uninstall()
+        assert hooks.current() == hooks.Hooks()
+
+    @pytest.mark.parametrize("switch, fields", [
+        ("_telemetry", ("registry", "tracer")),
+        ("_causal", ("collector",)),
+        ("_simsan", ("sanitizer",)),
+    ])
+    def test_perfbench_observer_switches_use_the_slot(self, switch, fields):
+        # perfbench turns each observer on through these public switches
+        # (obs.configure, set_collector, set_sanitizer).
+        with getattr(perfbench_tracing, switch)():
+            for name in fields:
+                assert getattr(hooks.current(), name).enabled
+        assert hooks.current() == hooks.Hooks()
+
+
 # --- no-op mode --------------------------------------------------------------------
 class TestNoOpMode:
     def test_defaults_are_null_singletons(self):
-        assert isinstance(obs.get_registry(), NullMetricsRegistry)
-        assert isinstance(obs.get_tracer(), NullTracer)
-        assert not obs.get_registry().enabled
-        assert not obs.get_tracer().enabled
+        assert isinstance(hooks.current().registry, NullMetricsRegistry)
+        assert isinstance(hooks.current().tracer, NullTracer)
+        assert not hooks.current().registry.enabled
+        assert not hooks.current().tracer.enabled
 
     def test_null_instruments_record_nothing(self):
-        registry = obs.get_registry()
+        registry = hooks.current().registry
         counter = registry.counter("anything")
         counter.inc(5, channel=1)
         assert counter.value(channel=1) == 0.0
         assert registry.counter("other") is counter  # one shared no-op
-        tracer = obs.get_tracer()
+        tracer = hooks.current().tracer
         with tracer.span("nope") as span:
             span.set_sim_window(0.0, 1.0)
         assert len(tracer) == 0
@@ -309,7 +387,7 @@ class TestExporters:
         )
         with obs.configure(config) as session:
             session.tracer.add_span("tile0", 0.0, 1e-3)
-        assert obs.get_tracer() is not session.tracer  # restored on exit
+        assert hooks.current().tracer is not session.tracer  # restored on exit
         trace = json.loads((tmp_path / "t.json").read_text())
         assert any(e["name"] == "tile0" for e in trace["traceEvents"])
         assert "# TYPE" in (tmp_path / "m.prom").read_text()
@@ -421,7 +499,7 @@ class TestCli:
         assert "ftl_gc_total" in metrics
         assert "ecssd_tile_latency_seconds_bucket" in metrics
         # globals restored: later runs are uninstrumented again
-        assert not obs.get_tracer().enabled
+        assert not hooks.current().tracer.enabled
 
     @pytest.mark.parametrize("flag", ["--trace-out", "--jsonl-out"])
     @pytest.mark.parametrize("command", [

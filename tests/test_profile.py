@@ -6,6 +6,7 @@ import pytest
 
 from repro import ECSSD, obs
 from repro.errors import WorkloadError
+from repro.obs import hooks
 from repro.obs import FP32_TRACK, INT4_TRACK, PIPELINE_TRACK, Tracer
 from repro.obs.profile import (
     ChannelBalance,
@@ -21,11 +22,9 @@ from repro.workloads.synthetic import make_workload
 
 
 @pytest.fixture(autouse=True)
-def _restore_globals():
-    registry, tracer = obs.get_registry(), obs.get_tracer()
-    yield
-    obs.set_registry(registry)
-    obs.set_tracer(tracer)
+def _restore_hooks():
+    with hooks.installed():
+        yield
 
 
 def _run_instrumented(num_labels=1024, seed=7):

@@ -335,6 +335,22 @@ class TestOneProducerPerArtifact:
         }
 
 
+class TestOneObserverSlot:
+    def test_only_the_hooks_module_rebinds_a_global(self):
+        hooks_module = REPO_ROOT / "src" / "repro" / "obs" / "hooks.py"
+        rebinding = sorted(
+            f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+            for path in (REPO_ROOT / "src").rglob("*.py")
+            if path != hooks_module
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Global)
+        )
+        assert not rebinding, (
+            f"{rebinding} rebind a module global; observers belong in"
+            " repro.obs.hooks"
+        )
+
+
 class TestErrorHierarchy:
     def test_all_errors_derive_from_reproerror(self):
         from repro import errors

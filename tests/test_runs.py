@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro import obs
 from repro.errors import ConfigurationError, ObservabilityError
+from repro.obs import hooks
 from repro.obs import (
     DIGEST_TRACK,
     DigestRecorder,
@@ -27,11 +27,9 @@ from repro.workloads.streams import poisson_arrivals
 
 
 @pytest.fixture(autouse=True)
-def _restore_globals():
-    registry, tracer = obs.get_registry(), obs.get_tracer()
-    yield
-    obs.set_registry(registry)
-    obs.set_tracer(tracer)
+def _restore_hooks():
+    with hooks.installed():
+        yield
 
 
 def _recorder_track(seed, steps=40, interval=8):
@@ -64,7 +62,7 @@ class TestDigest:
 
     def test_capture_emits_digest_track_instant(self):
         tracer = Tracer()
-        obs.set_tracer(tracer)
+        hooks.swap(tracer=tracer)
         recorder = DigestRecorder(interval=1, label="lbl")
         entry = recorder.capture(0.5, n=1)
         instants = [s for s in tracer.spans if s.track == DIGEST_TRACK]

@@ -506,7 +506,7 @@ class TestServingRunProperties:
 
 class TestServeObservability:
     def test_metrics_and_spans_recorded(self):
-        with obs.configure(install=True) as session:
+        with obs.configure() as session:
             report = run_at(1.0, num_queries=400)
             batches = session.registry.get("cluster_batches_total")
             requests = session.registry.get("cluster_requests_total")
@@ -518,6 +518,6 @@ class TestServeObservability:
 
     def test_disabled_observability_is_bit_identical(self):
         quiet = run_at(2.0, seed=9)
-        with obs.configure(install=True):
+        with obs.configure():
             traced = run_at(2.0, seed=9)
         np.testing.assert_array_equal(quiet.latencies, traced.latencies)

@@ -12,44 +12,35 @@ import json
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.cli import main as repro_main
 from repro.errors import SimulationError
-from repro.lint.simsan import (
-    NULL_SANITIZER,
-    SimSanitizer,
-    env_enabled,
-    get_sanitizer,
-    installed,
-    set_sanitizer,
-)
+from repro.lint.simsan import SimSanitizer, env_enabled, installed
+from repro.obs import hooks
 from repro.obs.tracing import Tracer
 from repro.serve.kernel import EventKernel
 
 
 @pytest.fixture(autouse=True)
-def _restore_global_sanitizer():
-    yield
-    set_sanitizer(None)
+def _restore_hooks():
+    with hooks.installed():
+        yield
 
 
 class TestGuardPattern:
     def test_disabled_by_default(self):
-        sanitizer = get_sanitizer()
-        assert sanitizer is NULL_SANITIZER
+        sanitizer = hooks.current().sanitizer
+        assert sanitizer is hooks.OFF
         assert sanitizer.enabled is False
-        # The null object's observers are no-ops, never raising.
-        sanitizer.observe_pop("events", float("nan"))
-        sanitizer.check_time("x", float("inf"))
-        assert sanitizer.report() == "simsan: disabled"
-        assert sanitizer.summary() == {"enabled": False}
 
     def test_installed_restores_previous(self):
         live = SimSanitizer()
-        with installed(live, hook_rng=False) as active:
+        default_rng = np.random.default_rng
+        with installed(live) as active:
             assert active is live
-            assert get_sanitizer() is live
-        assert get_sanitizer() is NULL_SANITIZER
+            assert hooks.current().sanitizer is live
+            assert np.random.default_rng is not default_rng
+        assert hooks.current().sanitizer is hooks.OFF
+        assert np.random.default_rng is default_rng
 
     def test_env_enabled(self):
         assert env_enabled({"REPRO_SIMSAN": "1"})
@@ -164,15 +155,11 @@ class TestSpanContext:
     def test_report_contextualizes_violations_with_spans(self):
         tracer = Tracer()
         tracer.add_span("tile0/flash", 0.5, 1.5, track="pipeline")
-        previous = obs.get_tracer()
-        obs.set_tracer(tracer)
-        try:
+        with hooks.installed(tracer=tracer):
             sanitizer = SimSanitizer()
             sanitizer.observe_pop("events", 1.0)
             sanitizer.observe_pop("events", 0.9)  # planted violation at t=0.9
             report = sanitizer.report()
-        finally:
-            obs.set_tracer(previous)
         assert "monotone-pop" in report
         assert "t=0.9" in report
         assert "in span pipeline/tile0/flash" in report

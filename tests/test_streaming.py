@@ -6,6 +6,7 @@ import pytest
 
 from repro import ObservabilityConfig, obs
 from repro.errors import ConfigurationError, ObservabilityError
+from repro.obs import hooks
 from repro.obs import (
     JsonlSpanWriter,
     Tracer,
@@ -20,11 +21,9 @@ from repro.workloads.streams import poisson_arrivals
 
 
 @pytest.fixture(autouse=True)
-def _restore_globals():
-    registry, tracer = obs.get_registry(), obs.get_tracer()
-    yield
-    obs.set_registry(registry)
-    obs.set_tracer(tracer)
+def _restore_hooks():
+    with hooks.installed():
+        yield
 
 
 def _spans(tracer, count, dt=0.01):
@@ -83,7 +82,7 @@ class TestStreamingSpanSink:
         path = str(tmp_path / "stream.jsonl")
         config = ObservabilityConfig(jsonl_stream_out=path)
         with obs.configure(config) as session:
-            _spans(obs.get_tracer(), 40)
+            _spans(hooks.current().tracer, 40)
             written = session.flush()
         assert path in written
         assert len(read_jsonl_spans(path)) == 40
@@ -149,7 +148,7 @@ class TestBoundedServingRun:
         writer = JsonlSpanWriter(path)
         tracer = Tracer()
         tracer.attach_sink(writer)
-        obs.set_tracer(tracer)
+        hooks.swap(tracer=tracer)
         report_streamed = simulator.run(arrivals)
         writer.close()
 
@@ -159,7 +158,7 @@ class TestBoundedServingRun:
         # In-memory leg: same seeded run, unbounded retention.
         simulator2, _ = self._simulator()
         unbounded = Tracer()
-        obs.set_tracer(unbounded)
+        hooks.swap(tracer=unbounded)
         report_memory = simulator2.run(arrivals)
 
         assert len(unbounded.spans) == writer.lines_written
