@@ -11,16 +11,20 @@ interval doubles as the cooldown.
 
 The controller is a pure function of the completion/shed stream it has
 observed — no wall clock, no RNG — so the active-node trajectory is
-bit-identical per seed.  Window accounting is incremental (two head
-pointers over one append-only event list), so a million-request run pays
-O(1) amortized per observation.
+bit-identical per seed.  Outcomes arrive in event order, so the observation
+times form one sorted list; next to it runs the count of bad outcomes before
+each observation.  An evaluation bisects each window's head forward from
+where it last stood and reads the window's total and bad count by
+subtraction: an observation costs two appends, an evaluation two bisections.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from typing import List, Tuple
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 
 #: Availability target: the fraction of requests that must meet the deadline.
 SLO_TARGET = 0.999
@@ -52,50 +56,46 @@ class Autoscaler:
         self.max_nodes = max_nodes
         self.fast_window = FAST_WINDOW_SLOS * slo
         self.slow_window = SLOW_WINDOW_SLOS * slo
-        # (event sim time, was the outcome bad) — sheds and deadline misses
-        # are both budget burn.  Append-only; the two head pointers walk
-        # forward as windows expire, so nothing is ever re-scanned.
-        self._events: List[Tuple[float, bool]] = []
+        # Observation sim times, non-decreasing, and ``_bad_before[i]``, the
+        # bad outcomes (sheds and deadline misses are both budget burn)
+        # among the first ``i`` observations; its last entry counts them all.
+        # The two window heads only move forward.
+        self._times: List[float] = []
+        self._bad_before: List[int] = [0]
+        self._last = -math.inf
         self._fast_head = 0
         self._slow_head = 0
-        self._fast_total = 0
-        self._fast_bad = 0
-        self._slow_total = 0
-        self._slow_bad = 0
 
     def observe(self, time: float, bad: bool) -> None:
         """Record one request outcome (completion or shed) at ``time``."""
-        self._events.append((time, bad))
-        self._fast_total += 1
-        self._slow_total += 1
-        if bad:
-            self._fast_bad += 1
-            self._slow_bad += 1
+        if not time >= self._last:  # also catches NaN
+            raise SimulationError(
+                f"autoscaler observation at {time} is not at or after the "
+                f"previous one at {self._last}"
+            )
+        self._last = time
+        self._times.append(time)
+        bad_before = self._bad_before
+        bad_before.append(bad_before[-1] + 1 if bad else bad_before[-1])
 
     def _expire(self, now: float) -> None:
-        events = self._events
-        fast_start = now - self.fast_window
-        head = self._fast_head
-        while head < len(events) and events[head][0] < fast_start:
-            self._fast_total -= 1
-            if events[head][1]:
-                self._fast_bad -= 1
-            head += 1
-        self._fast_head = head
-        slow_start = now - self.slow_window
-        head = self._slow_head
-        while head < len(events) and events[head][0] < slow_start:
-            self._slow_total -= 1
-            if events[head][1]:
-                self._slow_bad -= 1
-            head += 1
-        self._slow_head = head
+        times = self._times
+        self._fast_head = bisect_left(times, now - self.fast_window, self._fast_head)
+        slow_head = self._slow_head = bisect_left(
+            times, now - self.slow_window, self._slow_head
+        )
         # Compact the consumed prefix so a million-request run stays at
         # window-sized memory, not run-sized.
-        if self._slow_head > 65536:
-            del self._events[: self._slow_head]
-            self._fast_head -= self._slow_head
+        if slow_head > 65536:
+            del times[:slow_head]
+            del self._bad_before[:slow_head]
+            self._fast_head -= slow_head
             self._slow_head = 0
+
+    def _window(self, head: int) -> Tuple[int, int]:
+        """(bad, total) outcomes from ``head`` to the newest observation."""
+        bad_before = self._bad_before
+        return bad_before[-1] - bad_before[head], len(bad_before) - 1 - head
 
     def _burn(self, bad: int, total: int) -> float:
         if total == 0:
@@ -105,8 +105,8 @@ class Autoscaler:
     def decide(self, now: float, active: int) -> int:
         """The target active-node count after one evaluation at ``now``."""
         self._expire(now)
-        fast = self._burn(self._fast_bad, self._fast_total)
-        slow = self._burn(self._slow_bad, self._slow_total)
+        fast = self._burn(*self._window(self._fast_head))
+        slow = self._burn(*self._window(self._slow_head))
         if fast > BURN_THRESHOLD and slow > BURN_THRESHOLD:
             return min(active + 1, self.max_nodes)
         down_bar = BURN_THRESHOLD * SCALE_DOWN_FRACTION

@@ -88,6 +88,11 @@ _KIND_CACHE = 4
 _KIND_DEADLINE = 5
 _KIND_ARRIVAL = 6
 
+# Builds a Request without a Python-level ``Request.__new__`` frame: only
+# after the caller has made the same deadline check itself.
+_tuple_new = tuple.__new__
+
+
 class ClusterSimulator:
     """Drives the whole fleet over one arrival stream (see module docstring).
 
@@ -564,7 +569,13 @@ class FleetRun:
             self.push(now + self.hit_time, _KIND_CACHE, rid)
         else:  # ``now`` is this request's arrival time
             deadline = now + self.slo
-            reason = sn.core.offer(Request(rid, now, deadline), sn.outstanding_requests, now)
+            if deadline < now:  # ``Request.__new__``'s check, inline
+                raise WorkloadError(
+                    f"request {rid}: deadline {deadline} precedes arrival {now}"
+                )
+            reason = sn.core.offer(
+                _tuple_new(Request, (rid, now, deadline)), sn.outstanding_requests, now
+            )
             if self.metered:
                 self.registry.counter(
                     "cluster_requests_total", "requests offered to the fleet"

@@ -171,10 +171,14 @@ class Observability:
         self.config = config
         metrics_on = config is None or getattr(config, "metrics_enabled", True)
         tracing_on = config is None or getattr(config, "tracing_enabled", True)
-        self.registry = registry or (
-            MetricsRegistry() if metrics_on else NULL_REGISTRY
-        )
-        self.tracer = tracer or (Tracer() if tracing_on else NULL_TRACER)
+        # ``is None``, not truthiness: an empty registry or tracer has
+        # ``len() == 0`` and is still the one the caller asked for.
+        if registry is None:
+            registry = MetricsRegistry() if metrics_on else NULL_REGISTRY
+        if tracer is None:
+            tracer = Tracer() if tracing_on else NULL_TRACER
+        self.registry = registry
+        self.tracer = tracer
         if isinstance(self.registry, MetricsRegistry):
             register_standard_metrics(self.registry)
         self.sink: Optional[JsonlSpanWriter] = None

@@ -30,9 +30,11 @@ class Request(_RequestFields):
     """One query's identity and timing contract.
 
     ``deadline`` is absolute (``arrival + slo``).  An immutable tuple
-    (value ``==`` and ``hash``) rather than a frozen dataclass: the fleet
-    builds one per cache miss, and a tuple is about three times cheaper to
-    construct.
+    (value ``==`` and ``hash``) rather than a frozen dataclass, because the
+    fleet builds one per cache miss.  The fleet makes the deadline check
+    itself and builds that one with ``tuple.__new__``, skipping this
+    class's Python-level ``__new__`` frame; every other caller goes
+    through ``__new__`` and its check.
     """
 
     __slots__ = ()

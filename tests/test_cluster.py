@@ -1,10 +1,14 @@
 """Tests for the fleet-scale cluster simulator (repro.cluster)."""
 
 import hashlib
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     PLACEMENT_STRATEGIES,
@@ -24,6 +28,14 @@ from repro.cluster import (
     shard_outage_seconds,
     zipf_keys,
 )
+from repro.cluster.autoscale import (
+    BURN_THRESHOLD,
+    ERROR_BUDGET,
+    FAST_WINDOW_SLOS,
+    SCALE_DOWN_FRACTION,
+    SLOW_WINDOW_SLOS,
+)
+from repro.cluster.engine import FleetRun
 from repro.cluster.nodes import DataNode
 from repro.errors import ConfigurationError, SimulationError, WorkloadError
 from repro.faults import ClusterFaultConfig, ClusterFaultPlan
@@ -34,6 +46,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.runs import derive_run_id
 from repro.serve import AffineServiceModel, DegradationLadder, DegradeStep
 from repro.serve.kernel import EventKernel
+from repro.serve.request import Request
 from repro.workloads.streams import poisson_arrivals
 
 #: Fast pure-Python service model: 0.5 ms base, 20 us/query, knee at 16.
@@ -235,7 +248,163 @@ class TestCrawlers:
         assert 1.0 < overhead < 1.2
 
 
+class ReferenceAutoscaler:
+    """The window accounting ``Autoscaler`` replaced, kept as its oracle.
+
+    One append-only ``(time, bad)`` tuple list with a running total and bad
+    count per window; each evaluation walks both heads forward past every
+    observation older than its window start, and compacts the consumed
+    prefix past 65,536 entries.
+    """
+
+    def __init__(self, slo, min_nodes, max_nodes):
+        self.min_nodes = min_nodes
+        self.max_nodes = max_nodes
+        self.fast_window = FAST_WINDOW_SLOS * slo
+        self.slow_window = SLOW_WINDOW_SLOS * slo
+        self._events = []
+        self._fast_head = 0
+        self._slow_head = 0
+        self._fast_total = 0
+        self._fast_bad = 0
+        self._slow_total = 0
+        self._slow_bad = 0
+
+    def observe(self, time, bad):
+        self._events.append((time, bad))
+        self._fast_total += 1
+        self._slow_total += 1
+        if bad:
+            self._fast_bad += 1
+            self._slow_bad += 1
+
+    def _expire(self, now):
+        events = self._events
+        fast_start = now - self.fast_window
+        head = self._fast_head
+        while head < len(events) and events[head][0] < fast_start:
+            self._fast_total -= 1
+            if events[head][1]:
+                self._fast_bad -= 1
+            head += 1
+        self._fast_head = head
+        slow_start = now - self.slow_window
+        head = self._slow_head
+        while head < len(events) and events[head][0] < slow_start:
+            self._slow_total -= 1
+            if events[head][1]:
+                self._slow_bad -= 1
+            head += 1
+        self._slow_head = head
+        if self._slow_head > 65536:
+            del self._events[: self._slow_head]
+            self._fast_head -= self._slow_head
+            self._slow_head = 0
+
+    def _burn(self, bad, total):
+        if total == 0:
+            return 0.0
+        return (bad / total) / ERROR_BUDGET
+
+    def decide(self, now, active):
+        self._expire(now)
+        fast = self._burn(self._fast_bad, self._fast_total)
+        slow = self._burn(self._slow_bad, self._slow_total)
+        if fast > BURN_THRESHOLD and slow > BURN_THRESHOLD:
+            return min(active + 1, self.max_nodes)
+        down_bar = BURN_THRESHOLD * SCALE_DOWN_FRACTION
+        if fast < down_bar and slow < down_bar:
+            return max(active - 1, self.min_nodes)
+        return active
+
+
+def autoscaler_stream(seed, observations, slo):
+    """A seeded, time-ordered mix of ``("observe", time, bad)`` and
+    ``("decide", now)`` steps.
+
+    Phases switch the bad fraction between quiet and burning so targets
+    move both ways.  The stream holds runs of equal times, gaps longer than
+    the slow window, and observations planted exactly at ``now - window``
+    (with the window the autoscaler computes) just before a ``decide`` at
+    ``now``.
+    """
+    rng = np.random.default_rng(seed)
+    fast_window, slow_window = FAST_WINDOW_SLOS * slo, SLOW_WINDOW_SLOS * slo
+    steps = []
+    time = 0.0
+    bad_fraction = 0.0
+    count = 0
+    while count < observations:
+        draw = rng.random()
+        if draw < 0.002:
+            bad_fraction = float(rng.choice([0.0, 0.0002, 0.001, 0.01, 0.3]))
+        if draw < 0.25:
+            gap = 0.0
+        elif draw < 0.2504:
+            gap = slow_window * (1.0 + 3.0 * rng.random())
+        else:
+            gap = float(rng.exponential(slo / 100))
+        time += gap
+        for _ in range(int(rng.integers(1, 4)) if draw < 0.05 else 1):
+            steps.append(("observe", time, bool(rng.random() < bad_fraction)))
+            count += 1
+        if rng.random() < 0.004:
+            window = fast_window if rng.random() < 0.5 else slow_window
+            now = time + window + float(rng.exponential(slo / 50))
+            start = now - window
+            if start >= time:  # plant a run at exactly the window start
+                for _ in range(int(rng.integers(1, 4))):
+                    steps.append(("observe", start, bool(rng.random() < 0.5)))
+                    count += 1
+            time = max(time, now)
+            steps.append(("decide", now))
+        elif rng.random() < 0.01:
+            steps.append(("decide", time))
+    return steps
+
+
 class TestAutoscaler:
+    @pytest.mark.parametrize("seed, observations", [(0, 150_000), (1, 20_000), (2, 20_000)])
+    def test_matches_the_tuple_list_oracle(self, seed, observations):
+        slo = 0.02
+        scaler = Autoscaler(slo=slo, min_nodes=1, max_nodes=4)
+        reference = ReferenceAutoscaler(slo=slo, min_nodes=1, max_nodes=4)
+        active = 2
+        decisions = compactions = 0
+        for step in autoscaler_stream(seed, observations, slo):
+            if step[0] == "observe":
+                scaler.observe(step[1], step[2])
+                reference.observe(step[1], step[2])
+                continue
+            before = len(scaler._times)
+            target = scaler.decide(step[1], active)
+            compactions += len(scaler._times) < before
+            assert target == reference.decide(step[1], active)
+            for head, total, bad in (
+                (scaler._fast_head, reference._fast_total, reference._fast_bad),
+                (scaler._slow_head, reference._slow_total, reference._slow_bad),
+            ):
+                assert scaler._window(head) == (bad, total)
+            decisions += 1
+            active = target
+        assert decisions > 100
+        if observations > 65536:
+            assert compactions >= 1
+
+    def test_observe_rejects_time_going_backwards_and_nan(self):
+        scaler = Autoscaler(slo=0.02, min_nodes=1, max_nodes=4)
+        with pytest.raises(SimulationError):
+            scaler.observe(float("nan"), bad=False)
+        scaler.observe(1.0, bad=False)
+        scaler.observe(1.0, bad=True)  # an equal time is in order
+        with pytest.raises(SimulationError):
+            scaler.observe(0.5, bad=True)
+        with pytest.raises(SimulationError):
+            scaler.observe(float("nan"), bad=True)
+        scaler.observe(1.25, bad=False)
+        scaler.decide(1.25, active=2)
+        assert scaler._window(scaler._slow_head) == (1, 3)  # rejects not kept
+
     def test_scales_up_under_sustained_burn(self):
         scaler = Autoscaler(slo=0.02, min_nodes=1, max_nodes=4)
         for step in range(200):
@@ -414,6 +583,19 @@ class TestFleetRuns:
         with pytest.raises(ConfigurationError):
             build_cluster(SERVICE, config)
 
+    def test_cache_miss_keeps_the_request_deadline_check(self):
+        # The fleet builds each cache-miss Request without ``Request.__new__``
+        # and makes its deadline check inline, with the same message.
+        run = FleetRun(
+            build_cluster(SERVICE, CONFIG), np.array([0.0]), np.zeros(1, dtype=np.int64)
+        )
+        run.slo = -0.01
+        with pytest.raises(WorkloadError) as fleet:
+            run.run()
+        with pytest.raises(WorkloadError) as direct:
+            Request(0, 0.0, -0.01)
+        assert str(fleet.value) == str(direct.value)
+
     def test_run_input_validation(self):
         simulator = build_cluster(SERVICE, CONFIG)
         with pytest.raises(WorkloadError):
@@ -501,6 +683,101 @@ FAULTED = ClusterFaultConfig(
     crash_duration=0.02, partition_duration=0.01, slow_duration=0.03,
     horizon=0.06,
 )
+
+
+_perfbench_loader = importlib.util.spec_from_file_location(
+    "perfbench_tracing",
+    pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py",
+)
+perfbench_tracing = importlib.util.module_from_spec(_perfbench_loader)
+_perfbench_loader.loader.exec_module(perfbench_tracing)
+
+
+class TestWrappedFleetEntryPoints:
+    """perfbench's traced run reports each fleet layer through the calls it
+    wraps by name; a call the loop inlines or bypasses reads zero there."""
+
+    def test_every_cluster_and_serve_row_is_called(self):
+        config = ClusterConfig(
+            data_nodes=4, service_nodes=3, shards=2, replicas=6, racks=2,
+            slots_per_node=2, slo=0.05,
+        )
+        assert config.cache_capacity > 0 and config.autoscale
+        arrivals = poisson_arrivals(
+            1.5 * cluster_saturating_rate(SERVICE, config), 3000, seed=3
+        )
+        span = float(arrivals[-1])
+        fault = ClusterFaultConfig(
+            seed=3, node_crashes=1, crash_duration=0.25 * span, horizon=0.8 * span
+        )
+        recorder = perfbench_tracing.SpanRecorder()
+        try:
+            recorder.install()
+            build_cluster(SERVICE, config, seed=3, fault_config=fault).run(arrivals)
+        finally:
+            recorder.uninstall()
+        calls = recorder.snapshot()
+        rows = {
+            name: perfbench_tracing.sum_spans(calls, spans, "calls")
+            for name, (_unit, spans, _kind) in perfbench_tracing.LAYER_METRICS.items()
+            if name.startswith(("cluster.", "serve."))
+        }
+        assert len(rows) >= 13
+        assert [name for name, count in rows.items() if count == 0] == []
+
+
+class TestFleetProperties:
+    """Invariants of any small fleet over any seeded Poisson stream."""
+
+    @given(
+        data_nodes=st.integers(min_value=2, max_value=6),
+        service_nodes=st.integers(min_value=1, max_value=3),
+        shards=st.integers(min_value=1, max_value=4),
+        replication=st.integers(min_value=1, max_value=3),
+        racks=st.integers(min_value=1, max_value=2),
+        cache=st.booleans(),
+        steal_policy=st.sampled_from(STEAL_POLICIES),
+        crashes=st.integers(min_value=0, max_value=1),
+        partitions=st.integers(min_value=0, max_value=1),
+        multiplier=st.floats(min_value=0.2, max_value=6.0),
+        slo=st.sampled_from([0.005, 0.01, 0.05]),
+        interval=st.sampled_from([0.0005, 0.002, 0.01]),
+        requests=st.integers(min_value=200, max_value=2000),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_conservation_and_replay(
+        self, data_nodes, service_nodes, shards, replication, racks, cache,
+        steal_policy, crashes, partitions, multiplier, slo, interval, requests,
+        seed,
+    ):
+        try:
+            config = ClusterConfig(
+                data_nodes=data_nodes, service_nodes=service_nodes,
+                shards=shards, replicas=shards * replication, racks=racks,
+                slots_per_node=2, slo=slo, cache_capacity=4096 if cache else 0,
+                autoscale=True, autoscale_interval=interval,
+                steal_policy=steal_policy,
+            )
+            rate = multiplier * cluster_saturating_rate(SERVICE, config)
+            arrivals = poisson_arrivals(rate, requests, seed=seed)
+            span = float(arrivals[-1])
+            fault = ClusterFaultConfig(
+                seed=seed, node_crashes=crashes, partitions=partitions,
+                crash_duration=0.25 * span, partition_duration=0.1 * span,
+                horizon=0.8 * span,
+            ) if crashes or partitions else ClusterFaultConfig.disabled()
+            simulator = build_cluster(SERVICE, config, seed=seed, fault_config=fault)
+        except ConfigurationError:
+            assume(False)
+        first = simulator.run(arrivals)
+        assert first.completed + first.shed == first.arrived == requests
+        second = simulator.run(arrivals)
+        assert second.latencies.tobytes() == first.latencies.tobytes()
+        assert second.failover_timeline == first.failover_timeline
+        assert (second.scale_ups, second.scale_downs) == (
+            first.scale_ups, first.scale_downs
+        )
 
 
 class TestFailover:

@@ -216,6 +216,14 @@ class TestHooks:
             hooks.swap(profiler=None)
         assert hooks.current() == hooks.Hooks()
 
+    def test_session_keeps_the_empty_recorders_it_is_given(self):
+        # Both recorders define ``__len__``, so an empty one is falsy; the
+        # session must still use it rather than build its own.
+        tracer, registry = Tracer(), MetricsRegistry()
+        assert len(tracer) == 0
+        session = obs.Observability(tracer=tracer, registry=registry)
+        assert session.tracer is tracer and session.registry is registry
+
     def test_session_restores_the_whole_record(self):
         session = obs.configure()
         assert hooks.current().tracer is session.tracer
