@@ -5,9 +5,10 @@
 thing from Python so the pieces are visible: record a run under
 `obs.configure(...)`, hand the spans to `profile_trace`, and read the
 critical-path attribution — which resource (DRAM, flash, the INT4/FP32
-accelerators) bound each tile window, how balanced the flash channels
-were (§5), and how much the INT4 weight stream overlapped FP32 candidate
-fetches (§4.3).  The profiler is pure post-processing: it never touches
+accelerators) bound each tile window and how much the INT4 weight stream
+overlapped FP32 candidate fetches (§4.3).  How balanced the flash channels
+were (§5) comes from the session's metrics registry, which counts the pages
+each channel moved.  The profiler is pure post-processing: it never touches
 the simulated timeline, and the same seed yields a byte-identical report.
 
 Run:  python examples/profile_query.py
@@ -39,7 +40,7 @@ def main() -> None:
     finally:
         session.uninstall()
 
-    report = profile_trace(session.tracer.spans, session.registry)
+    report = profile_trace(session.tracer.spans)
     print("=== Critical-path profile: 4096 labels, 8 queries ===\n")
     print(report.render())
 
@@ -53,10 +54,12 @@ def main() -> None:
     print(f"binding resource: {binding[0]}"
           f" ({binding[1] / window:.1%} of the window)")
 
-    # Per-channel busy-time imbalance needs the flash-command replay the
-    # `repro profile` CLI performs; from the library the registry still
-    # tells us how many pages each channel moved.
-    pages = report.channel_balance.pages
+    # The registry counts how many pages each channel moved.
+    counter = session.registry.get("ecssd_pages_fetched_total")
+    pages = {
+        int(dict(labels)["channel"]): int(value)
+        for labels, value in counter.samples()
+    }
     if pages:
         mean = sum(pages.values()) / len(pages)
         print(f"pages per channel: max {max(pages.values())} vs mean"

@@ -111,53 +111,10 @@ def _digest_recorder(args: argparse.Namespace, label: str, **kwargs):
     return DigestRecorder(label=label, **kwargs)
 
 
-def _replay_flash_commands(session, cap_per_channel: int = 48) -> int:
-    """Replay the run's per-channel page loads through the event simulator.
-
-    The analytic pipeline knows how many pages each channel moved but not
-    when each flash command ran; this replay issues the same per-channel
-    page counts (capped, to keep traces small) as real READ commands through
-    a :class:`~repro.ssd.trace.TracingController` so the exported timeline
-    carries per-command ``flash/ch<N>`` slices next to the tile spans.
-    """
-    from .config import ECSSDConfig
-    from .ssd.controller import CommandKind, FlashCommand
-    from .ssd.device import SSDDevice
-    from .ssd.trace import CommandTrace, TracingController
-
-    counter = session.registry.get("ecssd_pages_fetched_total")
-    config = ECSSDConfig()
-    per_channel = {c: 8 for c in range(config.flash.channels)}
-    if counter is not None:
-        for labels, value in counter.samples():
-            channel = int(dict(labels).get("channel", 0))
-            per_channel[channel] = min(int(value), cap_per_channel)
-    device = SSDDevice(config)
-    trace = CommandTrace()
-    for channel, pages in sorted(per_channel.items()):
-        if pages <= 0:
-            continue
-        base = device.ftl.channel_logical_range(channel).start
-        lpas = [base + i for i in range(pages)]
-        for lpa in lpas:
-            device.ftl.write(lpa)
-        commands = [
-            FlashCommand(CommandKind.READ, device.ftl.lookup(lpa)) for lpa in lpas
-        ]
-        TracingController(device.controllers[channel], trace).submit(0.0, commands)
-    return session.tracer.add_command_trace(trace)
-
-
-def _finish_session(session, replay_flash: bool = True) -> None:
-    """Replay flash slices, write configured outputs, restore recorders.
-
-    ``replay_flash=False`` skips the synthetic flash replay for commands
-    (like ``serve``) whose telemetry has no per-channel page story to tell.
-    """
+def _finish_session(session) -> None:
+    """Write the session's configured outputs and restore the recorders."""
     if session is None:
         return
-    if replay_flash and session.tracer.enabled:
-        _replay_flash_commands(session)
     for path in session.flush():
         print(f"wrote {path}")
     session.uninstall()
@@ -387,7 +344,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         with _simsan_context(args) as sanitizer:
             report = simulator.run(arrivals)
     finally:
-        _finish_session(session, replay_flash=False)
+        _finish_session(session)
 
     summary = report.to_serving_dict()
     rows = [
@@ -530,7 +487,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             with hooks.installed(collector=collector):
                 report = simulator.run(arrivals)
     finally:
-        _finish_session(session, replay_flash=False)
+        _finish_session(session)
 
     if collector is not None:
         _write_json(args.attribution_out, collector.report().to_dict())
@@ -715,23 +672,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         # fresh instrumented inference.
         from .obs.export import read_jsonl_spans
 
-        report = profile_trace(read_jsonl_spans(args.spans), None)
+        report = profile_trace(read_jsonl_spans(args.spans))
         print(report.render())
         if args.out:
             _write_json(args.out, report.to_dict())
         return 0
 
     # Recorders live in memory; outputs (if any) flow through the usual
-    # session flush.  The report itself is computed before uninstall so it
-    # can read the session's registry.
+    # session flush.
     session = _session_from_args(args) or obs.configure(None)
     try:
         _screen_demo_queries(args.labels, args.seed)
-        if session.tracer.enabled:
-            _replay_flash_commands(session)
-        report = profile_trace(session.tracer.spans, session.registry)
+        report = profile_trace(session.tracer.spans)
     finally:
-        _finish_session(session, replay_flash=False)
+        _finish_session(session)
     print(report.render())
     if args.out:
         _write_json(args.out, report.to_dict())

@@ -185,29 +185,22 @@ class ECSSDConfig:
 
 @dataclass(frozen=True)
 class ObservabilityConfig:
-    """Telemetry wiring for one process: enable flags and output paths.
+    """Telemetry wiring for one process: its output paths.
 
-    Passed to :func:`repro.obs.configure`.  Both recorders default to on
+    Passed to :func:`repro.obs.configure`, which turns both recorders on
     (constructing this object at all is the opt-in); the output paths are
     optional — a ``None`` path means that exporter never writes a file.
-    ``verbosity`` feeds :func:`repro.obs.configure_logging` (0 = WARNING,
-    1 = INFO, 2+ = DEBUG).
     """
 
-    metrics_enabled: bool = True
-    tracing_enabled: bool = True
     trace_out: Optional[str] = None  # Chrome trace-event JSON (Perfetto)
     metrics_out: Optional[str] = None  # Prometheus text exposition
     jsonl_out: Optional[str] = None  # one JSON object per span/sample
-    verbosity: int = 0
     # Streaming telemetry (repro.obs.streaming): when jsonl_stream_out is
     # set, finished spans bypass the in-memory list and stream to this JSONL
     # file, so the span exports (trace_out, jsonl_out) would be empty.
     jsonl_stream_out: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.verbosity < 0:
-            raise ConfigurationError("verbosity cannot be negative")
         for name in ("trace_out", "metrics_out", "jsonl_out", "jsonl_stream_out"):
             value = getattr(self, name)
             if value is not None and not str(value):

@@ -8,8 +8,7 @@ reproduction one way to report that:
 * :mod:`repro.obs.metrics` — labeled counters/gauges/streaming histograms in
   a :class:`MetricsRegistry`;
 * :mod:`repro.obs.tracing` — a sim-time-aware span :class:`Tracer` (spans
-  carry both the simulated device clock and wall time, nest, and absorb the
-  per-flash-command trace);
+  carry both the simulated device clock and wall time, and nest);
 * :mod:`repro.obs.export` — JSON-lines, Prometheus text exposition, and
   Chrome trace-event JSON (open the file in Perfetto / ``chrome://tracing``).
 
@@ -35,8 +34,8 @@ from typing import TYPE_CHECKING, List, Optional
 
 from .._lazy import lazy_exports
 from . import hooks
-from .metrics import NULL_REGISTRY, MetricsRegistry
-from .tracing import NULL_TRACER, Tracer
+from .metrics import MetricsRegistry
+from .tracing import Tracer
 
 if TYPE_CHECKING:
     from .streaming import JsonlSpanWriter
@@ -56,7 +55,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "NullTracer",
         "NULL_TRACER",
         "SpanRecord",
-        "spans_from_command_trace",
         "PIPELINE_TRACK",
         "INT4_TRACK",
         "FP32_TRACK",
@@ -64,7 +62,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "CLUSTER_TRACK",
         "FAULT_TRACK",
         "DIGEST_TRACK",
-        "FLASH_TRACK_PREFIX",
     ),
     ".export": (
         "to_chrome_trace",
@@ -73,7 +70,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "write_chrome_trace",
         "write_jsonl",
         "write_prometheus",
-        "command_trace_events",
         "spans_to_chrome_events",
         "read_jsonl_spans",
     ),
@@ -82,7 +78,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "ProfileReport",
         "TileAttribution",
         "ResourceProfile",
-        "ChannelBalance",
         "InterferenceStats",
     ),
     ".perfdiff": ("diff_metrics", "flatten_metrics", "PerfDiffReport", "Tolerance"),
@@ -169,14 +164,12 @@ class Observability:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.config = config
-        metrics_on = config is None or getattr(config, "metrics_enabled", True)
-        tracing_on = config is None or getattr(config, "tracing_enabled", True)
         # ``is None``, not truthiness: an empty registry or tracer has
         # ``len() == 0`` and is still the one the caller asked for.
         if registry is None:
-            registry = MetricsRegistry() if metrics_on else NULL_REGISTRY
+            registry = MetricsRegistry()
         if tracer is None:
-            tracer = Tracer() if tracing_on else NULL_TRACER
+            tracer = Tracer()
         self.registry = registry
         self.tracer = tracer
         if isinstance(self.registry, MetricsRegistry):

@@ -12,8 +12,8 @@ whatever tool is at hand:
   (``{"traceEvents": [...]}``) that opens directly in Perfetto or
   ``chrome://tracing``: complete events (``ph: "X"``) carry ``ts``/``dur``
   in microseconds, instant events are ``ph: "i"``, and metadata events name
-  one "thread" per tracer track so tile pipelines and per-channel flash
-  timelines render side by side.
+  one "thread" per tracer track so the tile pipeline and the INT4/FP32
+  module timelines render side by side.
 
 Spans prefer the simulated clock when present (the whole point of a device
 simulator's timeline) and fall back to wall time for host-side spans.
@@ -25,7 +25,7 @@ import json
 from typing import Dict, Iterable, List, Optional, TextIO, Union
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .tracing import SpanRecord, Tracer, spans_from_command_trace
+from .tracing import SpanRecord, Tracer
 
 PathOrFile = Union[str, TextIO]
 
@@ -231,14 +231,3 @@ def to_chrome_trace(
 
 def write_chrome_trace(target: PathOrFile, tracer: Tracer) -> None:
     _write(target, to_chrome_trace(tracer))
-
-
-def command_trace_events(events: Iterable, pid: int = 1) -> List[Dict[str, object]]:
-    """Chrome trace events for a flash command log.
-
-    The one conversion path shared by :meth:`repro.ssd.trace.CommandTrace.
-    to_chrome_events` and :meth:`repro.obs.tracing.Tracer.add_command_trace`:
-    TraceEvents become :class:`SpanRecord` rows first, then the standard
-    span-to-Chrome serializer runs.
-    """
-    return spans_to_chrome_events(spans_from_command_trace(events), pid=pid)

@@ -1,10 +1,10 @@
 """Critical-path profiler: attribution analyses over recorded telemetry.
 
-PR 1 made the stack *record* spans; this module makes it *explain* them.
-Every analysis here is a pure function over :class:`~repro.obs.tracing.
-SpanRecord` lists (and optionally the metrics registry) — nothing feeds back
-into the timing models, so profiling a run cannot perturb it and a run with
-profiling disabled is bit-identical to an uninstrumented one.
+The tracer *records* spans; this module *explains* them.  Every analysis
+here is a pure function over :class:`~repro.obs.tracing.SpanRecord` lists —
+nothing feeds back into the timing models, so profiling a run cannot perturb
+it and a run with profiling disabled is bit-identical to an uninstrumented
+one.
 
 The paper's headline claims become computed numbers:
 
@@ -18,12 +18,12 @@ The paper's headline claims become computed numbers:
   stream (DRAM under the heterogeneous layout, flash otherwise) with the
   32-bit candidate fetches, plus the interference-penalty seconds the
   homogeneous layout pays on shared channels.
-* **Per-channel balance (§5)** — busy seconds per ``flash/ch<N>`` track and
-  the max/mean imbalance ratio that learned interleaving is supposed to
-  flatten.
-* **Queueing vs. service vs. transfer** — per-command phase attributes
-  recorded by :class:`~repro.ssd.trace.TracingController` aggregate into a
-  per-channel decomposition of where flash commands waited versus worked.
+* **Utilization** — each resource's busy seconds over the profiled window,
+  with its idle gaps.
+
+Per-channel page counts (the §5 balance that learned interleaving flattens)
+are not span data; they live in the ``ecssd_pages_fetched_total{channel}``
+counter of the metrics registry.
 
 :func:`profile_trace` runs all of the above and returns a
 :class:`ProfileReport` whose :meth:`ProfileReport.to_dict` contains only
@@ -34,19 +34,10 @@ byte-identical JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import WorkloadError
-from .tracing import FLASH_TRACK_PREFIX, PIPELINE_TRACK, SpanRecord
+from .tracing import PIPELINE_TRACK, SpanRecord
 
 # Resource names used by the attribution model.  ``stall`` absorbs any part
 # of a window no recorded span covers (pipeline bubbles).
@@ -107,8 +98,6 @@ def span_resource(span: SpanRecord) -> Optional[str]:
     explicit = span.attrs.get("resource")
     if isinstance(explicit, str):
         return explicit
-    if span.track.startswith(FLASH_TRACK_PREFIX):
-        return RESOURCE_FLASH
     suffix = span.name.rsplit("/", 1)[-1]
     return _PHASE_RESOURCE_FALLBACK.get(suffix)
 
@@ -168,9 +157,6 @@ class ResourceProfile:
     resource: str
     busy_s: float = 0.0  # union of busy intervals (can overlap across tiles)
     attributed_s: float = 0.0  # critical-path seconds charged to this resource
-    queue_s: float = 0.0
-    service_s: float = 0.0
-    transfer_s: float = 0.0
     utilization: float = 0.0  # busy_s / profiled window
     idle_gaps: int = 0
     idle_s: float = 0.0
@@ -181,46 +167,10 @@ class ResourceProfile:
             "resource": self.resource,
             "busy_s": self.busy_s,
             "attributed_s": self.attributed_s,
-            "queue_s": self.queue_s,
-            "service_s": self.service_s,
-            "transfer_s": self.transfer_s,
             "utilization": self.utilization,
             "idle_gaps": self.idle_gaps,
             "idle_s": self.idle_s,
             "longest_gap_s": self.longest_gap_s,
-        }
-
-
-@dataclass(frozen=True)
-class ChannelBalance:
-    """Per-channel busy time and the §5 imbalance ratio (max / mean)."""
-
-    busy_s: Mapping[int, float]
-    pages: Mapping[int, int]
-
-    @property
-    def max_busy_s(self) -> float:
-        return max(self.busy_s.values(), default=0.0)
-
-    @property
-    def mean_busy_s(self) -> float:
-        if not self.busy_s:
-            return 0.0
-        return sum(self.busy_s.values()) / len(self.busy_s)
-
-    @property
-    def imbalance(self) -> float:
-        """max/mean channel busy time; 1.0 is perfectly balanced."""
-        mean = self.mean_busy_s
-        return self.max_busy_s / mean if mean > 0 else 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "busy_s": {str(c): self.busy_s[c] for c in sorted(self.busy_s)},
-            "pages": {str(c): self.pages[c] for c in sorted(self.pages)},
-            "max_busy_s": self.max_busy_s,
-            "mean_busy_s": self.mean_busy_s,
-            "imbalance": self.imbalance,
         }
 
 
@@ -259,9 +209,6 @@ class ProfileReport:
     tiles: List[TileAttribution] = field(default_factory=list)
     overhead: Dict[str, float] = field(default_factory=dict)
     resources: Dict[str, ResourceProfile] = field(default_factory=dict)
-    channel_balance: ChannelBalance = field(
-        default_factory=lambda: ChannelBalance(busy_s={}, pages={})
-    )
     interference: InterferenceStats = field(
         default_factory=lambda: InterferenceStats(0.0, 0.0, 0.0, 0.0)
     )
@@ -317,7 +264,6 @@ class ProfileReport:
                 name: self.resources[name].to_dict()
                 for name in sorted(self.resources)
             },
-            "channel_balance": self.channel_balance.to_dict(),
             "interference": self.interference.to_dict(),
         }
 
@@ -337,25 +283,16 @@ class ProfileReport:
                 f"{attributed[name] * 1e6:,.1f}",
                 f"{attributed[name] / window:.1%}" if window > 0 else "-",
                 f"{profile.utilization:.1%}" if profile else "-",
-                f"{profile.queue_s * 1e6:,.1f}" if profile else "-",
-                f"{profile.transfer_s * 1e6:,.1f}" if profile else "-",
             ])
         out = [
             render_table(
-                ["resource", "critical-path us", "share", "utilization",
-                 "queue us", "transfer us"],
+                ["resource", "critical-path us", "share", "utilization"],
                 rows,
                 title=f"Attribution: {window * 1e6:,.1f} us end-to-end, "
                       f"{len(self.tiles)} tiles "
                       f"(error {self.attribution_error:.3%})",
             )
         ]
-        balance = self.channel_balance
-        if balance.busy_s:
-            out.append(
-                f"channel balance: max/mean busy {balance.imbalance:.3f}x "
-                f"over {len(balance.busy_s)} channels"
-            )
         interference = self.interference
         out.append(
             f"transfer interference: {interference.overlap_fraction:.1%} of "
@@ -440,42 +377,6 @@ def _idle_gaps(
     return len(gaps), sum(gaps), max(gaps)
 
 
-def channel_balance_from_spans(
-    spans: Sequence[SpanRecord],
-    registry: Optional[Any] = None,
-) -> ChannelBalance:
-    """Per-channel busy seconds from ``flash/ch<N>`` tracks (+ page counts).
-
-    ``registry`` optionally supplies the ``ecssd_pages_fetched_total``
-    counter so the balance report carries page counts alongside busy time.
-    """
-    per_channel: Dict[int, List[Interval]] = {}
-    for span in spans:
-        if not span.track.startswith(FLASH_TRACK_PREFIX):
-            continue
-        if span.sim_start is None or span.sim_end is None:
-            continue
-        try:
-            channel = int(span.track[len(FLASH_TRACK_PREFIX):])
-        except ValueError:
-            continue
-        per_channel.setdefault(channel, []).append(
-            (span.sim_start, span.sim_end)
-        )
-    busy = {
-        channel: total_length(merge_intervals(intervals))
-        for channel, intervals in per_channel.items()
-    }
-    pages: Dict[int, int] = {}
-    counter = registry.get("ecssd_pages_fetched_total") if registry else None
-    if counter is not None:
-        for labels, value in counter.samples():
-            label_map = dict(labels)
-            if "channel" in label_map:
-                pages[int(label_map["channel"])] = int(value)
-    return ChannelBalance(busy_s=busy, pages=pages)
-
-
 def transfer_interference(spans: Sequence[SpanRecord]) -> InterferenceStats:
     """§4.3 stats: INT4-stream / FP32-fetch concurrency and penalty paid.
 
@@ -532,10 +433,7 @@ def _overhead_attribution(overhead_span: SpanRecord) -> Dict[str, float]:
     return out
 
 
-def profile_trace(
-    spans: Sequence[SpanRecord],
-    registry: Optional[Any] = None,
-) -> ProfileReport:
+def profile_trace(spans: Sequence[SpanRecord]) -> ProfileReport:
     """Decompose a recorded run into the :class:`ProfileReport` analyses.
 
     Raises :class:`~repro.errors.WorkloadError` when the trace carries no
@@ -601,7 +499,7 @@ def profile_trace(
                 overhead[resource] = overhead.get(resource, 0.0) + seconds
 
     # Per-resource busy intervals across every track, clamped to the
-    # profiled window (flash replay timelines can run past the last tile).
+    # profiled window.
     busy_intervals: Dict[str, List[Interval]] = {}
     for span in spans:
         if span.kind != "span" or span.sim_start is None or span.sim_end is None:
@@ -628,18 +526,6 @@ def profile_trace(
             longest_gap_s=longest,
         )
 
-    # Queue / service / transfer decomposition from per-command phase attrs.
-    for span in spans:
-        if not span.track.startswith(FLASH_TRACK_PREFIX):
-            continue
-        resource = resources.get(RESOURCE_FLASH)
-        if resource is None:
-            resource = ResourceProfile(resource=RESOURCE_FLASH)
-            resources[RESOURCE_FLASH] = resource
-        resource.queue_s += float(span.attrs.get("queue_s", 0.0) or 0.0)
-        resource.service_s += float(span.attrs.get("service_s", 0.0) or 0.0)
-        resource.transfer_s += float(span.attrs.get("transfer_s", 0.0) or 0.0)
-
     attributed: Dict[str, float] = {}
     for tile in tiles:
         for resource, seconds in tile.seconds.items():
@@ -659,6 +545,5 @@ def profile_trace(
         tiles=tiles,
         overhead=overhead,
         resources=resources,
-        channel_balance=channel_balance_from_spans(spans, registry),
         interference=transfer_interference(spans),
     )

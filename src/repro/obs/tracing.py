@@ -4,7 +4,7 @@ The event simulator and the analytic pipeline both produce *simulated*
 timestamps (seconds on the device clock), while deployment, calibration, and
 host-side orchestration happen in *wall* time.  A :class:`SpanRecord`
 therefore carries both clocks: ``sim_start``/``sim_end`` when the span maps
-to device time (a tile's FP32 fetch, one flash command), and
+to device time (a tile's FP32 fetch, a fleet batch), and
 ``wall_start``/``wall_end`` measured with ``time.perf_counter`` for every
 context-manager span.
 
@@ -16,23 +16,20 @@ Three ways to record:
   pre-timed spans from the analytic model;
 * ``tracer.instant("gc", plane=...)`` — point events (GC, wear-level).
 
-``tracer.add_command_trace`` folds the per-flash-command
-:class:`repro.ssd.trace.TraceEvent` log into the same span list (one shared
-schema), so Chrome-trace export shows tile pipelines and channel busy
-timelines side by side.  :class:`NullTracer` is the zero-overhead stand-in
-used while observability is disabled.
+:class:`NullTracer` is the zero-overhead stand-in used while observability
+is disabled.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import ConfigurationError
 
 #: Track names used by the built-in instrumentation (one Chrome-trace "thread"
-#: per track).  Channel tracks are ``flash/ch<N>``.
+#: per track).
 PIPELINE_TRACK = "pipeline"
 INT4_TRACK = "int4-module"
 FP32_TRACK = "fp32-module"
@@ -40,7 +37,6 @@ HOST_TRACK = "host"
 CLUSTER_TRACK = "cluster"
 FAULT_TRACK = "faults"
 DIGEST_TRACK = "digest"
-FLASH_TRACK_PREFIX = "flash/ch"
 
 
 @dataclass
@@ -240,18 +236,6 @@ class Tracer:
         self._record(record)
         return record
 
-    def add_command_trace(self, trace) -> int:
-        """Fold a flash :class:`~repro.ssd.trace.CommandTrace` into the span list.
-
-        Each :class:`~repro.ssd.trace.TraceEvent` becomes one span on its
-        channel's ``flash/ch<N>`` track — the single shared schema both the
-        tracer and ``CommandTrace.to_chrome_events`` use.
-        """
-        records = spans_from_command_trace(trace.events)
-        for record in records:
-            self._record(record)
-        return len(records)
-
     # --- queries ---------------------------------------------------------------
     def tracks(self) -> List[str]:
         seen: List[str] = []
@@ -324,9 +308,6 @@ class NullTracer:
     def instant(self, name, sim_time=None, track=PIPELINE_TRACK, attrs=None):
         return None
 
-    def add_command_trace(self, trace) -> int:
-        return 0
-
     def tracks(self) -> List[str]:
         return []
 
@@ -344,40 +325,3 @@ class NullTracer:
 
 NULL_TRACER = NullTracer()
 
-
-def spans_from_command_trace(events: Iterable) -> List[SpanRecord]:
-    """Convert flash :class:`~repro.ssd.trace.TraceEvent` rows to spans.
-
-    Duck-typed on the TraceEvent fields (``channel``, ``package``, ``die``,
-    ``kind``, ``submit_time``, ``finish_time``, ``sequence``) so the ssd
-    package never needs to import this module at runtime.
-    """
-    records: List[SpanRecord] = []
-    for event in events:
-        kind = getattr(event.kind, "value", str(event.kind))
-        attrs: Dict[str, object] = {
-            "sequence": event.sequence,
-            "channel": event.channel,
-            "package": event.package,
-            "die": event.die,
-            "kind": kind,
-        }
-        # Phase decomposition (TraceEvents recorded before the profiler
-        # existed, or hand-built ones, default to zero and are skipped).
-        queue = getattr(event, "queue_time", 0.0)
-        service = getattr(event, "service_time", 0.0)
-        transfer = getattr(event, "transfer_time", 0.0)
-        if queue or service or transfer:
-            attrs["queue_s"] = queue
-            attrs["service_s"] = service
-            attrs["transfer_s"] = transfer
-        records.append(
-            SpanRecord(
-                name=f"{kind} p{event.package}d{event.die}",
-                track=f"{FLASH_TRACK_PREFIX}{event.channel}",
-                sim_start=event.submit_time,
-                sim_end=event.finish_time,
-                attrs=attrs,
-            )
-        )
-    return records

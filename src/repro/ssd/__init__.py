@@ -21,6 +21,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".buffer": ("PingPongBuffer", "BufferOverflow"),
     ".host": ("HostInterface",),
     ".scheduler": ("ScheduledController", "SchedulingPolicy"),
-    ".trace": ("CommandTrace", "TraceEvent", "TracingController"),
     ".device": ("SSDDevice", "TileAccessResult"),
 })

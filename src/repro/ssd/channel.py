@@ -9,35 +9,14 @@ other dies on the channel can sense in parallel but cannot transfer.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, NoReturn, Tuple
+from typing import List, NoReturn, Tuple
 
 from ..config import FlashConfig
 from ..errors import SimulationError
 from .events import Resource
-from .nand import Die, FlashOperation, NandTiming
-
-
-class OpPhases(NamedTuple):
-    """Phase decomposition of the channel's most recent operation.
-
-    ``queue`` is time spent waiting for a busy die or bus, ``service`` is
-    array time (sense / program / erase, including any ECC extension), and
-    ``transfer`` is bus data movement.  Purely observational — recorded for
-    the profiler's queueing-vs-service-vs-transfer attribution and never read
-    back by the timing model.
-    """
-
-    queue: float
-    service: float
-    transfer: float
-
+from .nand import Die, NandTiming
 
 _INF = math.inf
-_READ = FlashOperation.READ
-_PROGRAM = FlashOperation.PROGRAM
-_ERASE = FlashOperation.ERASE
-# The raw record of an idle channel: its phases are all zero.
-_IDLE = (_ERASE, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class Channel:
@@ -49,12 +28,6 @@ class Channel:
     free_at)``, ``end = start + duration``, ``busy_time += duration``.  A bad
     die index, a non-finite ``now`` or a negative or non-finite
     ``extra_sense`` raises :class:`SimulationError` before any state moves.
-
-    Each operation stores one raw record ``(kind, now, t0, t1, t2, t3)``:
-    the issue time and the bounds of its two intervals in the order they
-    run (a read senses then transfers, a program transfers then programs,
-    an erase has only the array interval).  :attr:`last_op_phases` derives
-    the phase split from it on read.
     """
 
     def __init__(self, index: int, config: FlashConfig) -> None:
@@ -73,7 +46,6 @@ class Channel:
         self.page_size = config.page_size
         self.page_transfer_time = config.page_transfer_time
         self.pages_transferred = 0
-        self._last_op = _IDLE
 
     # --- scheduling -----------------------------------------------------------
     def read_page(
@@ -109,7 +81,6 @@ class Channel:
         bus.free_at = bus_end
         bus.busy_time += transfer
         bus.acquisitions += 1
-        self._last_op = (_READ, now, sense_start, sense_end, bus_start, bus_end)
         self.pages_transferred += 1
         return sense_start, bus_end
 
@@ -133,7 +104,6 @@ class Channel:
         die.free_at = end
         die.busy_time += duration
         die.programs += 1
-        self._last_op = (_PROGRAM, now, bus_start, bus_end, start, end)
         self.pages_transferred += 1
         return bus_start, end
 
@@ -149,7 +119,6 @@ class Channel:
         die.free_at = end
         die.busy_time += duration
         die.erases += 1
-        self._last_op = (_ERASE, now, start, end, 0.0, 0.0)
         return start, end
 
     def block_until(self, time: float) -> None:
@@ -165,16 +134,6 @@ class Channel:
 
     # --- accounting -----------------------------------------------------------
     @property
-    def last_op_phases(self) -> OpPhases:
-        """Phase decomposition of the most recent operation."""
-        kind, now, t0, t1, t2, t3 = self._last_op
-        if kind is _READ:
-            return OpPhases(queue=(t0 - now) + (t2 - t1), service=t1 - t0, transfer=t3 - t2)
-        if kind is _PROGRAM:
-            return OpPhases(queue=(t0 - now) + (t2 - t1), service=t3 - t2, transfer=t1 - t0)
-        return OpPhases(queue=t0 - now, service=t1 - t0, transfer=0.0)
-
-    @property
     def free_at(self) -> float:
         """Earliest time the whole channel (bus and all dies) is idle."""
         return max([self.bus.free_at] + [die.free_at for die in self.dies])
@@ -187,7 +146,6 @@ class Channel:
         for die in self.dies:
             die.reset()
         self.pages_transferred = 0
-        self._last_op = _IDLE
 
     def _reject(self, now: float, die_index: int, extra_sense: float = 0.0) -> NoReturn:
         """Raise the :class:`SimulationError` for an operation's bad argument."""

@@ -1,14 +1,9 @@
-"""Tests for the batching analyzer and the flash command trace."""
+"""Tests for the batching analyzer."""
 
 import pytest
 
 from repro.core.batching import BatchingAnalyzer, BatchPoint, optimal_batch
-from repro.config import FlashConfig
-from repro.errors import ConfigurationError, SimulationError
-from repro.ssd.channel import Channel
-from repro.ssd.controller import CommandKind, FlashCommand, FlashController
-from repro.ssd.geometry import FlashGeometry, PhysicalAddress
-from repro.ssd.trace import CommandTrace, TraceEvent, TracingController
+from repro.errors import ConfigurationError
 from repro.workloads.benchmarks import get_benchmark
 from repro.workloads.traces import CandidateTraceGenerator, LabelHotnessModel
 
@@ -61,53 +56,3 @@ class TestBatching:
         with pytest.raises(ConfigurationError):
             optimal_batch([])
 
-
-def tiny_flash() -> FlashConfig:
-    return FlashConfig(
-        channels=1, packages_per_channel=2, dies_per_package=2,
-        planes_per_die=1, blocks_per_plane=4, pages_per_block=8,
-    )
-
-
-def make_tracer():
-    cfg = tiny_flash()
-    trace = CommandTrace()
-    controller = FlashController(Channel(0, cfg), FlashGeometry(cfg))
-    return TracingController(controller, trace), trace
-
-
-def read(pkg, die, page=0):
-    return FlashCommand(CommandKind.READ, PhysicalAddress(0, pkg, die, 0, 0, page))
-
-
-class TestCommandTrace:
-    def test_events_recorded(self):
-        tracer, trace = make_tracer()
-        tracer.submit(0.0, [read(0, 0), read(1, 1)])
-        assert len(trace) == 2
-        assert trace.per_channel_counts() == {0: 2}
-        assert trace.per_die_counts() == {(0, 0, 0): 1, (0, 1, 1): 1}
-
-    def test_makespan_and_latency(self):
-        tracer, trace = make_tracer()
-        result = tracer.submit(0.0, [read(0, 0), read(0, 1)])
-        assert trace.makespan() == pytest.approx(result.finish)
-        assert trace.mean_latency(CommandKind.READ) > 0
-        with pytest.raises(SimulationError):
-            trace.mean_latency(CommandKind.ERASE)
-
-    def test_queue_depth(self):
-        tracer, trace = make_tracer()
-        tracer.submit(0.0, [read(p, d) for p in range(2) for d in range(2)])
-        # All four senses overlap -> depth reaches 4.
-        assert trace.max_queue_depth() == 4
-
-    def test_empty_trace(self):
-        trace = CommandTrace()
-        assert trace.makespan() == 0.0
-        assert trace.max_queue_depth() == 0
-
-    def test_event_fields(self):
-        event = TraceEvent(0, 1, 2, 3, CommandKind.READ, 1.0, 2.5)
-        assert event.latency == 1.5
-        assert event.die_key == (1, 2, 3)

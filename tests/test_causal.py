@@ -318,7 +318,7 @@ class TestFleetProfile:
             run_fleet()
         assert any(s.track == obs.CLUSTER_TRACK for s in tracer.spans)
         with pytest.raises(WorkloadError, match="trace attribute"):
-            profile_trace(tracer.spans, None)
+            profile_trace(tracer.spans)
 
 
 class TestAttributionReport:

@@ -95,7 +95,6 @@ class TestSubmit:
             (die.free_at, die.busy_time, die.reads, die.programs, die.erases)
             for die in channel.dies
         ] == [(0.0, 0.0, 0, 0, 0)] * len(channel.dies)
-        assert channel.last_op_phases == (0.0, 0.0, 0.0)
         assert ctrl.commands_issued == 0
 
     def test_counter(self):

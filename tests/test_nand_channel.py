@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 
 from repro.config import FlashConfig
 from repro.errors import SimulationError
-from repro.ssd.channel import Channel, OpPhases
-from repro.ssd.controller import CommandKind, FlashCommand, FlashController
+from repro.ssd.channel import Channel
 from repro.ssd.events import Resource
-from repro.ssd.geometry import FlashGeometry, PhysicalAddress
 from repro.ssd.nand import FlashOperation, NandTiming
-from repro.ssd.trace import CommandTrace, TracingController
 from repro.units import us
 
 
@@ -188,144 +185,7 @@ def channel_state(ch) -> tuple:
             for die in ch.dies
         ),
         ch.pages_transferred,
-        hexes(ch.last_op_phases),
     )
-
-
-class TestLastOpPhasesPin:
-    """``Channel.last_op_phases`` and traced phase times, pinned bit-for-bit."""
-
-    # (queue, service, transfer) of read, read with extra sense, program
-    # and erase, as float.hex().
-    EXPECTED_OPS = [
-        (
-            "0x0.0p+0",
-            "0x1.f75104d551d68p-16",
-            "0x1.12e0be826d698p-18",
-        ),
-        (
-            "0x1.e68a0d349be8fp-16",
-            "0x1.3660e51d25aacp-15",
-            "0x1.12e0be826d690p-18",
-        ),
-        (
-            "0x1.21cf43dbb32adp-14",
-            "0x1.5a07b352a8438p-11",
-            "0x1.12e0be826d690p-18",
-        ),
-        (
-            "0x1.0c6f7a0b5ed8dp-14",
-            "0x1.cac083126e978p-9",
-            "0x0.0p+0",
-        ),
-    ]
-    EXPECTED_SUBMIT = (
-        "0x1.b76dc88e01685p-16",
-        "0x1.f75104d551d68p-16",
-        "0x1.12e0be826d690p-18",
-    )
-    # (submit, finish, queue, service, transfer) per traced command.
-    EXPECTED_TRACE = [
-        (
-            "0x0.0p+0",
-            "0x1.2ecb91dbac860p-15",
-            "0x1.0c6f7a0b5ed90p-19",
-            "0x1.f75104d551d68p-16",
-            "0x1.12e0be826d698p-18",
-        ),
-        (
-            "0x0.0p+0",
-            "0x1.6f1a2ded67e6bp-11",
-            "0x1.2ecb91dbac85dp-15",
-            "0x1.5a07b352a8438p-11",
-            "0x1.12e0be826d698p-18",
-        ),
-        (
-            "0x0.0p+0",
-            "0x1.7383c17c47e06p-15",
-            "0x1.55fc9d05451fcp-17",
-            "0x1.f75104d551d68p-16",
-            "0x1.12e0be826d698p-18",
-        ),
-        (
-            "0x0.0p+0",
-            "0x1.153a0a232ab89p-14",
-            "0x1.0c6f7a0b5ed8dp-15",
-            "0x1.f75104d551d66p-16",
-            "0x1.12e0be826d690p-18",
-        ),
-        (
-            "0x0.0p+0",
-            "0x1.cb039ef0f16f3p-9",
-            "0x1.0c6f7a0b5ec00p-19",
-            "0x1.cac083126e978p-9",
-            "0x0.0p+0",
-        ),
-        (
-            "0x0.0p+0",
-            "0x1.7ed4b61412756p-11",
-            "0x1.153a0a232ab87p-14",
-            "0x1.5a07b352a8438p-11",
-            "0x1.12e0be826d690p-18",
-        ),
-        (
-            "0x0.0p+0",
-            "0x1.379621f37865bp-14",
-            "0x1.5127a9abfa331p-15",
-            "0x1.f75104d551d66p-16",
-            "0x1.12e0be826d690p-18",
-        ),
-    ]
-
-    def test_each_operation_kind(self):
-        ch = Channel(0, config())
-        observed = []
-        ch.read_page(0.0, die_index=0)
-        observed.append(ch.last_op_phases)
-        ch.read_page(1e-6, die_index=0, extra_sense=us(7))
-        observed.append(ch.last_op_phases)
-        ch.program_page(2e-6, die_index=1)
-        observed.append(ch.last_op_phases)
-        ch.erase_block(3e-6, die_index=0)
-        observed.append(ch.last_op_phases)
-        assert all(type(phases) is OpPhases for phases in observed)
-        assert [hexes(phases) for phases in observed] == self.EXPECTED_OPS
-
-    def test_last_command_of_a_submit(self):
-        cfg = config()
-        ctrl = FlashController(Channel(0, cfg), FlashGeometry(cfg), us(2))
-        ctrl.submit(0.0, self.mixed_batch(cfg))
-        assert hexes(ctrl.channel.last_op_phases) == self.EXPECTED_SUBMIT
-
-    def test_traced_phase_times(self):
-        cfg = config()
-        trace = CommandTrace()
-        ctrl = FlashController(Channel(0, cfg), FlashGeometry(cfg), us(2))
-        TracingController(ctrl, trace).submit(0.0, self.mixed_batch(cfg))
-        observed = [
-            hexes((e.submit_time, e.finish_time, e.queue_time, e.service_time,
-                   e.transfer_time))
-            for e in trace.events
-        ]
-        assert observed == self.EXPECTED_TRACE
-
-    @staticmethod
-    def mixed_batch(cfg):
-        geometry = FlashGeometry(cfg)
-
-        def command(kind, package, die, block=0, page=0):
-            address = PhysicalAddress(0, package, die, 0, block, page)
-            return FlashCommand(kind, address, geometry)
-
-        return [
-            command(CommandKind.READ, 0, 0),
-            command(CommandKind.PROGRAM, 0, 1),
-            command(CommandKind.READ, 1, 0),
-            command(CommandKind.READ, 0, 0, page=1),
-            command(CommandKind.ERASE, 1, 1, block=2),
-            command(CommandKind.PROGRAM, 0, 0, block=1),
-            command(CommandKind.READ, 1, 0, page=3),
-        ]
 
 
 class _ReferenceDie:
@@ -366,7 +226,6 @@ class _ReferenceChannel:
         self.dies = [_ReferenceDie(timing) for _ in range(cfg.dies_per_channel)]
         self.page_transfer_time = cfg.page_transfer_time
         self.pages_transferred = 0
-        self.last_op_phases = OpPhases(0.0, 0.0, 0.0)
 
     def _die(self, die_index):
         if not (0 <= die_index < len(self.dies)):
@@ -376,7 +235,6 @@ class _ReferenceChannel:
     def read_page(self, now, die_index, extra_sense=0.0):
         s0, s1 = self._die(die_index).execute(now, FlashOperation.READ, extra_sense)
         b0, b1 = self.bus.acquire(s1, self.page_transfer_time)
-        self.last_op_phases = OpPhases((s0 - now) + (b0 - s1), s1 - s0, b1 - b0)
         self.pages_transferred += 1
         return s0, b1
 
@@ -384,13 +242,11 @@ class _ReferenceChannel:
         die = self._die(die_index)
         b0, b1 = self.bus.acquire(now, self.page_transfer_time)
         s0, s1 = die.execute(b1, FlashOperation.PROGRAM)
-        self.last_op_phases = OpPhases((b0 - now) + (s0 - b1), s1 - s0, b1 - b0)
         self.pages_transferred += 1
         return b0, s1
 
     def erase_block(self, now, die_index):
         s0, s1 = self._die(die_index).execute(now, FlashOperation.ERASE)
-        self.last_op_phases = OpPhases(s0 - now, s1 - s0, 0.0)
         return s0, s1
 
 

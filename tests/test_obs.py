@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro import ECSSD, ObservabilityConfig, obs
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.obs import hooks
 from repro.obs import (
     DEFAULT_BUCKETS,
@@ -18,8 +18,6 @@ from repro.obs import (
     NullTracer,
     Tracer,
 )
-from repro.ssd.controller import CommandKind
-from repro.ssd.trace import CommandTrace, TraceEvent
 from repro.workloads.synthetic import make_workload
 
 
@@ -27,18 +25,6 @@ from repro.workloads.synthetic import make_workload
 def _restore_hooks():
     with hooks.installed():
         yield
-
-
-def _make_event(sequence, channel, submit, finish, kind=CommandKind.READ):
-    return TraceEvent(
-        sequence=sequence,
-        channel=channel,
-        package=0,
-        die=sequence % 2,
-        kind=kind,
-        submit_time=submit,
-        finish_time=finish,
-    )
 
 
 # --- metrics -----------------------------------------------------------------------
@@ -138,14 +124,6 @@ class TestTracing:
         tracer = Tracer()
         with pytest.raises(ConfigurationError):
             tracer.add_span("bad", 2.0, 1.0)
-
-    def test_add_command_trace_shares_schema(self):
-        tracer = Tracer()
-        trace = CommandTrace(events=[_make_event(0, 3, 0.0, 1e-3)])
-        assert tracer.add_command_trace(trace) == 1
-        span = tracer.spans[0]
-        assert span.track == "flash/ch3"
-        assert span.sim_start == 0.0 and span.sim_end == 1e-3
 
     def test_find_filters_by_prefix_and_track(self):
         tracer = Tracer()
@@ -302,9 +280,6 @@ class TestExporters:
         registry.histogram("ecssd_tile_latency_seconds").observe(2e-3)
         tracer.add_span("tile0", 0.0, 2e-3, attrs={"index": 0})
         tracer.instant("gc", sim_time=1e-3)
-        tracer.add_command_trace(
-            CommandTrace(events=[_make_event(0, 1, 0.0, 5e-4)])
-        )
         return session
 
     def test_prometheus_text_format(self):
@@ -385,7 +360,7 @@ class TestExporters:
         tile = next(e for e in events if e["name"] == "tile0")
         assert tile["ts"] == 0.0 and abs(tile["dur"] - 2000.0) < 1e-9
         tracks = {e["args"]["name"] for e in events if e["ph"] == "M"}
-        assert "flash/ch1" in tracks
+        assert tracks == {"pipeline"}
 
     def test_flush_writes_configured_outputs(self, tmp_path):
         config = ObservabilityConfig(
@@ -402,64 +377,9 @@ class TestExporters:
         assert (tmp_path / "o.jsonl").read_text().strip()
 
 
-# --- flash command trace helpers ---------------------------------------------------
-class TestCommandTraceHelpers:
-    def _trace(self):
-        return CommandTrace(
-            events=[
-                _make_event(0, 0, 0.0, 4.0),
-                _make_event(1, 0, 1.0, 2.0),
-                _make_event(2, 1, 1.0, 3.0),
-            ]
-        )
-
-    def test_queue_depth_percentiles_are_time_weighted(self):
-        trace = self._trace()
-        # depth: 1 on [0,1), 3 on [1,2), 2 on [2,3), 1 on [3,4)
-        assert trace.queue_depth_percentile(50.0) == 1.0
-        assert trace.queue_depth_percentile(99.0) == 3.0
-
-    def test_queue_depth_empty_trace_raises(self):
-        with pytest.raises(SimulationError):
-            CommandTrace().queue_depth_percentile(50.0)
-
-    def test_queue_depth_single_sample_timeline(self):
-        trace = CommandTrace(events=[_make_event(0, 0, 0.0, 2.0)])
-        # One command in flight the whole window: every percentile is 1.
-        assert trace.queue_depth_percentile(0.0) == 1.0
-        assert trace.queue_depth_percentile(50.0) == 1.0
-        assert trace.queue_depth_percentile(100.0) == 1.0
-
-    def test_queue_depth_p0_and_p100_bound_the_depths(self):
-        trace = self._trace()
-        assert trace.queue_depth_percentile(0.0) == 1.0
-        assert trace.queue_depth_percentile(100.0) == 3.0
-        with pytest.raises(SimulationError):
-            trace.queue_depth_percentile(101.0)
-        with pytest.raises(SimulationError):
-            trace.queue_depth_percentile(-1.0)
-
-    def test_queue_depth_instantaneous_events_fall_back_to_peak(self):
-        trace = CommandTrace(events=[_make_event(0, 0, 1.0, 1.0)])
-        # Zero-duration timeline: no time weight exists, use the peak.
-        assert trace.queue_depth_percentile(50.0) == float(
-            trace.max_queue_depth()
-        )
-
-    def test_to_chrome_events_uses_shared_schema(self):
-        events = self._trace().to_chrome_events()
-        slices = [e for e in events if e["ph"] == "X"]
-        assert len(slices) == 3
-        first = slices[0]
-        assert first["ts"] == 0.0 and first["dur"] == 4.0 * 1e6
-        assert first["args"]["kind"] == "read"
-
-
 # --- satellites --------------------------------------------------------------------
 class TestSatellites:
     def test_observability_config_validates(self):
-        with pytest.raises(ConfigurationError):
-            ObservabilityConfig(verbosity=-1)
         with pytest.raises(ConfigurationError):
             ObservabilityConfig(trace_out="")
 
@@ -501,7 +421,9 @@ class TestCli:
         tracks = {
             e["args"]["name"] for e in doc["traceEvents"] if e["ph"] == "M"
         }
-        assert any(track.startswith("flash/ch") for track in tracks)
+        # Every slice is the run's own: no invented per-channel flash track.
+        assert "pipeline" in tracks
+        assert not any(track.startswith("flash/ch") for track in tracks)
         metrics = metrics_path.read_text()
         assert "ecssd_pages_fetched_total{" in metrics
         assert "ftl_gc_total" in metrics

@@ -9,7 +9,6 @@ from repro.errors import WorkloadError
 from repro.obs import hooks
 from repro.obs import FP32_TRACK, INT4_TRACK, PIPELINE_TRACK, Tracer
 from repro.obs.profile import (
-    ChannelBalance,
     merge_intervals,
     overlap_length,
     profile_trace,
@@ -76,11 +75,6 @@ class TestSpanResource:
     def test_name_suffix_fallback(self):
         span = SpanRecord(name="tile0/fp32_compute", sim_start=0.0, sim_end=1.0)
         assert span_resource(span) == "fp32-acc"
-
-    def test_flash_track_fallback(self):
-        span = SpanRecord(name="read p0d1", track="flash/ch2",
-                          sim_start=0.0, sim_end=1.0)
-        assert span_resource(span) == "flash"
 
     def test_unknown_is_none(self):
         assert span_resource(SpanRecord(name="mystery")) is None
@@ -158,25 +152,8 @@ class TestAttribution:
             profile_trace([])
 
 
-# --- channel balance and interference ----------------------------------------------
+# --- interference ------------------------------------------------------------------
 class TestChannelAnalyses:
-    def test_channel_balance_from_flash_tracks(self):
-        tracer = Tracer()
-        tracer.add_span("read p0d0", 0.0, 2.0, track="flash/ch0")
-        tracer.add_span("read p0d1", 1.0, 3.0, track="flash/ch0")  # overlaps
-        tracer.add_span("read p0d0", 0.0, 1.0, track="flash/ch1")
-        balance = profile_trace(
-            tracer.spans + [
-                SpanRecord(name="tile0", track=PIPELINE_TRACK,
-                           sim_start=0.0, sim_end=3.0)
-            ]
-        ).channel_balance
-        assert balance.busy_s == {0: 3.0, 1: 1.0}
-        assert balance.imbalance == pytest.approx(1.5)  # 3.0 / 2.0
-
-    def test_imbalance_of_empty_balance_is_zero(self):
-        assert ChannelBalance(busy_s={}, pages={}).imbalance == 0.0
-
     def test_interference_overlap_and_penalty(self):
         tracer = Tracer()
         tracer.add_span("tile0", 0.0, 10.0, track=PIPELINE_TRACK,
@@ -195,7 +172,7 @@ class TestChannelAnalyses:
 class TestEndToEnd:
     def test_attribution_sums_to_end_to_end_within_1pct(self):
         session, _report = _run_instrumented()
-        profile = profile_trace(session.tracer.spans, session.registry)
+        profile = profile_trace(session.tracer.spans)
         assert profile.end_to_end_s > 0
         assert profile.attribution_error <= 0.01
         # The window is the device's model-level total time.
@@ -203,26 +180,27 @@ class TestEndToEnd:
 
     def test_report_carries_balance_and_interference(self):
         session, _report = _run_instrumented()
-        profile = profile_trace(session.tracer.spans, session.registry)
+        profile = profile_trace(session.tracer.spans)
         # Heterogeneous layout: INT4 stream is DRAM traffic and the tile
         # windows overlap it with flash fetches.
         assert profile.interference.int4_stream_s > 0
         assert profile.interference.fp32_fetch_s > 0
         assert "dram" in profile.resources
-        balance = profile.channel_balance
-        assert balance.pages, "registry page counts should populate balance"
+        # Per-channel balance is page counts, kept by the metrics registry.
+        pages = session.registry.get("ecssd_pages_fetched_total").samples()
+        assert {dict(labels)["channel"] for labels, _value in pages}
 
     def test_report_json_is_deterministic(self):
         dumps = []
         for _ in range(2):
             session, _report = _run_instrumented()
-            profile = profile_trace(session.tracer.spans, session.registry)
+            profile = profile_trace(session.tracer.spans)
             dumps.append(json.dumps(profile.to_dict(), sort_keys=True))
         assert dumps[0] == dumps[1]
 
     def test_render_mentions_headline_stats(self):
         session, _report = _run_instrumented()
-        text = profile_trace(session.tracer.spans, session.registry).render()
+        text = profile_trace(session.tracer.spans).render()
         assert "Attribution" in text
         assert "transfer interference" in text
 
@@ -247,7 +225,7 @@ class TestEndToEnd:
         session = obs.configure(None)
         try:
             observed = run()
-            profile_trace(session.tracer.spans, session.registry)
+            profile_trace(session.tracer.spans)
         finally:
             session.uninstall()
         again = run()  # disabled again after uninstall
@@ -272,7 +250,24 @@ class TestProfileCli:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         report = json.loads(paths[0].read_text())
         assert report["attribution_error"] <= 0.01
-        assert report["channel_balance"]["imbalance"] >= 1.0
         assert "overlap_fraction" in report["interference"]
-        out = capsys.readouterr().out
-        assert "channel balance" in out
+
+    def test_profile_cli_resources_are_the_runs_own(self, tmp_path, capsys):
+        """The CLI profiles exactly the spans the inference recorded.
+
+        No span that the run did not produce (such as a replay of its page
+        counts on a fresh device) may reach the per-resource rows.
+        """
+        from repro.cli import _screen_demo_queries, main
+
+        path = tmp_path / "p.json"
+        assert main([
+            "profile", "--labels", "512", "--seed", "42", "--out", str(path),
+        ]) == 0
+        session = obs.configure(None)
+        try:
+            _screen_demo_queries(512, 42)
+        finally:
+            session.uninstall()
+        expected = profile_trace(session.tracer.spans).to_dict()["resources"]
+        assert json.loads(path.read_text())["resources"] == expected

@@ -191,13 +191,6 @@ class TestNoTestOnlyModules:
 KEPT_UNNAMED = {
     "ECSSD.set_top_k": "part of the paper's Table-1 device API"
     " (repro.core.api.ECSSD)",
-    "CommandTrace.per_channel_counts": "ROADMAP item 8, phase 1 decides"
-    " whether die-aware flash timing reads it",
-    "CommandTrace.per_die_counts": "ROADMAP item 8, phase 1 decides"
-    " whether die-aware flash timing reads it",
-    "CommandTrace.queue_depth_percentile": "ROADMAP item 8, phase 1: the"
-    " time-weighted in-flight depth is the die-queueing measure next to"
-    " per_die_counts",
     "SSDDevice.advance_clock": "test_device.py's TestFaultedBitIdentityPin,"
     " which stays byte-for-byte unedited, moves the device clock with it",
     "QuantizedMatrix.dequantize": "the float reference that the INT4"

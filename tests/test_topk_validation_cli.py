@@ -129,9 +129,9 @@ CLI_OUTPUT_PINS = {
         ["profile", "--labels", "1024", "--out", "{tmp}/profile.json",
          "--run-dir", "{tmp}/runs"],
         {
-            "<stdout>": "e04171f09341c486",
-            "profile.json": "1eb94494392aaad7",
-            "runs/6c5f63accc74f455.json": "7be865459430cf58",
+            "<stdout>": "094bab125017a5f7",
+            "profile.json": "831e7fcd87ef322e",
+            "runs/6c5f63accc74f455.json": "27463ee6cf2134f7",
         },
     ),
     "quickstart": (
