@@ -18,7 +18,7 @@ attribute lookups and ``setattr`` on the package replaces the name as it
 would an eager re-export.
 
 New code inside ``repro`` imports the defining module, not the package, so
-it loads only what it uses.  ``repro lint --deep`` reads each table as the
+it loads only what it uses.  ``repro lint`` reads each table as the
 ``from <module> import <name>`` statements it replaces, so the layering
 contract sees the same package edges.
 """

@@ -9,23 +9,20 @@ duration literals, late-binding closures in scheduled callbacks, hash-ordered
 set iteration, and blanket exception handlers.  See DESIGN.md's "Determinism
 contract" for the rule-by-rule rationale.
 
-Beyond the per-file rules, ``--deep`` runs whole-program passes over one
-shared project graph (:mod:`repro.lint.project`): interprocedural seed
-provenance, unit/dimension flow, and the package layering contract.  The
-runtime half lives in :mod:`repro.lint.simsan` — a zero-overhead-when-
+Every run also checks the package layering contract
+(:mod:`repro.lint.layering`) over the import edges of the files it parsed.
+The runtime half lives in :mod:`repro.lint.simsan` — a zero-overhead-when-
 disabled sanitizer asserting the same contract on live event loops.
 
 Usage::
 
     python -m repro.lint src/repro          # standalone
-    python -m repro.lint src/repro --deep   # + whole-program passes
     python -m repro lint src/repro          # via the repro CLI
     REPRO_SIMSAN=1 repro serve ...          # runtime sanitizer
     # reprolint: disable=<rule>             # inline suppression
-    reprolint-baseline.json                 # justified grandfathered findings
 
 The package itself imports nothing: the simulator imports
 :mod:`repro.lint.simsan`, and loading the static linter with it would slow
 every simulator start.  Import the linter's names from their submodules
-(:mod:`.engine`, :mod:`.rules`, :mod:`.baseline`, :mod:`.deep`, ...).
+(:mod:`.engine`, :mod:`.rules`, :mod:`.layering`, ...).
 """

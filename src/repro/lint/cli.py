@@ -1,16 +1,9 @@
 """Command line for reprolint: ``python -m repro.lint`` / ``repro lint``.
 
-Exit codes: 0 — clean (modulo baseline); 1 — new findings (or stale/invalid
-baseline); 2 — usage error.  Both entry points share :func:`configure_parser`
-so the flags stay identical.
-
-``--deep`` adds the whole-program passes (:mod:`repro.lint.deep`);
-``--graph-cache PATH`` memoizes their findings keyed on a sha256 fingerprint
-of every source file, so CI builds the project graph once and later steps
-replay it.  ``--format=github`` emits GitHub Actions workflow commands so
-new findings annotate PR diffs inline.  ``--update-baseline`` re-keys an
-existing baseline (v1 or v2) on ``(rule, symbol, message)``, carrying the
-justifications over and dropping stale entries.
+Exit codes: 0 — clean; 1 — findings; 2 — usage error.  Both entry points
+share :func:`configure_parser` so the flags stay identical.  Every run
+checks the per-file rules and the layering contract; ``--format=github``
+emits GitHub Actions workflow commands so findings annotate PR diffs inline.
 """
 
 from __future__ import annotations
@@ -18,10 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
-from .baseline import Baseline, BaselineError, discover_baseline
 from .engine import LintEngine
 from .rules import default_rules, rules_by_name
 
@@ -33,42 +24,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         nargs="*",
         default=["src/repro"],
         help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--deep",
-        action="store_true",
-        help="also run the whole-program passes (seed provenance, "
-        "unit/dimension flow, layering contract)",
-    )
-    parser.add_argument(
-        "--graph-cache",
-        default=None,
-        metavar="PATH",
-        help="memoize deep-pass findings at PATH, keyed on a fingerprint of "
-        "every source file (used by CI to share the graph between steps)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline JSON of grandfathered findings "
-        "(default: discover reprolint-baseline.json near the targets)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding as new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0 "
-        "(justifications start as TODO and must be filled in)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="re-key the existing baseline on (rule, symbol, message), "
-        "carrying justifications over and dropping stale entries",
     )
     parser.add_argument(
         "--select",
@@ -91,8 +46,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def _list_rules() -> int:
-    from .deep import default_deep_rules
-
     for rule in default_rules():
         scope = ", ".join(rule.packages) if rule.packages else "all packages"
         exempt = (
@@ -103,13 +56,6 @@ def _list_rules() -> int:
         print(f"{rule.name} [{rule.severity.label}] — {rule.description}")
         print(f"    scope: {scope}{exempt}")
         print(f"    why: {rule.rationale}")
-    for rule in default_deep_rules():
-        print(
-            f"{rule.name} [{rule.severity.label}] — {rule.description} "
-            f"(--deep)"
-        )
-        print("    scope: whole program")
-        print(f"    why: {rule.rationale}")
     return 0
 
 
@@ -118,134 +64,33 @@ def run(args: argparse.Namespace) -> int:
     if args.list_rules:
         return _list_rules()
 
-    deep_names: List[str] = []
-    if args.deep:
-        from .deep import DEEP_RULE_CLASSES
-
-        deep_names = [cls.name for cls in DEEP_RULE_CLASSES]
-
     if args.select:
         registry = rules_by_name()
-        shallow = [n for n in args.select if n in registry]
-        selected_deep = [n for n in args.select if n in deep_names]
-        unknown = [
-            n for n in args.select if n not in registry and n not in deep_names
-        ]
+        unknown = [name for name in args.select if name not in registry]
         if unknown:
-            available = sorted(set(registry) | set(deep_names))
             print(
                 f"unknown rule(s): {', '.join(unknown)}; "
-                f"available: {', '.join(available)}",
+                f"available: {', '.join(sorted(registry))}",
                 file=sys.stderr,
             )
             return 2
-        engine = LintEngine([registry[name]() for name in shallow])
-        deep_selection: Optional[List[str]] = selected_deep
+        engine = LintEngine([registry[name]() for name in args.select])
     else:
         engine = LintEngine()
-        deep_selection = None
 
     findings = engine.lint_paths(args.paths)
 
-    if args.deep:
-        from .deep import default_deep_rules, run_deep
-
-        deep_rules = default_deep_rules()
-        if deep_selection is not None:
-            deep_rules = [r for r in deep_rules if r.name in deep_selection]
-        findings = findings + run_deep(
-            args.paths, rules=deep_rules, cache_path=args.graph_cache
-        )
-
-    baseline_path: Optional[Path] = None
-    if not args.no_baseline:
-        if args.baseline:
-            baseline_path = Path(args.baseline)
-        else:
-            baseline_path = discover_baseline(args.paths)
-
-    if args.write_baseline:
-        target = baseline_path or Path("reprolint-baseline.json")
-        Baseline.from_findings(findings).save(target)
-        print(f"wrote {len(findings)} finding(s) to {target}")
-        if findings:
-            print("fill in each entry's justification before committing")
-        return 0
-
-    if args.update_baseline:
-        target = baseline_path or Path("reprolint-baseline.json")
-        if not target.is_file():
-            print(f"baseline not found: {target}", file=sys.stderr)
-            return 2
-        try:
-            old = Baseline.load(target)
-        except BaselineError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        migrated = old.migrated(findings)
-        migrated.save(target)
-        dropped = len(old.entries) - len(migrated.entries)
-        print(
-            f"rewrote {target} with {len(migrated.entries)} v2 entrie(s)"
-            + (f", dropped {dropped} stale" if dropped else "")
-        )
-        return 0
-
-    baseline = Baseline(entries=[])
-    if baseline_path is not None:
-        if not baseline_path.is_file():
-            print(f"baseline not found: {baseline_path}", file=sys.stderr)
-            return 2
-        try:
-            baseline = Baseline.load(baseline_path)
-        except BaselineError as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-
-    new, grandfathered = baseline.split(findings)
-    stale = baseline.unused_entries(findings)
-
     if args.output_format == "json":
-        print(
-            json.dumps(
-                {
-                    "new": [f.to_json() for f in new],
-                    "grandfathered": [f.to_json() for f in grandfathered],
-                    "stale_baseline_entries": [e.to_json() for e in stale],
-                },
-                indent=2,
-            )
-        )
-    elif args.output_format == "github":
-        for finding in new:
-            print(finding.format_github())
-        for entry in stale:
-            print(
-                f"::warning title=reprolint stale baseline::stale baseline "
-                f"entry {entry.rule} at {entry.path} (no longer reported "
-                f"- remove it)"
-            )
-        print(
-            f"{len(new)} new finding(s), {len(grandfathered)} grandfathered, "
-            f"{len(stale)} stale"
-        )
+        print(json.dumps([f.to_json() for f in findings], indent=2))
     else:
-        for finding in new:
-            print(finding.format())
-        for entry in stale:
-            print(
-                f"stale baseline entry: {entry.rule} at {entry.path} "
-                f"(no longer reported — remove it)",
-                file=sys.stderr,
-            )
-        summary = f"{len(new)} new finding(s)"
-        if grandfathered:
-            summary += f", {len(grandfathered)} grandfathered"
-        if stale:
-            summary += f", {len(stale)} stale baseline entrie(s)"
-        print(summary)
+        for finding in findings:
+            if args.output_format == "github":
+                print(finding.format_github())
+            else:
+                print(finding.format())
+        print(f"{len(findings)} finding(s)")
 
-    return 1 if (new or stale) else 0
+    return 1 if findings else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

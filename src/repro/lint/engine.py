@@ -3,15 +3,16 @@
 The engine owns everything rule-agnostic:
 
 * parsing a file into an :class:`ast.Module` and a :class:`FileContext`
-  (source lines, dotted module name, suppression table);
-* running every registered :class:`Rule` whose scope matches the file;
+  (dotted module name, suppression table), once per file;
+* running every registered :class:`Rule` over the parsed files: a per-file
+  rule sees each file whose scope it matches, and a tree rule (the layering
+  contract, :mod:`repro.lint.layering`) sees every file of the run at once;
 * honoring inline ``# reprolint: disable=<rule>[,<rule>...]`` suppressions —
   a trailing comment suppresses its own line, a standalone comment line
   suppresses the following line, and ``disable=all`` suppresses every rule;
 * walking directory trees in sorted order so output is deterministic.
 
-Rules live in :mod:`repro.lint.rules`; baseline matching in
-:mod:`repro.lint.baseline`.
+Rules live in :mod:`repro.lint.rules`.
 """
 
 from __future__ import annotations
@@ -101,36 +102,6 @@ def extend_suppressions_to_statements(
     return disabled
 
 
-def build_symbol_spans(
-    tree: ast.Module, module: Optional[str]
-) -> List[Tuple[int, int, str]]:
-    """``(start_line, end_line, qualified_symbol)`` for every def/class.
-
-    Innermost scopes come last, so :func:`symbol_for_line` can take the last
-    span containing a line.  The module name (or empty string) prefixes each
-    qualname.
-    """
-    prefix = module or ""
-    spans: List[Tuple[int, int, str]] = []
-
-    def walk(node: ast.AST, qualpath: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                name = f"{qualpath}.{child.name}" if qualpath else child.name
-                end = getattr(child, "end_lineno", child.lineno) or child.lineno
-                spans.append((child.lineno, end, name))
-                walk(child, name)
-            else:
-                walk(child, qualpath)
-
-    walk(tree, "")
-    if prefix:
-        spans = [(s, e, f"{prefix}.{q}") for s, e, q in spans]
-    return spans
-
-
 def scan_suppressions(source: str) -> Dict[int, Set[str]]:
     """Map line number -> rule names disabled on that line.
 
@@ -164,17 +135,7 @@ class FileContext:
     path: str
     module: Optional[str]
     tree: ast.Module
-    source_lines: List[str] = field(default_factory=list)
     disabled: Dict[int, Set[str]] = field(default_factory=dict)
-    symbol_spans: List[Tuple[int, int, str]] = field(default_factory=list)
-
-    def symbol_for(self, line: int) -> str:
-        """Qualified symbol enclosing ``line`` (module name when top-level)."""
-        symbol = self.module or ""
-        for start, end, qualname in self.symbol_spans:
-            if start <= line <= end:
-                symbol = qualname
-        return symbol
 
     def module_in(self, packages: Sequence[str]) -> bool:
         """True when this file's module is inside any of ``packages``.
@@ -189,11 +150,6 @@ class FileContext:
             for pkg in packages
         )
 
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.source_lines):
-            return self.source_lines[line - 1].strip()
-        return ""
-
     def exempt(self, rule: "Rule") -> bool:
         """True when this file sits in one of ``rule``'s allowlisted packages."""
         return bool(rule.exempt_packages) and self.module_in(rule.exempt_packages)
@@ -207,10 +163,11 @@ class Rule:
     """Base class for one lint rule.
 
     Subclasses set ``name``/``severity``/``description``/``rationale`` and
-    implement :meth:`check`.  ``packages`` scopes a rule to dotted package
-    prefixes (empty tuple = everywhere); ``exempt_packages`` carves out an
-    allowlist.  Files whose module cannot be determined (fixtures, ad-hoc
-    scripts) get every rule.
+    implement :meth:`check` (one file at a time) or override
+    :meth:`check_tree` (every file of the run at once).  ``packages`` scopes
+    a per-file rule to dotted package prefixes (empty tuple = everywhere);
+    ``exempt_packages`` carves out an allowlist.  Files whose module cannot
+    be determined (fixtures, ad-hoc scripts) get every rule.
     """
 
     name: str = ""
@@ -230,6 +187,11 @@ class Rule:
     def check(self, context: FileContext) -> Iterable[Finding]:
         raise NotImplementedError
 
+    def check_tree(self, contexts: Sequence[FileContext]) -> Iterable[Finding]:
+        for context in contexts:
+            if self.applies_to(context):
+                yield from self.check(context)
+
     def finding(
         self,
         context: FileContext,
@@ -237,17 +199,13 @@ class Rule:
         message: str,
         severity: Optional[Severity] = None,
     ) -> Finding:
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
         return Finding(
             rule=self.name,
             path=context.path,
-            line=line,
-            col=col,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
             message=message,
             severity=severity if severity is not None else self.severity,
-            code=context.line_text(line),
-            symbol=context.symbol_for(line),
         )
 
 
@@ -264,60 +222,66 @@ class LintEngine:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate rule names: {sorted(names)}")
 
-    def lint_source(
+    def lint_paths(self, paths: Sequence[Union[str, Path]]) -> List[Finding]:
+        """Lint every ``.py`` file under ``paths``."""
+        return self.lint_sources(
+            (str(path), Path(path).read_text(encoding="utf-8"))
+            for path in sorted(iter_python_files(paths))
+        )
+
+    def lint_sources(
         self,
-        source: str,
-        path: str = "<string>",
+        sources: Iterable[Tuple[str, str]],
         module: Optional[str] = _DERIVE,
     ) -> List[Finding]:
-        """Lint a source string.
+        """Parse each ``(path, source)`` once, then run every rule.
 
         ``module`` overrides the dotted module name used for rule scoping;
         tests use this to present fixture snippets as sim-path modules.
         """
-        if module == _DERIVE:
-            module = module_name_for(path)
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            return [
-                Finding(
-                    rule="parse-error",
-                    path=path,
-                    line=exc.lineno or 1,
-                    col=exc.offset or 0,
-                    message=f"could not parse: {exc.msg}",
-                )
-            ]
-        context = FileContext(
-            path=path,
-            module=module,
-            tree=tree,
-            source_lines=source.splitlines(),
-            disabled=extend_suppressions_to_statements(
-                tree, scan_suppressions(source)
-            ),
-            symbol_spans=build_symbol_spans(tree, module),
-        )
+        contexts: List[FileContext] = []
         findings: List[Finding] = []
-        for rule in self.rules:
-            if not rule.applies_to(context):
-                continue
-            for finding in rule.check(context):
-                if not context.is_suppressed(finding.rule, finding.line):
-                    findings.append(finding)
+        for path, source in sources:
+            parsed = parse_context(source, path, module)
+            if isinstance(parsed, Finding):
+                findings.append(parsed)
+            else:
+                contexts.append(parsed)
+        by_path = {context.path: context for context in contexts}
+        findings.extend(
+            finding
+            for rule in self.rules
+            for finding in rule.check_tree(contexts)
+            if not by_path[finding.path].is_suppressed(finding.rule, finding.line)
+        )
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings
 
-    def lint_file(self, path: Union[str, Path]) -> List[Finding]:
-        text = Path(path).read_text(encoding="utf-8")
-        return self.lint_source(text, path=str(path))
 
-    def lint_paths(self, paths: Sequence[Union[str, Path]]) -> List[Finding]:
-        findings: List[Finding] = []
-        for path in sorted(iter_python_files(paths)):
-            findings.extend(self.lint_file(path))
-        return findings
+def parse_context(
+    source: str, path: str, module: Optional[str] = _DERIVE
+) -> Union[FileContext, Finding]:
+    """``source`` parsed into a :class:`FileContext`, or a parse-error finding."""
+    if module == _DERIVE:
+        module = module_name_for(path)
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return Finding(
+            rule="parse-error",
+            path=path,
+            line=exc.lineno or 1,
+            col=exc.offset or 0,
+            message=f"could not parse: {exc.msg}",
+        )
+    return FileContext(
+        path=path,
+        module=module,
+        tree=tree,
+        disabled=extend_suppressions_to_statements(
+            tree, scan_suppressions(source)
+        ),
+    )
 
 
 def iter_python_files(paths: Sequence[Union[str, Path]]) -> Iterator[Path]:

@@ -1,15 +1,12 @@
 """Finding and severity primitives shared by the reprolint engine and rules.
 
-A :class:`Finding` is one diagnostic anchored to a file/line/column.  It also
-carries ``code`` — the stripped source line it fired on — which the baseline
-uses as a drift-tolerant fingerprint: a grandfathered finding keeps matching
-after unrelated edits move it to a different line number.
+A :class:`Finding` is one diagnostic anchored to a file/line/column.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict
 
 
@@ -27,13 +24,7 @@ class Severity(enum.IntEnum):
 
 @dataclass(frozen=True)
 class Finding:
-    """One diagnostic produced by a lint rule.
-
-    ``symbol`` is the fully-qualified symbol the finding sits in (module plus
-    enclosing class/function qualname, e.g.
-    ``repro.cluster.engine.FleetRun.dispatch``) — the refactor-stable half
-    of the baseline key alongside ``message``.
-    """
+    """One diagnostic produced by a lint rule."""
 
     rule: str
     path: str
@@ -41,8 +32,6 @@ class Finding:
     col: int
     message: str
     severity: Severity = Severity.ERROR
-    code: str = field(default="", compare=False)
-    symbol: str = field(default="", compare=False)
 
     def format(self) -> str:
         return (
@@ -69,6 +58,4 @@ class Finding:
             "col": self.col,
             "severity": self.severity.label,
             "message": self.message,
-            "code": self.code,
-            "symbol": self.symbol,
         }

@@ -1,12 +1,14 @@
-"""Deep pass: the package layering contract.
+"""The package layering contract: a tree rule over every file's imports.
 
 The architecture layers top-down — ``serve`` drives ``core``, which drives
 ``ssd``, which sits on ``units``/``config`` — and the contract only stays
-true while no lower layer grows an import of a higher one.  This pass checks
-every resolved import edge in the :class:`~repro.lint.project.ProjectGraph`
-against an *explicit allowlist*: any cross-package edge not in the matrix is
-a finding, so a new back-edge fails CI the moment it is written rather than
-surfacing later as an import cycle or an untestable module.
+true while no lower layer grows an import of a higher one.  This rule
+resolves every import statement of the files in one lint run (at any nesting
+depth, so lazy function-level imports count, and every lazy package export
+table read as the ``from`` imports it replaces) and checks each
+cross-package edge against an *explicit allowlist*: any edge not in the
+matrix is a finding, so a new back-edge fails CI the moment it is written
+rather than surfacing later as an import cycle or an untestable module.
 
 The matrix is intentionally written down in full (not inferred from the
 current tree): it is the documentation of record for "who may import whom",
@@ -15,10 +17,22 @@ mirrored as a table in DESIGN.md §8.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+import ast
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from .engine import FileContext, Rule
 from .findings import Finding
-from .project import DeepRule, ProjectGraph
 
 #: Units every package may import freely: leaf utilities with no sim state
 #: (errors, units), the config layer that roots all seeds, observability
@@ -61,14 +75,12 @@ ALLOWED_IMPORTS: Dict[str, Tuple[str, ...]] = {
     "repro.baselines": ("repro.workloads",),
     "repro.cfp32": (),
     "repro.cli": (
-        "repro",
         "repro.ablate",
         "repro.analysis",
         "repro.cluster",
         "repro.core",
         "repro.faults",
         "repro.serve",
-        "repro.ssd",
         "repro.workloads",
     ),
     "repro.cluster": (
@@ -85,7 +97,6 @@ ALLOWED_IMPORTS: Dict[str, Tuple[str, ...]] = {
     ),
     "repro.errors": (),
     "repro.faults": (
-        "repro",
         "repro.analysis",
         "repro.core",
         "repro.ssd",
@@ -113,7 +124,149 @@ def allowed(importer: str, imported: str) -> bool:
     return imported in ALLOWED_IMPORTS.get(importer, ())
 
 
-class LayeringContract(DeepRule):
+@dataclass
+class ImportEdge:
+    """One import statement, resolved as far as possible."""
+
+    module: str          # importing module (dotted)
+    target: str          # imported dotted name (project or external)
+    line: int
+    node: ast.AST
+
+
+def import_nodes(tree: ast.AST) -> Iterator[Union[ast.Import, ast.ImportFrom]]:
+    """Every import statement in ``tree``, lazy export tables included.
+
+    An entry ``".engine": ("build_cluster",)`` of a
+    ``lazy_exports(__name__, {...})`` table yields the
+    ``from .engine import build_cluster`` it stands for, located at the
+    entry's key, so a lazy re-export makes the same import edge an eager one
+    did.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "lazy_exports"
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Dict)
+        ):
+            table = node.args[1]
+            for key, names in zip(table.keys, table.values):
+                if not (
+                    isinstance(key, ast.Constant)
+                    and isinstance(key.value, str)
+                    and isinstance(names, (ast.Tuple, ast.List))
+                ):
+                    continue
+                module = key.value.lstrip(".")
+                yield ast.copy_location(
+                    ast.ImportFrom(
+                        module=module or None,
+                        names=[
+                            ast.alias(name=name.value, asname=None)
+                            for name in names.elts
+                            if isinstance(name, ast.Constant)
+                        ],
+                        level=len(key.value) - len(module),
+                    ),
+                    key,
+                )
+
+
+def package_of(module: str) -> str:
+    """The layering unit a module belongs to.
+
+    ``repro.serve.node`` -> ``repro.serve``; top-level modules
+    (``repro.cli``, ``repro.config``) are their own unit; the package root
+    ``repro`` (its ``__init__``) is the unit ``repro``.
+    """
+    parts = module.split(".")
+    return ".".join(parts[:2]) if len(parts) >= 2 else module
+
+
+def import_edges(modules: Mapping[str, FileContext]) -> List[ImportEdge]:
+    """Every import statement, one edge per imported name."""
+    edges: List[ImportEdge] = []
+    for module, info in modules.items():
+        for node in import_nodes(info.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    edges.append(
+                        ImportEdge(
+                            module=module,
+                            target=alias.name,
+                            line=node.lineno,
+                            node=node,
+                        )
+                    )
+            else:
+                base = _resolve_from_base(modules, module, node)
+                if base is None:
+                    continue
+                for alias in node.names:
+                    if alias.name == "*":
+                        edges.append(ImportEdge(module, base, node.lineno, node))
+                        continue
+                    candidate = f"{base}.{alias.name}"
+                    # `from X import name` imports module X.name when that
+                    # is a project module, otherwise an attribute of X.
+                    target = candidate if candidate in modules else base
+                    edges.append(ImportEdge(module, target, node.lineno, node))
+    return edges
+
+
+def _resolve_from_base(
+    modules: Mapping[str, FileContext], module: str, node: ast.ImportFrom
+) -> Optional[str]:
+    if not node.level:
+        return node.module
+    # Relative import: drop `level` trailing components from the importing
+    # module's package path.  A module's package path is the module minus
+    # its last component, except for package __init__ files (whose module
+    # IS the package) — we cannot tell the two apart from the dotted name
+    # alone, so resolve against the known module table: prefer the
+    # interpretation that lands on a real project module.
+    parts = module.split(".")
+    for as_package in (False, True):
+        base_parts = parts if as_package else parts[:-1]
+        if node.level - 1 > len(base_parts):
+            continue
+        base_parts = (
+            base_parts[: len(base_parts) - (node.level - 1)]
+            if node.level > 1
+            else base_parts
+        )
+        base = ".".join(base_parts)
+        if node.module:
+            base = f"{base}.{node.module}" if base else node.module
+        if base and (
+            base in modules
+            or any(m.startswith(base + ".") for m in modules)
+        ):
+            return base
+    return None
+
+
+def package_edges(
+    modules: Mapping[str, FileContext],
+) -> Dict[Tuple[str, str], List[ImportEdge]]:
+    """Cross-package edges, grouped by (importer unit, imported unit)."""
+    grouped: Dict[Tuple[str, str], List[ImportEdge]] = {}
+    for edge in import_edges(modules):
+        if not edge.target.startswith("repro"):
+            continue
+        src = package_of(edge.module)
+        dst = package_of(edge.target)
+        if src == dst:
+            continue
+        grouped.setdefault((src, dst), []).append(edge)
+    return grouped
+
+
+class LayeringContract(Rule):
     name = "layering-contract"
     description = "cross-package import not in the layering allowlist"
     rationale = (
@@ -123,14 +276,14 @@ class LayeringContract(DeepRule):
         "same commit that justifies it"
     )
 
-    def check_project(self, project: ProjectGraph) -> Iterable[Finding]:
-        for (src, dst), edges in sorted(project.package_edges().items()):
+    def check_tree(self, contexts: Sequence[FileContext]) -> Iterable[Finding]:
+        modules = {c.module: c for c in contexts if c.module is not None}
+        for (src, dst), edges in sorted(package_edges(modules).items()):
             if allowed(src, dst):
                 continue
             for edge in edges:
-                info = project.modules[edge.module]
                 yield self.finding(
-                    info,
+                    modules[edge.module],
                     edge.node,
                     f"{src} may not import {dst} "
                     f"(imports {edge.target}); the layering matrix in "

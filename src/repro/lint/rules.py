@@ -20,6 +20,9 @@ contract"):
 * ``exception-hygiene`` — bare ``except`` / blanket ``except Exception``
   swallow :class:`repro.errors.SimulationError` and friends, hiding broken
   simulation state.
+* ``layering-contract`` — a cross-package import the layering matrix does
+  not allow (:mod:`repro.lint.layering`; it checks every file of a run at
+  once).
 
 Rules resolve names through each file's import table, so ``import numpy as
 np; np.random.rand()`` and ``from time import perf_counter`` are both caught
@@ -34,6 +37,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
 
 from .engine import FileContext, Rule
 from .findings import Finding, Severity
+from .layering import LayeringContract
 
 #: Shipped packages/modules deliberately OUTSIDE the determinism-lint scope.
 #: Every exclusion must say why — ``tests/test_lint.py`` asserts that every
@@ -719,6 +723,7 @@ RULE_CLASSES: Tuple[Type[Rule], ...] = (
     ClosureCaptureInSchedule,
     UnorderedIteration,
     ExceptionHygiene,
+    LayeringContract,
 )
 
 

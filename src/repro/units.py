@@ -34,11 +34,6 @@ def gbps(value: float) -> float:
     return value * GB
 
 
-def mbps(value: float) -> float:
-    """Bandwidth in MB/s (decimal) expressed in bytes/second."""
-    return value * MB
-
-
 def gflops(value: float) -> float:
     """Compute throughput in GFLOPS expressed in FLOP/s."""
     return value * 1e9
@@ -78,17 +73,6 @@ def transfer_time(num_bytes: float, bandwidth_bps: float) -> float:
     if bandwidth_bps <= 0:
         raise ValueError(f"non-positive bandwidth: {bandwidth_bps}")
     return num_bytes / bandwidth_bps
-
-
-def compute_time(num_ops: float, throughput_ops: float) -> float:
-    """Time in seconds to execute ``num_ops`` at ``throughput_ops`` ops/s."""
-    if num_ops < 0:
-        raise ValueError(f"negative op count: {num_ops}")
-    if num_ops == 0:
-        return 0.0
-    if throughput_ops <= 0:
-        raise ValueError(f"non-positive throughput: {throughput_ops}")
-    return num_ops / throughput_ops
 
 
 def pretty_bytes(num_bytes: float) -> str:

@@ -9,7 +9,7 @@ import re
 import pytest
 
 import repro
-from repro.lint.project import import_nodes
+from repro.lint.layering import import_nodes
 
 REPO_ROOT = pathlib.Path(repro.__file__).resolve().parents[2]
 
@@ -186,8 +186,8 @@ class TestNoTestOnlyModules:
 
 
 #: Functions and methods that no live file names, kept on purpose.  Each
-#: entry says why, as ``reprolint-baseline.json`` entries do; delete an entry
-#: together with its function once the reason no longer holds.
+#: entry says why; delete an entry together with its function once the
+#: reason no longer holds.
 KEPT_UNNAMED = {
     "ECSSD.set_top_k": "part of the paper's Table-1 device API"
     " (repro.core.api.ECSSD)",

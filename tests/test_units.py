@@ -26,9 +26,6 @@ class TestRateHelpers:
     def test_gbps(self):
         assert units.gbps(1.0) == 1e9
 
-    def test_mbps(self):
-        assert units.mbps(500) == 5e8
-
     def test_gflops(self):
         assert units.gflops(50) == 50e9
 
@@ -63,20 +60,6 @@ class TestTransferTime:
     def test_page_at_channel_rate(self):
         # 4 KiB over 1 GB/s: ~4.1 us.
         assert units.transfer_time(4096, 1e9) == pytest.approx(4.096e-6)
-
-
-class TestComputeTime:
-    def test_basic(self):
-        assert units.compute_time(50e9, 50e9) == pytest.approx(1.0)
-
-    def test_zero_ops(self):
-        assert units.compute_time(0, 1e9) == 0.0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            units.compute_time(-1, 1e9)
-        with pytest.raises(ValueError):
-            units.compute_time(10, 0)
 
 
 class TestPretty:
