@@ -47,6 +47,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "generate_matrix",
     ),
     ".report": ("AblationReport", "build_report"),
-    ".runners": ("get_runner", "register_runner", "runner_names"),
+    ".runners": ("get_runner", "register_runner"),
     ".spec": ("CAMPAIGN_MODES", "Axis", "CampaignSpec", "axis"),
 })

@@ -64,10 +64,6 @@ def get_runner(name: str) -> RunnerFn:
     return _RUNNERS[name]
 
 
-def runner_names() -> Tuple[str, ...]:
-    return tuple(sorted(_RUNNERS))
-
-
 def _level(assignment: Assignment, axis: str, default: str) -> str:
     return str(assignment.get(axis, default))
 

@@ -13,7 +13,7 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".roofline": ("RooflineModel", "RooflinePoint"),
-    ".metrics": ("speedup", "geometric_mean"),
+    ".metrics": ("geometric_mean",),
     ".reporting": ("render_table", "format_seconds"),
     ".energy": ("EnergyPoint", "baseline_energy", "ecssd_energy"),
 })

@@ -10,13 +10,6 @@ import numpy as np
 from ..errors import WorkloadError
 
 
-def speedup(baseline_time: float, optimized_time: float) -> float:
-    """How many times faster ``optimized_time`` is than ``baseline_time``."""
-    if optimized_time <= 0 or baseline_time <= 0:
-        raise WorkloadError("times must be positive for a speedup")
-    return baseline_time / optimized_time
-
-
 def geometric_mean(values: Iterable[float]) -> float:
     """Geometric mean (the right average for speedup ratios)."""
     values = list(values)
@@ -53,14 +46,6 @@ def topk_retention(
     top1 = clean[:, 0]
     hits = (faulty == top1[:, None]) & (top1[:, None] >= 0)
     return float(np.mean(np.any(hits, axis=1)))
-
-
-def accuracy_cost(
-    clean_labels: np.ndarray,
-    faulty_labels: np.ndarray,
-) -> float:
-    """Top-k accuracy lost to injected faults: ``1 - topk_retention``."""
-    return 1.0 - topk_retention(clean_labels, faulty_labels)
 
 
 def weighted_utilization(

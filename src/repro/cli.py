@@ -56,7 +56,7 @@ def _observability_config(args: argparse.Namespace):
 
     outputs = {
         dest: getattr(args, dest, None)
-        for dest in ("trace_out", "metrics_out", "jsonl_out", "jsonl_stream_out")
+        for dest in ("trace_out", "metrics_out", "jsonl_stream_out")
     }
     if not any(outputs.values()):
         return None
@@ -1029,16 +1029,11 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         help="write Prometheus text-exposition metrics",
     )
     parser.add_argument(
-        "--jsonl-out",
-        default=None,
-        help="write spans and metric samples as JSON lines",
-    )
-    parser.add_argument(
         "--jsonl-stream-out",
         default=None,
         help="stream finished spans incrementally to this JSONL file "
              "(bounded memory: spans bypass the in-memory tracer, so "
-             "--trace-out and --jsonl-out cannot be combined with it)",
+             "--trace-out cannot be combined with it)",
     )
 
 
@@ -1105,7 +1100,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="trace.json", help="Chrome trace-event output path"
     )
     trace.add_argument("--metrics-out", default=None)
-    trace.add_argument("--jsonl-out", default=None)
     _add_verbose(trace)
     trace_sub = trace.add_subparsers(dest="trace_command")
     attribute = trace_sub.add_parser(

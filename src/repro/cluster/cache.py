@@ -98,8 +98,3 @@ class HotLabelCache:
         entries[key] = now
         while len(entries) > self.capacity:
             entries.popitem(last=False)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -46,14 +46,6 @@ class CrawlerKind:
         if self.factor < 1.0:
             raise ConfigurationError("crawler factor must be >= 1")
 
-    def active(self, node: int, seed: int, time: float) -> bool:
-        """Whether this crawl covers ``time`` on ``node``."""
-        if self.duty <= 0.0:
-            return False
-        phase = hash_uniform(node, seed, salt=self.salt) * self.period
-        position = (time + phase) % self.period
-        return position < self.duty * self.period
-
 
 #: The default crawler mix: a slow scrub sweep, a faster remap pass, and an
 #: occasional rebalance, each stealing a modest slice of channel time.

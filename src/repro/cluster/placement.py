@@ -67,9 +67,6 @@ class Placement:
     def total_replicas(self) -> int:
         return sum(len(nodes) for nodes in self.assignments)
 
-    def replication_factor(self, shard: int) -> int:
-        return len(self.nodes_for(shard))
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe summary (sorted keys, no wall-clock content)."""
         return {

@@ -174,10 +174,6 @@ class ECSSDConfig:
     def capacity_bytes(self) -> int:
         return self.flash.capacity_bytes
 
-    @property
-    def internal_bandwidth(self) -> float:
-        return self.flash.internal_bandwidth
-
     def with_channels(self, channels: int) -> "ECSSDConfig":
         """A copy of this config with a different channel count."""
         return replace(self, flash=replace(self.flash, channels=channels))
@@ -194,25 +190,22 @@ class ObservabilityConfig:
 
     trace_out: Optional[str] = None  # Chrome trace-event JSON (Perfetto)
     metrics_out: Optional[str] = None  # Prometheus text exposition
-    jsonl_out: Optional[str] = None  # one JSON object per span/sample
     # Streaming telemetry (repro.obs.streaming): when jsonl_stream_out is
     # set, finished spans bypass the in-memory list and stream to this JSONL
-    # file, so the span exports (trace_out, jsonl_out) would be empty.
+    # file, so the span export (trace_out) would be empty.
     jsonl_stream_out: Optional[str] = None
 
     def __post_init__(self) -> None:
-        for name in ("trace_out", "metrics_out", "jsonl_out", "jsonl_stream_out"):
+        for name in ("trace_out", "metrics_out", "jsonl_stream_out"):
             value = getattr(self, name)
             if value is not None and not str(value):
                 raise ConfigurationError(f"ObservabilityConfig.{name} is empty")
-        for name in ("trace_out", "jsonl_out"):
-            if self.jsonl_stream_out is not None and getattr(self, name):
-                flag = "--" + name.replace("_", "-")
-                raise ConfigurationError(
-                    f"jsonl_stream_out (--jsonl-stream-out) cannot be combined "
-                    f"with {name} ({flag}): streamed spans bypass the "
-                    f"in-memory tracer that {name} exports"
-                )
+        if self.jsonl_stream_out is not None and self.trace_out:
+            raise ConfigurationError(
+                "jsonl_stream_out (--jsonl-stream-out) cannot be combined "
+                "with trace_out (--trace-out): streamed spans bypass the "
+                "in-memory tracer that trace_out exports"
+            )
 
 
 def default_config() -> ECSSDConfig:

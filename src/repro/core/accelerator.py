@@ -3,8 +3,8 @@
 The accelerator holds a 256-unit INT4 MAC array (200 GOPS), a 64-unit FP32
 MAC array (50 GFLOPS alignment-free / 29.2 GFLOPS naive at iso-area), a
 threshold comparator, and a scheduler.  This module converts tile workloads
-into compute latencies and exposes the Table 4 area/power numbers for the
-chosen FP32 circuit design.
+into compute latencies; the Table 4 area/power numbers are
+:class:`repro.cfp32.circuits.AcceleratorAreaModel`'s.
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..config import AcceleratorConfig
-from ..cfp32.circuits import AcceleratorAreaModel, MacCircuitModel, MacDesign
+from ..cfp32.circuits import MacCircuitModel, MacDesign
 from ..errors import ConfigurationError
 
 
 @dataclass
 class AcceleratorModel:
-    """Latency + area/power model of the inserted accelerator."""
+    """Latency model of the inserted accelerator."""
 
     config: AcceleratorConfig = field(default_factory=AcceleratorConfig)
     fp32_design: MacDesign = MacDesign.ALIGNMENT_FREE
@@ -77,20 +77,6 @@ class AcceleratorModel:
         self._check_positive(shrunk_dim=shrunk_dim)
         bytes_per_vector = max(1, (shrunk_dim + 1) // 2)
         return max(1, self.config.int4_weight_buffer // bytes_per_vector)
-
-    # --- silicon -------------------------------------------------------------------
-    def area_model(self) -> AcceleratorAreaModel:
-        return AcceleratorAreaModel(
-            fp32_design=self.fp32_design, fp32_macs=self.config.fp32_macs
-        )
-
-    @property
-    def total_area_mm2(self) -> float:
-        return self.area_model().total_area_mm2
-
-    @property
-    def total_power_mw(self) -> float:
-        return self.area_model().total_power_mw
 
     @staticmethod
     def _check_positive(**values: int) -> None:

@@ -387,7 +387,7 @@ class TilePipelineModel:
         # One initial sense latency per run (steady-state streaming after).
         overhead = self.config.flash.read_latency + fill + host_time
         total += overhead
-        if observing:
+        if tracer.enabled:
             tracer.add_span(
                 "run_overhead",
                 tile_time_total,

@@ -11,18 +11,14 @@ merges the per-device top-k lists.  The paper sizes a 500M-category layer at
 * :class:`ScaleOutCluster` — N devices running the same trace-driven timing
   model on their shards; cluster latency is the slowest shard plus the
   host-side merge;
-* top-k merging is exact: each device returns its local top-k, and the
-  global top-k over the union of shards equals the top-k of the merged
-  candidates (shards partition the label space).
+* the host merge is priced by the bytes of the per-device top-k lists.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional
 
 from ..config import ECSSDConfig
 from ..errors import CapacityError, ConfigurationError
@@ -208,41 +204,3 @@ class ScaleOutCluster:
         )
         return ClusterReport(shard_reports=reports, merge_time=merge_time)
 
-
-def merge_topk(
-    shard_labels: Sequence[np.ndarray],
-    shard_scores: Sequence[np.ndarray],
-    shard_offsets: Sequence[int],
-    top_k: int,
-) -> tuple:
-    """Exact global top-k from per-shard local top-k lists.
-
-    Each shard reports (B, k) local labels/scores; labels are shard-local
-    and get shifted by their shard's offset.  Because shards partition the
-    label space, the global top-k is contained in the union of local
-    top-k's — the merge is exact, not approximate.
-
-    Ties rank under a *total* order on (score desc, global label id asc), so
-    the result is independent of the order shards are listed in — a cluster
-    merging replies as they arrive gets the same answer as one merging in
-    shard-index order.
-    """
-    if not shard_labels:
-        raise ConfigurationError("merge_topk needs at least one shard")
-    if not (len(shard_labels) == len(shard_scores) == len(shard_offsets)):
-        raise ConfigurationError("shard lists must align")
-    labels = np.concatenate(
-        [lab + off for lab, off in zip(shard_labels, shard_offsets)], axis=1
-    )
-    scores = np.concatenate(list(shard_scores), axis=1)
-    batch = labels.shape[0]
-    k = min(top_k, labels.shape[1])
-    out_labels = np.empty((batch, k), dtype=np.int64)
-    out_scores = np.empty((batch, k), dtype=scores.dtype)
-    for q in range(batch):
-        # lexsort: last key is primary — score descending, label ascending
-        # breaks exact-score ties deterministically across shard orderings.
-        order = np.lexsort((labels[q], -scores[q]))[:k]
-        out_labels[q] = labels[q][order]
-        out_scores[q] = scores[q][order]
-    return out_labels, out_scores

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from pathlib import Path
 from typing import (
     Dict,
     Iterable,
@@ -203,7 +204,7 @@ def import_edges(modules: Mapping[str, FileContext]) -> List[ImportEdge]:
                         )
                     )
             else:
-                base = _resolve_from_base(modules, module, node)
+                base = _resolve_from_base(module, info.path, node)
                 if base is None:
                     continue
                 for alias in node.names:
@@ -219,35 +220,26 @@ def import_edges(modules: Mapping[str, FileContext]) -> List[ImportEdge]:
 
 
 def _resolve_from_base(
-    modules: Mapping[str, FileContext], module: str, node: ast.ImportFrom
+    module: str, path: str, node: ast.ImportFrom
 ) -> Optional[str]:
+    """The module a ``from`` import names, relative imports resolved.
+
+    A relative import drops ``level - 1`` components from the importing
+    file's package: the module itself for a package ``__init__.py``, its
+    parent otherwise.  The file's own path says which, so the result does
+    not depend on which other files are in the run.
+    """
     if not node.level:
         return node.module
-    # Relative import: drop `level` trailing components from the importing
-    # module's package path.  A module's package path is the module minus
-    # its last component, except for package __init__ files (whose module
-    # IS the package) — we cannot tell the two apart from the dotted name
-    # alone, so resolve against the known module table: prefer the
-    # interpretation that lands on a real project module.
     parts = module.split(".")
-    for as_package in (False, True):
-        base_parts = parts if as_package else parts[:-1]
-        if node.level - 1 > len(base_parts):
-            continue
-        base_parts = (
-            base_parts[: len(base_parts) - (node.level - 1)]
-            if node.level > 1
-            else base_parts
-        )
-        base = ".".join(base_parts)
-        if node.module:
-            base = f"{base}.{node.module}" if base else node.module
-        if base and (
-            base in modules
-            or any(m.startswith(base + ".") for m in modules)
-        ):
-            return base
-    return None
+    if Path(path).name != "__init__.py":
+        parts = parts[:-1]
+    if node.level - 1 > len(parts):
+        return None
+    base = ".".join(parts[: len(parts) - (node.level - 1)])
+    if node.module:
+        base = f"{base}.{node.module}" if base else node.module
+    return base or None
 
 
 def package_edges(

@@ -14,7 +14,7 @@ reproduction one way to report that:
 
 Instrumented call sites read the installed recorders from the one observer
 slot, :mod:`repro.obs.hooks` (``hooks.current().registry`` /
-``.tracer``); both default to shared no-op singletons, so with
+``.tracer``); both default to shared off values, so with
 observability disabled the stack's timing results are bit-identical to an
 uninstrumented build.  :func:`configure` installs live recorders (optionally
 from an :class:`repro.config.ObservabilityConfig`) and returns an
@@ -43,12 +43,10 @@ if TYPE_CHECKING:
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".metrics": (
         "MetricsRegistry",
-        "NullMetricsRegistry",
         "Counter",
         "Gauge",
         "Histogram",
         "DEFAULT_BUCKETS",
-        "NULL_REGISTRY",
     ),
     ".tracing": (
         "Tracer",
@@ -65,10 +63,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     ".export": (
         "to_chrome_trace",
-        "to_jsonl",
         "to_prometheus_text",
         "write_chrome_trace",
-        "write_jsonl",
         "write_prometheus",
         "spans_to_chrome_events",
         "read_jsonl_spans",
@@ -164,8 +160,8 @@ class Observability:
         tracer: Optional[Tracer] = None,
     ) -> None:
         self.config = config
-        # ``is None``, not truthiness: an empty registry or tracer has
-        # ``len() == 0`` and is still the one the caller asked for.
+        # ``is None``, not truthiness: an empty registry has ``len() == 0``
+        # and is still the one the caller asked for.
         if registry is None:
             registry = MetricsRegistry()
         if tracer is None:
@@ -203,7 +199,7 @@ class Observability:
         config = self.config
         if config is None:
             return written
-        from .export import write_chrome_trace, write_jsonl, write_prometheus
+        from .export import write_chrome_trace, write_prometheus
 
         trace_out = getattr(config, "trace_out", None)
         if trace_out and self.tracer.enabled:
@@ -213,14 +209,6 @@ class Observability:
         if metrics_out and self.registry.enabled:
             write_prometheus(metrics_out, self.registry)
             written.append(metrics_out)
-        jsonl_out = getattr(config, "jsonl_out", None)
-        if jsonl_out:
-            write_jsonl(
-                jsonl_out,
-                self.tracer if self.tracer.enabled else None,
-                self.registry if self.registry.enabled else None,
-            )
-            written.append(jsonl_out)
         if self.sink is not None:
             self.sink.close()
             written.append(self.sink.path)

@@ -103,10 +103,6 @@ class DigestRecorder:
         self.entries: List[DigestEntry] = []
         self._ticks = 0
 
-    @property
-    def ticks(self) -> int:
-        return self._ticks
-
     def tick(self, sim_time: float, **state: object) -> Optional[DigestEntry]:
         """Count one step; capture a digest on every ``interval``-th call."""
         self._ticks += 1

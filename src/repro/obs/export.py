@@ -1,10 +1,8 @@
-"""Exporters: JSON-lines, Prometheus text exposition, Chrome trace JSON.
+"""Exporters: Prometheus text exposition, Chrome trace JSON, JSON-lines reader.
 
-Three serializations of the same telemetry so a run can be consumed by
-whatever tool is at hand:
+Two serializations of the same telemetry so a run can be consumed by
+whatever tool is at hand, plus the reader of streamed span files:
 
-* :func:`to_jsonl` — one JSON object per line (spans then metric samples);
-  trivially greppable and diffable;
 * :func:`to_prometheus_text` — the text exposition format (``# HELP`` /
   ``# TYPE`` / samples, histograms with ``_bucket``/``_sum``/``_count``)
   scrapable by any Prometheus-compatible collector;
@@ -13,7 +11,9 @@ whatever tool is at hand:
   ``chrome://tracing``: complete events (``ph: "X"``) carry ``ts``/``dur``
   in microseconds, instant events are ``ph: "i"``, and metadata events name
   one "thread" per tracer track so the tile pipeline and the INT4/FP32
-  module timelines render side by side.
+  module timelines render side by side;
+* :func:`read_jsonl_spans` — parses the JSON-lines span files that
+  :class:`repro.obs.streaming.JsonlSpanWriter` streams.
 
 Spans prefer the simulated clock when present (the whole point of a device
 simulator's timeline) and fall back to wall time for host-side spans.
@@ -39,48 +39,12 @@ def _write(target: PathOrFile, text: str) -> None:
 
 
 # --- JSON lines -------------------------------------------------------------------
-def to_jsonl(
-    tracer: Optional[Tracer] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> str:
-    """Spans and metric samples, one JSON object per line."""
-    lines: List[str] = []
-    if tracer is not None:
-        for span in tracer.spans:
-            lines.append(json.dumps(span.to_dict(), sort_keys=True))
-    if registry is not None:
-        for instrument in registry.instruments():
-            for labels, value in instrument.samples():
-                lines.append(
-                    json.dumps(
-                        {
-                            "type": "metric",
-                            "metric": instrument.name,
-                            "kind": instrument.kind,
-                            "labels": dict(labels),
-                            "value": value,
-                        },
-                        sort_keys=True,
-                    )
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_jsonl(
-    target: PathOrFile,
-    tracer: Optional[Tracer] = None,
-    registry: Optional[MetricsRegistry] = None,
-) -> None:
-    _write(target, to_jsonl(tracer, registry))
-
-
 def read_jsonl_spans(source: PathOrFile) -> List[SpanRecord]:
-    """Parse span records back out of a JSONL export or streamed span file.
+    """Parse span records back out of a streamed span file.
 
-    The inverse of the span half of :func:`to_jsonl` (and of
-    :class:`repro.obs.streaming.JsonlSpanWriter` output): metric lines and
-    blanks are skipped, span/instant lines become :class:`SpanRecord` rows in
-    file order.
+    The inverse of :class:`repro.obs.streaming.JsonlSpanWriter` output:
+    metric lines and blanks are skipped, span/instant lines become
+    :class:`SpanRecord` rows in file order.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:

@@ -9,10 +9,9 @@ Call sites read it with :func:`current` and test the observer's ``enabled``
 flag before touching any other member, so a run with every field off does
 the same arithmetic in the same order as a build without observers.
 
-"Off" is :data:`~repro.obs.metrics.NULL_REGISTRY` and
-:data:`~repro.obs.tracing.NULL_TRACER` for the first two fields, because
-pipeline code opens ``tracer.span(...)`` without a guard.  The other three
-share :data:`OFF`, whose only member is ``enabled = False``.
+"Off" is :data:`~repro.obs.tracing.NULL_TRACER` for the tracer field,
+because pipeline code opens ``tracer.span(...)`` without a guard.  The other
+four share :data:`OFF`, whose only member is ``enabled = False``.
 
 :func:`installed` replaces fields for the length of a block::
 
@@ -29,12 +28,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Iterator
 
-from .metrics import NULL_REGISTRY
 from .tracing import NULL_TRACER
 
 
 class _Off:
-    """The off value of the collector, sanitizer and injector fields."""
+    """The off value of the registry, collector, sanitizer and injector fields."""
 
     __slots__ = ()
     enabled = False
@@ -47,7 +45,7 @@ OFF = _Off()
 class Hooks:
     """The installed observer per field (see the module docstring)."""
 
-    registry: Any = NULL_REGISTRY
+    registry: Any = OFF
     tracer: Any = NULL_TRACER
     collector: Any = OFF
     sanitizer: Any = OFF

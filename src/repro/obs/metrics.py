@@ -16,10 +16,10 @@ Every instrument supports labels (``counter.inc(1, channel=3)``), and
 re-requesting a name from a registry returns the existing instrument, so hot
 paths can look instruments up on every call without growing state.
 
-Disabled observability must cost nothing: :class:`NullMetricsRegistry` hands
-out shared no-op instruments whose methods are empty, and the module-level
-:data:`NULL_REGISTRY` singleton fills the ``registry`` field of
-:mod:`repro.obs.hooks` until someone installs a live registry.
+Disabled observability must cost nothing: until someone installs a live
+registry, the ``registry`` field of :mod:`repro.obs.hooks` holds the shared
+off value, and every call site tests ``registry.enabled`` before it touches
+an instrument.
 """
 
 from __future__ import annotations
@@ -338,73 +338,3 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._instruments)
 
-
-class _NullInstrument:
-    """A do-nothing instrument shared by every disabled call site."""
-
-    name = "null"
-    help = ""
-    kind = "null"
-
-    def inc(self, amount: float = 1.0, **labels: object) -> None:
-        pass
-
-    def set(self, value: float, **labels: object) -> None:
-        pass
-
-    def observe(self, value: float, **labels: object) -> None:
-        pass
-
-    def value(self, **labels: object) -> float:
-        return 0.0
-
-    def total(self) -> float:
-        return 0.0
-
-    def samples(self) -> List[Tuple[LabelKey, float]]:
-        return []
-
-    def quantiles_or_none(self, **labels: object) -> None:
-        return None
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry:
-    """The zero-overhead registry installed when observability is off.
-
-    Every factory returns one shared no-op instrument; ``enabled`` is False
-    so hot paths can skip label preparation entirely.
-    """
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "") -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "") -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def get(self, name: str) -> None:
-        return None
-
-    def instruments(self) -> List[_Instrument]:
-        return []
-
-    def __iter__(self):
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-
-NULL_REGISTRY = NullMetricsRegistry()

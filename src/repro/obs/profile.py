@@ -41,21 +41,10 @@ from .tracing import PIPELINE_TRACK, SpanRecord
 
 # Resource names used by the attribution model.  ``stall`` absorbs any part
 # of a window no recorded span covers (pipeline bubbles).
-RESOURCE_DRAM = "dram"
 RESOURCE_FLASH = "flash"
 RESOURCE_INT4 = "int4-acc"
-RESOURCE_FP32 = "fp32-acc"
 RESOURCE_HOST = "host"
 RESOURCE_STALL = "stall"
-
-#: Fallback mapping from phase-span name suffix to resource, used for traces
-#: recorded before spans carried an explicit ``resource`` attribute.
-_PHASE_RESOURCE_FALLBACK: Dict[str, str] = {
-    "int4_fetch": RESOURCE_DRAM,
-    "int4_compute": RESOURCE_INT4,
-    "fp32_fetch": RESOURCE_FLASH,
-    "fp32_compute": RESOURCE_FP32,
-}
 
 Interval = Tuple[float, float]
 
@@ -94,12 +83,9 @@ def overlap_length(a: Sequence[Interval], b: Sequence[Interval]) -> float:
 
 
 def span_resource(span: SpanRecord) -> Optional[str]:
-    """The resource a span occupies, from its attrs or its name suffix."""
+    """The resource a span occupies: its ``resource`` attribute, if any."""
     explicit = span.attrs.get("resource")
-    if isinstance(explicit, str):
-        return explicit
-    suffix = span.name.rsplit("/", 1)[-1]
-    return _PHASE_RESOURCE_FALLBACK.get(suffix)
+    return explicit if isinstance(explicit, str) else None
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,9 @@ caps trace size far below the million-request serving runs the roadmap
 targets.  Attach a :class:`JsonlSpanWriter` to a tracer
 (``ObservabilityConfig(jsonl_stream_out=...)``, ``--jsonl-stream-out`` on
 the CLI) and every finished span is written to a JSON-lines file instead of
-the list, so memory stays at one flush buffer however long the run.  Line
-format is exactly the in-memory exporter's (:func:`repro.obs.export.to_jsonl`),
-so a streamed file is byte-identical to an after-the-fact export of the same
-spans.
+the list, so memory stays at one flush buffer however long the run.  Each
+line is ``json.dumps(span.to_dict(), sort_keys=True)``, which
+:func:`repro.obs.export.read_jsonl_spans` parses back.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ class JsonlSpanWriter:
     """Incremental JSONL span writer with flush-on-threshold.
 
     Buffers serialized lines and writes them out every ``flush_threshold``
-    spans (and on :meth:`close`), so a crash loses at most one buffer.  The
-    produced file is byte-identical to ``to_jsonl(tracer)`` over the same
-    spans with no registry attached.
+    spans (and on :meth:`close`), so a crash loses at most one buffer.
     """
 
     def __init__(self, path: str, flush_threshold: int = 512) -> None:
@@ -42,10 +39,6 @@ class JsonlSpanWriter:
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._handle: Optional[TextIO] = open(path, "w", encoding="utf-8")
-
-    @property
-    def closed(self) -> bool:
-        return self._handle is None
 
     def write(self, span: SpanRecord) -> None:
         if self._handle is None:

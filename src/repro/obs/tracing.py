@@ -153,13 +153,8 @@ class Tracer:
     def attach_sink(self, sink) -> None:
         """Stream finished spans to ``sink`` instead of :attr:`spans`."""
         if sink is None:
-            raise ConfigurationError("attach_sink requires a sink; use detach_sink")
+            raise ConfigurationError("attach_sink requires a sink")
         self.sink = sink
-
-    def detach_sink(self):
-        """Stop streaming; returns the detached sink (or ``None``)."""
-        sink, self.sink = self.sink, None
-        return sink
 
     def _record(self, record: SpanRecord) -> None:
         """The single retention path every finished span goes through."""
@@ -244,28 +239,6 @@ class Tracer:
                 seen.append(record.track)
         return seen
 
-    def find(
-        self, name_prefix: str, track: Optional[str] = None
-    ) -> List[SpanRecord]:
-        """Spans whose name starts with ``name_prefix``.
-
-        ``track`` additionally restricts matches to one track (exact match),
-        so ``find("tile3/", track=FP32_TRACK)`` picks one tile's FP32 phases
-        out of a trace that reuses the name prefix across tracks.
-        """
-        return [
-            s for s in self.spans
-            if s.name.startswith(name_prefix)
-            and (track is None or s.track == track)
-        ]
-
-    def clear(self) -> None:
-        self.spans.clear()
-        self._stack.clear()
-
-    def __len__(self) -> int:
-        return len(self.spans)
-
 
 class _NullOpenSpan:
     """Context manager returned by the disabled tracer: does nothing."""
@@ -287,40 +260,16 @@ _NULL_OPEN_SPAN = _NullOpenSpan()
 
 
 class NullTracer:
-    """Zero-overhead tracer installed while observability is disabled."""
+    """Zero-overhead tracer installed while observability is disabled.
+
+    Only :meth:`span` is here, because pipeline code opens spans without
+    testing ``enabled``; every other tracer call site tests it first.
+    """
 
     enabled = False
-    spans: List[SpanRecord] = []
-    sink = None
-
-    def attach_sink(self, sink) -> None:
-        pass
-
-    def detach_sink(self):
-        return None
 
     def span(self, name: str, track: str = HOST_TRACK, **attrs: object) -> _NullOpenSpan:
         return _NULL_OPEN_SPAN
-
-    def add_span(self, name, sim_start, sim_end, track=PIPELINE_TRACK, attrs=None):
-        return None
-
-    def instant(self, name, sim_time=None, track=PIPELINE_TRACK, attrs=None):
-        return None
-
-    def tracks(self) -> List[str]:
-        return []
-
-    def find(
-        self, name_prefix: str, track: Optional[str] = None
-    ) -> List[SpanRecord]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
 
 
 NULL_TRACER = NullTracer()

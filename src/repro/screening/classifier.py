@@ -24,14 +24,6 @@ class ClassificationResult:
     top_scores: np.ndarray  # (B, k) corresponding scores
     flops: int  # floating-point operations actually spent
 
-    @property
-    def batch_size(self) -> int:
-        return self.top_labels.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.top_labels.shape[1]
-
 
 class CandidateClassifier:
     """Scores candidate labels in FP32 and ranks the top-k."""

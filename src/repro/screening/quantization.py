@@ -72,10 +72,3 @@ class Int4Quantizer:
             np.rint(data / scales[:, None]), INT4_MIN, INT4_MAX
         ).astype(np.int8)
         return QuantizedMatrix(codes=codes, scales=scales)
-
-    def quantize_vector(self, vector: np.ndarray) -> QuantizedMatrix:
-        """Quantize a single vector as a 1-row matrix."""
-        vector = np.asarray(vector, dtype=np.float32)
-        if vector.ndim != 1:
-            raise WorkloadError("quantize_vector expects a 1-D array")
-        return self.quantize(vector[None, :])

@@ -26,10 +26,6 @@ class ScreenResult:
     threshold: np.ndarray  # (B,) thresholds actually applied
 
     @property
-    def batch_size(self) -> int:
-        return self.scores.shape[0]
-
-    @property
     def num_labels(self) -> int:
         return self.scores.shape[1]
 

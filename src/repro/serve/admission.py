@@ -120,10 +120,6 @@ class TokenBucket:
             return True
         return False
 
-    @property
-    def tokens(self) -> float:
-        return self._tokens
-
 
 class AdmissionController:
     """Applies the configured gates and keeps the conservation ledger."""

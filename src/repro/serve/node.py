@@ -43,11 +43,6 @@ class ServiceNodeCore:
         self.queue: Deque[Request] = deque()
 
     # -- derived state -------------------------------------------------------
-    @property
-    def depth(self) -> int:
-        """Requests admitted but not yet dispatched."""
-        return len(self.queue)
-
     def pressure(self, inflight: int, fallback_limit: int) -> float:
         """Pending work (queued + in flight) relative to the depth limit.
 
@@ -72,10 +67,6 @@ class ServiceNodeCore:
         return reason
 
     # -- batching ------------------------------------------------------------
-    def close_time(self, request: Request) -> float:
-        """Latest safe dispatch time for ``request`` (deadline batching)."""
-        return self.batcher.close_time(request)
-
     def dispatch_level(self, pressure: float) -> int:
         """Advance the degradation ladder for the next dispatch."""
         return self.ladder.update(pressure)

@@ -46,8 +46,3 @@ class Request(_RequestFields):
                 f"arrival {arrival}"
             )
         return tuple.__new__(cls, (request_id, arrival, deadline))
-
-    @property
-    def slo(self) -> float:
-        """The latency budget this request arrived with."""
-        return self.deadline - self.arrival

@@ -168,10 +168,6 @@ class DeadlineBatcher:
         self.close_margin = close_margin
         self.knee = service.knee
 
-    def close_time(self, request: Request) -> float:
-        """Latest dispatch time after which ``request`` would miss its SLO."""
-        return request.deadline - self.close_margin
-
     def should_close(self, queue: Deque[Request], now: float) -> bool:
         """True when a batch must leave the FIFO ``queue`` at ``now``."""
         return len(queue) >= self.knee or (

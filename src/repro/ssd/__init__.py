@@ -3,8 +3,8 @@
 This package implements the storage device the paper evaluates on: an
 MQSim-class simulator with the channel/package/die/plane/block/page
 hierarchy, NVDDR3-style timing, per-channel flash controllers, an FTL with
-logical-to-physical mapping, garbage collection and wear leveling, a DRAM
-model, and a ping-pong data buffer.
+logical-to-physical mapping, garbage collection and wear leveling, and a
+DRAM model.
 
 Public entry point: :class:`repro.ssd.device.SSDDevice`.
 """
@@ -18,7 +18,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".controller": ("FlashController", "FlashCommand", "CommandKind"),
     ".ftl": ("FlashTranslationLayer",),
     ".dram": ("DramModel",),
-    ".buffer": ("PingPongBuffer", "BufferOverflow"),
     ".host": ("HostInterface",),
     ".scheduler": ("ScheduledController", "SchedulingPolicy"),
     ".device": ("SSDDevice", "TileAccessResult"),

@@ -1,4 +1,4 @@
-"""Assembled SSD device: channels, controllers, FTL, DRAM, buffer, host link.
+"""Assembled SSD device: channels, controllers, FTL, DRAM, host link.
 
 :class:`SSDDevice` is the substrate both the ECSSD core and the in-storage
 baselines run on.  It exposes two levels of service:
@@ -20,7 +20,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from ..config import ECSSDConfig
 from ..errors import SimulationError
 from ..obs.hooks import current
-from .buffer import PingPongBuffer
 from .channel import Channel
 from .controller import CommandKind, FlashController
 from .dram import DramModel
@@ -37,10 +36,7 @@ class TileAccessResult:
     """Timing of one physical-page batch fetch across channels.
 
     ``finish`` is the batch completion (max over channels); ``pages_per_
-    channel`` is the access pattern Fig. 11 plots; ``utilization`` is the
-    channel-level bandwidth utilization over the batch window — the metric
-    Fig. 8 tracks (busy transfer time summed over channels, divided by
-    ``channels * makespan``).
+    channel`` is the access pattern Fig. 11 plots.
     """
 
     start: float
@@ -52,13 +48,6 @@ class TileAccessResult:
     @property
     def makespan(self) -> float:
         return self.finish - self.start
-
-    def utilization(self, page_transfer_time: float) -> float:
-        """Channel-bandwidth utilization achieved by this batch."""
-        if self.makespan <= 0 or not self.pages_per_channel:
-            return 0.0
-        busy = self.total_pages * page_transfer_time
-        return busy / (len(self.pages_per_channel) * self.makespan)
 
 
 class SSDDevice:
@@ -79,7 +68,6 @@ class SSDDevice:
         ]
         self.ftl = FlashTranslationLayer(flash)
         self.dram = DramModel(self.config.dram_capacity, self.config.dram_bandwidth)
-        self.buffer = PingPongBuffer(self.config.data_buffer)
         self.host = HostInterface(self.config.host_bandwidth)
         self.clock = 0.0
         # If fault injection is live, wire its RBER wear axis to the FTL's
@@ -208,16 +196,7 @@ class SSDDevice:
             channel.reset()
         self.dram.reset_timing()
         self.host.reset_timing()
-        self.buffer.reset()
         self.clock = 0.0
-
-    @property
-    def page_size(self) -> int:
-        return self.geometry.page_size
-
-    @property
-    def page_transfer_time(self) -> float:
-        return self.config.flash.page_transfer_time
 
     def channel_bus_utilizations(self, elapsed: float) -> List[float]:
         return [channel.bus_utilization(elapsed) for channel in self.channels]

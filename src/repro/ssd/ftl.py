@@ -263,12 +263,6 @@ class FlashTranslationLayer:
     def is_mapped(self, logical_page: int) -> bool:
         return logical_page in self._l2p
 
-    def trim(self, logical_page: int) -> None:
-        """Discard a mapping (host TRIM); the physical page becomes invalid."""
-        flat = self._l2p.pop(logical_page, None)
-        if flat is not None:
-            self._invalidate(flat)
-
     @property
     def mapped_pages(self) -> int:
         return len(self._l2p)
@@ -544,9 +538,3 @@ class FlashTranslationLayer:
         if not counts:
             return 0, 0, 0.0
         return min(counts), max(counts), sum(counts) / len(counts)
-
-    def _invalidate(self, flat: int) -> None:
-        block = self._blocks[flat // self._pages_per_block]
-        block.valid[flat - block.base] = 0
-        block.valid_count -= 1
-        self._p2l.pop(flat, None)

@@ -37,10 +37,6 @@ class HostInterface:
         self.bytes_up += num_bytes
         return end
 
-    def transfer_time(self, num_bytes: int) -> float:
-        """Pure link time for ``num_bytes`` (no queueing)."""
-        return transfer_time(num_bytes, self.bandwidth)
-
     def reset_timing(self) -> None:
         self.downstream.reset()
         self.upstream.reset()

@@ -20,13 +20,10 @@ from __future__ import annotations
 import enum
 import logging
 from collections import defaultdict
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List
+from typing import Callable, Dict, Iterable, List
 
 from ..obs.hooks import current
 from .controller import BatchResult, FlashCommand, FlashController
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from .channel import Channel
 
 logger = logging.getLogger(__name__)
 
@@ -104,10 +101,6 @@ class ScheduledController:
                 self.policy.value, len(batch), result.channel, result.makespan,
             )
         return result
-
-    @property
-    def channel(self) -> "Channel":
-        return self.controller.channel
 
 
 def compare_policies(

@@ -42,10 +42,6 @@ class DriftingHotnessModel:
             raise WorkloadError(f"drift must be in [0, 1], got {self.drift}")
 
     @property
-    def num_labels(self) -> int:
-        return self.base.num_labels
-
-    @property
     def seed(self) -> int:
         # CandidateTraceGenerator keys its RNG streams off this; keep it a
         # deterministic non-negative 32-bit value.

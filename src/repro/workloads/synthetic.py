@@ -44,18 +44,6 @@ class SyntheticWorkload:
     cluster_of_query: np.ndarray  # (Q,) int64
     seed: int = 0
 
-    @property
-    def num_labels(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def num_queries(self) -> int:
-        return self.features.shape[0]
-
 
 def _normal_rows(
     rng: np.random.Generator, rows: int, cols: int, sigma: float

@@ -25,12 +25,12 @@ from repro.ablate import (
     campaign_names,
     cell_identity,
     generate_matrix,
+    get_runner,
     metric_direction,
     metric_harm,
     register_runner,
     report_from_registry,
     run_campaign,
-    runner_names,
     score_importance,
     smoke_campaign,
 )
@@ -302,9 +302,8 @@ class TestEngine:
             run_campaign(spec)
 
     def test_builtin_runners_registered(self):
-        assert {"pipeline", "serve", "faults", "cluster", "synthetic"} <= set(
-            runner_names()
-        )
+        for name in ("pipeline", "serve", "faults", "cluster", "synthetic"):
+            assert callable(get_runner(name))
 
 
 class TestCampaigns:

@@ -62,11 +62,6 @@ class TestAcceleratorModel:
         assert acc.tile_vectors_for(256) == 1024
         assert acc.tile_vectors_for(128) == 2048
 
-    def test_table4_area(self):
-        acc = AcceleratorModel()
-        assert acc.total_area_mm2 == pytest.approx(0.1836, abs=0.002)
-        assert acc.total_power_mw == pytest.approx(52.93, abs=0.5)
-
 
 class TestPipelineFeatures:
     def test_baseline_flags(self):

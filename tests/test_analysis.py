@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.metrics import (
     geometric_mean,
-    speedup,
     weighted_utilization,
 )
 from repro.analysis.reporting import format_seconds, render_table
@@ -59,11 +58,6 @@ class TestRoofline:
 
 
 class TestMetrics:
-    def test_speedup(self):
-        assert speedup(10.0, 2.0) == 5.0
-        with pytest.raises(WorkloadError):
-            speedup(0.0, 1.0)
-
     def test_geometric_mean(self):
         assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
         assert geometric_mean([3.0]) == pytest.approx(3.0)

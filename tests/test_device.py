@@ -207,16 +207,6 @@ class TestFetchPages:
         result = dev.fetch_pages([], start=5.0)
         assert result.finish == 5.0
         assert result.total_pages == 0
-        assert result.utilization(dev.page_transfer_time) == 0.0
-
-    def test_utilization_bounds(self):
-        dev = small_device()
-        addresses = [
-            PhysicalAddress(c, p % 2, 0, 0, 0, p) for c in range(4) for p in range(4)
-        ]
-        result = dev.fetch_pages(addresses, start=0.0)
-        util = result.utilization(dev.page_transfer_time)
-        assert 0.0 < util <= 1.0
 
     @pytest.mark.parametrize(
         "bad", [PhysicalAddress(3, 0, 0, 0, 99, 0), PhysicalAddress(9, 0, 0, 0, 0, 0)]
@@ -243,11 +233,6 @@ class TestHousekeeping:
         dev.host_write([7])
         dev.reset_timing()
         assert dev.ftl.is_mapped(7)
-
-    def test_page_size_passthrough(self):
-        dev = small_device()
-        assert dev.page_size == 4096
-        assert dev.page_transfer_time == pytest.approx(4096 / 1e9)
 
     def test_channel_bus_utilizations_shape(self):
         dev = small_device()

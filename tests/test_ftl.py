@@ -74,13 +74,6 @@ class TestMapping:
         assert ftl.lookup(0) == second
         assert ftl.mapped_pages == 1
 
-    def test_trim_unmaps(self):
-        ftl = FlashTranslationLayer(tiny_config())
-        ftl.write(0)
-        ftl.trim(0)
-        assert not ftl.is_mapped(0)
-        ftl.trim(0)  # idempotent
-
     def test_distinct_lpas_get_distinct_ppas(self):
         ftl = FlashTranslationLayer(tiny_config())
         seen = set()
@@ -202,7 +195,7 @@ class TestPropertyBased:
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(["write", "write", "write", "trim", "refresh"]),
+                st.sampled_from(["write", "write", "write", "refresh"]),
                 st.integers(min_value=0, max_value=40),
             ),
             min_size=150,
@@ -211,7 +204,7 @@ class TestPropertyBased:
     )
     @settings(max_examples=30, deadline=None)
     def test_bookkeeping_survives_gc_and_refresh(self, ops):
-        """Interleaved writes, trims and refreshes keep every ledger exact.
+        """Interleaved writes and refreshes keep every ledger exact.
 
         LPAs 0..28 cover all of channel 0's user space and 29..40 part of
         channel 1's, so the write share of any drawn sequence forces GC.
@@ -220,8 +213,6 @@ class TestPropertyBased:
         for kind, lpa in ops:
             if kind == "write":
                 ftl.write(lpa)
-            elif kind == "trim":
-                ftl.trim(lpa)
             else:
                 refreshable = ftl.iter_refreshable_blocks()
                 if refreshable:

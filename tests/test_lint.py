@@ -447,6 +447,23 @@ class TestLayeringContract:
         assert [f.rule for f in findings] == ["layering-contract"]
         assert "repro.ssd may not import repro.serve" in findings[0].message
 
+    @pytest.mark.parametrize("planted", ["ssd/planted.py", "ssd/__init__.py"])
+    @pytest.mark.parametrize("scope", ["file", "package", "tree"])
+    def test_relative_back_edge_is_flagged_in_a_partial_run(
+        self, tmp_path, capsys, planted, scope
+    ):
+        # A relative import resolves from the importing file's own path, so
+        # linting one file or one package finds the edge the whole tree does.
+        root = _package_tree(tmp_path, {
+            planted: "from ..serve import scheduler\n",
+            "serve/scheduler.py": "",
+        })
+        target = {"file": root / planted, "package": root / "ssd", "tree": root}[scope]
+        assert lint_main([str(target), "--format", "json"]) == 1
+        findings = json.loads(capsys.readouterr().out)
+        assert [f["rule"] for f in findings] == ["layering-contract"]
+        assert "repro.ssd may not import repro.serve" in findings[0]["message"]
+
     def test_allowed_edges_are_clean(self, tmp_path):
         root = _package_tree(tmp_path, {
             "serve/ok.py": (

@@ -14,7 +14,6 @@ from repro.obs import hooks
 from repro.obs import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
-    NullMetricsRegistry,
     NullTracer,
     Tracer,
 )
@@ -125,18 +124,6 @@ class TestTracing:
         with pytest.raises(ConfigurationError):
             tracer.add_span("bad", 2.0, 1.0)
 
-    def test_find_filters_by_prefix_and_track(self):
-        tracer = Tracer()
-        tracer.add_span("tile0/int4_fetch", 0.0, 1.0, track="int4-module")
-        tracer.add_span("tile0/fp32_fetch", 0.0, 2.0, track="fp32-module")
-        tracer.add_span("tile1/fp32_fetch", 2.0, 3.0, track="fp32-module")
-        assert len(tracer.find("tile0/")) == 2
-        fp32_only = tracer.find("tile0/", track="fp32-module")
-        assert [s.name for s in fp32_only] == ["tile0/fp32_fetch"]
-        assert tracer.find("tile0/", track="nope") == []
-        # The disabled tracer accepts the same signature and finds nothing.
-        assert NullTracer().find("tile0/", track="fp32-module") == []
-
 
 # --- the observer slot -------------------------------------------------------------
 _perfbench_loader = importlib.util.spec_from_file_location(
@@ -151,9 +138,8 @@ class TestHooks:
     def test_every_field_is_off_by_default(self):
         current = hooks.current()
         assert current == hooks.Hooks()
-        assert current.registry is obs.NULL_REGISTRY
         assert current.tracer is obs.NULL_TRACER
-        for name in ("collector", "sanitizer", "injector"):
+        for name in ("registry", "collector", "sanitizer", "injector"):
             assert getattr(current, name) is hooks.OFF
             assert not getattr(current, name).enabled
 
@@ -162,7 +148,7 @@ class TestHooks:
         with hooks.installed(tracer=tracer) as installed:
             assert installed is hooks.current()
             assert installed.tracer is tracer
-            assert installed.registry is obs.NULL_REGISTRY
+            assert installed.registry is hooks.OFF
 
     def test_none_switches_a_field_off(self):
         with hooks.installed(registry=MetricsRegistry(), tracer=Tracer()):
@@ -177,7 +163,7 @@ class TestHooks:
                 assert hooks.current().tracer is inner
                 assert hooks.current().registry is registry
             assert hooks.current().tracer is outer
-            assert hooks.current().registry is obs.NULL_REGISTRY
+            assert hooks.current().registry is hooks.OFF
         assert hooks.current() == hooks.Hooks()
 
     def test_a_block_that_raises_still_restores(self):
@@ -195,10 +181,10 @@ class TestHooks:
         assert hooks.current() == hooks.Hooks()
 
     def test_session_keeps_the_empty_recorders_it_is_given(self):
-        # Both recorders define ``__len__``, so an empty one is falsy; the
+        # The registry defines ``__len__``, so an empty one is falsy; the
         # session must still use it rather than build its own.
         tracer, registry = Tracer(), MetricsRegistry()
-        assert len(tracer) == 0
+        assert len(registry) == 0
         session = obs.Observability(tracer=tracer, registry=registry)
         assert session.tracer is tracer and session.registry is registry
 
@@ -226,21 +212,10 @@ class TestHooks:
 # --- no-op mode --------------------------------------------------------------------
 class TestNoOpMode:
     def test_defaults_are_null_singletons(self):
-        assert isinstance(hooks.current().registry, NullMetricsRegistry)
+        assert hooks.current().registry is hooks.OFF
         assert isinstance(hooks.current().tracer, NullTracer)
         assert not hooks.current().registry.enabled
         assert not hooks.current().tracer.enabled
-
-    def test_null_instruments_record_nothing(self):
-        registry = hooks.current().registry
-        counter = registry.counter("anything")
-        counter.inc(5, channel=1)
-        assert counter.value(channel=1) == 0.0
-        assert registry.counter("other") is counter  # one shared no-op
-        tracer = hooks.current().tracer
-        with tracer.span("nope") as span:
-            span.set_sim_window(0.0, 1.0)
-        assert len(tracer) == 0
 
     def test_instrumented_run_matches_uninstrumented_bit_for_bit(self):
         workload = make_workload(
@@ -335,15 +310,6 @@ class TestExporters:
         assert '\\"' in line and "\\\\" in line and "\\n" in line
         assert "\n" not in line  # the raw newline must not split the sample
 
-    def test_jsonl_round_trip(self):
-        session = self._session()
-        lines = obs.to_jsonl(session.tracer, session.registry).splitlines()
-        rows = [json.loads(line) for line in lines]
-        types = {row["type"] for row in rows}
-        assert {"span", "instant", "metric"} <= types
-        spans = [r for r in rows if r["type"] == "span"]
-        assert any(r["name"] == "tile0" and r["sim_end"] == 2e-3 for r in spans)
-
     def test_chrome_trace_field_contract(self):
         session = self._session()
         doc = json.loads(obs.to_chrome_trace(session.tracer))
@@ -366,7 +332,6 @@ class TestExporters:
         config = ObservabilityConfig(
             trace_out=str(tmp_path / "t.json"),
             metrics_out=str(tmp_path / "m.prom"),
-            jsonl_out=str(tmp_path / "o.jsonl"),
         )
         with obs.configure(config) as session:
             session.tracer.add_span("tile0", 0.0, 1e-3)
@@ -374,7 +339,6 @@ class TestExporters:
         trace = json.loads((tmp_path / "t.json").read_text())
         assert any(e["name"] == "tile0" for e in trace["traceEvents"])
         assert "# TYPE" in (tmp_path / "m.prom").read_text()
-        assert (tmp_path / "o.jsonl").read_text().strip()
 
 
 # --- satellites --------------------------------------------------------------------
@@ -431,7 +395,7 @@ class TestCli:
         # globals restored: later runs are uninstrumented again
         assert not hooks.current().tracer.enabled
 
-    @pytest.mark.parametrize("flag", ["--trace-out", "--jsonl-out"])
+    @pytest.mark.parametrize("flag", ["--trace-out"])
     @pytest.mark.parametrize("command", [
         ["serve", "--duration", "0.05", "--seed", "7"],
         ["quickstart", "--labels", "512"],

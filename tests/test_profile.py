@@ -72,10 +72,6 @@ class TestSpanResource:
         )
         assert span_resource(span) == "flash"
 
-    def test_name_suffix_fallback(self):
-        span = SpanRecord(name="tile0/fp32_compute", sim_start=0.0, sim_end=1.0)
-        assert span_resource(span) == "fp32-acc"
-
     def test_unknown_is_none(self):
         assert span_resource(SpanRecord(name="mystery")) is None
 

@@ -39,15 +39,9 @@ class TestQuantizer:
         assert (q.scales == 1.0).all()
         assert (q.dequantize() == 0).all()
 
-    def test_quantize_vector(self):
-        q = Int4Quantizer().quantize_vector(np.array([1.0, -7.0], dtype=np.float32))
-        assert q.shape == (1, 2)
-
     def test_rejects_wrong_rank(self):
         with pytest.raises(WorkloadError):
             Int4Quantizer().quantize(np.zeros(8))
-        with pytest.raises(WorkloadError):
-            Int4Quantizer().quantize_vector(np.zeros((2, 2)))
 
     def test_abs_sum_per_row(self):
         codes = np.array([[1, -2, 3], [0, 0, 0]], dtype=np.int8)

@@ -191,6 +191,18 @@ class TestNoTestOnlyModules:
 KEPT_UNNAMED = {
     "ECSSD.set_top_k": "part of the paper's Table-1 device API"
     " (repro.core.api.ECSSD)",
+    "ECSSD.ecssd_disable": "part of the paper's Table-1 device API"
+    " (leaves accelerator mode)",
+    "ECSSD.filter_threshold": "part of the paper's Table-1 device API"
+    " (sets the screening threshold)",
+    "CausalCollector.traces": "the per-request traces ROADMAP item 5 audits:"
+    " every request's stage times must sum to its end-to-end latency",
+    "interleaving_variants": "the paper's literal three-grade Fig. 7 scheme,"
+    " kept to split Fig. 12's shortfall (ROADMAP item 8 phase 1)",
+    "ms": "the raw-duration-literal lint rule's message tells authors to use"
+    " repro.units.ms",
+    "ns": "the raw-duration-literal lint rule's message tells authors to use"
+    " repro.units.ns",
     "SSDDevice.advance_clock": "test_device.py's TestFaultedBitIdentityPin,"
     " which stays byte-for-byte unedited, moves the device clock with it",
     "QuantizedMatrix.dequantize": "the float reference that the INT4"
@@ -225,11 +237,33 @@ def _defined_functions():
                 yield (f"{owner}.{name}" if owner else name), where
 
 
+#: Builtins whose string argument names an attribute.
+_NAME_ARGUMENT_CALLS = ("getattr", "setattr", "hasattr")
+
+
+def _wrapped_words():
+    """Words of the dotted paths in ``perfbench/tracing.py``'s ``WRAPPED``
+    table, which the traced benchmark resolves by name."""
+    tree = ast.parse((REPO_ROOT / "perfbench" / "tracing.py").read_text())
+    for node in ast.walk(tree):
+        target = getattr(node, "target", None)
+        if isinstance(node, ast.AnnAssign) and getattr(target, "id", None) == "WRAPPED":
+            return {
+                word for item in ast.walk(node.value)
+                if isinstance(item, ast.Constant) and isinstance(item.value, str)
+                for word in item.value.split(".")
+            }
+    raise AssertionError("perfbench/tracing.py defines no WRAPPED table")
+
+
 def _live_words():
-    """Every identifier, attribute, keyword and word in a string literal that
-    a file under the live roots mentions.  Matching by bare name is
+    """Every identifier, attribute, keyword and imported name that a file
+    under the live roots mentions, plus the two kinds of string that code
+    uses as a name: the name argument of ``getattr``/``setattr``/``hasattr``
+    and the ``WRAPPED`` paths.  Other strings (docstrings, ``__all__``, lazy
+    export tables, messages) do not count.  Matching by bare name is
     conservative: any mention anywhere keeps every def of that name."""
-    words = set()
+    words = _wrapped_words()
     for root in LIVE_ROOTS:
         for path in (REPO_ROOT / root).rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -243,8 +277,15 @@ def _live_words():
                         words.add(node.asname)
                 elif isinstance(node, ast.keyword) and node.arg:
                     words.add(node.arg)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    words.update(re.findall(r"\w+", node.value))
+                elif (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in _NAME_ARGUMENT_CALLS
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and isinstance(node.args[1].value, str)
+                ):
+                    words.add(node.args[1].value)
     return words
 
 

@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.config import ECSSDConfig
@@ -10,7 +9,6 @@ from repro.core.scaleout import (
     LabelShard,
     ScaleOutCluster,
     max_labels_per_device,
-    merge_topk,
     partition_labels,
 )
 from repro.errors import CapacityError, ConfigurationError
@@ -89,53 +87,3 @@ class TestCluster:
         report = cluster.run_trace(queries=8, sample_tiles=3)
         serial = sum(r.scaled_total_time for r in report.shard_reports)
         assert report.total_time < serial / 2
-
-
-class TestMergeTopk:
-    def test_exact_global_topk(self):
-        rng = np.random.default_rng(0)
-        # Two shards of 100 labels each; per-shard local top-3.
-        full_scores = rng.normal(size=(4, 200)).astype(np.float32)
-        shard_scores, shard_labels, offsets = [], [], [0, 100]
-        for start in (0, 100):
-            local = full_scores[:, start : start + 100]
-            top = np.argsort(local, axis=1)[:, ::-1][:, :3]
-            shard_labels.append(top)
-            shard_scores.append(np.take_along_axis(local, top, axis=1))
-        labels, scores = merge_topk(shard_labels, shard_scores, offsets, top_k=3)
-        expected = np.argsort(full_scores, axis=1)[:, ::-1][:, :3]
-        np.testing.assert_array_equal(labels, expected)
-
-    def test_scores_descending(self):
-        labels = [np.array([[0, 1]]), np.array([[0, 1]])]
-        scores = [np.array([[5.0, 1.0]]), np.array([[3.0, 2.0]])]
-        merged_labels, merged_scores = merge_topk(labels, scores, [0, 10], top_k=3)
-        assert list(merged_scores[0]) == sorted(merged_scores[0], reverse=True)
-        np.testing.assert_array_equal(merged_labels[0], [0, 10, 11])
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            merge_topk([], [], [], top_k=1)
-        with pytest.raises(ConfigurationError):
-            merge_topk([np.zeros((1, 1))], [], [0], top_k=1)
-
-    def test_ties_break_on_label_id(self):
-        # Equal scores across shards: the lower *global* label id must win,
-        # regardless of which shard contributed it.
-        labels = [np.array([[4, 2]]), np.array([[1, 3]])]
-        scores = [np.array([[7.0, 7.0]]), np.array([[7.0, 7.0]])]
-        merged_labels, merged_scores = merge_topk(labels, scores, [0, 10], top_k=3)
-        np.testing.assert_array_equal(merged_labels[0], [2, 4, 11])
-        np.testing.assert_array_equal(merged_scores[0], [7.0, 7.0, 7.0])
-
-    def test_merge_is_shard_order_independent(self):
-        rng = np.random.default_rng(1)
-        # Quantized scores force plenty of exact ties across shards.
-        a_scores = np.round(rng.normal(size=(3, 5)) * 2) / 2
-        b_scores = np.round(rng.normal(size=(3, 5)) * 2) / 2
-        a_labels = np.tile(np.arange(5), (3, 1))
-        b_labels = np.tile(np.arange(5), (3, 1))
-        fwd = merge_topk([a_labels, b_labels], [a_scores, b_scores], [0, 5], top_k=4)
-        rev = merge_topk([b_labels, a_labels], [b_scores, a_scores], [5, 0], top_k=4)
-        np.testing.assert_array_equal(fwd[0], rev[0])
-        np.testing.assert_array_equal(fwd[1], rev[1])

@@ -88,10 +88,6 @@ class TestScheduledController:
         result = ctrl.submit(0.0, [read(0, 0)])
         assert result.commands == 1
 
-    def test_channel_accessor(self):
-        ctrl = ScheduledController(make_controller())
-        assert ctrl.channel.index == 0
-
 
 class TestSchedulerStudyDriver:
     def test_study_returns_both_policies(self):

@@ -97,10 +97,6 @@ class TestRequestTypes:
         with pytest.raises(WorkloadError):
             Request(request_id=0, arrival=1.0, deadline=0.5)
 
-    def test_slo_property(self):
-        request = Request(request_id=0, arrival=1.0, deadline=1.02)
-        assert request.slo == pytest.approx(0.02)
-
     def test_empty_report_percentile_raises(self):
         report = ClusterReport(
             config={}, slo=0.02, arrived=5, completed=0, shed=5, cache_hits=0,
@@ -158,7 +154,7 @@ class TestRequestQueue:
         self._offer(core, range(SERVICE.knee + 2))
         batch = core.form_batch()
         assert [r.request_id for r in batch] == list(range(SERVICE.knee))
-        assert core.depth == 2
+        assert len(core.queue) == 2
         core.form_batch()
         core.verify_drained()
 
@@ -178,8 +174,10 @@ class TestAdmission:
 
     def test_token_bucket_burst_cap(self):
         bucket = TokenBucket(rate=1.0, burst=2.0)
-        bucket.try_take(100.0)  # long idle: tokens capped at burst
-        assert bucket.tokens == pytest.approx(1.0)
+        # Long idle: tokens capped at burst, so two takes succeed, not 100.
+        assert bucket.try_take(100.0)
+        assert bucket.try_take(100.0)
+        assert not bucket.try_take(100.0)
 
     def test_token_bucket_time_backwards_raises(self):
         bucket = TokenBucket(rate=1.0, burst=1.0)

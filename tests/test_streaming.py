@@ -13,7 +13,6 @@ from repro.obs import (
     read_jsonl_spans,
     spans_to_chrome_events,
     to_chrome_trace,
-    to_jsonl,
 )
 from repro.cluster import build_single_deployment, single_deployment_rate
 from repro.serve import AffineServiceModel
@@ -64,8 +63,12 @@ class TestJsonlSpanWriter:
 
         in_memory = Tracer()
         _spans(in_memory, 11)
+        expected = "".join(
+            json.dumps(span.to_dict(), sort_keys=True) + "\n"
+            for span in in_memory.spans
+        )
         with open(path, "r", encoding="utf-8") as fh:
-            assert fh.read() == to_jsonl(in_memory)
+            assert fh.read() == expected
 
     def test_rejects_bad_threshold(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -91,11 +94,8 @@ class TestStreamingSpanSink:
 
     def test_stream_excludes_the_in_memory_span_exports(self, tmp_path):
         stream = str(tmp_path / "stream.jsonl")
-        for other in ("trace_out", "jsonl_out"):
-            with pytest.raises(ConfigurationError, match=other):
-                ObservabilityConfig(
-                    jsonl_stream_out=stream, **{other: str(tmp_path / "x")}
-                )
+        with pytest.raises(ConfigurationError, match="trace_out"):
+            ObservabilityConfig(jsonl_stream_out=stream, trace_out=str(tmp_path / "x"))
 
 
 # --- exporter round-trips ----------------------------------------------------------
