@@ -245,9 +245,8 @@ def _wrapped_words():
     """Words of the dotted paths in ``perfbench/tracing.py``'s ``WRAPPED``
     table, which the traced benchmark resolves by name."""
     tree = ast.parse((REPO_ROOT / "perfbench" / "tracing.py").read_text())
-    for node in ast.walk(tree):
-        target = getattr(node, "target", None)
-        if isinstance(node, ast.AnnAssign) and getattr(target, "id", None) == "WRAPPED":
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and node.target.id == "WRAPPED":
             return {
                 word for item in ast.walk(node.value)
                 if isinstance(item, ast.Constant) and isinstance(item.value, str)
